@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet build test race bench bench-json fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln
+.PHONY: check fmt vet build test race bench fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln
 
 check: fmt vet build test race bench fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln
 
@@ -34,19 +34,6 @@ race:
 # `go test -bench=. -benchmem` for real measurements.
 bench:
 	$(GO) test -run NONE -bench 'Integrate(Pipeline|NilObserver|WithObserver)$$' -benchtime 50x .
-
-# bench-json records the parallel-speedup curve — the worker-pool faultsim
-# and the row-parallel Eq. 3 kernel at widths 1/2/4/8, plus the adversarial
-# scenario search that shards its evaluations over the same pool — as
-# `go test -json` events in BENCH_parallel.json, the artifact behind the
-# README's Performance table. Results are bit-identical at every width;
-# only the ns/op column moves with the core count of the runner.
-bench-json:
-	$(GO) test -run NONE -bench '((Campaign|Separation)Parallel|AdversarialSearch)$$' -benchtime 3x -json . > BENCH_parallel.json
-	$(GO) test -run NONE -bench 'BusPublish$$' -benchmem -json ./internal/obs > BENCH_bus.json
-	$(GO) test -run NONE -bench 'FabricCampaign$$' -benchtime 3x -json ./internal/fabric > BENCH_fabric.json
-	$(GO) test -run NONE -bench 'FabricTelemetry' -benchtime 3x -json ./internal/fabric > BENCH_telemetry.json
-	$(GO) test -run NONE -bench '(ScenarioGen|IntegrateGenerated)$$' -benchtime 3x -json . > BENCH_scenarios.json
 
 # scenario-check is the corpus acceptance gate: every committed scenario
 # in testdata/corpus is regenerated from its seed (spec drift fails),
@@ -91,8 +78,8 @@ fabric-check:
 # against the committed wire schema (docs/streaming/events.schema.json),
 # exercises replay-from-sequence-number, and asserts the /dashboard
 # document references no external URLs. The zero-alloc nil-bus publish
-# contract is pinned separately by TestNilBusPublishZeroAlloc (test) and
-# BenchmarkBusPublish (bench-json, with -benchmem).
+# contract is pinned separately by TestNilBusPublishZeroAlloc (test);
+# measure it with `go test -run NONE -bench BusPublish -benchmem ./internal/obs`.
 stream-check:
 	$(GO) run ./cmd/streamcheck
 

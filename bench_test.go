@@ -418,8 +418,8 @@ func BenchmarkE15Availability(b *testing.B) {
 // bit-identical at every width (the determinism suite proves it), so the
 // sub-benchmarks differ only in wall-clock: on an 8-core runner /8 should
 // land at several times /1, while a single-core runner collapses them all
-// to serial speed. `make bench-json` records the curve in
-// BENCH_parallel.json.
+// to serial speed. Run it with
+// `go test -run NONE -bench CampaignParallel .` to see the curve.
 func BenchmarkCampaignParallel(b *testing.B) {
 	sys, err := experiments.Synthesize(experiments.SynthConfig{
 		Processes: 48, EdgesPerNode: 2.5, ReplicatedFraction: 0.25,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -173,6 +174,90 @@ func TestGroupRejectsMixedLevels(t *testing.T) {
 	}
 }
 
+func TestNewHierarchyDepthValidation(t *testing.T) {
+	for _, levels := range []int{-1, 0, 1} {
+		if _, err := NewHierarchyDepth(levels); !errors.Is(err, ErrLevel) {
+			t.Errorf("NewHierarchyDepth(%d) err = %v, want ErrLevel", levels, err)
+		}
+	}
+	h, err := NewHierarchyDepth(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Depth 2 has no process level: procedures group straight into tasks.
+	if _, err := h.AddProcess("p", attrs.Set{}); !errors.Is(err, ErrLevel) {
+		t.Errorf("AddProcess at depth 2: err = %v, want ErrLevel", err)
+	}
+}
+
+// groupChain adds the named procedures as free FCMs, groups them into
+// "l2", and then groups one level at a time up to the top of a hierarchy
+// of the given depth. It returns the chain of FCM names from the first
+// procedure up.
+func groupChain(t *testing.T, h *Hierarchy, levels int, procs ...string) []string {
+	t.Helper()
+	for _, n := range procs {
+		if _, err := h.AddFree(n, ProcedureLevel, attrs.Set{}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain := []string{procs[0]}
+	members := procs
+	for l := 2; l <= levels; l++ {
+		name := fmt.Sprintf("l%d", l)
+		f, err := h.Group(name, members)
+		if err != nil {
+			t.Fatalf("Group to level %d: %v", l, err)
+		}
+		if f.Level() != Level(l) {
+			t.Errorf("%s level = %d, want %d", name, f.Level(), l)
+		}
+		chain = append(chain, name)
+		members = []string{name}
+	}
+	return chain
+}
+
+func TestGroupStopsAtTopLevelAnyDepth(t *testing.T) {
+	for _, levels := range []int{2, 4} {
+		h, err := NewHierarchyDepth(levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := groupChain(t, h, levels, "l1")
+		if _, err := h.Group("over", []string{chain[len(chain)-1]}); !errors.Is(err, ErrLevel) {
+			t.Errorf("depth %d: grouping the top level: err = %v, want ErrLevel", levels, err)
+		}
+		if _, err := h.AddFree("high", Level(levels+1), attrs.Set{}, false); !errors.Is(err, ErrLevel) {
+			t.Errorf("depth %d: AddFree above the top: err = %v, want ErrLevel", levels, err)
+		}
+		if err := h.Validate(); err != nil {
+			t.Errorf("depth %d: %v", levels, err)
+		}
+	}
+}
+
+// TestRetestSetDepthIndependent: R5 localises a modification to the FCM,
+// its parent and its sibling interfaces at any depth; a depth-4 leaf's
+// grandparent is not retested.
+func TestRetestSetDepthIndependent(t *testing.T) {
+	h, err := NewHierarchyDepth(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := groupChain(t, h, 4, "l1", "sib")
+	fcms, ifaces, err := h.RetestSet(chain[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(fcms, ","); got != "l1,l2" {
+		t.Errorf("retest fcms = %s, want l1,l2 (grandparent l3 excluded)", got)
+	}
+	if got := strings.Join(ifaces, ","); got != "l1<->sib" {
+		t.Errorf("retest interfaces = %s", got)
+	}
+}
+
 func TestGroupRejectsProcessLevel(t *testing.T) {
 	h := buildFlight(t)
 	if _, err := h.Group("super", []string{"nav", "display"}); !errors.Is(err, ErrLevel) {
@@ -267,17 +352,42 @@ func TestMergeRejectsStatefulProcedures(t *testing.T) {
 	}
 }
 
+// snapshot renders every FCM with its parent, children and marks, so two
+// snapshots are equal exactly when the hierarchy is unchanged.
+func snapshot(h *Hierarchy) string {
+	var b strings.Builder
+	for _, f := range h.All() {
+		fmt.Fprintf(&b, "%s %s parent=%s children=%v modified=%v\n",
+			f.Name(), f.Level(), parentName(f), names(f.Children()), f.Modified())
+	}
+	return b.String()
+}
+
 func TestMergeNameCollisionRestores(t *testing.T) {
 	h := buildFlight(t)
-	// "nav" is taken; merge must fail and leave the hierarchy valid.
-	if _, err := h.Merge("nav", []string{"kalman", "waypoint"}); !errors.Is(err, ErrDuplicateName) {
-		t.Errorf("err = %v, want ErrDuplicateName", err)
-	}
-	if _, err := h.Lookup("kalman"); err != nil {
-		t.Error("kalman lost after failed merge")
+	before := snapshot(h)
+	// "nav" is taken and is not a member: the merge must fail before it
+	// detaches anything. An empty name fails the same way.
+	for _, name := range []string{"nav", ""} {
+		if _, err := h.Merge(name, []string{"kalman", "waypoint"}); err == nil {
+			t.Errorf("Merge(%q) accepted", name)
+		} else if name == "nav" && !errors.Is(err, ErrDuplicateName) {
+			t.Errorf("err = %v, want ErrDuplicateName", err)
+		}
+		if after := snapshot(h); after != before {
+			t.Errorf("hierarchy changed by failed Merge(%q):\n%s\nwant:\n%s", name, after, before)
+		}
 	}
 	if err := h.Validate(); err != nil {
 		t.Errorf("hierarchy invalid after failed merge: %v", err)
+	}
+	// A member's own name may be reused for the merged FCM.
+	merged, err := h.Merge("kalman", []string{"kalman", "waypoint"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Parent().Name() != "guidance" || h.Len() != 8 {
+		t.Errorf("merge into member name: parent=%s len=%d", merged.Parent().Name(), h.Len())
 	}
 }
 

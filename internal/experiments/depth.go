@@ -5,7 +5,8 @@ import (
 	"math/rand/v2"
 	"strings"
 
-	"repro/internal/hierarchy"
+	"repro/internal/attrs"
+	"repro/internal/core"
 )
 
 // E12Row is one hierarchy-depth measurement.
@@ -17,7 +18,7 @@ type E12Row struct {
 	// Leaves is the number of leaf procedures (held constant).
 	Leaves int
 	// MeanRetest is the mean per-modification retest cost (FCMs +
-	// interfaces) under rule R5'.
+	// interfaces) under rule R5.
 	MeanRetest float64
 }
 
@@ -37,28 +38,14 @@ func E12(mods int, seed uint64) (E12Result, error) {
 	if mods <= 0 {
 		mods = 200
 	}
-	type shape struct {
+	shapes := []struct {
 		name      string
-		scheme    hierarchy.Scheme
-		branching []int
-	}
-	two, err := hierarchy.NewScheme("procedure", "process")
-	if err != nil {
-		return E12Result{}, err
-	}
-	three, err := hierarchy.ThreeLevel()
-	if err != nil {
-		return E12Result{}, err
-	}
-	four, err := hierarchy.WithObjects()
-	if err != nil {
-		return E12Result{}, err
-	}
-	shapes := []shape{
+		branching []int // children per FCM, lowest grouping first
+	}{
 		// 64 leaves in every shape.
-		{"2-level (64 per process)", two, []int{64}},
-		{"3-level (8x8)", three, []int{8, 8}},
-		{"4-level (4x4x4)", four, []int{4, 4, 4}},
+		{"2-level (64 per process)", []int{64}},
+		{"3-level (8x8)", []int{8, 8}},
+		{"4-level (4x4x4)", []int{4, 4, 4}},
 	}
 	var res E12Result
 	var b strings.Builder
@@ -66,25 +53,25 @@ func E12(mods int, seed uint64) (E12Result, error) {
 	fmt.Fprintf(&b, "  modifications per shape: %d\n", mods)
 	b.WriteString("  scheme                     depth  total-FCMs  mean-retest-cost\n")
 	for _, sh := range shapes {
-		tree, leaves, err := hierarchy.BuildUniform(sh.scheme, sh.branching)
+		depth := len(sh.branching) + 1
+		h, leaves, err := uniformHierarchy(sh.branching)
 		if err != nil {
 			return res, fmt.Errorf("experiments: E12 %s: %w", sh.name, err)
 		}
-		rng := rand.New(rand.NewPCG(seed, seed^uint64(sh.scheme.Depth())))
+		rng := rand.New(rand.NewPCG(seed, seed^uint64(depth)))
 		total := 0
 		for i := 0; i < mods; i++ {
 			leaf := leaves[rng.IntN(len(leaves))]
-			fcms, interfaces, err := tree.RetestSet(leaf)
+			fcms, interfaces, err := h.RetestSet(leaf)
 			if err != nil {
 				return res, err
 			}
 			total += len(fcms) + len(interfaces)
-			tree.ClearModified()
 		}
 		row := E12Row{
 			Scheme:     sh.name,
-			Depth:      sh.scheme.Depth(),
-			TotalFCMs:  tree.Len(),
+			Depth:      depth,
+			TotalFCMs:  h.Len(),
 			Leaves:     len(leaves),
 			MeanRetest: float64(total) / float64(mods),
 		}
@@ -94,4 +81,39 @@ func E12(mods int, seed uint64) (E12Result, error) {
 	}
 	res.Text = b.String()
 	return res, nil
+}
+
+// uniformHierarchy builds a complete single-root tree of depth
+// len(branching)+1 bottom-up: the product of branching leaf procedures,
+// grouped branching[0] at a time into the level above, and so on up to the
+// top. It returns the hierarchy and its leaf names.
+func uniformHierarchy(branching []int) (*core.Hierarchy, []string, error) {
+	h, err := core.NewHierarchyDepth(len(branching) + 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := 1
+	for _, k := range branching {
+		n *= k
+	}
+	level := make([]string, n)
+	for i := range level {
+		level[i] = fmt.Sprintf("L1.%d", i)
+		if _, err := h.AddFree(level[i], core.ProcedureLevel, attrs.Set{}, false); err != nil {
+			return nil, nil, err
+		}
+	}
+	leaves := level
+	for l, k := range branching {
+		var parents []string
+		for i := 0; i < len(level); i += k {
+			name := fmt.Sprintf("L%d.%d", l+2, i/k)
+			if _, err := h.Group(name, level[i:i+k]); err != nil {
+				return nil, nil, err
+			}
+			parents = append(parents, name)
+		}
+		level = parents
+	}
+	return h, leaves, nil
 }

@@ -465,6 +465,12 @@ func TestE12DeeperSchemesLocaliseRetests(t *testing.T) {
 			t.Errorf("%s mean retest = %g, want %g", r.Rows[i].Scheme, r.Rows[i].MeanRetest, w)
 		}
 	}
+	// Uniform trees over 64 leaves: 1+64, 1+8+64 and 1+4+16+64 FCMs.
+	for i, w := range []int{65, 73, 85} {
+		if r.Rows[i].TotalFCMs != w {
+			t.Errorf("%s total FCMs = %d, want %d", r.Rows[i].Scheme, r.Rows[i].TotalFCMs, w)
+		}
+	}
 }
 
 func TestE13CommFaultShape(t *testing.T) {

@@ -45,8 +45,7 @@ func benchCampaign(trials int) faultsim.Campaign {
 
 // BenchmarkFabricCampaign measures one full distributed campaign over the
 // in-process transport at 1, 2 and 4 workers — protocol overhead plus
-// compute, the number behind the scaling row in BENCH_fabric.json. The
-// merged result is the same at every width; only wall clock moves.
+// compute. The merged result is the same at every width; only wall clock moves.
 func BenchmarkFabricCampaign(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("%d", workers), func(b *testing.B) {

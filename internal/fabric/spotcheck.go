@@ -1,5 +1,7 @@
 package fabric
 
+import "repro/internal/rng"
+
 // Spot-check selection. The coordinator re-evaluates a deterministic,
 // seed-chosen fraction of returned chunks locally and compares bytes; a
 // divergent worker is quarantined. Selection must be a pure function of
@@ -7,16 +9,6 @@ package fabric
 // the same campaign always audits the same chunks (reproducible audits)
 // and a worker cannot learn or influence which of its results are
 // checked by timing its replies.
-
-// spotmix is splitmix64's output permutation: a bijective avalanche over
-// 64 bits, the same mixer faultsim uses for its substream derivation.
-func spotmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
 
 // SpotChecked reports whether the coordinator audits grid chunk seq of
 // the given epoch under the given seed and check fraction. frac <= 0
@@ -31,7 +23,7 @@ func SpotChecked(seed, epoch uint64, seq int, frac float64) bool {
 	if frac >= 1 {
 		return true
 	}
-	h := spotmix(spotmix(seed^0x5370637465636b21) ^ spotmix(epoch) ^ uint64(seq))
+	h := rng.Mix(rng.Mix(seed^0x5370637465636b21) ^ rng.Mix(epoch) ^ uint64(seq))
 	// Compare in float space: h/2^64 < frac.
 	return float64(h>>11)/(1<<53) < frac
 }

@@ -38,6 +38,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/stage"
 )
 
@@ -255,20 +256,6 @@ func (r Result) EstimatedInfluence(from, to string) (float64, bool) {
 // the same no matter how many workers run or where a resume started.
 const trialChunkSize = 64
 
-// substreamSalt decorrelates the two PCG seed words of a trial substream.
-const substreamSalt = 0xda942042e4dd58b5
-
-// splitmix64 is the SplitMix64 finalizer, the standard mixer for deriving
-// independent seed material from correlated inputs (consecutive trial
-// indices). Its output is a bijection of its input, so distinct trials
-// never collide on a substream.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // chunkResult accumulates the trials of one chunk. All integer counters
 // merge exactly regardless of order; the single order-sensitive value —
 // the float64 criticality loss — is kept per trial so the merged sum's
@@ -359,7 +346,7 @@ func newCampaignEnv(c *Campaign) *campaignEnv {
 		out:           map[string][]graph.Edge{},
 		crit:          map[string]float64{},
 		hwOf:          c.HWOf,
-		seedBase:      splitmix64(c.Seed),
+		seedBase:      rng.Mix(c.Seed),
 		maxHops:       c.MaxHops,
 		commFrac:      c.CommFaultFraction,
 		critThreshold: c.CriticalThreshold,
@@ -406,14 +393,6 @@ func newCampaignEnv(c *Campaign) *campaignEnv {
 	return env
 }
 
-// reseed positions the PCG on the substream of one trial. The substream
-// depends only on (Seed, trial), never on execution history, which is what
-// makes sharding and resume bit-exact.
-func (env *campaignEnv) reseed(pcg *rand.PCG, trial int) {
-	base := env.seedBase + uint64(trial)
-	pcg.Seed(splitmix64(base), splitmix64(base^substreamSalt))
-}
-
 func (env *campaignEnv) pick(rng *rand.Rand) string {
 	x := rng.Float64() * env.weightTotal
 	for i, w := range env.weights {
@@ -428,15 +407,18 @@ func (env *campaignEnv) pick(rng *rand.Rand) string {
 // runChunk executes trials [begin, end) on their own substreams,
 // accumulating into ch. The context is polled at every trial boundary; a
 // cancelled chunk is all-or-nothing and contributes no trials.
-func (env *campaignEnv) runChunk(ctx context.Context, pcg *rand.PCG, rng *rand.Rand, begin, end int, ch *chunkResult) error {
+func (env *campaignEnv) runChunk(ctx context.Context, pcg *rand.PCG, r *rand.Rand, begin, end int, ch *chunkResult) error {
 	for trial := begin; trial < end; trial++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		env.reseed(pcg, trial)
-		env.runTrial(rng, ch)
+		// The trial's substream depends only on (Seed, trial), never on
+		// execution history, which is what makes sharding and resume
+		// bit-exact.
+		pcg.Seed(rng.Seeds(env.seedBase + uint64(trial)))
+		env.runTrial(r, ch)
 	}
 	return nil
 }

@@ -174,22 +174,3 @@ func TestParallelCancelledBeforeStart(t *testing.T) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
-
-// TestSubstreamDistinct guards the seeding scheme itself: neighboring
-// trials and neighboring seeds must land on distinct substreams.
-func TestSubstreamDistinct(t *testing.T) {
-	env1 := &campaignEnv{seedBase: splitmix64(1)}
-	env2 := &campaignEnv{seedBase: splitmix64(2)}
-	type pair struct{ s1, s2 uint64 }
-	seen := map[pair]string{}
-	for trial := 0; trial < 1000; trial++ {
-		for _, env := range []*campaignEnv{env1, env2} {
-			base := env.seedBase + uint64(trial)
-			p := pair{splitmix64(base), splitmix64(base ^ substreamSalt)}
-			if prev, dup := seen[p]; dup {
-				t.Fatalf("substream collision: trial %d repeats %s", trial, prev)
-			}
-			seen[p] = "seed/trial combination"
-		}
-	}
-}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/stage"
 )
 
@@ -423,7 +424,7 @@ func (s *searcher) run(sc Scenario) (Evaluation, error) {
 		Graph:             s.cfg.Graph,
 		HWOf:              s.cfg.HWOf,
 		Trials:            s.cfg.Trials,
-		Seed:              splitmix64(s.cfg.Seed ^ h.Sum64()),
+		Seed:              rng.Mix(s.cfg.Seed ^ h.Sum64()),
 		Workers:           s.cfg.Workers,
 		OccurrenceWeights: map[string]float64{sc.SeedNode: 1},
 		CriticalThreshold: s.cfg.CriticalThreshold,

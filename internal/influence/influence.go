@@ -146,38 +146,16 @@ func Separation(p [][]float64, i, j, maxOrder int) (float64, error) {
 	if maxOrder < 1 {
 		maxOrder = DefaultMaxOrder
 	}
-	// reach[v] = sum over all paths of the current length from i to v of
-	// the product of edge probabilities.
-	reach := make([]float64, n)
-	next := make([]float64, n)
-	for v := 0; v < n; v++ {
-		reach[v] = p[i][v]
-	}
-	total := reach[j]
-	for order := 2; order <= maxOrder; order++ {
-		for v := range next {
-			next[v] = 0
-		}
-		for k := 0; k < n; k++ {
-			if reach[k] == 0 {
-				continue
-			}
-			for v := 0; v < n; v++ {
-				next[v] += reach[k] * p[k][v]
-			}
-		}
-		reach, next = next, reach
-		total += reach[j]
-	}
-	return clamp01(1 - total), nil
+	out := make([]float64, n)
+	separationRow(p, i, maxOrder, out, make([]float64, n), make([]float64, n))
+	return out[j], nil
 }
 
-// separationRow computes Eq. (3) for source row i against every target in
-// a single power-series sweep, writing the separations into out. The reach
-// recurrence of Separation depends only on the source row, so amortizing
-// it over all n targets is an O(n) algorithmic win per row; the per-target
-// accumulation order (order 1, then 2, …) matches Separation operation for
-// operation, so the results are bit-identical to the per-pair function.
+// separationRow is the one Eq. (3) kernel: it computes the separation of
+// source row i from every target in a single power-series sweep, writing
+// the separations into out. reach[v] holds the summed edge-probability
+// products of all paths of the current length from i to v; the recurrence
+// depends only on the source row, so one sweep serves all n targets.
 // reach and next are caller-provided scratch of length n.
 func separationRow(p [][]float64, i, maxOrder int, out, reach, next []float64) {
 	n := len(p)
@@ -204,20 +182,6 @@ func separationRow(p [][]float64, i, maxOrder int, out, reach, next []float64) {
 		out[v] = clamp01(1 - out[v])
 	}
 	out[i] = 0 // an FCM is never separated from itself
-}
-
-// SeparationMatrix computes the separation of every ordered pair over the
-// influence matrix, at the given truncation order.
-func SeparationMatrix(p [][]float64, maxOrder int) ([][]float64, error) {
-	return SeparationMatrixCtx(nil, p, maxOrder)
-}
-
-// SeparationMatrixCtx is SeparationMatrix with cooperative cancellation,
-// sharding rows over GOMAXPROCS goroutines. The output is bit-identical
-// for every worker count (rows are independent; each is a deterministic
-// sweep). Use SeparationMatrixWorkers to pick the pool size explicitly.
-func SeparationMatrixCtx(ctx context.Context, p [][]float64, maxOrder int) ([][]float64, error) {
-	return SeparationMatrixWorkers(ctx, p, maxOrder, 0)
 }
 
 func sepRowErr(i, n int, err error) error {
@@ -296,46 +260,6 @@ func SeparationMatrixWorkers(ctx context.Context, p [][]float64, maxOrder, worke
 	return out, nil
 }
 
-// Separator answers repeated Eq. (3) queries against one influence matrix,
-// memoizing the power-series sweep per source row: the first query for any
-// (i, ·) pair computes and caches the whole separation row, so q queries
-// touching r distinct sources cost O(r·n²·maxOrder) instead of
-// O(q·n²·maxOrder). Safe for concurrent use.
-type Separator struct {
-	p        [][]float64
-	maxOrder int
-
-	mu   sync.Mutex
-	rows map[int][]float64
-}
-
-// NewSeparator prepares a memoizing separation oracle over p at the given
-// truncation order (maxOrder < 1 uses DefaultMaxOrder).
-func NewSeparator(p [][]float64, maxOrder int) *Separator {
-	if maxOrder < 1 {
-		maxOrder = DefaultMaxOrder
-	}
-	return &Separator{p: p, maxOrder: maxOrder, rows: map[int][]float64{}}
-}
-
-// Separation returns Eq. (3) for the ordered pair (i, j), bit-identical to
-// the package-level Separation at the same order.
-func (s *Separator) Separation(i, j int) (float64, error) {
-	n := len(s.p)
-	if i < 0 || i >= n || j < 0 || j >= n {
-		return 0, fmt.Errorf("influence: separation index out of range: (%d,%d) for n=%d", i, j, n)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	row, ok := s.rows[i]
-	if !ok {
-		row = make([]float64, n)
-		separationRow(s.p, i, s.maxOrder, row, make([]float64, n), make([]float64, n))
-		s.rows[i] = row
-	}
-	return row[j], nil
-}
-
 // SpectralRadius estimates the spectral radius of the influence matrix by
 // power iteration on |P| (entries are non-negative already). The Eq. (3)
 // series converges iff the radius is below 1; callers can use this to
@@ -386,34 +310,4 @@ func SpectralRadius(p [][]float64, iters int) float64 {
 func SeriesConverges(p [][]float64) (bool, float64) {
 	r := SpectralRadius(p, 100)
 	return r < 1, r
-}
-
-// SeriesTerm returns the order-k term of the Eq. (3) series for (i,j):
-// the total probability mass of exactly-k-hop paths from i to j. Useful
-// for convergence analysis (experiment E4).
-func SeriesTerm(p [][]float64, i, j, k int) float64 {
-	n := len(p)
-	if k < 1 || i < 0 || j < 0 || i >= n || j >= n {
-		return 0
-	}
-	reach := make([]float64, n)
-	next := make([]float64, n)
-	for v := 0; v < n; v++ {
-		reach[v] = p[i][v]
-	}
-	for order := 2; order <= k; order++ {
-		for v := range next {
-			next[v] = 0
-		}
-		for a := 0; a < n; a++ {
-			if reach[a] == 0 {
-				continue
-			}
-			for v := 0; v < n; v++ {
-				next[v] += reach[a] * p[a][v]
-			}
-		}
-		reach, next = next, reach
-	}
-	return reach[j]
 }

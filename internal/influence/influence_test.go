@@ -269,9 +269,38 @@ func TestSeparationMoreInfluenceLessSeparation(t *testing.T) {
 	}
 }
 
+// refSeparation is the per-pair Eq. (3) recurrence, kept as an
+// independent reference for the row kernel: it sweeps the reach vector of
+// source i and accumulates only target j.
+func refSeparation(p [][]float64, i, j, maxOrder int) float64 {
+	if i == j {
+		return 0
+	}
+	n := len(p)
+	reach := append([]float64(nil), p[i]...)
+	next := make([]float64, n)
+	total := reach[j]
+	for order := 2; order <= maxOrder; order++ {
+		for v := range next {
+			next[v] = 0
+		}
+		for k := 0; k < n; k++ {
+			if reach[k] == 0 {
+				continue
+			}
+			for v := 0; v < n; v++ {
+				next[v] += reach[k] * p[k][v]
+			}
+		}
+		reach, next = next, reach
+		total += reach[j]
+	}
+	return clamp01(1 - total)
+}
+
 func TestSeparationMatrix(t *testing.T) {
 	p := chainMatrix(0.4, 0.5)
-	m, err := SeparationMatrix(p, 4)
+	m, err := SeparationMatrixWorkers(nil, p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,22 +313,29 @@ func TestSeparationMatrix(t *testing.T) {
 	}
 }
 
+// TestSeriesTerm reads the per-order terms of Eq. (3) off the separation
+// at successive truncation orders: on the chain a→b→c the only a-to-c
+// path has two hops, so only the order-2 term is non-zero.
 func TestSeriesTerm(t *testing.T) {
 	p := chainMatrix(0.4, 0.5)
-	if got := SeriesTerm(p, 0, 2, 1); got != 0 {
-		t.Errorf("order-1 term = %g, want 0 (no direct edge)", got)
+	want := []float64{1, 0.8, 0.8} // orders 1, 2, 3
+	for k, w := range want {
+		s, err := Separation(p, 0, 2, k+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(s-w) > 1e-12 {
+			t.Errorf("order-%d separation = %g, want %g", k+1, s, w)
+		}
 	}
-	if got := SeriesTerm(p, 0, 2, 2); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("order-2 term = %g, want 0.2", got)
-	}
-	if got := SeriesTerm(p, 0, 2, 3); got != 0 {
-		t.Errorf("order-3 term = %g, want 0 (DAG)", got)
-	}
-	if got := SeriesTerm(p, -1, 2, 1); got != 0 {
-		t.Errorf("bad index term = %g, want 0", got)
+	if _, err := Separation(p, -1, 2, 1); err == nil {
+		t.Error("negative index accepted")
 	}
 }
 
+// TestSeriesTermsSumToSeparationComplement checks the kernel against the
+// series written as explicit matrix powers: 1 − separation(i,j) equals
+// Σ_k (P^k)[i][j] over k = 1..order.
 func TestSeriesTermsSumToSeparationComplement(t *testing.T) {
 	p := [][]float64{
 		{0, 0.2, 0.1},
@@ -307,16 +343,28 @@ func TestSeriesTermsSumToSeparationComplement(t *testing.T) {
 		{0.05, 0.1, 0},
 	}
 	const order = 6
+	n := len(p)
+	pow := p // P^1
 	sum := 0.0
 	for k := 1; k <= order; k++ {
-		sum += SeriesTerm(p, 0, 2, k)
+		sum += pow[0][2]
+		next := make([][]float64, n)
+		for a := range next {
+			next[a] = make([]float64, n)
+			for b := 0; b < n; b++ {
+				for c := 0; c < n; c++ {
+					next[a][b] += pow[a][c] * p[c][b]
+				}
+			}
+		}
+		pow = next
 	}
 	s, err := Separation(p, 0, 2, order)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs((1-s)-sum) > 1e-12 {
-		t.Errorf("1-separation = %g, term sum = %g", 1-s, sum)
+		t.Errorf("1-separation = %g, matrix-power sum = %g", 1-s, sum)
 	}
 }
 

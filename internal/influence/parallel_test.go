@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -27,52 +26,58 @@ func testMatrix(n int) [][]float64 {
 }
 
 // TestSeparationMatrixWorkersBitIdentical: the row-parallel sweep must be
-// DeepEqual-identical for every worker count, and identical to the
-// per-pair Separation function it amortizes.
+// DeepEqual-identical for every worker count, and both it and Separation
+// must equal the per-pair reference at every order 1–8.
 func TestSeparationMatrixWorkersBitIdentical(t *testing.T) {
 	for _, n := range []int{1, 3, 17} {
 		p := testMatrix(n)
-		want, err := SeparationMatrixWorkers(nil, p, 6, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 7} {
-			got, err := SeparationMatrixWorkers(nil, p, 6, workers)
+		for order := 1; order <= 8; order++ {
+			want, err := SeparationMatrixWorkers(nil, p, order, 1)
 			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("n=%d workers=%d matrix differs from serial", n, workers)
-			}
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				s, err := Separation(p, i, j, 6)
+			for _, workers := range []int{2, 4, 7} {
+				got, err := SeparationMatrixWorkers(nil, p, order, workers)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 				}
-				if s != want[i][j] {
-					t.Errorf("row kernel (%d,%d) = %v, per-pair Separation = %v", i, j, want[i][j], s)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("n=%d order=%d workers=%d matrix differs from serial", n, order, workers)
+				}
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					ref := refSeparation(p, i, j, order)
+					if want[i][j] != ref {
+						t.Errorf("n=%d order=%d: row kernel (%d,%d) = %v, reference = %v", n, order, i, j, want[i][j], ref)
+					}
+					s, err := Separation(p, i, j, order)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s != ref {
+						t.Errorf("n=%d order=%d: Separation(%d,%d) = %v, reference = %v", n, order, i, j, s, ref)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestSeparationMatrixCtxDefaultsParallel: the ctx entry point shards over
-// GOMAXPROCS but must still match the explicit serial sweep.
+// TestSeparationMatrixCtxDefaultsParallel: with a context and workers = 0
+// the sweep shards over GOMAXPROCS but must still match the serial sweep.
 func TestSeparationMatrixCtxDefaultsParallel(t *testing.T) {
 	p := testMatrix(9)
 	want, err := SeparationMatrixWorkers(nil, p, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SeparationMatrixCtx(context.Background(), p, 0)
+	got, err := SeparationMatrixWorkers(context.Background(), p, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("SeparationMatrixCtx differs from serial sweep")
+		t.Error("default-width sweep differs from serial sweep")
 	}
 }
 
@@ -86,90 +91,5 @@ func TestSeparationMatrixWorkersCancelled(t *testing.T) {
 		if _, err := SeparationMatrixWorkers(ctx, p, 0, workers); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d err = %v, want context.Canceled", workers, err)
 		}
-	}
-}
-
-// TestSeparatorMemoizedMatchesDirect: cached rows answer exactly like the
-// uncached functions, including under concurrent queries.
-func TestSeparatorMemoizedMatchesDirect(t *testing.T) {
-	p := testMatrix(11)
-	sep := NewSeparator(p, 0)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range p {
-				for j := range p {
-					got, err := sep.Separation(i, j)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					want, err := Separation(p, i, j, DefaultMaxOrder)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if got != want {
-						t.Errorf("memoized (%d,%d) = %v, direct = %v", i, j, got, want)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if _, err := sep.Separation(-1, 0); err == nil {
-		t.Error("out-of-range query accepted")
-	}
-}
-
-// TestSeparatorFirstTouchContention hammers the row cache at its weakest
-// point: many goroutines querying the same never-cached row at once, so
-// every one of them races to fill the cache entry. Without the
-// Separator's mutex this is a guaranteed -race report (concurrent map
-// write) and a possible torn read; with it, every caller must see the
-// same bit-identical value. One extra goroutine interleaves queries to
-// other rows to keep the map mutating while the hot row is read.
-func TestSeparatorFirstTouchContention(t *testing.T) {
-	p := testMatrix(9)
-	for round := 0; round < 5; round++ {
-		sep := NewSeparator(p, 0) // fresh cache: every row is a first touch
-		hot := round % len(p)
-		want, err := Separation(p, hot, (hot+1)%len(p), DefaultMaxOrder)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				got, err := sep.Separation(hot, (hot+1)%len(p))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got != want {
-					t.Errorf("contended first touch (%d): got %v, want %v", hot, got, want)
-				}
-			}()
-		}
-		wg.Add(1)
-		go func() { // churn the map while the hot row is being filled
-			defer wg.Done()
-			<-start
-			for i := range p {
-				if _, err := sep.Separation(i, hot); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-		close(start)
-		wg.Wait()
 	}
 }

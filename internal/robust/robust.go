@@ -11,7 +11,7 @@
 // # Monotone stability ladder
 //
 // Each ensemble member draws one direction vector d ∈ [-1,1]^P (P = the
-// number of perturbable parameters) from its own splitmix64-seeded PCG
+// number of perturbable parameters) from its own internal/rng PCG
 // substream, then walks the ε ladder by scaling the same direction:
 // parameter x becomes x·(1+ε·d_j), clamped to its legal range. A member
 // counts as stable at level ε_k only when its placement matches the
@@ -26,12 +26,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"sort"
 	"strings"
 
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/spec"
 	"repro/internal/stage"
 )
@@ -231,21 +231,6 @@ func clone(sys *spec.System) *spec.System {
 	return &out
 }
 
-// splitmix64 is the SplitMix64 finalizer (same mixer faultsim uses for
-// its substreams).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// sampleRNG returns the private substream of ensemble member i.
-func sampleRNG(seed uint64, i int) *rand.Rand {
-	base := splitmix64(seed + uint64(i)*0x9e3779b97f4a7c15)
-	return rand.New(rand.NewPCG(splitmix64(base), splitmix64(base^0xda942042e4dd58b5)))
-}
-
 // Certify runs the certification: baseline, the ε ladder over the
 // ensemble, and (unless disabled) the one-at-a-time sensitivity probes.
 func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error) {
@@ -295,10 +280,10 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 	// so every ε level perturbs along the same ray (nested balls).
 	dirs := make([][]float64, samples)
 	for i := range dirs {
-		rng := sampleRNG(cfg.Seed, i)
+		r := rng.New(rng.Mix(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15)) // member i's substream
 		d := make([]float64, len(params))
 		for j := range d {
-			d[j] = 2*rng.Float64() - 1
+			d[j] = 2*r.Float64() - 1
 		}
 		dirs[i] = d
 	}

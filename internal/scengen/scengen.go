@@ -10,7 +10,7 @@
 //
 // # Determinism contract
 //
-// Generation follows the same splitmix64/PCG substream discipline as the
+// Generation follows the same internal/rng substream discipline as the
 // fault-injection campaigns: every generated element (a process's
 // attribute tuple, an edge's weight, a component's fault tree) draws from
 // its own PCG substream derived from (seed, element index), never from a
@@ -42,6 +42,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/rng"
 	"repro/internal/spec"
 )
 
@@ -181,11 +182,6 @@ func familyList() string {
 // processor-demand criterion, so every generated colocation is feasible.
 const timingBudget = 100.0
 
-// substreamSalt decorrelates the two PCG seed words of a substream — the
-// same constant the fault-injection campaigns use, keeping one substream
-// convention across the repo.
-const substreamSalt = 0xda942042e4dd58b5
-
 // Stream salts: one per draw class, so the substream of (say) process 3's
 // attributes never collides with the substream of edge 3's weight.
 const (
@@ -194,16 +190,6 @@ const (
 	saltEdge  uint64 = 0x1ce1ce1ce1ce1ce
 	saltHier  uint64 = 0xf1a7f00d5eed5eed
 )
-
-// splitmix64 is the SplitMix64 finalizer (a bijection, so distinct
-// elements never collide on a substream) — the standard mixer the
-// campaign worker pool derives its per-trial streams from.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // genEnv carries the seed material of one generation run.
 type genEnv struct {
@@ -218,22 +204,13 @@ func newGenEnv(cfg Config) *genEnv {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &genEnv{base: splitmix64(cfg.Seed) ^ h.Sum64(), workers: workers}
-}
-
-// at returns the private substream of element i within draw class salt.
-// The substream depends only on (seed, family, salt, i) — never on which
-// goroutine fills the element or in which order — which is what makes
-// sharded generation byte-identical at every worker count.
-func (g *genEnv) at(salt uint64, i int) *rand.Rand {
-	b := splitmix64(g.base^salt) + uint64(i)
-	return rand.New(rand.NewPCG(splitmix64(b), splitmix64(b^substreamSalt)))
+	return &genEnv{base: rng.Mix(cfg.Seed) ^ h.Sum64(), workers: workers}
 }
 
 // shape returns the serial topology stream: the one stream family
 // builders may consume sequentially (tier sizes, edge targets), because
 // topology construction is inherently ordered and never sharded.
-func (g *genEnv) shape() *rand.Rand { return g.at(saltShape, 0) }
+func (g *genEnv) shape() *rand.Rand { return rng.New(rng.Mix(g.base ^ saltShape)) }
 
 // protoProcess is a process the family builder has placed topologically
 // but whose concrete attributes are still to be drawn.
@@ -341,8 +318,7 @@ func (g *genEnv) fillProcesses(protos []protoProcess) []spec.Process {
 	rawCT := make([]float64, n)
 	estU := make([]float64, n)
 	winU := make([]float64, n)
-	g.shard(n, func(i int) {
-		rng := g.at(saltAttr, i)
+	g.shard(n, saltAttr, func(i int, rng *rand.Rand) {
 		p := protos[i]
 		// Fixed draw order per element: criticality, FT, CT, EST, window.
 		procs[i].Name = p.name
@@ -372,8 +348,7 @@ func (g *genEnv) fillProcesses(protos []protoProcess) []spec.Process {
 // fillEdges draws edge weights on per-edge substreams, sharded.
 func (g *genEnv) fillEdges(edges []protoEdge, procs []spec.Process) []spec.Influence {
 	infl := make([]spec.Influence, len(edges))
-	g.shard(len(edges), func(j int) {
-		rng := g.at(saltEdge, j)
+	g.shard(len(edges), saltEdge, func(j int, rng *rand.Rand) {
 		e := edges[j]
 		w := round3(e.wLo + rng.Float64()*(e.wHi-e.wLo))
 		if w < 0.01 {
@@ -397,8 +372,7 @@ func (g *genEnv) fillEdges(edges []protoEdge, procs []spec.Process) []spec.Influ
 // — on the process's private hierarchy substream.
 func (g *genEnv) fillHierarchy(protos []protoProcess, procs []spec.Process) *spec.HierarchySpec {
 	pss := make([]spec.ProcessSpec, len(protos))
-	g.shard(len(protos), func(i int) {
-		rng := g.at(saltHier, i)
+	g.shard(len(protos), saltHier, func(i int, rng *rand.Rand) {
 		p := protos[i]
 		tLo, tHi := p.tasksLo, p.tasksHi
 		if tLo < 1 {
@@ -424,17 +398,20 @@ func (g *genEnv) fillHierarchy(protos []protoProcess, procs []spec.Process) *spe
 	return &spec.HierarchySpec{Processes: pss}
 }
 
-// shard runs fn(i) for i in [0, n) across the worker pool in contiguous
-// index blocks. Each element only touches its own slice slot and its own
-// substream, so the result is independent of the sharding.
-func (g *genEnv) shard(n int, fn func(i int)) {
+// shard runs fn(i, r) for i in [0, n) across the worker pool in
+// contiguous index blocks, where r is element i's private substream
+// within draw class salt. The substream depends only on (seed, family,
+// salt, i) and each element only touches its own slice slot, so the
+// result is byte-identical at every worker count.
+func (g *genEnv) shard(n int, salt uint64, fn func(i int, r *rand.Rand)) {
+	base := rng.Mix(g.base ^ salt)
 	workers := g.workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(i, rng.New(base+uint64(i)))
 		}
 		return
 	}
@@ -453,7 +430,7 @@ func (g *genEnv) shard(n int, fn func(i int)) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				fn(i)
+				fn(i, rng.New(base+uint64(i)))
 			}
 		}(lo, hi)
 	}

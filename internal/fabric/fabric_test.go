@@ -76,6 +76,75 @@ type fabricHarness struct {
 	workers int
 	wcfg    func(i int) WorkerConfig // optional per-worker overrides
 	wctx    func(i int) context.Context
+	// allJoin holds every worker's results until all of them have been
+	// welcomed, so a small campaign cannot finish before the last
+	// handshake and Stats.WorkersSeen is exact. Set it only when every
+	// worker is expected to join.
+	allJoin bool
+}
+
+// joinGate is the allJoin barrier: it closes all once each of n workers
+// has received its welcome frame.
+type joinGate struct {
+	mu     sync.Mutex
+	joined map[int]bool
+	n      int
+	all    chan struct{}
+}
+
+func newJoinGate(n int) *joinGate {
+	return &joinGate{joined: make(map[int]bool), n: n, all: make(chan struct{})}
+}
+
+func (g *joinGate) join(i int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.joined[i] {
+		return
+	}
+	g.joined[i] = true
+	if len(g.joined) == g.n {
+		close(g.all)
+	}
+}
+
+// dialer wraps worker i's dialer so its connections report the welcome
+// and wait at their first result until every worker has joined (or 10s
+// have passed, so a lost worker fails the test instead of hanging it).
+func (g *joinGate) dialer(i int, d Dialer) Dialer {
+	return func(ctx context.Context) (Conn, error) {
+		c, err := d(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return &gatedConn{Conn: c, g: g, i: i}, nil
+	}
+}
+
+type gatedConn struct {
+	Conn
+	g *joinGate
+	i int
+}
+
+func (c *gatedConn) Recv() (*Frame, error) {
+	f, err := c.Conn.Recv()
+	if err == nil && f.Type == TypeWelcome {
+		c.g.join(c.i)
+	}
+	return f, err
+}
+
+func (c *gatedConn) Send(f *Frame) error {
+	if f.Type == TypeResult {
+		timer := time.NewTimer(10 * time.Second)
+		select {
+		case <-c.g.all:
+		case <-timer.C:
+		}
+		timer.Stop()
+	}
+	return c.Conn.Send(f)
 }
 
 func (h *fabricHarness) run(t *testing.T, c faultsim.Campaign) (faultsim.Result, Stats) {
@@ -105,6 +174,10 @@ func (h *fabricHarness) run(t *testing.T, c faultsim.Campaign) (faultsim.Result,
 		ch <- serveOut{res, stats, err}
 	}()
 
+	var gate *joinGate
+	if h.allJoin {
+		gate = newJoinGate(h.workers)
+	}
 	wctx, wcancel := context.WithCancel(context.Background())
 	var wwg sync.WaitGroup
 	for i := 0; i < h.workers; i++ {
@@ -121,6 +194,9 @@ func (h *fabricHarness) run(t *testing.T, c faultsim.Campaign) (faultsim.Result,
 		}
 		if h.wcfg != nil {
 			wc = h.wcfg(i)
+		}
+		if gate != nil {
+			wc.Dial = gate.dialer(i, wc.Dial)
 		}
 		ctx := wctx
 		if h.wctx != nil {
@@ -151,7 +227,7 @@ func TestFabricMatchesLocal(t *testing.T) {
 	c := testCampaign(t, 1600)
 	want := localReference(t, c)
 	for _, n := range []int{1, 4} {
-		h := &fabricHarness{workers: n}
+		h := &fabricHarness{workers: n, allJoin: true}
 		got, stats := h.run(t, c)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%d workers: distributed result differs from Workers=1", n)
@@ -412,7 +488,7 @@ func TestFabricOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &fabricHarness{ln: ln, dial: DialTCP(ln.Addr()), workers: 2}
+	h := &fabricHarness{ln: ln, dial: DialTCP(ln.Addr()), workers: 2, allJoin: true}
 	got, stats := h.run(t, c)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("TCP result differs from Workers=1")

@@ -180,6 +180,7 @@ func TestFabricFlaglessWorkersSelfConfigure(t *testing.T) {
 		dial:    pl.Dial(),
 		workers: 4,
 		wcfg:    func(i int) WorkerConfig { return flaglessWorker(pl.Dial(), i) },
+		allJoin: true,
 	}
 	got, stats := h.run(t, c)
 	if !reflect.DeepEqual(got, want) {
@@ -368,6 +369,7 @@ func TestFabricOverTLS(t *testing.T) {
 		ln:      ln,
 		dial:    dial,
 		workers: 2,
+		allJoin: true,
 		cfg:     Config{LeaseTTL: 2 * time.Second, AuthToken: "sesame"},
 		wcfg: func(i int) WorkerConfig {
 			wc := flaglessWorker(dial, i)

@@ -107,9 +107,13 @@ vuln:
 	fi
 
 # fuzz-smoke gives each native fuzz target a short budget (FUZZTIME,
-# default 30s) — enough to catch shallow regressions in the decoder and
-# the resilience layer without turning the gate into a fuzzing session.
+# default 30s) — enough to catch shallow regressions in the decoder, the
+# resilience layer and the feasibility oracle (Check against the full
+# window scan, the demand criterion against EDF simulation) without
+# turning the gate into a fuzzing session.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeSystem$$' -fuzztime $(FUZZTIME) ./internal/spec
 	$(GO) test -run NONE -fuzz 'FuzzIntegrate$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run NONE -fuzz 'FuzzFaultModel$$' -fuzztime $(FUZZTIME) ./internal/faultsim
+	$(GO) test -run NONE -fuzz 'FuzzCheckMatchesScan$$' -fuzztime $(FUZZTIME) ./internal/sched
+	$(GO) test -run NONE -fuzz 'FuzzFeasibleSimulateAgreement$$' -fuzztime $(FUZZTIME) ./internal/sched

@@ -369,6 +369,51 @@ func TestIntegrateWithObserverRecordsStages(t *testing.T) {
 	}
 }
 
+// TestCondenserCountersPinned pins the condenser's candidate-pair counters
+// on the worked example for every strategy, at the values the full-rescan
+// H1 and the witness-building oracle produced: the pair table and the
+// O(k) feasibility proof change how a verdict is reached, never which
+// pairs are asked about or what the answer is. The oracle may be asked
+// fewer times than before, never more.
+func TestCondenserCountersPinned(t *testing.T) {
+	defer sched.Observe(nil)
+	type counts struct{ candidate, feasible, replica, timing, maxSched int64 }
+	want := map[Strategy]counts{
+		H1:               {27, 24, 3, 0, 24},
+		H1PairAll:        {12, 12, 0, 0, 12},
+		H2:               {6, 6, 0, 0, 18},
+		H3:               {6, 6, 0, 0, 41},
+		Criticality:      {14, 13, 1, 0, 13},
+		TimingOrder:      {9, 9, 0, 0, 23},
+		SeparationGuided: {29, 25, 4, 0, 25},
+		H2SourceTarget:   {6, 6, 0, 0, 36},
+	}
+	for s, w := range want {
+		o := obs.New()
+		if _, err := Integrate(PaperExample(), WithObserver(o), WithStrategy(s)); err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		m := map[string]int64{}
+		for _, c := range o.Metrics().Snapshot().Counters {
+			m[c.Name] = c.Value
+		}
+		got := counts{
+			m["cluster_candidate_pairs_total"], m["cluster_feasible_pairs_total"],
+			m["cluster_rejected_replica_total"], m["cluster_rejected_timing_total"],
+			m["sched_feasible_calls_total"],
+		}
+		if got.maxSched > w.maxSched {
+			t.Errorf("%v: sched_feasible_calls_total = %d, want at most %d", s, got.maxSched, w.maxSched)
+		}
+		got.maxSched = w.maxSched
+		if got != w {
+			t.Errorf("%v: candidate/feasible/replica/timing = %d/%d/%d/%d, want %d/%d/%d/%d", s,
+				got.candidate, got.feasible, got.replica, got.timing,
+				w.candidate, w.feasible, w.replica, w.timing)
+		}
+	}
+}
+
 func TestIntegrateNilObserverIsNoop(t *testing.T) {
 	res, err := Integrate(PaperExample(), WithObserver(nil))
 	if err != nil {

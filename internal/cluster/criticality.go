@@ -105,7 +105,7 @@ func (c *Condenser) pairRound() ([][2]string, bool) {
 				if used[lo] {
 					continue
 				}
-				if ok, _ := c.CanCombine(nodes[hi], nodes[lo]); !ok {
+				if ok, _ := c.combinable(nodes[hi], nodes[lo]); !ok {
 					continue
 				}
 				used[lo] = true

@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/attrs"
 	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/scengen"
 	"repro/internal/sched"
+	"repro/internal/spec"
 )
 
 // randomSystem builds a seeded random influence graph with loose timing so
@@ -62,7 +67,7 @@ func TestContractNeverIncreasesPairwiseInfluence(t *testing.T) {
 		c := NewCondenser(g, jobs)
 		// Merge any three feasible pairs.
 		for step := 0; step < 3; step++ {
-			a, b, ok := c.bestFeasiblePair()
+			a, b, ok := rescanBestPair(c)
 			if !ok {
 				break
 			}
@@ -225,6 +230,115 @@ func TestH1Deterministic(t *testing.T) {
 		if t1[i] != t2[i] && !(t1[i].A == t2[i].A && t1[i].B == t2[i].B &&
 			t1[i].Result == t2[i].Result && math.Abs(t1[i].Mutual-t2[i].Mutual) < 1e-12) {
 			t.Errorf("step %d differs: %v vs %v", i, t1[i], t2[i])
+		}
+	}
+}
+
+// rescanBestPair is H1's pair choice as ReduceByInfluence made it before
+// the pair table: a full rescan of every pair of the working graph, with
+// mutual influence and member counts read from the graph and ids. It is
+// the reference TestH1PairTableMatchesRescan holds the table to.
+func rescanBestPair(c *Condenser) (string, string, bool) {
+	nodes := c.G.Nodes()
+	bestA, bestB := "", ""
+	bestMutual := -1.0
+	bestSize := 0
+	for i, a := range nodes {
+		for _, b := range nodes[i+1:] {
+			m := c.G.MutualInfluence(a, b)
+			size := len(graph.Members(a)) + len(graph.Members(b))
+			better := false
+			switch {
+			case m > bestMutual:
+				better = true
+			case m == bestMutual && bestMutual > 0:
+				better = false // nodes are already in sorted order
+			case m == bestMutual && bestMutual == 0 && size < bestSize:
+				better = true
+			}
+			if !better {
+				continue
+			}
+			if ok, _ := c.CanCombine(a, b); !ok {
+				continue
+			}
+			bestA, bestB, bestMutual, bestSize = a, b, m, size
+		}
+	}
+	return bestA, bestB, bestA != ""
+}
+
+// rescanReduceByInfluence is ReduceByInfluence driven by rescanBestPair.
+func rescanReduceByInfluence(c *Condenser, target int) error {
+	if err := c.checkTarget(target); err != nil {
+		return err
+	}
+	for c.G.NumNodes() > target {
+		a, b, found := rescanBestPair(c)
+		if !found {
+			return fmt.Errorf("%w: %d nodes remain, target %d",
+				ErrCannotReduce, c.G.NumNodes(), target)
+		}
+		if _, err := c.Combine(a, b, "H1"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestH1PairTableMatchesRescan holds the incremental pair table to the
+// full rescan it replaced: on every scengen family at 12, 36 and 60
+// processes, H1 must produce the same trace, the same partition, the same
+// error and the same condenser and oracle counters.
+func TestH1PairTableMatchesRescan(t *testing.T) {
+	defer sched.Observe(nil)
+	type run struct {
+		trace    []Step
+		part     [][]string
+		err      string
+		counters map[string]int64
+	}
+	reduce := func(t *testing.T, sys *spec.System, h1 func(*Condenser, int) error) run {
+		t.Helper()
+		g, err := sys.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := Expand(g, sys.Jobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		sched.Observe(reg)
+		c := exp.Condenser()
+		c.Observe(nil, reg)
+		var r run
+		if err := h1(c, sys.HWNodes); err != nil {
+			r.err = err.Error()
+		}
+		r.trace, r.part = c.Trace, c.Partition()
+		r.counters = map[string]int64{}
+		for _, ctr := range reg.Snapshot().Counters {
+			r.counters[ctr.Name] = ctr.Value
+		}
+		return r
+	}
+	for _, fam := range scengen.Families() {
+		for _, n := range []int{12, 36, 60} {
+			t.Run(fmt.Sprintf("%s-%d", fam, n), func(t *testing.T) {
+				sc, err := scengen.Generate(scengen.Config{Family: fam, Processes: n, Seed: 1998})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := reduce(t, sc.System, (*Condenser).ReduceByInfluence)
+				want := reduce(t, sc.System, rescanReduceByInfluence)
+				if len(want.trace) == 0 {
+					t.Fatalf("reference made no merge (err %q)", want.err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("pair table diverges from the rescan:\n got %+v\nwant %+v", got, want)
+				}
+			})
 		}
 	}
 }

@@ -40,7 +40,7 @@ func (c *Condenser) ReduceBySeparation(target, order int) error {
 				if coupling <= bestCoupling {
 					continue
 				}
-				if ok, _ := c.CanCombine(ids[i], ids[j]); !ok {
+				if ok, _ := c.combinable(ids[i], ids[j]); !ok {
 					continue
 				}
 				bestI, bestJ, bestCoupling = i, j, coupling

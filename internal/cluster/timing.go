@@ -26,7 +26,7 @@ func (c *Condenser) ReduceByTiming(maxGroups int) error {
 	}
 	keys := make(map[string]key, len(nodes))
 	for _, id := range nodes {
-		jobs := c.JobsOf(id)
+		jobs := c.jobsOf(id)
 		if len(jobs) == 0 {
 			keys[id] = key{}
 			continue

@@ -178,6 +178,18 @@ func Members(id string) []string {
 	return strings.Split(inner, ",")
 }
 
+// MemberCount returns len(Members(id)) without allocating.
+func MemberCount(id string) int {
+	if !strings.HasPrefix(id, "{") || !strings.HasSuffix(id, "}") {
+		return 1
+	}
+	inner := id[1 : len(id)-1]
+	if inner == "" {
+		return 0
+	}
+	return strings.Count(inner, ",") + 1
+}
+
 // flattenMembers expands any cluster members into their base ids so that
 // repeated contraction produces flat "{a,b,c}" ids rather than nested ones.
 func flattenMembers(g *Graph, members []string) []string {

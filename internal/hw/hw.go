@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Errors returned by platform constructors and queries.
@@ -45,6 +46,19 @@ type Platform struct {
 	nodes map[string]*Node
 	// links[a][b] = communication cost between a and b (0 = no link).
 	links map[string]map[string]float64
+	// dist caches every Distance answer. The first Distance call builds
+	// it; AddNode and Link clear it. Concurrent readers may each build an
+	// identical table, and the last store wins.
+	dist atomic.Pointer[distTable]
+}
+
+// distTable holds the cheapest cost between every ordered pair of nodes,
+// indexed by position in name order.
+type distTable struct {
+	index map[string]int
+	n     int
+	cost  []float64 // cost[i*n+j]: cheapest cost from node i to node j
+	reach []bool    // reach[i*n+j]: node j is reachable from node i
 }
 
 // NewPlatform returns an empty platform.
@@ -72,6 +86,7 @@ func (p *Platform) AddNode(n Node) error {
 	cp := n
 	p.nodes[n.Name] = &cp
 	p.links[n.Name] = make(map[string]float64)
+	p.dist.Store(nil)
 	return nil
 }
 
@@ -91,6 +106,7 @@ func (p *Platform) Link(a, b string, cost float64) error {
 	}
 	p.links[a][b] = cost
 	p.links[b][a] = cost
+	p.dist.Store(nil)
 	return nil
 }
 
@@ -124,46 +140,76 @@ func (p *Platform) LinkCost(a, b string) float64 { return p.links[a][b] }
 
 // Distance returns the cheapest communication cost between two nodes
 // (Dijkstra over link costs) and whether they are connected at all.
-// Distance(a, a) is 0.
+// Distance(a, a) is 0. Answers come from a table built on the first call
+// after the topology last changed; concurrent calls are safe.
 func (p *Platform) Distance(a, b string) (float64, bool) {
-	if _, ok := p.nodes[a]; !ok {
+	t := p.dist.Load()
+	if t == nil {
+		t = p.distances()
+		p.dist.Store(t)
+	}
+	i, ok := t.index[a]
+	if !ok {
 		return 0, false
 	}
-	if _, ok := p.nodes[b]; !ok {
+	j, ok := t.index[b]
+	if !ok || !t.reach[i*t.n+j] {
 		return 0, false
 	}
-	if a == b {
-		return 0, true
+	return t.cost[i*t.n+j], true
+}
+
+// distances runs Dijkstra from every node. Each run settles the unsettled
+// node with the smallest distance next, the first in name order on ties,
+// and sums costs along the path from its source, so every entry is the
+// value a single-pair search from that source returns.
+func (p *Platform) distances() *distTable {
+	names := p.Nodes()
+	n := len(names)
+	t := &distTable{
+		index: make(map[string]int, n),
+		n:     n,
+		cost:  make([]float64, n*n),
+		reach: make([]bool, n*n),
 	}
-	const unvisited = -1.0
-	dist := map[string]float64{a: 0}
-	done := map[string]bool{}
-	for {
-		// Pick the unfinished node with smallest distance (name-ordered
-		// tie-break for determinism).
-		cur, curD := "", unvisited
-		for n, d := range dist {
-			if done[n] {
-				continue
-			}
-			if curD == unvisited || d < curD || (d == curD && n < cur) {
-				cur, curD = n, d
-			}
-		}
-		if cur == "" {
-			return 0, false
-		}
-		if cur == b {
-			return curD, true
-		}
-		done[cur] = true
-		for nbr, cost := range p.links[cur] {
-			nd := curD + cost
-			if old, ok := dist[nbr]; !ok || nd < old {
-				dist[nbr] = nd
-			}
+	for i, name := range names {
+		t.index[name] = i
+	}
+	type arc struct {
+		to   int
+		cost float64
+	}
+	adj := make([][]arc, n)
+	for i, name := range names {
+		for nbr, cost := range p.links[name] {
+			adj[i] = append(adj[i], arc{t.index[nbr], cost})
 		}
 	}
+	done := make([]bool, n)
+	for src := 0; src < n; src++ {
+		dist := t.cost[src*n : (src+1)*n]
+		seen := t.reach[src*n : (src+1)*n]
+		clear(done)
+		seen[src] = true
+		for {
+			cur := -1
+			for j := range dist {
+				if seen[j] && !done[j] && (cur < 0 || dist[j] < dist[cur]) {
+					cur = j
+				}
+			}
+			if cur < 0 {
+				break
+			}
+			done[cur] = true
+			for _, e := range adj[cur] {
+				if d := dist[cur] + e.cost; !seen[e.to] || d < dist[e.to] {
+					dist[e.to], seen[e.to] = d, true
+				}
+			}
+		}
+	}
+	return t
 }
 
 // StronglyConnected reports whether every pair of nodes is connected.

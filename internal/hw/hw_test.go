@@ -2,6 +2,9 @@ package hw
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -243,5 +246,122 @@ func TestStarTopology(t *testing.T) {
 	}
 	if _, err := Star(2); !errors.Is(err, ErrBadTopology) {
 		t.Errorf("Star(2) err = %v", err)
+	}
+}
+
+// uncachedDistance is Distance as it ran before the cached table: a
+// map-based Dijkstra per call, stopping when b is settled.
+func uncachedDistance(p *Platform, a, b string) (float64, bool) {
+	if _, ok := p.nodes[a]; !ok {
+		return 0, false
+	}
+	if _, ok := p.nodes[b]; !ok {
+		return 0, false
+	}
+	if a == b {
+		return 0, true
+	}
+	const unvisited = -1.0
+	dist := map[string]float64{a: 0}
+	done := map[string]bool{}
+	for {
+		cur, curD := "", unvisited
+		for n, d := range dist {
+			if done[n] {
+				continue
+			}
+			if curD == unvisited || d < curD || (d == curD && n < cur) {
+				cur, curD = n, d
+			}
+		}
+		if cur == "" {
+			return 0, false
+		}
+		if cur == b {
+			return curD, true
+		}
+		done[cur] = true
+		for nbr, cost := range p.links[cur] {
+			nd := curD + cost
+			if old, ok := dist[nbr]; !ok || nd < old {
+				dist[nbr] = nd
+			}
+		}
+	}
+}
+
+// TestDistanceMatchesUncachedDijkstra checks the cached table against a
+// per-call Dijkstra, bit for bit, on random topologies with random float
+// costs, connected and not. Four goroutines query each fresh platform at
+// once, so under -race the lazy build is a race probe too. Adding a link
+// or a node must invalidate the table.
+func TestDistanceMatchesUncachedDijkstra(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1998, 11))
+	check := func(p *Platform, round int) {
+		t.Helper()
+		names := append(p.Nodes(), "missing")
+		var wg sync.WaitGroup
+		errs := make(chan string, 4)
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, a := range names {
+					for _, b := range names {
+						gd, gok := p.Distance(a, b)
+						wd, wok := uncachedDistance(p, a, b)
+						if gd != wd || gok != wok {
+							errs <- fmt.Sprintf("round %d: Distance(%s, %s) = %v, %v; Dijkstra %v, %v",
+								round, a, b, gd, gok, wd, wok)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	}
+	for round := 0; round < 60; round++ {
+		p := NewPlatform()
+		n := 1 + rng.IntN(9)
+		for i := 0; i < n; i++ {
+			if err := p.AddNode(Node{Name: fmt.Sprintf("n%d", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cost := func() float64 {
+			if rng.IntN(2) == 0 {
+				return float64(1+rng.IntN(4)) / 10 // 0.1-step sums round
+			}
+			return 0.01 + rng.Float64()
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.IntN(3) == 0 {
+					if err := p.Link(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j), cost()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		check(p, round)
+		if n >= 2 {
+			if err := p.Link("n0", fmt.Sprintf("n%d", n-1), cost()); err != nil {
+				t.Fatal(err)
+			}
+			check(p, round)
+		}
+		if err := p.AddNode(Node{Name: "extra"}); err != nil {
+			t.Fatal(err)
+		}
+		check(p, round)
+		if err := p.Link("extra", "n0", cost()); err != nil {
+			t.Fatal(err)
+		}
+		check(p, round)
 	}
 }

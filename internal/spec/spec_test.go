@@ -58,10 +58,10 @@ func TestPaperExampleNarrativeTiming(t *testing.T) {
 	}
 	// "if p4 and p7 are scheduled on the same processor, then p2 cannot be
 	// scheduled on that processor".
-	if !sched.FeasibleSet([]sched.Job{job("p4"), job("p7")}) {
+	if ok, err := sched.Check([]sched.Job{job("p4"), job("p7")}); err != nil || !ok {
 		t.Error("{p4,p7} must be feasible")
 	}
-	if sched.FeasibleSet([]sched.Job{job("p2"), job("p4"), job("p7")}) {
+	if ok, err := sched.Check([]sched.Job{job("p2"), job("p4"), job("p7")}); err != nil || ok {
 		t.Error("{p2,p4,p7} must be infeasible")
 	}
 }

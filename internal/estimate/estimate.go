@@ -143,11 +143,10 @@ func Run(cfg Config) (*Result, error) {
 			}
 			continue
 		}
-		key := e.From + ">" + e.To
-		obs := campaign.EdgeTrials[key]
+		p, obs := campaign.EstimatedInfluence(e.From, e.To)
 		measured := 0.0
 		if obs >= cfg.MinObservations {
-			measured = float64(campaign.TransmissionCount[key]) / float64(obs)
+			measured = p
 		}
 		ee := EdgeEstimate{
 			From: e.From, To: e.To,

@@ -88,8 +88,9 @@ type Stats struct {
 	LeasesGranted int
 	LeasesExpired int
 	// Reassigned counts chunks returned to the queue by expiry or worker
-	// loss. Duplicates counts completed-chunk results that arrived again
-	// (a slow worker finishing a reassigned chunk) and were suppressed.
+	// loss. Duplicates counts results for chunks the merger already had,
+	// merged or held (a slow worker finishing a reassigned chunk), that
+	// were suppressed.
 	Reassigned int
 	Duplicates int
 	// Quarantined counts workers dropped for failing a spot-check.
@@ -187,15 +188,11 @@ type Coordinator struct {
 	traceID string // run-scoped trace id ("" with telemetry off)
 
 	totalChunks int
-	mergeSeq    int // next chunk index to merge (frontier / ChunkSize)
 	nextSeq     int // next never-granted chunk index
 	requeue     []int
-	completed   map[int]bool
-	pending     map[int]*faultsim.ChunkOutput
 	leased      map[int]*lease
 	leases      map[uint64]*lease
 	leaseID     uint64
-	stopped     bool
 
 	workers     map[*workerConn]struct{}
 	quarantined map[string]bool
@@ -227,8 +224,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	co := &Coordinator{
 		cfg:         cfg,
 		label:       label,
-		completed:   map[int]bool{},
-		pending:     map[int]*faultsim.ChunkOutput{},
 		leased:      map[int]*lease{},
 		leases:      map[uint64]*lease{},
 		workers:     map[*workerConn]struct{}{},
@@ -356,17 +351,10 @@ func (co *Coordinator) Run(ctx context.Context, c faultsim.Campaign) (faultsim.R
 		co.traceID = fmt.Sprintf("%s-e%d", fp, co.epoch)
 	}
 	co.totalChunks = faultsim.NumChunks(co.trials)
-	co.mergeSeq = faultsim.ChunkIndex(merger.Frontier())
-	if merger.Frontier() >= co.trials {
-		co.mergeSeq = co.totalChunks
-	}
-	co.nextSeq = co.mergeSeq
+	co.nextSeq = faultsim.ChunkIndex(merger.Frontier())
 	co.requeue = nil
-	co.completed = map[int]bool{}
-	co.pending = map[int]*faultsim.ChunkOutput{}
 	co.leased = map[int]*lease{}
 	co.leases = map[uint64]*lease{}
-	co.stopped = false
 	co.localCh = make(chan localResult, 1)
 	co.localBusy = false
 	for w := range co.workers {
@@ -374,7 +362,7 @@ func (co *Coordinator) Run(ctx context.Context, c faultsim.Campaign) (faultsim.R
 	}
 
 	// A resumed-complete campaign has nothing to shard.
-	if co.mergeSeq >= co.totalChunks {
+	if merger.Done() {
 		res := co.merger.Finish()
 		co.publishDone(res)
 		return res, nil
@@ -399,7 +387,7 @@ func (co *Coordinator) loop(ctx context.Context) (faultsim.Result, error) {
 	tick := time.NewTicker(co.tickEvery())
 	defer tick.Stop()
 	for {
-		if co.mergeSeq >= co.totalChunks || co.stopped {
+		if co.merger.Done() {
 			res := co.merger.Finish()
 			co.publishDone(res)
 			return res, nil
@@ -538,7 +526,7 @@ func (co *Coordinator) dropWorker(w *workerConn, state string) {
 	for id, l := range w.leases {
 		delete(co.leases, id)
 		delete(co.leased, l.seq)
-		if !co.completed[l.seq] {
+		if !co.merger.Has(l.seq) {
 			co.requeue = append(co.requeue, l.seq)
 			co.stats.Reassigned++
 			co.publishLease(l, "reassign")
@@ -617,8 +605,8 @@ func (co *Coordinator) handle(w *workerConn, f *Frame) error {
 		co.renew(w, f.Leases)
 		// Telemetry rides the result frame and is absorbed before the
 		// result itself: the spans of an accepted chunk land exactly once,
-		// and a duplicate's spans are rejected by the same completed-chunk
-		// test that suppresses the duplicate (see absorbSpans).
+		// and a duplicate's spans are rejected by the same Merger.Has test
+		// that suppresses the duplicate (see absorbSpans).
 		co.telemetryIn(w, f)
 		if f.Epoch != co.epoch {
 			return nil // stale epoch: result of a previous Run
@@ -701,7 +689,7 @@ func (co *Coordinator) renew(w *workerConn, ids []uint64) {
 // grant hands w chunks until it holds LeasesPerWorker, preferring
 // reassigned chunks over fresh ones.
 func (co *Coordinator) grant(w *workerConn) {
-	for !co.stopped && w.helloed && !w.closed && len(w.leases) < co.perWork {
+	for !co.merger.Done() && w.helloed && !w.closed && len(w.leases) < co.perWork {
 		seq, ok := co.nextChunk()
 		if !ok {
 			return
@@ -725,7 +713,7 @@ func (co *Coordinator) nextChunk() (int, bool) {
 	for len(co.requeue) > 0 {
 		seq := co.requeue[0]
 		co.requeue = co.requeue[1:]
-		if !co.completed[seq] && seq >= co.mergeSeq && co.leased[seq] == nil {
+		if !co.merger.Has(seq) && co.leased[seq] == nil {
 			return seq, true
 		}
 	}
@@ -754,7 +742,7 @@ func (co *Coordinator) liveWorkers() int {
 // plain local run instead of stalling. One chunk at a time keeps the
 // loop responsive to workers rejoining.
 func (co *Coordinator) maybeLocal() {
-	if co.localBusy || co.stopped || co.merger == nil {
+	if co.localBusy || co.merger == nil || co.merger.Done() {
 		return
 	}
 	if co.stats.WorkersSeen == 0 || co.liveWorkers() > 0 {
@@ -789,7 +777,7 @@ func (co *Coordinator) expireLeases() {
 		delete(co.leased, l.seq)
 		co.stats.LeasesExpired++
 		co.publishLease(l, "expire")
-		if !co.completed[l.seq] {
+		if !co.merger.Has(l.seq) {
 			co.requeue = append(co.requeue, l.seq)
 			co.stats.Reassigned++
 		}
@@ -798,8 +786,8 @@ func (co *Coordinator) expireLeases() {
 }
 
 // result accepts one chunk result: validates its bounds, suppresses
-// duplicates, audits it when spot-check selection says so, then merges
-// every contiguous pending chunk in grid order.
+// duplicates, audits it when spot-check selection says so, then hands it
+// to the merger.
 func (co *Coordinator) result(w *workerConn, f *Frame) error {
 	if f.Chunk == nil {
 		return nil
@@ -809,7 +797,7 @@ func (co *Coordinator) result(w *workerConn, f *Frame) error {
 		return nil // malformed bounds: ignore; the lease will expire
 	}
 	seq := faultsim.ChunkIndex(f.Begin)
-	if seq < co.mergeSeq || co.completed[seq] {
+	if co.merger.Has(seq) {
 		co.stats.Duplicates++
 		co.publishLease(&lease{seq: seq, worker: w}, "duplicate")
 		return nil
@@ -835,9 +823,9 @@ func (co *Coordinator) result(w *workerConn, f *Frame) error {
 	return co.acceptChunk(w, f.Lease, seq, f.Chunk)
 }
 
-// acceptChunk records one trusted chunk (from a worker, a spot-check
-// re-evaluation, or the local fallback) and merges every contiguous
-// pending chunk in grid order.
+// acceptChunk releases the lease of one trusted chunk (from a worker, a
+// spot-check re-evaluation, or the local fallback) and absorbs it; the
+// merger holds it until every chunk before it has arrived.
 func (co *Coordinator) acceptChunk(w *workerConn, leaseID uint64, seq int, out *faultsim.ChunkOutput) error {
 	// Leased→resulted latency of the delivering worker's own grant,
 	// measured before the release below discards the lease. Feeds the
@@ -861,38 +849,14 @@ func (co *Coordinator) acceptChunk(w *workerConn, leaseID uint64, seq int, out *
 			delete(w.leases, l.id)
 		}
 	}
-	co.completed[seq] = true
-	co.pending[seq] = out
 	if latMS >= 0 {
 		co.publishLease(&lease{id: leaseID, seq: seq, worker: w}, "result", obs.Float("latency_ms", latMS))
 		co.observeLatency(w, latMS)
 	} else {
 		co.publishLease(&lease{id: leaseID, seq: seq, worker: w}, "result")
 	}
-	for !co.stopped {
-		out, ok := co.pending[co.mergeSeq]
-		if !ok {
-			break
-		}
-		delete(co.pending, co.mergeSeq)
-		stop, err := co.merger.Absorb(out)
-		if err != nil {
-			return err
-		}
-		co.mergeSeq++
-		// The dup-suppression set only needs entries at or above the merge
-		// frontier (anything below is caught by the seq < mergeSeq test);
-		// pruning as the frontier advances keeps it bounded by the
-		// in-flight window instead of the campaign size.
-		delete(co.completed, co.mergeSeq-1)
-		if stop {
-			// Early stopping: discard speculative chunks beyond the
-			// stopping frontier, exactly as the in-process pool does.
-			co.stopped = true
-			co.pending = map[int]*faultsim.ChunkOutput{}
-		}
-	}
-	return nil
+	_, err := co.merger.Absorb(out)
+	return err
 }
 
 // quarantine drops a worker whose chunk bytes diverged from the local

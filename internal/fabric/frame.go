@@ -12,7 +12,8 @@
 //
 //   - a lost lease or result frame expires the lease → the chunk is
 //     reassigned;
-//   - a duplicated result frame hits the completed-chunk set → suppressed;
+//   - a duplicated result frame names a chunk the merger already has
+//     (merged or held, faultsim.Merger.Has) → suppressed;
 //   - a severed connection queues the worker's leases for reassignment
 //     and the worker redials with bounded exponential backoff.
 //

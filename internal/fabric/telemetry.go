@@ -66,10 +66,10 @@ func (co *Coordinator) telemetryIn(w *workerConn, f *Frame) {
 }
 
 // absorbSpans validates, rebases and stores relayed span records.
-// Acceptance mirrors result dup-suppression exactly — current epoch,
-// chunk at or above the merge frontier, not already completed — and runs
-// before result() completes the carrying frame's chunk, so the spans
-// that rode the accepted result are kept and every later duplicate
+// Acceptance mirrors result dup-suppression exactly — current epoch, a
+// chunk of the campaign the merger has neither merged nor held — and runs
+// before result() hands the carrying frame's chunk to the merger, so the
+// spans that rode the accepted result are kept and every later duplicate
 // (chaos copy, slow pre-reassignment owner) rejects its spans with it:
 // each merged chunk's phases appear exactly once in the merged trace.
 func (co *Coordinator) absorbSpans(w *workerConn, spans []obs.RemoteSpan) {
@@ -82,7 +82,7 @@ func (co *Coordinator) absorbSpans(w *workerConn, spans []obs.RemoteSpan) {
 	accepted := make([]obs.RemoteSpan, 0, len(spans))
 	for i := range spans {
 		rs := spans[i] // copy before rebasing: transports may share the frame
-		if rs.Epoch != co.epoch || rs.Chunk < co.mergeSeq || rs.Chunk >= co.totalChunks || co.completed[rs.Chunk] {
+		if rs.Epoch != co.epoch || rs.Chunk < 0 || rs.Chunk >= co.totalChunks || co.merger.Has(rs.Chunk) {
 			continue
 		}
 		rs.Worker = w.name // trusted connection identity, not payload

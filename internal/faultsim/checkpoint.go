@@ -109,25 +109,34 @@ func saveCheckpoint(path, fp string, done int, res Result) error {
 	if err != nil {
 		return fmt.Errorf("faultsim: checkpoint encode: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".faultsim-ckpt-*")
-	if err != nil {
-		return fmt.Errorf("faultsim: checkpoint: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		os.Remove(tmpName)
+	if err := writeFileAtomic(path, ".faultsim-ckpt-*", data); err != nil {
 		return fmt.Errorf("faultsim: checkpoint write %s: %w", path, err)
 	}
 	return nil
+}
+
+// writeFileAtomic replaces path with data crash-safely: it writes a temp
+// file named after pattern in the same directory, syncs and closes it,
+// then renames it over path. On any failure the temp file is removed, so
+// a reader sees either the old file or the complete new one.
+func writeFileAtomic(path, pattern string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
+	if err != nil {
+		return err
+	}
+	if _, err = tmp.Write(data); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // loadCheckpoint reads a checkpoint if one exists at path. ok is false

@@ -16,7 +16,7 @@ import (
 
 // web builds a small multi-node graph with HW placement and criticality,
 // exercising every Result counter a checkpoint must round-trip.
-func web(t *testing.T) (*graph.Graph, map[string]string) {
+func web(t testing.TB) (*graph.Graph, map[string]string) {
 	t.Helper()
 	g := graph.New()
 	crits := map[string]float64{"a": 12, "b": 3, "c": 7, "d": 1}
@@ -242,6 +242,36 @@ func TestCommFaultFractionBoundaries(t *testing.T) {
 		bad.CommFaultFraction = f
 		if _, err := Run(bad); err == nil {
 			t.Errorf("fraction %g accepted, want error", f)
+		}
+	}
+}
+
+// TestCheckpointWritersLeaveNoTempOnFailedRename: both atomic writers —
+// the campaign checkpoint and the search history — must clean up their
+// temp file when the final rename fails (here: the target path is a
+// non-empty directory), leaving no .faultsim-* debris next to it.
+func TestCheckpointWritersLeaveNoTempOnFailedRename(t *testing.T) {
+	g, hw := web(t)
+	for name, write := range map[string]func(path string) error{
+		"campaign": func(path string) error { return saveCheckpoint(path, "fp", 0, Result{}) },
+		"search": func(path string) error {
+			return (&searcher{cfg: searchConfig(g, hw, path)}).saveCheckpoint()
+		},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "ckpt")
+		if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(path); err == nil {
+			t.Fatalf("%s: write over a directory succeeded", name)
+		}
+		debris, err := filepath.Glob(filepath.Join(dir, ".faultsim-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(debris) > 0 {
+			t.Errorf("%s: failed write left %v behind", name, debris)
 		}
 	}
 }

@@ -49,11 +49,15 @@ func ChunkIndex(begin int) int { return begin / ChunkSize }
 // these before any trials move, mirroring the checkpoint fingerprints.
 func (c Campaign) Fingerprint() string { return c.fingerprint() }
 
-// ChunkOutput is the serialisable outcome of one grid chunk — an exported
-// chunkResult plus its bounds, suitable for a JSON wire. The per-trial
-// float slices preserve addition order across the wire: encoding/json
-// round-trips float64 exactly (shortest-form rendering), so a merged
-// Result built from remote chunks is bit-identical to a local run.
+// ChunkOutput is the outcome of one grid chunk, trials [Begin, End): the
+// accumulator every trial writes into, and the JSON body of a fabric
+// result frame. All integer counters merge exactly regardless of order;
+// the order-sensitive float64 losses are kept per trial, so a merged sum's
+// addition order is always the trial order, independent of chunk
+// boundaries and worker count. encoding/json round-trips float64 exactly
+// (shortest-form rendering), so a Result merged from remote chunks is
+// bit-identical to a local run. Maps elided on the wire (omitempty) decode
+// as nil and merge as empty.
 type ChunkOutput struct {
 	Begin              int            `json:"begin"`
 	End                int            `json:"end"`
@@ -69,55 +73,6 @@ type ChunkOutput struct {
 	AffectedCount      map[string]int `json:"affected_count,omitempty"`
 	TransmissionCount  map[string]int `json:"transmission_count,omitempty"`
 	EdgeTrials         map[string]int `json:"edge_trials,omitempty"`
-}
-
-// output exports a chunkResult.
-func (ch *chunkResult) output(begin, end int) *ChunkOutput {
-	return &ChunkOutput{
-		Begin:              begin,
-		End:                end,
-		TotalAffected:      ch.totalAffected,
-		CrossTransmissions: ch.crossTransmissions,
-		TrialsWithEscape:   ch.trialsWithEscape,
-		CommFaultTrials:    ch.commFaultTrials,
-		CriticalAffected:   ch.criticalAffected,
-		InitialFaults:      ch.initialFaults,
-		TransientFaults:    ch.transientFaults,
-		CritPerTrial:       ch.critPerTrial,
-		EscPerTrial:        ch.escPerTrial,
-		AffectedCount:      ch.affectedCount,
-		TransmissionCount:  ch.transmissionCount,
-		EdgeTrials:         ch.edgeTrials,
-	}
-}
-
-// chunk re-imports a ChunkOutput for merging. Nil maps (elided by
-// omitempty on the wire) come back as empty maps.
-func (co *ChunkOutput) chunk() *chunkResult {
-	ch := &chunkResult{
-		totalAffected:      co.TotalAffected,
-		crossTransmissions: co.CrossTransmissions,
-		trialsWithEscape:   co.TrialsWithEscape,
-		commFaultTrials:    co.CommFaultTrials,
-		criticalAffected:   co.CriticalAffected,
-		initialFaults:      co.InitialFaults,
-		transientFaults:    co.TransientFaults,
-		critPerTrial:       co.CritPerTrial,
-		escPerTrial:        co.EscPerTrial,
-		affectedCount:      co.AffectedCount,
-		transmissionCount:  co.TransmissionCount,
-		edgeTrials:         co.EdgeTrials,
-	}
-	if ch.affectedCount == nil {
-		ch.affectedCount = map[string]int{}
-	}
-	if ch.transmissionCount == nil {
-		ch.transmissionCount = map[string]int{}
-	}
-	if ch.edgeTrials == nil {
-		ch.edgeTrials = map[string]int{}
-	}
-	return ch
 }
 
 // ChunkRunner computes grid chunks of one campaign — the worker side of a
@@ -153,21 +108,20 @@ func (r *ChunkRunner) Run(ctx context.Context, begin, end int) (*ChunkOutput, er
 	}
 	pcg := rand.NewPCG(0, 0)
 	rng := rand.New(pcg)
-	ch := newChunkResult()
-	if err := r.env.runChunk(ctx, pcg, rng, begin, end, ch); err != nil {
+	ch := newChunk(begin, end)
+	if err := r.env.runChunk(ctx, pcg, rng, ch); err != nil {
 		return nil, err
 	}
-	return ch.output(begin, end), nil
+	return ch, nil
 }
 
 // Merger folds chunk outputs into a campaign Result, strictly in grid
-// order — the coordinator side of a distributed run. It owns everything
-// Run's merge goroutine owns: the partial Result, the completed-trial
-// frontier, telemetry checkpoints, crash-safe persistence
-// (Campaign.CheckpointPath, resumable across coordinator restarts via the
-// v2 checkpoint format) and Wald early stopping. Callers feed it
-// contiguous chunks; out-of-order buffering is the caller's job, exactly
-// as in Run's worker pool.
+// order — the coordinator side of a distributed run, built on the same
+// ordered merge as Run's worker pool. It owns the partial Result, the
+// completed-trial frontier, the chunks held ahead of it, telemetry
+// checkpoints, crash-safe persistence (Campaign.CheckpointPath, resumable
+// across coordinator restarts via the v2 checkpoint format) and Wald
+// early stopping. Callers may absorb chunks in any order.
 type Merger struct {
 	run *campaignRun
 }
@@ -176,11 +130,10 @@ type Merger struct {
 // publishes the "campaign_start" event. workersHint is recorded in that
 // event (a distributed fabric may pass 0 for "unknown/dynamic").
 func NewMerger(c Campaign, workersHint int) (*Merger, error) {
-	run, start, err := newCampaignRun(&c, workersHint)
+	run, _, err := newCampaignRun(&c, workersHint)
 	if err != nil {
 		return nil, err
 	}
-	_ = start // run.done == start; exposed via Frontier
 	return &Merger{run: run}, nil
 }
 
@@ -194,21 +147,21 @@ func (m *Merger) Trials() int { return m.run.c.Trials }
 
 // Done reports whether the campaign is complete: the frontier reached the
 // trial count, or early stopping ended it.
-func (m *Merger) Done() bool {
-	return m.run.done >= m.run.c.Trials || m.run.res.EarlyStopped
-}
+func (m *Merger) Done() bool { return m.run.ended() }
 
-// Absorb folds one chunk into the Result. The chunk must begin exactly at
-// the frontier. stop reports that Wald early stopping ended the campaign
-// at this chunk's end; the caller must discard any speculative chunks
-// beyond it, as Run does.
+// Has reports whether grid chunk seq is already merged or held — the
+// test a coordinator uses to suppress duplicate results and to skip
+// requeued chunks that someone else delivered.
+func (m *Merger) Has(seq int) bool { return m.run.has(seq) }
+
+// Absorb takes one grid chunk at or beyond the frontier. A chunk ahead of
+// the frontier is held; one at the frontier is merged together with every
+// contiguous held chunk, in grid order. A chunk behind the frontier,
+// already held, off the grid or absorbed after Done is an error. stop
+// reports that Wald early stopping ended the campaign in this call; the
+// held chunks beyond the stopping frontier are dropped, as Run does.
 func (m *Merger) Absorb(co *ChunkOutput) (stop bool, err error) {
-	if co.Begin != m.run.done {
-		return false, stage.Wrap("inject", "merge", "", fmt.Errorf(
-			"faultsim: chunk [%d,%d) absorbed out of order, frontier %d",
-			co.Begin, co.End, m.run.done))
-	}
-	return m.run.merge(co.Begin, co.End, co.chunk())
+	return m.run.absorb(co)
 }
 
 // Abort persists the frontier checkpoint (when configured) and returns

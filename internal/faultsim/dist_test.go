@@ -184,9 +184,18 @@ func TestChunkRunnerRejectsOffGridBounds(t *testing.T) {
 	}
 }
 
-func TestMergerRejectsOutOfOrderChunks(t *testing.T) {
+// TestMergerHoldsEarlyChunks pins the ordered merge: a chunk ahead of the
+// frontier is held without moving it, filling the gap merges every
+// contiguous held chunk, and a chunk already merged or held is rejected.
+func TestMergerHoldsEarlyChunks(t *testing.T) {
 	g, hw := web(t)
 	c := Campaign{Graph: g, HWOf: hw, Trials: 1000, Seed: 42}
+	ref := c
+	ref.Workers = 1
+	want, err := Run(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
 	runner, err := NewChunkRunner(c)
 	if err != nil {
 		t.Fatal(err)
@@ -195,15 +204,53 @@ func TestMergerRejectsOutOfOrderChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runner.Run(context.Background(), 64, 128)
-	if err != nil {
-		t.Fatal(err)
+	chunk := func(seq int) *ChunkOutput {
+		begin, end := ChunkBounds(seq, c.Trials)
+		out, err := runner.Run(context.Background(), begin, end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if _, err := m.Absorb(out); err == nil {
-		t.Fatal("absorbed chunk [64,128) at frontier 0, want order error")
+	absorb := func(seq int, wantFrontier int) {
+		t.Helper()
+		if stop, err := m.Absorb(chunk(seq)); err != nil || stop {
+			t.Fatalf("absorb chunk %d: stop=%v err=%v", seq, stop, err)
+		}
+		if m.Frontier() != wantFrontier {
+			t.Fatalf("after chunk %d frontier = %d, want %d", seq, m.Frontier(), wantFrontier)
+		}
 	}
-	if m.Frontier() != 0 {
-		t.Errorf("failed absorb moved the frontier to %d", m.Frontier())
+	reject := func(co *ChunkOutput, why string) {
+		t.Helper()
+		before := m.Frontier()
+		if _, err := m.Absorb(co); err == nil {
+			t.Fatalf("absorbed %s chunk [%d,%d)", why, co.Begin, co.End)
+		}
+		if m.Frontier() != before {
+			t.Fatalf("rejected %s chunk moved the frontier to %d", why, m.Frontier())
+		}
+	}
+
+	absorb(1, 0) // held: the gap at chunk 0 keeps the frontier
+	if !m.Has(1) || m.Has(0) || m.Has(2) {
+		t.Fatalf("Has after holding chunk 1: 0=%v 1=%v 2=%v", m.Has(0), m.Has(1), m.Has(2))
+	}
+	reject(chunk(1), "held")
+	absorb(3, 0)
+	absorb(0, 128) // fills the gap: 0 and the held 1 merge
+	if !m.Has(0) || !m.Has(1) || m.Has(2) || !m.Has(3) {
+		t.Fatalf("Has after the gap filled: 0=%v 1=%v 2=%v 3=%v", m.Has(0), m.Has(1), m.Has(2), m.Has(3))
+	}
+	reject(chunk(0), "merged")
+	reject(&ChunkOutput{Begin: 130, End: 192}, "off-grid")
+	absorb(2, 256) // 2 and the held 3
+	for !m.Done() {
+		absorb(ChunkIndex(m.Frontier()), min(m.Frontier()+ChunkSize, c.Trials))
+	}
+	reject(chunk(NumChunks(c.Trials)-1), "post-completion")
+	if got := m.Finish(); !reflect.DeepEqual(got, want) {
+		t.Error("out-of-order merge differs from Run")
 	}
 }
 

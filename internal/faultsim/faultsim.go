@@ -239,15 +239,16 @@ func (r Result) CriticalityWeightedEscapeRate() float64 {
 }
 
 // EstimatedInfluence returns the empirically measured transmission
-// probability of the edge from→to (the paper's estimation path), and
-// whether the edge ever had a faulty source.
-func (r Result) EstimatedInfluence(from, to string) (float64, bool) {
+// probability p of the edge from→to (the paper's estimation path) and the
+// number of trials it rests on: how often the edge had a faulty source.
+// p is 0 when trials is 0.
+func (r Result) EstimatedInfluence(from, to string) (p float64, trials int) {
 	key := from + ">" + to
-	trials := r.EdgeTrials[key]
+	trials = r.EdgeTrials[key]
 	if trials == 0 {
-		return 0, false
+		return 0, 0
 	}
-	return float64(r.TransmissionCount[key]) / float64(trials), true
+	return float64(r.TransmissionCount[key]) / float64(trials), trials
 }
 
 // trialChunkSize is the grain of the worker pool: trials are grouped into
@@ -256,66 +257,49 @@ func (r Result) EstimatedInfluence(from, to string) (float64, bool) {
 // the same no matter how many workers run or where a resume started.
 const trialChunkSize = 64
 
-// chunkResult accumulates the trials of one chunk. All integer counters
-// merge exactly regardless of order; the single order-sensitive value —
-// the float64 criticality loss — is kept per trial so the merged sum's
-// addition order is always the trial order, independent of chunk
-// boundaries and worker count.
-type chunkResult struct {
-	totalAffected      int
-	crossTransmissions int
-	trialsWithEscape   int
-	commFaultTrials    int
-	criticalAffected   int
-	initialFaults      int
-	transientFaults    int
-	critPerTrial       []float64
-	escPerTrial        []float64
-	affectedCount      map[string]int
-	transmissionCount  map[string]int
-	edgeTrials         map[string]int
+// newChunk returns an empty chunk for trials [begin, end).
+func newChunk(begin, end int) *ChunkOutput {
+	ch := &ChunkOutput{}
+	ch.reset(begin, end)
+	return ch
 }
 
-func newChunkResult() *chunkResult {
-	return &chunkResult{
-		affectedCount:     map[string]int{},
-		transmissionCount: map[string]int{},
-		edgeTrials:        map[string]int{},
-	}
-}
-
-func (ch *chunkResult) reset() {
-	*ch = chunkResult{
-		critPerTrial:      ch.critPerTrial[:0],
-		escPerTrial:       ch.escPerTrial[:0],
-		affectedCount:     map[string]int{},
-		transmissionCount: map[string]int{},
-		edgeTrials:        map[string]int{},
+// reset empties ch for trials [begin, end), keeping the storage of its
+// per-trial slices.
+func (ch *ChunkOutput) reset(begin, end int) {
+	*ch = ChunkOutput{
+		Begin:             begin,
+		End:               end,
+		CritPerTrial:      ch.CritPerTrial[:0],
+		EscPerTrial:       ch.EscPerTrial[:0],
+		AffectedCount:     map[string]int{},
+		TransmissionCount: map[string]int{},
+		EdgeTrials:        map[string]int{},
 	}
 }
 
 // absorb folds a chunk into the running Result, trial floats in order.
-func (r *Result) absorb(ch *chunkResult) {
-	r.TotalAffected += ch.totalAffected
-	r.CrossNodeTransmissions += ch.crossTransmissions
-	r.TrialsWithEscape += ch.trialsWithEscape
-	r.CommFaultTrials += ch.commFaultTrials
-	r.CriticalAffected += ch.criticalAffected
-	r.InitialFaults += ch.initialFaults
-	r.TransientFaults += ch.transientFaults
-	for _, loss := range ch.critPerTrial {
+func (r *Result) absorb(ch *ChunkOutput) {
+	r.TotalAffected += ch.TotalAffected
+	r.CrossNodeTransmissions += ch.CrossTransmissions
+	r.TrialsWithEscape += ch.TrialsWithEscape
+	r.CommFaultTrials += ch.CommFaultTrials
+	r.CriticalAffected += ch.CriticalAffected
+	r.InitialFaults += ch.InitialFaults
+	r.TransientFaults += ch.TransientFaults
+	for _, loss := range ch.CritPerTrial {
 		r.CriticalityLoss += loss
 	}
-	for _, loss := range ch.escPerTrial {
+	for _, loss := range ch.EscPerTrial {
 		r.EscapedCriticalityLoss += loss
 	}
-	for k, v := range ch.affectedCount {
+	for k, v := range ch.AffectedCount {
 		r.AffectedCount[k] += v
 	}
-	for k, v := range ch.transmissionCount {
+	for k, v := range ch.TransmissionCount {
 		r.TransmissionCount[k] += v
 	}
-	for k, v := range ch.edgeTrials {
+	for k, v := range ch.EdgeTrials {
 		r.EdgeTrials[k] += v
 	}
 }
@@ -404,11 +388,11 @@ func (env *campaignEnv) pick(rng *rand.Rand) string {
 	return env.nodes[len(env.nodes)-1]
 }
 
-// runChunk executes trials [begin, end) on their own substreams,
-// accumulating into ch. The context is polled at every trial boundary; a
-// cancelled chunk is all-or-nothing and contributes no trials.
-func (env *campaignEnv) runChunk(ctx context.Context, pcg *rand.PCG, r *rand.Rand, begin, end int, ch *chunkResult) error {
-	for trial := begin; trial < end; trial++ {
+// runChunk executes the trials [ch.Begin, ch.End) on their own
+// substreams, accumulating into ch. The context is polled at every trial
+// boundary; a cancelled chunk is all-or-nothing and contributes no trials.
+func (env *campaignEnv) runChunk(ctx context.Context, pcg *rand.PCG, r *rand.Rand, ch *ChunkOutput) error {
+	for trial := ch.Begin; trial < ch.End; trial++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -423,7 +407,7 @@ func (env *campaignEnv) runChunk(ctx context.Context, pcg *rand.PCG, r *rand.Ran
 	return nil
 }
 
-func (env *campaignEnv) runTrial(rng *rand.Rand, ch *chunkResult) {
+func (env *campaignEnv) runTrial(rng *rand.Rand, ch *ChunkOutput) {
 	// The fault model draws the initial fault set; propagation below is
 	// shared by every model. All draws come from the trial's private
 	// substream in a fixed order, so the trial is a pure function of
@@ -431,15 +415,15 @@ func (env *campaignEnv) runTrial(rng *rand.Rand, ch *chunkResult) {
 	var t trialState
 	env.model.inject(env, rng, &t)
 	if t.commFault {
-		ch.commFaultTrials++
+		ch.CommFaultTrials++
 	}
 	escaped := false
 	if t.commCrossed {
 		// The corrupted message itself crossed a HW boundary.
-		ch.crossTransmissions++
+		ch.CrossTransmissions++
 		escaped = true
 	}
-	ch.initialFaults += len(t.origins)
+	ch.InitialFaults += len(t.origins)
 
 	faulty := make(map[string]bool, len(t.origins))
 	// order records affected nodes in discovery order so the criticality
@@ -458,7 +442,7 @@ func (env *campaignEnv) runTrial(rng *rand.Rand, ch *chunkResult) {
 			viaCross[n] = true
 		}
 		if env.persist < 1 && rng.Float64() >= env.persist {
-			ch.transientFaults++
+			ch.TransientFaults++
 			return
 		}
 		frontier = append(frontier, n)
@@ -480,17 +464,17 @@ func (env *campaignEnv) runTrial(rng *rand.Rand, ch *chunkResult) {
 				// target is already faulty — conditioning the draw on
 				// target health would bias the per-edge estimate
 				// downward on convergent paths.
-				ch.edgeTrials[key]++
+				ch.EdgeTrials[key]++
 				if rng.Float64() >= e.Weight {
 					continue
 				}
-				ch.transmissionCount[key]++
+				ch.TransmissionCount[key]++
 				if faulty[e.To] {
 					continue
 				}
 				crossed := env.hwOf != nil && env.hwOf[u] != env.hwOf[e.To]
 				if crossed {
-					ch.crossTransmissions++
+					ch.CrossTransmissions++
 					escaped = true
 				}
 				// The escape taint is sticky: once an infection chain has
@@ -501,24 +485,24 @@ func (env *campaignEnv) runTrial(rng *rand.Rand, ch *chunkResult) {
 		}
 		frontier = frontier[boundary:]
 	}
-	ch.totalAffected += len(order)
+	ch.TotalAffected += len(order)
 	if escaped {
-		ch.trialsWithEscape++
+		ch.TrialsWithEscape++
 	}
 	loss, escLoss := 0.0, 0.0
 	for _, n := range order {
-		ch.affectedCount[n]++
+		ch.AffectedCount[n]++
 		cv := env.crit[n]
 		loss += cv
 		if viaCross[n] {
 			escLoss += cv
 		}
 		if env.critThreshold > 0 && cv >= env.critThreshold {
-			ch.criticalAffected++
+			ch.CriticalAffected++
 		}
 	}
-	ch.critPerTrial = append(ch.critPerTrial, loss)
-	ch.escPerTrial = append(ch.escPerTrial, escLoss)
+	ch.CritPerTrial = append(ch.CritPerTrial, loss)
+	ch.EscPerTrial = append(ch.EscPerTrial, escLoss)
 }
 
 // chunkEnd returns the end of the chunk beginning at b: the next absolute
@@ -534,12 +518,14 @@ func chunkEnd(b, trials int) int {
 // campaignRun holds the merge-side state of a running campaign: the
 // accumulating Result, the completed-trial frontier, and everything the
 // evaluation points (telemetry checkpoints, persistence, early stopping)
-// need. Chunks are absorbed strictly in chunk order by a single goroutine.
+// need. Chunks are merged strictly in grid order by a single goroutine;
+// absorb holds the ones that arrive early.
 type campaignRun struct {
 	c            *Campaign
 	env          *campaignEnv
 	res          Result
-	done         int // completed-trial frontier (all trials < done merged)
+	done         int                  // completed-trial frontier (all trials < done merged)
+	held         map[int]*ChunkOutput // absorbed ahead of the frontier, by grid index
 	fp           string
 	persistEvery int
 	eventEvery   int
@@ -573,18 +559,77 @@ func (r *campaignRun) checkpointEvent(done int) {
 	}
 }
 
-// merge folds chunk [b, e) into the Result and fires every evaluation
-// point the frontier crossed: telemetry checkpoint, persistence, and the
-// early-stopping test. It reports stop=true when the campaign should end
-// at frontier e. Because the chunk sequence is worker-count-independent,
-// so is every decision made here.
-func (r *campaignRun) merge(b, e int, ch *chunkResult) (stop bool, err error) {
+// ended reports whether the campaign is complete: the frontier reached
+// the trial count, or early stopping ended it.
+func (r *campaignRun) ended() bool {
+	return r.done >= r.c.Trials || r.res.EarlyStopped
+}
+
+// has reports whether grid chunk seq is already merged or held.
+func (r *campaignRun) has(seq int) bool {
+	if _, ok := r.held[seq]; ok {
+		return true
+	}
+	_, end := ChunkBounds(seq, r.c.Trials)
+	return end <= r.done
+}
+
+// absorb is the one ordered merge behind both Run's worker pool and the
+// distributed Merger. It accepts any grid chunk at or beyond the
+// frontier, holds the ones that arrive ahead of it, and merges every
+// contiguous held chunk in grid order, so the merge sequence — and every
+// evaluation point — does not depend on arrival order. An early stop
+// drops the held chunks. A chunk behind the frontier, already held, off
+// the grid or past the end of the campaign is an error.
+func (r *campaignRun) absorb(ch *ChunkOutput) (stop bool, err error) {
+	b, e := ch.Begin, ch.End
+	var bad string
+	switch {
+	case r.ended():
+		bad = "after the campaign ended"
+	case b < r.done:
+		bad = "behind the frontier"
+	case b >= r.c.Trials || e != chunkEnd(b, r.c.Trials) || (b != r.done && b%trialChunkSize != 0):
+		bad = "off the grid"
+	case r.held[ChunkIndex(b)] != nil:
+		bad = "twice"
+	}
+	if bad != "" {
+		return false, stage.Wrap("inject", "merge", "", fmt.Errorf(
+			"faultsim: chunk [%d,%d) absorbed %s, frontier %d", b, e, bad, r.done))
+	}
+	if b != r.done {
+		r.held[ChunkIndex(b)] = ch
+		return false, nil
+	}
+	for ch != nil {
+		if stop, err := r.merge(ch); err != nil || stop {
+			if stop {
+				clear(r.held)
+			}
+			return stop, err
+		}
+		seq := ChunkIndex(r.done)
+		ch = r.held[seq]
+		delete(r.held, seq)
+	}
+	return false, nil
+}
+
+// merge folds chunk ch, which begins at the frontier, into the Result and
+// fires every evaluation point the frontier crossed: telemetry
+// checkpoint, persistence, and the early-stopping test. It reports
+// stop=true when the campaign should end at the chunk's end. Because the
+// chunk sequence is worker-count-independent, so is every decision made
+// here.
+func (r *campaignRun) merge(ch *ChunkOutput) (stop bool, err error) {
+	b, e := ch.Begin, ch.End
 	r.res.absorb(ch)
 	r.done = e
 	if r.trialsCtr != nil {
 		r.trialsCtr.Add(int64(e - b))
-		r.escapesCtr.Add(int64(ch.trialsWithEscape))
-		r.crossCtr.Add(int64(ch.crossTransmissions))
+		r.escapesCtr.Add(int64(ch.TrialsWithEscape))
+		r.crossCtr.Add(int64(ch.CrossTransmissions))
 	}
 	if (r.c.Span != nil || r.c.Metrics != nil || r.c.Bus != nil) &&
 		(b/r.eventEvery != e/r.eventEvery || e == r.c.Trials) {
@@ -637,36 +682,33 @@ func (r *campaignRun) cancelled(cause error) error {
 func (r *campaignRun) serial(start int) error {
 	pcg := rand.NewPCG(0, 0)
 	rng := rand.New(pcg)
-	ch := newChunkResult()
-	for b := start; b < r.c.Trials; {
-		e := chunkEnd(b, r.c.Trials)
-		ch.reset()
-		if err := r.env.runChunk(r.c.Ctx, pcg, rng, b, e, ch); err != nil {
+	ch := &ChunkOutput{}
+	for b := start; b < r.c.Trials; b = ch.End {
+		ch.reset(b, chunkEnd(b, r.c.Trials))
+		if err := r.env.runChunk(r.c.Ctx, pcg, rng, ch); err != nil {
 			return r.cancelled(err)
 		}
-		stop, err := r.merge(b, e, ch)
+		// Every chunk begins at the frontier, so merging it directly is
+		// the ordered merge and the chunk is free for reuse.
+		stop, err := r.merge(ch)
 		if err != nil || stop {
 			return err
 		}
-		b = e
 	}
 	return nil
 }
 
-// parallel shards the chunk sequence over a worker pool. The coordinator
-// dispatches chunks in order, buffers out-of-order completions, and merges
-// strictly by chunk index, so the accumulated Result — and every
-// evaluation point — matches the serial path bit for bit. Cancellation
-// makes chunks fail individually; the contiguous completed prefix is what
-// gets checkpointed. Early stopping stops dispatch and discards
-// speculative chunks beyond the stopping frontier.
+// parallel shards the chunk sequence over a worker pool. The dispatcher
+// hands out chunks in grid order and passes every completion to absorb,
+// which holds early arrivals and merges in grid order, so the accumulated
+// Result — and every evaluation point — matches the serial path bit for
+// bit. Cancellation makes chunks fail individually; the contiguous merged
+// prefix is what gets checkpointed. Early stopping stops dispatch, and
+// absorb drops the speculative chunks beyond the stopping frontier.
 func (r *campaignRun) parallel(start, workers int) error {
-	type job struct {
-		seq, b, e int
-	}
+	type job struct{ b, e int }
 	type outcome struct {
-		job
-		ch  *chunkResult
+		ch  *ChunkOutput
 		err error
 	}
 	maxInFlight := workers * 2
@@ -690,13 +732,13 @@ func (r *campaignRun) parallel(start, workers int) error {
 			rng := rand.New(pcg)
 			chunks, trials := 0, 0
 			for j := range jobs {
-				ch := newChunkResult()
-				err := r.env.runChunk(r.c.Ctx, pcg, rng, j.b, j.e, ch)
+				ch := newChunk(j.b, j.e)
+				err := r.env.runChunk(r.c.Ctx, pcg, rng, ch)
 				if err == nil {
 					chunks++
 					trials += j.e - j.b
 				}
-				out <- outcome{job: j, ch: ch, err: err}
+				out <- outcome{ch: ch, err: err}
 			}
 			if span != nil {
 				span.SetAttr(obs.Int("chunks", chunks), obs.Int("trials", trials))
@@ -705,52 +747,35 @@ func (r *campaignRun) parallel(start, workers int) error {
 	}
 
 	var (
-		nextSeq, inFlight int
-		mergeSeq          int
-		b                 = start
-		pending           = map[int]outcome{}
-		cancelCause       error
-		fatal             error
-		stopped           bool
+		inFlight    int
+		b           = start
+		cancelCause error
+		fatal       error
 	)
 	dispatchDone := b >= r.c.Trials
 	for !dispatchDone || inFlight > 0 {
 		var send chan job
-		next := job{seq: nextSeq, b: b, e: chunkEnd(b, r.c.Trials)}
+		next := job{b, chunkEnd(b, r.c.Trials)}
 		if !dispatchDone && inFlight < maxInFlight {
 			send = jobs
 		}
 		select {
 		case send <- next:
 			inFlight++
-			nextSeq++
 			b = next.e
 			dispatchDone = b >= r.c.Trials
 		case o := <-out:
 			inFlight--
-			if o.err != nil {
+			switch {
+			case o.err != nil:
 				if cancelCause == nil {
 					cancelCause = o.err
 				}
 				dispatchDone = true
-				continue
-			}
-			pending[o.seq] = o
-			for cancelCause == nil && fatal == nil && !stopped {
-				p, ok := pending[mergeSeq]
-				if !ok {
-					break
-				}
-				delete(pending, mergeSeq)
-				mergeSeq++
-				stop, err := r.merge(p.b, p.e, p.ch)
-				if err != nil {
-					fatal = err
-					dispatchDone = true
-				} else if stop {
-					stopped = true
-					dispatchDone = true
-				}
+			case cancelCause == nil && fatal == nil && !r.ended():
+				stop, err := r.absorb(o.ch)
+				fatal = err
+				dispatchDone = dispatchDone || stop || err != nil
 			}
 		}
 	}
@@ -865,8 +890,9 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 		return nil, 0, err
 	}
 	run := &campaignRun{
-		c:   c,
-		env: newCampaignEnv(c),
+		c:    c,
+		env:  newCampaignEnv(c),
+		held: map[int]*ChunkOutput{},
 		res: Result{
 			Trials:            c.Trials,
 			AffectedCount:     map[string]int{},

@@ -70,15 +70,15 @@ func TestEstimatedInfluenceRecoversEdgeWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, ok := r.EstimatedInfluence("a", "b")
-	if !ok {
-		t.Fatal("no estimate for a->b")
+	est, trials := r.EstimatedInfluence("a", "b")
+	if trials != 20000 {
+		t.Fatalf("a->b rests on %d trials, want every one of 20000", trials)
 	}
 	if math.Abs(est-0.3) > 0.02 {
 		t.Errorf("estimated influence = %g, want 0.3 ± 0.02", est)
 	}
-	if _, ok := r.EstimatedInfluence("b", "a"); ok {
-		t.Error("estimate for non-existent edge")
+	if p, trials := r.EstimatedInfluence("b", "a"); p != 0 || trials != 0 {
+		t.Errorf("non-existent edge b->a: p=%g over %d trials, want 0 over 0", p, trials)
 	}
 }
 

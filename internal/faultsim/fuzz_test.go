@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -88,6 +89,85 @@ func FuzzFaultModel(f *testing.F) {
 		}
 		if !reflect.DeepEqual(res, again) {
 			t.Fatal("same campaign, different Result — determinism broken")
+		}
+	})
+}
+
+// FuzzMergerOrder feeds a small campaign's grid chunks to a Merger in a
+// fuzzer-chosen order, skipping repeats through Has, then completes it in
+// grid order. Whatever the arrival order, with or without early stopping,
+// the merged Result must equal Run at Workers=1 exactly.
+func FuzzMergerOrder(f *testing.F) {
+	g, hw := web(f)
+	type fixture struct {
+		c      Campaign
+		want   Result
+		chunks []*ChunkOutput
+	}
+	var fx [2]fixture
+	for i, halfWidth := range []float64{0, 0.06} {
+		c := Campaign{Graph: g, HWOf: hw, Trials: 1000, Seed: 42,
+			CriticalThreshold: 10, CommFaultFraction: 0.3, StopHalfWidth: halfWidth}
+		ref := c
+		ref.Workers = 1
+		want, err := Run(ref)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if want.EarlyStopped != (halfWidth > 0) {
+			f.Fatalf("StopHalfWidth %g: EarlyStopped = %v", halfWidth, want.EarlyStopped)
+		}
+		runner, err := NewChunkRunner(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		fx[i] = fixture{c: c, want: want}
+		for seq := 0; seq < NumChunks(c.Trials); seq++ {
+			begin, end := ChunkBounds(seq, c.Trials)
+			out, err := runner.Run(context.Background(), begin, end)
+			if err != nil {
+				f.Fatal(err)
+			}
+			fx[i].chunks = append(fx[i].chunks, out)
+		}
+	}
+	f.Add([]byte{}, false)
+	f.Add([]byte{15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, false)
+	f.Add([]byte{15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, true)
+	f.Add([]byte{1, 0, 3, 2, 3, 5, 4, 9, 7, 6, 8}, true)
+	f.Fuzz(func(t *testing.T, order []byte, stop bool) {
+		x := fx[0]
+		if stop {
+			x = fx[1]
+		}
+		m, err := NewMerger(x.c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := func(seq int) {
+			if m.Done() || m.Has(seq) {
+				return
+			}
+			if _, err := m.Absorb(x.chunks[seq]); err != nil {
+				t.Fatalf("chunk %d: %v", seq, err)
+			}
+		}
+		for _, b := range order {
+			feed(int(b) % len(x.chunks))
+		}
+		for seq := range x.chunks {
+			feed(seq)
+		}
+		if !m.Done() {
+			t.Fatal("every chunk absorbed but the merger is not done")
+		}
+		for seq, ch := range x.chunks {
+			if ch.End > m.Frontier() && m.Has(seq) {
+				t.Fatalf("chunk %d beyond the final frontier %d still held", seq, m.Frontier())
+			}
+		}
+		if got := m.Finish(); !reflect.DeepEqual(got, x.want) {
+			t.Fatalf("order %v: merged Result differs from Run", order)
 		}
 	})
 }

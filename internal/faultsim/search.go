@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 
@@ -453,19 +452,8 @@ func (s *searcher) saveCheckpoint() error {
 	if err != nil {
 		return fmt.Errorf("faultsim: search checkpoint encode: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(s.cfg.CheckpointPath), ".faultsim-search-*")
-	if err != nil {
-		return fmt.Errorf("faultsim: search checkpoint: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("faultsim: search checkpoint write: %w", errors.Join(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), s.cfg.CheckpointPath); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("faultsim: search checkpoint: %w", err)
+	if err := writeFileAtomic(s.cfg.CheckpointPath, ".faultsim-search-*", data); err != nil {
+		return fmt.Errorf("faultsim: search checkpoint write %s: %w", s.cfg.CheckpointPath, err)
 	}
 	return nil
 }

@@ -497,12 +497,3 @@ func (m *MetricsServer) Shutdown(ctx context.Context) error {
 	})
 	return m.closeErr
 }
-
-// Serve starts an HTTP server on addr exposing the registry at /metrics
-// (Prometheus text) and /metrics.json (JSON snapshot), plus the standard
-// operational endpoints (/healthz, /buildinfo, /dashboard). The server
-// runs until Close. For the streaming endpoints (/events, /progress) use
-// the package-level Serve with a ServerConfig carrying a Bus and Tracker.
-func (r *Registry) Serve(addr string) (*MetricsServer, error) {
-	return Serve(addr, ServerConfig{Registry: r})
-}

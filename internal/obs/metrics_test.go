@@ -131,7 +131,7 @@ func TestSnapshotSortedAndJSON(t *testing.T) {
 func TestMetricsHTTPServer(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("requests_total", "requests").Add(7)
-	srv, err := r.Serve("127.0.0.1:0")
+	srv, err := Serve("127.0.0.1:0", ServerConfig{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestMetricsHTTPServer(t *testing.T) {
 // both fire — all observing the first call's result.
 func TestMetricsServerCloseIdempotent(t *testing.T) {
 	r := NewRegistry()
-	srv, err := r.Serve("127.0.0.1:0")
+	srv, err := Serve("127.0.0.1:0", ServerConfig{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestMetricsServerCloseIdempotent(t *testing.T) {
 // listener and returns once the serving goroutine has exited.
 func TestMetricsServerShutdownGraceful(t *testing.T) {
 	r := NewRegistry()
-	srv, err := r.Serve("127.0.0.1:0")
+	srv, err := Serve("127.0.0.1:0", ServerConfig{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestPrometheusEscaping(t *testing.T) {
 func TestMetricsContentTypes(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "").Inc()
-	srv, err := r.Serve("127.0.0.1:0")
+	srv, err := Serve("127.0.0.1:0", ServerConfig{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestMetricsContentTypes(t *testing.T) {
 // wins and every later call observes its result.
 func TestMetricsServerShutdownAfterClose(t *testing.T) {
 	r := NewRegistry()
-	srv, err := r.Serve("127.0.0.1:0")
+	srv, err := Serve("127.0.0.1:0", ServerConfig{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -341,48 +341,3 @@ func (s *Span) Events() []Event {
 	defer s.o.mu.Unlock()
 	return append([]Event(nil), s.events...)
 }
-
-// Context plumbing: an Observer and a current Span travel in a Context so
-// deeply nested code can open child spans without threading them manually.
-
-type observerKey struct{}
-type spanKey struct{}
-
-// NewContext returns a context carrying the observer.
-func NewContext(ctx context.Context, o *Observer) context.Context {
-	return context.WithValue(ctx, observerKey{}, o)
-}
-
-// FromContext extracts the observer (nil when absent).
-func FromContext(ctx context.Context) *Observer {
-	o, _ := ctx.Value(observerKey{}).(*Observer)
-	return o
-}
-
-// ContextWithSpan returns a context carrying the span as the current one.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
-// SpanFromContext extracts the current span (nil when absent).
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
-// Start opens a span as a child of the context's current span (or as a
-// root span of the context's observer when no span is current) and returns
-// a derived context with the new span as current. With neither an observer
-// nor a span in the context it returns (ctx, nil) untouched — the nil span
-// absorbs all subsequent calls.
-func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	if parent := SpanFromContext(ctx); parent != nil {
-		s := parent.StartChild(name, attrs...)
-		return ContextWithSpan(ctx, s), s
-	}
-	if o := FromContext(ctx); o != nil {
-		s := o.StartSpan(name, attrs...)
-		return ContextWithSpan(ctx, s), s
-	}
-	return ctx, nil
-}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log/slog"
 	"strings"
@@ -169,34 +168,6 @@ func TestWriteTraceRoundTrips(t *testing.T) {
 	}
 	if len(tr.Metrics.Counters) != 1 || tr.Metrics.Counters[0].Value != 5 {
 		t.Errorf("metrics = %+v", tr.Metrics)
-	}
-}
-
-func TestContextPlumbing(t *testing.T) {
-	// No observer: Start is a no-op.
-	ctx, span := Start(context.Background(), "orphan")
-	if span != nil {
-		t.Fatal("span without observer")
-	}
-	if SpanFromContext(ctx) != nil {
-		t.Fatal("ctx polluted")
-	}
-
-	o := New(WithClock(fakeClock()))
-	ctx = NewContext(context.Background(), o)
-	if FromContext(ctx) != o {
-		t.Fatal("observer lost in ctx")
-	}
-	ctx, outer := Start(ctx, "outer")
-	if outer == nil || SpanFromContext(ctx) != outer {
-		t.Fatal("outer span not current")
-	}
-	_, inner := Start(ctx, "inner")
-	inner.End()
-	outer.End()
-	kids := outer.Children()
-	if len(kids) != 1 || kids[0].Name() != "inner" {
-		t.Fatalf("nesting broken: %v", kids)
 	}
 }
 

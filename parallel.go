@@ -47,20 +47,29 @@ func serialAttempts(ctx context.Context, o *options, root *obs.Span, res *Result
 			return err
 		}
 		if i+1 < len(chain) {
-			deg := Degradation{Stage: stageOf(err, "condense"), Strategy: strat, Reason: err.Error()}
-			res.Degradations = append(res.Degradations, deg)
-			o.ledger.Append(ledger.Record{
-				Kind: ledger.KindDegrade, Stage: deg.Stage, Rule: strat.String(),
-				Result: chain[i+1].String(), Detail: deg.Reason, Attempt: i + 1,
-			})
-			root.Event("degrade",
-				obs.String("stage", deg.Stage),
-				obs.String("from", strat.String()),
-				obs.String("to", chain[i+1].String()),
-				obs.String("reason", deg.Reason))
+			recordDegradation(o, root, res, chain, i, i+1, err, err.Error())
 		}
 	}
 	return lastErr
+}
+
+// recordDegradation records the abandoned attempt chain[from], taken over
+// by chain[to], identically on every path of the fallback chain: the
+// Result.Degradations entry, the degrade ledger record and the "degrade"
+// span event.
+func recordDegradation(o *options, root *obs.Span, res *Result, chain []Strategy,
+	from, to int, err error, reason string) {
+	deg := Degradation{Stage: stageOf(err, "condense"), Strategy: chain[from], Reason: reason}
+	res.Degradations = append(res.Degradations, deg)
+	o.ledger.Append(ledger.Record{
+		Kind: ledger.KindDegrade, Stage: deg.Stage, Rule: chain[from].String(),
+		Result: chain[to].String(), Detail: reason, Attempt: from + 1,
+	})
+	root.Event("degrade",
+		obs.String("stage", deg.Stage),
+		obs.String("from", chain[from].String()),
+		obs.String("to", chain[to].String()),
+		obs.String("reason", reason))
 }
 
 // raceAttempts runs every strategy of the fallback chain concurrently — a
@@ -145,16 +154,7 @@ func raceAttempts(ctx context.Context, o *options, root *obs.Span, res *Result,
 		// serial chain — degradations for all but the last strategy, the
 		// last one's error reported.
 		for i, oc := range outcomes[:len(outcomes)-1] {
-			deg := Degradation{Stage: stageOf(oc.err, "condense"), Strategy: chain[i], Reason: oc.err.Error()}
-			res.Degradations = append(res.Degradations, deg)
-			o.ledger.Append(ledger.Record{
-				Kind: ledger.KindDegrade, Stage: deg.Stage, Rule: chain[i].String(),
-				Detail: deg.Reason, Attempt: i + 1,
-			})
-			root.Event("degrade",
-				obs.String("stage", deg.Stage),
-				obs.String("from", chain[i].String()),
-				obs.String("reason", deg.Reason))
+			recordDegradation(o, root, res, chain, i, i+1, oc.err, oc.err.Error())
 		}
 		return outcomes[len(outcomes)-1].err, nil
 	}
@@ -188,17 +188,7 @@ func raceAttempts(ctx context.Context, o *options, root *obs.Span, res *Result,
 		if oc.err != nil && !isCancellation(oc.err) {
 			reason = oc.err.Error()
 		}
-		deg := Degradation{Stage: stageOf(oc.err, "condense"), Strategy: chain[i], Reason: reason}
-		res.Degradations = append(res.Degradations, deg)
-		o.ledger.Append(ledger.Record{
-			Kind: ledger.KindDegrade, Stage: deg.Stage, Rule: chain[i].String(),
-			Result: chain[winner].String(), Detail: reason, Attempt: i + 1,
-		})
-		root.Event("degrade",
-			obs.String("stage", deg.Stage),
-			obs.String("from", chain[i].String()),
-			obs.String("to", chain[winner].String()),
-			obs.String("reason", deg.Reason))
+		recordDegradation(o, root, res, chain, i, winner, oc.err, reason)
 	}
 	return nil, nil
 }

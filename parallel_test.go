@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/ledger"
 )
 
 // TestRaceStrategiesProperty: the portfolio race must return a result some
@@ -221,5 +222,36 @@ func TestWithWorkersBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got.Report, want.Report) {
 			t.Errorf("workers=%d report differs", workers)
 		}
+	}
+}
+
+// TestRaceExhaustionDegradeRecordsMatchSerial: race exhaustion records
+// its degradations through the same recorder as the serial chain, so for
+// the same failing chain both ledgers carry equal degrade records, each
+// naming the strategy that took over.
+func TestRaceExhaustionDegradeRecordsMatchSerial(t *testing.T) {
+	degrades := func(race bool) []ledger.Record {
+		led := NewLedger("test")
+		opts := []Option{WithLedger(led), WithStrategy(Strategy(42)), WithFallback(Strategy(43))}
+		if race {
+			opts = append(opts, WithRaceStrategies())
+		}
+		if _, err := Integrate(PaperExample(), opts...); !errors.Is(err, ErrFallbackExhausted) {
+			t.Fatalf("race=%v: err = %v, want ErrFallbackExhausted", race, err)
+		}
+		var out []ledger.Record
+		for _, r := range led.Records() {
+			if r.Kind == ledger.KindDegrade {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	serial, race := degrades(false), degrades(true)
+	if len(serial) != 1 || serial[0].Result != Strategy(43).String() {
+		t.Fatalf("serial degrade records = %+v, want one naming %s as the successor", serial, Strategy(43))
+	}
+	if !reflect.DeepEqual(race, serial) {
+		t.Errorf("race exhaustion degrade records %+v differ from serial %+v", race, serial)
 	}
 }

@@ -110,12 +110,14 @@ vuln:
 # default 30s) — enough to catch shallow regressions in the decoder, the
 # resilience layer, the feasibility oracle (Check against the full
 # window scan, the demand criterion against EDF simulation) and the
-# campaign merge (any chunk arrival order against Run at Workers=1)
-# without turning the gate into a fuzzing session.
+# campaign merge (any chunk arrival order against Run at Workers=1) and
+# the int-indexed trial loop (against the string-keyed reference) without
+# turning the gate into a fuzzing session.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeSystem$$' -fuzztime $(FUZZTIME) ./internal/spec
 	$(GO) test -run NONE -fuzz 'FuzzIntegrate$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run NONE -fuzz 'FuzzFaultModel$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzMergerOrder$$' -fuzztime $(FUZZTIME) ./internal/faultsim
+	$(GO) test -run NONE -fuzz 'FuzzTrialLoopMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzCheckMatchesScan$$' -fuzztime $(FUZZTIME) ./internal/sched
 	$(GO) test -run NONE -fuzz 'FuzzFeasibleSimulateAgreement$$' -fuzztime $(FUZZTIME) ./internal/sched

@@ -785,9 +785,9 @@ func (co *Coordinator) expireLeases() {
 	}
 }
 
-// result accepts one chunk result: validates its bounds, suppresses
-// duplicates, audits it when spot-check selection says so, then hands it
-// to the merger.
+// result accepts one chunk result: validates its bounds and counter
+// shape, suppresses duplicates, audits it when spot-check selection says
+// so, then hands it to the merger.
 func (co *Coordinator) result(w *workerConn, f *Frame) error {
 	if f.Chunk == nil {
 		return nil
@@ -795,6 +795,9 @@ func (co *Coordinator) result(w *workerConn, f *Frame) error {
 	wantB, wantE := faultsim.ChunkBounds(faultsim.ChunkIndex(f.Begin), co.trials)
 	if f.Begin != wantB || f.End != wantE || f.Chunk.Begin != f.Begin || f.Chunk.End != f.End {
 		return nil // malformed bounds: ignore; the lease will expire
+	}
+	if co.merger.CheckShape(f.Chunk) != nil {
+		return nil // malformed counters: ignore likewise
 	}
 	seq := faultsim.ChunkIndex(f.Begin)
 	if co.merger.Has(seq) {

@@ -73,9 +73,9 @@ func corruptChunk(ch *faultsim.ChunkOutput, pick int) *faultsim.ChunkOutput {
 	out := *ch
 	out.CritPerTrial = append([]float64(nil), ch.CritPerTrial...)
 	out.EscPerTrial = append([]float64(nil), ch.EscPerTrial...)
-	out.AffectedCount = cloneCounts(ch.AffectedCount)
-	out.TransmissionCount = cloneCounts(ch.TransmissionCount)
-	out.EdgeTrials = cloneCounts(ch.EdgeTrials)
+	out.Affected = append([]int(nil), ch.Affected...)
+	out.EdgeTrials = append([]int(nil), ch.EdgeTrials...)
+	out.Transmissions = append([]int(nil), ch.Transmissions...)
 	switch pick {
 	case 0:
 		out.TotalAffected++
@@ -89,15 +89,4 @@ func corruptChunk(ch *faultsim.ChunkOutput, pick int) *faultsim.ChunkOutput {
 		}
 	}
 	return &out
-}
-
-func cloneCounts(m map[string]int) map[string]int {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

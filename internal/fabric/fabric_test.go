@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,6 +333,65 @@ func TestFabricChaosBitIdentical(t *testing.T) {
 	}
 }
 
+// shortChunkConn sends a result with an edge_trials array one entry short
+// — a misshapen chunk the coordinator must drop, not merge — unless a
+// connection sharing its sent flag already did.
+type shortChunkConn struct {
+	Conn
+	sent *atomic.Bool
+}
+
+func (c *shortChunkConn) Send(f *Frame) error {
+	if f.Type == TypeResult && f.Chunk != nil && len(f.Chunk.EdgeTrials) > 0 && c.sent.CompareAndSwap(false, true) {
+		g, ch := *f, *f.Chunk
+		ch.EdgeTrials = ch.EdgeTrials[:len(ch.EdgeTrials)-1]
+		g.Chunk = &ch
+		return c.Conn.Send(&g)
+	}
+	return c.Conn.Send(f)
+}
+
+// TestFabricMisshapenChunkDropped: the first chunk result of the campaign
+// arrives with its edge_trials array one entry short. The coordinator
+// drops it like a malformed-bounds result, the lease expires and is
+// reassigned, and the campaign still finishes bit-identical to Workers=1.
+func TestFabricMisshapenChunkDropped(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	c := testCampaign(t, 640)
+	want := localReference(t, c)
+
+	var sent atomic.Bool
+	pl := NewPipeListener()
+	dial := pl.Dial()
+	h := &fabricHarness{
+		ln:      pl,
+		dial:    dial,
+		workers: 2,
+		cfg:     Config{LeaseTTL: 150 * time.Millisecond},
+		wcfg: func(i int) WorkerConfig {
+			wc := flaglessWorker(dial, i)
+			wc.Dial = func(ctx context.Context) (Conn, error) {
+				conn, err := dial(ctx)
+				if err != nil {
+					return nil, err
+				}
+				return &shortChunkConn{Conn: conn, sent: &sent}, nil
+			}
+			return wc
+		},
+	}
+	got, stats := h.run(t, c)
+	if !sent.Load() {
+		t.Fatal("the misshapen chunk was never sent")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("result after a misshapen chunk differs from Workers=1 (stats %+v)", stats)
+	}
+	if stats.Reassigned == 0 {
+		t.Errorf("the dropped chunk's lease was not reassigned (stats %+v)", stats)
+	}
+}
+
 func TestFabricDuplicateResultsSuppressed(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	c := testCampaign(t, 640) // 10 chunks
@@ -458,20 +518,23 @@ func TestFabricRejectsProtoMismatch(t *testing.T) {
 		_, _, err := Serve(sctx, Config{Campaign: c, Listener: pl})
 		ch <- err
 	}()
-	conn, err := pl.Dial()(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&Frame{Type: TypeHello, Proto: Proto + 1, Fingerprint: c.Fingerprint()}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := conn.Recv()
-	if err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-	if f.Type != TypeReject {
-		t.Fatalf("frame = %q, want reject", f.Type)
+	// Proto-1 is a worker still sending the v2 map-keyed chunk body.
+	for _, proto := range []int{Proto - 1, Proto + 1} {
+		conn, err := pl.Dial()(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(&Frame{Type: TypeHello, Proto: proto, Fingerprint: c.Fingerprint()}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := conn.Recv()
+		conn.Close()
+		if err != nil {
+			t.Fatalf("proto %d: recv: %v", proto, err)
+		}
+		if f.Type != TypeReject {
+			t.Fatalf("proto %d: frame = %q, want reject", proto, f.Type)
+		}
 	}
 	scancel()
 	if err := <-ch; !errors.Is(err, context.Canceled) {

@@ -42,9 +42,11 @@ import (
 // Proto is the fabric wire-protocol version. A hello carrying any other
 // version is rejected before fingerprints are even compared. v2 added
 // campaign shipping (self-configuring workers), HMAC challenge-response
-// authentication, per-campaign epochs and quarantine; v1 peers are
-// rejected at hello.
-const Proto = 2
+// authentication, per-campaign epochs and quarantine; v3 made the result
+// chunk's per-node and per-edge counters dense arrays (sorted-node and
+// live-edge order) instead of name-keyed maps. Older peers are rejected
+// at hello.
+const Proto = 3
 
 // Frame types. The zero value of unused fields is elided on the wire.
 const (

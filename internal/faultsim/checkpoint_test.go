@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -158,6 +159,29 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	shrunk.Resume = true
 	if _, err := Run(shrunk); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("resume shrinking trials err = %v, want ErrCheckpointMismatch", err)
+	}
+
+	// A counter keyed by an edge the campaign does not have cannot be
+	// read back into the dense totals: a mismatch, not a silent drop.
+	var cf checkpointFile
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &cf)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf.Result.EdgeTrials["a>z"] = 3
+	if data, err = json.Marshal(cf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	foreignKey := campaign(g, hw, path)
+	foreignKey.Resume = true
+	if _, err := Run(foreignKey); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Errorf("resume with an unknown counter key err = %v, want ErrCheckpointMismatch", err)
 	}
 
 	// Corrupt checkpoint: surfaced, never silently restarted.

@@ -3,7 +3,6 @@ package faultsim
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 
 	"repro/internal/stage"
 )
@@ -56,23 +55,29 @@ func (c Campaign) Fingerprint() string { return c.fingerprint() }
 // addition order is always the trial order, independent of chunk
 // boundaries and worker count. encoding/json round-trips float64 exactly
 // (shortest-form rendering), so a Result merged from remote chunks is
-// bit-identical to a local run. Maps elided on the wire (omitempty) decode
-// as nil and merge as empty.
+// bit-identical to a local run.
+//
+// The per-node and per-edge counters are dense: Affected is indexed by
+// node id (position in the sorted Graph.Nodes()), EdgeTrials and
+// Transmissions by live-edge id (position among the non-replica,
+// positive-weight edges of Graph.Edges()). The Merger rejects a chunk
+// whose slices do not have the campaign's lengths. An empty slice is
+// elided on the wire and decodes as nil.
 type ChunkOutput struct {
-	Begin              int            `json:"begin"`
-	End                int            `json:"end"`
-	TotalAffected      int            `json:"total_affected"`
-	CrossTransmissions int            `json:"cross_transmissions"`
-	TrialsWithEscape   int            `json:"trials_with_escape"`
-	CommFaultTrials    int            `json:"comm_fault_trials"`
-	CriticalAffected   int            `json:"critical_affected"`
-	InitialFaults      int            `json:"initial_faults"`
-	TransientFaults    int            `json:"transient_faults"`
-	CritPerTrial       []float64      `json:"crit_per_trial"`
-	EscPerTrial        []float64      `json:"esc_per_trial"`
-	AffectedCount      map[string]int `json:"affected_count,omitempty"`
-	TransmissionCount  map[string]int `json:"transmission_count,omitempty"`
-	EdgeTrials         map[string]int `json:"edge_trials,omitempty"`
+	Begin              int       `json:"begin"`
+	End                int       `json:"end"`
+	TotalAffected      int       `json:"total_affected"`
+	CrossTransmissions int       `json:"cross_transmissions"`
+	TrialsWithEscape   int       `json:"trials_with_escape"`
+	CommFaultTrials    int       `json:"comm_fault_trials"`
+	CriticalAffected   int       `json:"critical_affected"`
+	InitialFaults      int       `json:"initial_faults"`
+	TransientFaults    int       `json:"transient_faults"`
+	CritPerTrial       []float64 `json:"crit_per_trial"`
+	EscPerTrial        []float64 `json:"esc_per_trial"`
+	Affected           []int     `json:"affected,omitempty"`
+	EdgeTrials         []int     `json:"edge_trials,omitempty"`
+	Transmissions      []int     `json:"transmissions,omitempty"`
 }
 
 // ChunkRunner computes grid chunks of one campaign — the worker side of a
@@ -106,10 +111,8 @@ func (r *ChunkRunner) Run(ctx context.Context, begin, end int) (*ChunkOutput, er
 			"faultsim: chunk [%d,%d) is not on the %d-trial grid of %d trials",
 			begin, end, ChunkSize, r.trials))
 	}
-	pcg := rand.NewPCG(0, 0)
-	rng := rand.New(pcg)
-	ch := newChunk(begin, end)
-	if err := r.env.runChunk(ctx, pcg, rng, ch); err != nil {
+	ch := r.env.newChunk(begin, end)
+	if err := r.env.newWorker().runChunk(ctx, ch); err != nil {
 		return nil, err
 	}
 	return ch, nil
@@ -154,12 +157,19 @@ func (m *Merger) Done() bool { return m.run.ended() }
 // requeued chunks that someone else delivered.
 func (m *Merger) Has(seq int) bool { return m.run.has(seq) }
 
+// CheckShape reports, as a stage-wrapped error, a chunk whose per-trial
+// or counter slices do not have the campaign's lengths — a malformed
+// chunk Absorb would reject. A coordinator uses it to drop such a chunk
+// from the wire without failing the campaign.
+func (m *Merger) CheckShape(co *ChunkOutput) error { return m.run.checkShape(co) }
+
 // Absorb takes one grid chunk at or beyond the frontier. A chunk ahead of
 // the frontier is held; one at the frontier is merged together with every
 // contiguous held chunk, in grid order. A chunk behind the frontier,
-// already held, off the grid or absorbed after Done is an error. stop
-// reports that Wald early stopping ended the campaign in this call; the
-// held chunks beyond the stopping frontier are dropped, as Run does.
+// already held, off the grid, misshapen (see CheckShape) or absorbed after
+// Done is an error. stop reports that Wald early stopping ended the
+// campaign in this call; the held chunks beyond the stopping frontier are
+// dropped, as Run does.
 func (m *Merger) Absorb(co *ChunkOutput) (stop bool, err error) {
 	return m.run.absorb(co)
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/stage"
 )
 
 // runDistributed replays a campaign through the distributed surface: a
@@ -244,6 +246,16 @@ func TestMergerHoldsEarlyChunks(t *testing.T) {
 	}
 	reject(chunk(0), "merged")
 	reject(&ChunkOutput{Begin: 130, End: 192}, "off-grid")
+	short := *chunk(2)
+	short.EdgeTrials = short.EdgeTrials[:len(short.EdgeTrials)-1]
+	reject(&short, "misshapen")
+	var se *stage.Error
+	if err := m.CheckShape(&short); !errors.As(err, &se) || se.Stage != "inject" {
+		t.Errorf("CheckShape(misshapen) = %v, want an inject-stage error", err)
+	}
+	if err := m.CheckShape(chunk(2)); err != nil {
+		t.Errorf("CheckShape(well-formed) = %v", err)
+	}
 	absorb(2, 256) // 2 and the held 3
 	for !m.Done() {
 		absorb(ChunkIndex(m.Frontier()), min(m.Frontier()+ChunkSize, c.Trials))

@@ -257,28 +257,43 @@ func (r Result) EstimatedInfluence(from, to string) (p float64, trials int) {
 // the same no matter how many workers run or where a resume started.
 const trialChunkSize = 64
 
-// newChunk returns an empty chunk for trials [begin, end).
-func newChunk(begin, end int) *ChunkOutput {
-	ch := &ChunkOutput{}
-	ch.reset(begin, end)
+// newChunk returns an empty chunk for trials [begin, end), its per-trial
+// slices sized for the chunk.
+func (env *campaignEnv) newChunk(begin, end int) *ChunkOutput {
+	ch := &ChunkOutput{
+		CritPerTrial: make([]float64, 0, end-begin),
+		EscPerTrial:  make([]float64, 0, end-begin),
+	}
+	env.resetChunk(ch, begin, end)
 	return ch
 }
 
-// reset empties ch for trials [begin, end), keeping the storage of its
-// per-trial slices.
-func (ch *ChunkOutput) reset(begin, end int) {
+// resetChunk empties ch for trials [begin, end), keeping the storage of
+// its per-trial and dense counter slices.
+func (env *campaignEnv) resetChunk(ch *ChunkOutput, begin, end int) {
 	*ch = ChunkOutput{
-		Begin:             begin,
-		End:               end,
-		CritPerTrial:      ch.CritPerTrial[:0],
-		EscPerTrial:       ch.EscPerTrial[:0],
-		AffectedCount:     map[string]int{},
-		TransmissionCount: map[string]int{},
-		EdgeTrials:        map[string]int{},
+		Begin:         begin,
+		End:           end,
+		CritPerTrial:  ch.CritPerTrial[:0],
+		EscPerTrial:   ch.EscPerTrial[:0],
+		Affected:      zeroed(ch.Affected, len(env.nodes)),
+		EdgeTrials:    zeroed(ch.EdgeTrials, len(env.edgeKey)),
+		Transmissions: zeroed(ch.Transmissions, len(env.edgeKey)),
 	}
 }
 
-// absorb folds a chunk into the running Result, trial floats in order.
+// zeroed returns s resized to n zeros, reusing its storage when it fits.
+func zeroed(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// absorb folds a chunk's scalar counters into the running Result, trial
+// floats in order. The dense counters are summed by campaignRun.merge.
 func (r *Result) absorb(ch *ChunkOutput) {
 	r.TotalAffected += ch.TotalAffected
 	r.CrossNodeTransmissions += ch.CrossTransmissions
@@ -293,29 +308,34 @@ func (r *Result) absorb(ch *ChunkOutput) {
 	for _, loss := range ch.EscPerTrial {
 		r.EscapedCriticalityLoss += loss
 	}
-	for k, v := range ch.AffectedCount {
-		r.AffectedCount[k] += v
-	}
-	for k, v := range ch.TransmissionCount {
-		r.TransmissionCount[k] += v
-	}
-	for k, v := range ch.EdgeTrials {
-		r.EdgeTrials[k] += v
-	}
+}
+
+// liveEdge is one propagating influence edge (not a replica marker,
+// weight > 0) between node ids.
+type liveEdge struct {
+	id, from, to int
+	w            float64
 }
 
 // campaignEnv is the immutable, precomputed view of a campaign shared by
-// all workers: adjacency, criticality, and the injection-site sampler. It
-// is built once so concurrent trials never touch the graph's mutable
-// accessors.
+// all workers. Trials run on int ids: node ids index the sorted
+// Graph.Nodes(), live-edge ids follow Graph.Edges() order. Names appear
+// only where a Result is built. It is built once so concurrent trials
+// never touch the graph's mutable accessors.
 type campaignEnv struct {
-	nodes         []string
-	out           map[string][]graph.Edge // non-replica, weight>0, sorted
-	commEdges     []graph.Edge
+	nodes []string
+	// out[n] lists n's live out-edges in target order; edges lists every
+	// live edge by id, and edgeKey names it from+">"+to.
+	out     [][]liveEdge
+	edges   []liveEdge
+	edgeKey []string
+	crit    []float64
+	// hw is the HW class of each node; a node missing from HWOf has the
+	// class of "". hasHW is false when the campaign has no HWOf at all.
+	hw            []int32
+	hasHW         bool
 	weights       []float64
 	weightTotal   float64
-	crit          map[string]float64
-	hwOf          map[string]string
 	seedBase      uint64
 	maxHops       int
 	commFrac      float64
@@ -327,9 +347,7 @@ type campaignEnv struct {
 func newCampaignEnv(c *Campaign) *campaignEnv {
 	env := &campaignEnv{
 		nodes:         c.Graph.Nodes(),
-		out:           map[string][]graph.Edge{},
-		crit:          map[string]float64{},
-		hwOf:          c.HWOf,
+		hasHW:         c.HWOf != nil,
 		seedBase:      rng.Mix(c.Seed),
 		maxHops:       c.MaxHops,
 		commFrac:      c.CommFaultFraction,
@@ -337,30 +355,40 @@ func newCampaignEnv(c *Campaign) *campaignEnv {
 		model:         c.model(),
 	}
 	env.persist = env.model.persist()
-	for _, n := range env.nodes {
-		env.crit[n] = c.Graph.Attrs(n).Value(attrs.Criticality)
-		var live []graph.Edge
-		for _, e := range c.Graph.OutEdges(n) {
-			if e.Replica || e.Weight <= 0 {
-				continue
-			}
-			live = append(live, e)
+	n := len(env.nodes)
+	id := make(map[string]int, n)
+	hwClass := map[string]int32{}
+	env.out = make([][]liveEdge, n)
+	env.crit = make([]float64, n)
+	env.hw = make([]int32, n)
+	for i, name := range env.nodes {
+		id[name] = i
+		env.crit[i] = c.Graph.Attrs(name).Value(attrs.Criticality)
+		host := c.HWOf[name]
+		class, ok := hwClass[host]
+		if !ok {
+			class = int32(len(hwClass))
+			hwClass[host] = class
 		}
-		env.out[n] = live
+		env.hw[i] = class
 	}
-	if c.CommFaultFraction > 0 {
-		for _, e := range c.Graph.Edges() {
-			if !e.Replica && e.Weight > 0 {
-				env.commEdges = append(env.commEdges, e)
-			}
+	// Graph.Edges() is sorted by (From, To), so appending in its order
+	// leaves every out list in target order, as Graph.OutEdges has it.
+	for _, e := range c.Graph.Edges() {
+		if e.Replica || e.Weight <= 0 {
+			continue
 		}
+		le := liveEdge{id: len(env.edges), from: id[e.From], to: id[e.To], w: e.Weight}
+		env.edges = append(env.edges, le)
+		env.edgeKey = append(env.edgeKey, e.From+">"+e.To)
+		env.out[le.from] = append(env.out[le.from], le)
 	}
 	// Injection-site sampler weights.
-	env.weights = make([]float64, len(env.nodes))
-	for i, n := range env.nodes {
+	env.weights = make([]float64, n)
+	for i, name := range env.nodes {
 		w := 1.0
 		if c.OccurrenceWeights != nil {
-			w = c.OccurrenceWeights[n]
+			w = c.OccurrenceWeights[name]
 		}
 		if w < 0 {
 			w = 0
@@ -372,26 +400,63 @@ func newCampaignEnv(c *Campaign) *campaignEnv {
 		for i := range env.weights {
 			env.weights[i] = 1
 		}
-		env.weightTotal = float64(len(env.weights))
+		env.weightTotal = float64(n)
 	}
 	return env
 }
 
-func (env *campaignEnv) pick(rng *rand.Rand) string {
+// pick draws an injection site from the occurrence-weight sampler and
+// returns its node id.
+func (env *campaignEnv) pick(rng *rand.Rand) int {
 	x := rng.Float64() * env.weightTotal
 	for i, w := range env.weights {
 		x -= w
 		if x < 0 {
-			return env.nodes[i]
+			return i
 		}
 	}
-	return env.nodes[len(env.nodes)-1]
+	return len(env.nodes) - 1
+}
+
+// trialWorker is one worker's trial machinery: the PCG it reseeds for
+// every trial and scratch kept for a whole chunk, so a trial allocates
+// nothing. A node is faulty in the current trial when seen[n] == stamp,
+// and its fault arrived over a HW boundary when crossAt[n] == stamp;
+// bumping stamp clears both marks at once.
+type trialWorker struct {
+	env      *campaignEnv
+	pcg      *rand.PCG
+	rng      *rand.Rand
+	t        trialState
+	stamp    uint32
+	seen     []uint32
+	crossAt  []uint32
+	order    []int
+	frontier []int
+}
+
+// newWorker returns a worker whose scratch already fits any trial: a
+// node is admitted at most once per trial, so order and frontier never
+// outgrow the node count, and neither does a trial's origin set.
+func (env *campaignEnv) newWorker() *trialWorker {
+	n := len(env.nodes)
+	pcg := rand.NewPCG(0, 0)
+	return &trialWorker{
+		env:      env,
+		pcg:      pcg,
+		rng:      rand.New(pcg),
+		t:        trialState{origins: make([]trialOrigin, 0, n)},
+		seen:     make([]uint32, n),
+		crossAt:  make([]uint32, n),
+		order:    make([]int, 0, n),
+		frontier: make([]int, 0, n),
+	}
 }
 
 // runChunk executes the trials [ch.Begin, ch.End) on their own
 // substreams, accumulating into ch. The context is polled at every trial
 // boundary; a cancelled chunk is all-or-nothing and contributes no trials.
-func (env *campaignEnv) runChunk(ctx context.Context, pcg *rand.PCG, r *rand.Rand, ch *ChunkOutput) error {
+func (w *trialWorker) runChunk(ctx context.Context, ch *ChunkOutput) error {
 	for trial := ch.Begin; trial < ch.End; trial++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -401,19 +466,20 @@ func (env *campaignEnv) runChunk(ctx context.Context, pcg *rand.PCG, r *rand.Ran
 		// The trial's substream depends only on (Seed, trial), never on
 		// execution history, which is what makes sharding and resume
 		// bit-exact.
-		pcg.Seed(rng.Seeds(env.seedBase + uint64(trial)))
-		env.runTrial(r, ch)
+		w.pcg.Seed(rng.Seeds(w.env.seedBase + uint64(trial)))
+		w.runTrial(ch)
 	}
 	return nil
 }
 
-func (env *campaignEnv) runTrial(rng *rand.Rand, ch *ChunkOutput) {
+func (w *trialWorker) runTrial(ch *ChunkOutput) {
+	env, rng, t := w.env, w.rng, &w.t
 	// The fault model draws the initial fault set; propagation below is
 	// shared by every model. All draws come from the trial's private
 	// substream in a fixed order, so the trial is a pure function of
 	// (Seed, trial index) under every model.
-	var t trialState
-	env.model.inject(env, rng, &t)
+	t.reset()
+	env.model.inject(env, rng, t)
 	if t.commFault {
 		ch.CommFaultTrials++
 	}
@@ -425,54 +491,41 @@ func (env *campaignEnv) runTrial(rng *rand.Rand, ch *ChunkOutput) {
 	}
 	ch.InitialFaults += len(t.origins)
 
-	faulty := make(map[string]bool, len(t.origins))
-	// order records affected nodes in discovery order so the criticality
-	// sums below never depend on map iteration; viaCross marks nodes
-	// whose fault arrived over a HW boundary for escaped-loss accounting.
-	var order []string
-	var frontier []string
-	viaCross := map[string]bool{}
-	// admit marks one newly faulty FCM. Under a transient model the
-	// permanence draw happens at discovery, in frontier order; a
-	// transient fault affects its FCM but never joins the frontier.
-	admit := func(n string, crossed bool) {
-		faulty[n] = true
-		order = append(order, n)
-		if crossed {
-			viaCross[n] = true
-		}
-		if env.persist < 1 && rng.Float64() >= env.persist {
-			ch.TransientFaults++
-			return
-		}
-		frontier = append(frontier, n)
+	w.stamp++
+	if w.stamp == 0 { // wrapped: marks from 2^32 trials ago would alias
+		clear(w.seen)
+		clear(w.crossAt)
+		w.stamp = 1
 	}
+	stamp := w.stamp
+	// order records affected nodes in discovery order so the criticality
+	// sums below are a fixed function of the trial.
+	w.order, w.frontier = w.order[:0], w.frontier[:0]
 	for _, o := range t.origins {
-		if faulty[o.node] {
+		if w.seen[o.node] == stamp {
 			continue
 		}
-		admit(o.node, o.viaCross)
+		w.admit(o.node, o.viaCross, ch)
 	}
-	hops := 0
-	for len(frontier) > 0 && (env.maxHops == 0 || hops < env.maxHops) {
+	hops, head := 0, 0
+	for head < len(w.frontier) && (env.maxHops == 0 || hops < env.maxHops) {
 		hops++
-		boundary := len(frontier)
-		for _, u := range frontier[:boundary] {
+		for boundary := len(w.frontier); head < boundary; head++ {
+			u := w.frontier[head]
 			for _, e := range env.out[u] {
-				key := u + ">" + e.To
 				// The transmission draw happens whether or not the
 				// target is already faulty — conditioning the draw on
 				// target health would bias the per-edge estimate
 				// downward on convergent paths.
-				ch.EdgeTrials[key]++
-				if rng.Float64() >= e.Weight {
+				ch.EdgeTrials[e.id]++
+				if rng.Float64() >= e.w {
 					continue
 				}
-				ch.TransmissionCount[key]++
-				if faulty[e.To] {
+				ch.Transmissions[e.id]++
+				if w.seen[e.to] == stamp {
 					continue
 				}
-				crossed := env.hwOf != nil && env.hwOf[u] != env.hwOf[e.To]
+				crossed := env.hasHW && env.hw[u] != env.hw[e.to]
 				if crossed {
 					ch.CrossTransmissions++
 					escaped = true
@@ -480,21 +533,20 @@ func (env *campaignEnv) runTrial(rng *rand.Rand, ch *ChunkOutput) {
 				// The escape taint is sticky: once an infection chain has
 				// crossed a HW boundary, everything it infects downstream
 				// is containment-failure damage too.
-				admit(e.To, crossed || viaCross[u])
+				w.admit(e.to, crossed || w.crossAt[u] == stamp, ch)
 			}
 		}
-		frontier = frontier[boundary:]
 	}
-	ch.TotalAffected += len(order)
+	ch.TotalAffected += len(w.order)
 	if escaped {
 		ch.TrialsWithEscape++
 	}
 	loss, escLoss := 0.0, 0.0
-	for _, n := range order {
-		ch.AffectedCount[n]++
+	for _, n := range w.order {
+		ch.Affected[n]++
 		cv := env.crit[n]
 		loss += cv
-		if viaCross[n] {
+		if w.crossAt[n] == stamp {
 			escLoss += cv
 		}
 		if env.critThreshold > 0 && cv >= env.critThreshold {
@@ -503,6 +555,23 @@ func (env *campaignEnv) runTrial(rng *rand.Rand, ch *ChunkOutput) {
 	}
 	ch.CritPerTrial = append(ch.CritPerTrial, loss)
 	ch.EscPerTrial = append(ch.EscPerTrial, escLoss)
+}
+
+// admit marks node n newly faulty; crossed marks a fault that arrived
+// over a HW boundary. Under a transient model the permanence draw happens
+// at discovery, in frontier order; a transient fault affects its FCM but
+// never joins the frontier.
+func (w *trialWorker) admit(n int, crossed bool, ch *ChunkOutput) {
+	w.seen[n] = w.stamp
+	w.order = append(w.order, n)
+	if crossed {
+		w.crossAt[n] = w.stamp
+	}
+	if w.env.persist < 1 && w.rng.Float64() >= w.env.persist {
+		ch.TransientFaults++
+		return
+	}
+	w.frontier = append(w.frontier, n)
 }
 
 // chunkEnd returns the end of the chunk beginning at b: the next absolute
@@ -519,11 +588,16 @@ func chunkEnd(b, trials int) int {
 // accumulating Result, the completed-trial frontier, and everything the
 // evaluation points (telemetry checkpoints, persistence, early stopping)
 // need. Chunks are merged strictly in grid order by a single goroutine;
-// absorb holds the ones that arrive early.
+// absorb holds the ones that arrive early. The per-node and per-edge
+// counters accumulate densely, by id; result names them.
 type campaignRun struct {
-	c            *Campaign
-	env          *campaignEnv
-	res          Result
+	c   *Campaign
+	env *campaignEnv
+	res Result // scalar totals; the named maps are built by result
+	// affected, edgeTrials and transmissions are the merged dense
+	// counters, by node id and live-edge id.
+	affected, edgeTrials, transmissions []int
+
 	done         int                  // completed-trial frontier (all trials < done merged)
 	held         map[int]*ChunkOutput // absorbed ahead of the frontier, by grid index
 	fp           string
@@ -598,6 +672,9 @@ func (r *campaignRun) absorb(ch *ChunkOutput) (stop bool, err error) {
 		return false, stage.Wrap("inject", "merge", "", fmt.Errorf(
 			"faultsim: chunk [%d,%d) absorbed %s, frontier %d", b, e, bad, r.done))
 	}
+	if err := r.checkShape(ch); err != nil {
+		return false, err
+	}
 	if b != r.done {
 		r.held[ChunkIndex(b)] = ch
 		return false, nil
@@ -616,6 +693,24 @@ func (r *campaignRun) absorb(ch *ChunkOutput) (stop bool, err error) {
 	return false, nil
 }
 
+// checkShape rejects a chunk whose slices do not fit the campaign: one
+// per-trial loss per trial, one affected counter per node and one
+// edge-trial and transmission counter per live edge. Merging a misshapen
+// chunk would index out of range or silently drop counts.
+func (r *campaignRun) checkShape(ch *ChunkOutput) error {
+	trials := ch.End - ch.Begin
+	if len(ch.CritPerTrial) == trials && len(ch.EscPerTrial) == trials &&
+		len(ch.Affected) == len(r.affected) && len(ch.EdgeTrials) == len(r.edgeTrials) &&
+		len(ch.Transmissions) == len(r.transmissions) {
+		return nil
+	}
+	return stage.Wrap("inject", "merge", "", fmt.Errorf(
+		"faultsim: chunk [%d,%d) has %d/%d per-trial losses and %d/%d/%d affected/edge-trial/transmission counters, campaign wants %d, %d nodes and %d live edges",
+		ch.Begin, ch.End, len(ch.CritPerTrial), len(ch.EscPerTrial),
+		len(ch.Affected), len(ch.EdgeTrials), len(ch.Transmissions),
+		trials, len(r.affected), len(r.edgeTrials)))
+}
+
 // merge folds chunk ch, which begins at the frontier, into the Result and
 // fires every evaluation point the frontier crossed: telemetry
 // checkpoint, persistence, and the early-stopping test. It reports
@@ -625,6 +720,9 @@ func (r *campaignRun) absorb(ch *ChunkOutput) (stop bool, err error) {
 func (r *campaignRun) merge(ch *ChunkOutput) (stop bool, err error) {
 	b, e := ch.Begin, ch.End
 	r.res.absorb(ch)
+	addInto(r.affected, ch.Affected)
+	addInto(r.edgeTrials, ch.EdgeTrials)
+	addInto(r.transmissions, ch.Transmissions)
 	r.done = e
 	if r.trialsCtr != nil {
 		r.trialsCtr.Add(int64(e - b))
@@ -637,7 +735,7 @@ func (r *campaignRun) merge(ch *ChunkOutput) (stop bool, err error) {
 	}
 	crossedPersist := b/r.persistEvery != e/r.persistEvery || e == r.c.Trials
 	if r.c.CheckpointPath != "" && crossedPersist {
-		if err := saveCheckpoint(r.c.CheckpointPath, r.fp, e, r.res); err != nil {
+		if err := r.save(e); err != nil {
 			return false, err
 		}
 	}
@@ -653,7 +751,7 @@ func (r *campaignRun) merge(ch *ChunkOutput) (stop bool, err error) {
 					obs.Float("half_width", waldHalfWidth(rate, e, r.z)))
 			}
 			if r.c.CheckpointPath != "" {
-				if err := saveCheckpoint(r.c.CheckpointPath, r.fp, e, r.res); err != nil {
+				if err := r.save(e); err != nil {
 					return false, err
 				}
 			}
@@ -663,13 +761,68 @@ func (r *campaignRun) merge(ch *ChunkOutput) (stop bool, err error) {
 	return false, nil
 }
 
+// addInto adds the counters of src to dst, index by index.
+func addInto(dst, src []int) {
+	for i, v := range src {
+		dst[i] += v
+	}
+}
+
+// save persists the campaign state at frontier done.
+func (r *campaignRun) save(done int) error {
+	return saveCheckpoint(r.c.CheckpointPath, r.fp, done, r.result())
+}
+
+// result returns the merged Result with its named counters built from the
+// dense totals — the one place ids become names.
+func (r *campaignRun) result() Result {
+	res := r.res
+	res.AffectedCount = named(r.env.nodes, r.affected)
+	res.TransmissionCount = named(r.env.edgeKey, r.transmissions)
+	res.EdgeTrials = named(r.env.edgeKey, r.edgeTrials)
+	return res
+}
+
+// named keys the nonzero dense counts by name. Counts add up, so edges
+// whose from+">"+to keys collide share one entry, as they did when trials
+// wrote the named maps directly.
+func named(names []string, counts []int) map[string]int {
+	m := make(map[string]int, len(counts))
+	for i, v := range counts {
+		if v != 0 {
+			m[names[i]] += v
+		}
+	}
+	return m
+}
+
+// unname reads named counts back into the dense counters dst. Each count
+// goes to the first id carrying its name, so a key shared by several
+// edges rebuilds to the same sum. A name the campaign does not have is a
+// checkpoint mismatch.
+func unname(counts map[string]int, names []string, dst []int) error {
+	id := make(map[string]int, len(names))
+	for i := len(names) - 1; i >= 0; i-- {
+		id[names[i]] = i
+	}
+	for name, v := range counts {
+		i, ok := id[name]
+		if !ok {
+			return fmt.Errorf("%w: counter %q names no node or live edge of the campaign",
+				ErrCheckpointMismatch, name)
+		}
+		dst[i] += v
+	}
+	return nil
+}
+
 // cancelled persists the completed-trial frontier and wraps the context
 // error, mirroring the serial cancellation contract.
 func (r *campaignRun) cancelled(cause error) error {
 	err := fmt.Errorf("faultsim: cancelled after %d/%d trials: %w",
 		r.done, r.c.Trials, cause)
 	if r.c.CheckpointPath != "" {
-		if serr := saveCheckpoint(r.c.CheckpointPath, r.fp, r.done, r.res); serr != nil {
+		if serr := r.save(r.done); serr != nil {
 			return errors.Join(serr, err)
 		}
 	}
@@ -680,12 +833,11 @@ func (r *campaignRun) cancelled(cause error) error {
 // goroutines but uses the exact same chunk grid and merge arithmetic as
 // the pool, which is what makes the two bit-identical.
 func (r *campaignRun) serial(start int) error {
-	pcg := rand.NewPCG(0, 0)
-	rng := rand.New(pcg)
+	w := r.env.newWorker()
 	ch := &ChunkOutput{}
 	for b := start; b < r.c.Trials; b = ch.End {
-		ch.reset(b, chunkEnd(b, r.c.Trials))
-		if err := r.env.runChunk(r.c.Ctx, pcg, rng, ch); err != nil {
+		r.env.resetChunk(ch, b, chunkEnd(b, r.c.Trials))
+		if err := w.runChunk(r.c.Ctx, ch); err != nil {
 			return r.cancelled(err)
 		}
 		// Every chunk begins at the frontier, so merging it directly is
@@ -728,12 +880,11 @@ func (r *campaignRun) parallel(start, workers int) error {
 				r.workersGauge.Add(1)
 				defer r.workersGauge.Add(-1)
 			}
-			pcg := rand.NewPCG(0, 0)
-			rng := rand.New(pcg)
+			tw := r.env.newWorker()
 			chunks, trials := 0, 0
 			for j := range jobs {
-				ch := newChunk(j.b, j.e)
-				err := r.env.runChunk(r.c.Ctx, pcg, rng, ch)
+				ch := r.env.newChunk(j.b, j.e)
+				err := tw.runChunk(r.c.Ctx, ch)
 				if err == nil {
 					chunks++
 					trials += j.e - j.b
@@ -889,16 +1040,15 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 	if err := c.validate(); err != nil {
 		return nil, 0, err
 	}
+	env := newCampaignEnv(c)
 	run := &campaignRun{
-		c:    c,
-		env:  newCampaignEnv(c),
-		held: map[int]*ChunkOutput{},
-		res: Result{
-			Trials:            c.Trials,
-			AffectedCount:     map[string]int{},
-			TransmissionCount: map[string]int{},
-			EdgeTrials:        map[string]int{},
-		},
+		c:             c,
+		env:           env,
+		held:          map[int]*ChunkOutput{},
+		res:           Result{Trials: c.Trials},
+		affected:      make([]int, len(env.nodes)),
+		edgeTrials:    make([]int, len(env.edgeKey)),
+		transmissions: make([]int, len(env.edgeKey)),
 	}
 
 	// Crash-safe checkpointing: resolve the campaign fingerprint once,
@@ -936,18 +1086,17 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 				return nil, 0, fmt.Errorf("%w: checkpoint has %d trials done, campaign wants %d",
 					ErrCheckpointMismatch, cf.TrialsDone, c.Trials)
 			}
+			if err := errors.Join(
+				unname(cf.Result.AffectedCount, env.nodes, run.affected),
+				unname(cf.Result.TransmissionCount, env.edgeKey, run.transmissions),
+				unname(cf.Result.EdgeTrials, env.edgeKey, run.edgeTrials),
+			); err != nil {
+				return nil, 0, err
+			}
 			run.res = cf.Result
 			run.res.Trials = c.Trials
 			run.res.EarlyStopped = false
-			if run.res.AffectedCount == nil {
-				run.res.AffectedCount = map[string]int{}
-			}
-			if run.res.TransmissionCount == nil {
-				run.res.TransmissionCount = map[string]int{}
-			}
-			if run.res.EdgeTrials == nil {
-				run.res.EdgeTrials = map[string]int{}
-			}
+			run.res.AffectedCount, run.res.TransmissionCount, run.res.EdgeTrials = nil, nil, nil
 			start = cf.TrialsDone
 		}
 	}
@@ -989,27 +1138,28 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 // the ledger's campaign record) and returns the merged Result.
 func (r *campaignRun) finish() Result {
 	c := r.c
+	res := r.result()
 	if c.Bus != nil {
 		c.Bus.Publish("campaign_done", r.label,
-			obs.Int("trials_done", r.res.Trials),
+			obs.Int("trials_done", res.Trials),
 			obs.Int("trials_total", c.Trials),
-			obs.Float("escape_rate", r.res.EscapeRate()),
-			obs.Bool("early_stopped", r.res.EarlyStopped))
+			obs.Float("escape_rate", res.EscapeRate()),
+			obs.Bool("early_stopped", res.EarlyStopped))
 	}
 	c.Ledger.Append(ledger.Record{
 		Kind: ledger.KindCampaign, Stage: "faultsim",
 		Detail: fmt.Sprintf("model %s, seed %d", c.model().Name(), c.Seed),
 		Values: map[string]float64{
-			"trials":                float64(r.res.Trials),
-			"escape_rate":           r.res.EscapeRate(),
-			"mean_affected":         r.res.MeanAffected(),
-			"mean_criticality_loss": r.res.MeanCriticalityLoss(),
-			"weighted_escape_rate":  r.res.CriticalityWeightedEscapeRate(),
-			"cross_transmissions":   float64(r.res.CrossNodeTransmissions),
-			"early_stopped":         b2f(r.res.EarlyStopped),
+			"trials":                float64(res.Trials),
+			"escape_rate":           res.EscapeRate(),
+			"mean_affected":         res.MeanAffected(),
+			"mean_criticality_loss": res.MeanCriticalityLoss(),
+			"weighted_escape_rate":  res.CriticalityWeightedEscapeRate(),
+			"cross_transmissions":   float64(res.CrossNodeTransmissions),
+			"early_stopped":         b2f(res.EarlyStopped),
 		},
 	})
-	return r.res
+	return res
 }
 
 // b2f encodes a flag into a ledger value.
@@ -1069,8 +1219,11 @@ func RunHW(c HWFaultCampaign) (HWResult, error) {
 	if len(c.ReplicasOf) == 0 {
 		return HWResult{}, ErrNoNodes
 	}
-	if c.FailureProb < 0 || c.FailureProb > 1 {
-		return HWResult{}, fmt.Errorf("faultsim: failure probability %g out of range", c.FailureProb)
+	// A NaN would fail every rng.Float64() < p draw and silently report
+	// zero unavailability.
+	if !validProb(c.FailureProb) {
+		return HWResult{}, stage.Wrap("inject", "hw", "", fmt.Errorf(
+			"%w: failure probability %g out of range", ErrBadProbability, c.FailureProb))
 	}
 	rng := rand.New(rand.NewPCG(c.Seed, c.Seed^0x6a09e667f3bcc909))
 

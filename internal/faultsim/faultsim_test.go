@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/spec"
+	"repro/internal/stage"
 )
 
 func chain(t *testing.T, w float64) *graph.Graph {
@@ -238,10 +239,14 @@ func TestRunHWValidation(t *testing.T) {
 	if _, err := RunHW(HWFaultCampaign{Trials: 5}); !errors.Is(err, ErrNoNodes) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := RunHW(HWFaultCampaign{
-		Trials: 5, ReplicasOf: map[string][]string{"m": {"m"}}, FailureProb: 2,
-	}); err == nil {
-		t.Error("bad probability accepted")
+	for _, p := range []float64{math.NaN(), math.Inf(1), 2, -0.1} {
+		_, err := RunHW(HWFaultCampaign{
+			Trials: 5, ReplicasOf: map[string][]string{"m": {"m"}}, FailureProb: p,
+		})
+		var se *stage.Error
+		if !errors.Is(err, ErrBadProbability) || !errors.As(err, &se) || se.Stage != "inject" {
+			t.Errorf("FailureProb %g: err = %v, want an inject-stage ErrBadProbability", p, err)
+		}
 	}
 }
 

@@ -53,18 +53,23 @@ type FaultModel interface {
 	inject(env *campaignEnv, rng *rand.Rand, t *trialState)
 }
 
-// trialOrigin is one initially faulty FCM of a trial.
+// trialOrigin is one initially faulty FCM of a trial, by node id.
 type trialOrigin struct {
-	node string
+	node int
 	// viaCross marks an origin that became faulty through a corrupted
 	// cross-HW communication, so its criticality counts as escaped loss.
 	viaCross bool
 }
 
 // trialState carries the injection outcome of one trial from the model
-// into the shared propagation loop.
+// into the shared propagation loop. A worker reuses one for every trial,
+// together with the Burst sampler's scratch.
 type trialState struct {
 	origins []trialOrigin
+	// weights and taken are Burst's per-trial sampler copy and drawn
+	// marks, kept across trials to avoid allocating them.
+	weights []float64
+	taken   []bool
 	// commFault marks a trial whose initial fault was a corrupted
 	// communication rather than an FCM fault.
 	commFault bool
@@ -73,7 +78,9 @@ type trialState struct {
 	commCrossed bool
 }
 
-func (t *trialState) reset() { *t = trialState{origins: t.origins[:0]} }
+func (t *trialState) reset() {
+	*t = trialState{origins: t.origins[:0], weights: t.weights, taken: t.taken}
+}
 
 // injectSingle is the paper's original fault model: with probability
 // env.commFrac the trial corrupts a communication edge (the receiving FCM
@@ -81,12 +88,12 @@ func (t *trialState) reset() { *t = trialState{origins: t.origins[:0]} }
 // sampler faults. Shared by SingleFault and Transient so both make the
 // exact same rng draws as the pre-interface injector.
 func injectSingle(env *campaignEnv, rng *rand.Rand, t *trialState) {
-	if len(env.commEdges) > 0 && rng.Float64() < env.commFrac {
-		e := env.commEdges[rng.IntN(len(env.commEdges))]
+	if env.commFrac > 0 && len(env.edges) > 0 && rng.Float64() < env.commFrac {
+		e := env.edges[rng.IntN(len(env.edges))]
 		t.commFault = true
-		crossed := env.hwOf != nil && env.hwOf[e.From] != env.hwOf[e.To]
+		crossed := env.hasHW && env.hw[e.from] != env.hw[e.to]
 		t.commCrossed = crossed
-		t.origins = append(t.origins, trialOrigin{node: e.To, viaCross: crossed})
+		t.origins = append(t.origins, trialOrigin{node: e.to, viaCross: crossed})
 		return
 	}
 	t.origins = append(t.origins, trialOrigin{node: env.pick(rng)})
@@ -125,15 +132,16 @@ func (correlatedModel) fingerprint(ws func(string), _ func(float64)) { ws("corre
 func (correlatedModel) persist() float64                             { return 1 }
 func (correlatedModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
 	seed := env.pick(rng)
-	if env.hwOf == nil {
+	if !env.hasHW {
 		t.origins = append(t.origins, trialOrigin{node: seed})
 		return
 	}
-	host := env.hwOf[seed]
-	// env.nodes is sorted, so the colocated set enumerates in a fixed
-	// order — the same order at every worker count and resume point.
-	for _, n := range env.nodes {
-		if env.hwOf[n] == host {
+	host := env.hw[seed]
+	// Node ids follow the sorted node names, so the colocated set
+	// enumerates in a fixed order — the same order at every worker count
+	// and resume point.
+	for n, h := range env.hw {
+		if h == host {
 			t.origins = append(t.origins, trialOrigin{node: n})
 		}
 	}
@@ -171,9 +179,15 @@ func (m burstModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
 	// zero each drawn node. When the remaining mass hits zero (forced
 	// seed nodes, zero-weight tails) the rest draws uniformly over the
 	// not-yet-faulty nodes, so a burst always reaches its size.
-	weights := append([]float64(nil), env.weights...)
+	weights := append(t.weights[:0], env.weights...)
+	taken := t.taken
+	if cap(taken) < len(env.nodes) {
+		taken = make([]bool, len(env.nodes))
+	}
+	taken = taken[:len(env.nodes)]
+	clear(taken)
+	t.weights, t.taken = weights, taken
 	total := env.weightTotal
-	taken := make(map[int]bool, k)
 	for drawn := 0; drawn < k; drawn++ {
 		idx := -1
 		if total > 0 {
@@ -214,7 +228,7 @@ func (m burstModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
 			total = 0
 		}
 		weights[idx] = 0
-		t.origins = append(t.origins, trialOrigin{node: env.nodes[idx]})
+		t.origins = append(t.origins, trialOrigin{node: idx})
 	}
 }
 

@@ -111,13 +111,16 @@ vuln:
 # resilience layer, the feasibility oracle (Check against the full
 # window scan, the demand criterion against EDF simulation) and the
 # campaign merge (any chunk arrival order against Run at Workers=1) and
-# the int-indexed trial loop (against the string-keyed reference) without
-# turning the gate into a fuzzing session.
+# the int-indexed trial loop and the slot-indexed graph (each against its
+# string-keyed reference) without turning the gate into a fuzzing session.
+# The graph target's inputs are long operation scripts, so its new inputs
+# get a short minimisation budget; the default 60s would eat the run.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeSystem$$' -fuzztime $(FUZZTIME) ./internal/spec
 	$(GO) test -run NONE -fuzz 'FuzzIntegrate$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run NONE -fuzz 'FuzzFaultModel$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzMergerOrder$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzTrialLoopMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/faultsim
+	$(GO) test -run NONE -fuzz 'FuzzGraphMatchesReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/graph
 	$(GO) test -run NONE -fuzz 'FuzzCheckMatchesScan$$' -fuzztime $(FUZZTIME) ./internal/sched
 	$(GO) test -run NONE -fuzz 'FuzzFeasibleSimulateAgreement$$' -fuzztime $(FUZZTIME) ./internal/sched

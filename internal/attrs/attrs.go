@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"repro/internal/stage"
@@ -139,80 +139,82 @@ func (p Policy) Combine(a, b float64) float64 {
 	}
 }
 
-// Set is an attribute map for one FCM. The zero value is an empty set,
-// ready to use.
+// Set is the attribute set of one FCM: a value of at most one number per
+// standard kind. It is a plain value (copying it copies the attributes), so
+// sets combine and clone without allocating. The zero value is an empty
+// set, ready to use. Kinds outside the standard set are not stored.
 type Set struct {
-	vals map[Kind]float64
+	has  uint16                // bit k is set when kind k is present
+	vals [numKinds + 1]float64 // vals[k] is the value of kind k; vals[0] is unused
 }
 
 // New returns a Set populated from pairs of (Kind, value).
 func New(pairs map[Kind]float64) Set {
-	s := Set{vals: make(map[Kind]float64, len(pairs))}
+	var s Set
 	for k, v := range pairs {
-		s.vals[k] = v
+		s.put(k, v)
 	}
 	return s
 }
 
+// put stores v under a standard kind k and ignores any other kind.
+func (s *Set) put(k Kind, v float64) {
+	if k.Valid() {
+		s.has |= 1 << k
+		s.vals[k] = v
+	}
+}
+
 // Timing builds the Table-1 style attribute set ⟨C, FT, EST, TCD, CT⟩.
 func Timing(criticality float64, ft int, est, tcd, ct float64) Set {
-	return New(map[Kind]float64{
-		Criticality:    criticality,
-		FaultTolerance: float64(ft),
-		EarliestStart:  est,
-		Deadline:       tcd,
-		ComputeTime:    ct,
-	})
+	var s Set
+	s.put(Criticality, criticality)
+	s.put(FaultTolerance, float64(ft))
+	s.put(EarliestStart, est)
+	s.put(Deadline, tcd)
+	s.put(ComputeTime, ct)
+	return s
 }
 
 // Get returns the value of kind k and whether it is present.
 func (s Set) Get(k Kind) (float64, bool) {
-	v, ok := s.vals[k]
-	return v, ok
+	if !s.Has(k) {
+		return 0, false
+	}
+	return s.vals[k], true
 }
 
 // Value returns the value of kind k, or 0 if absent.
-func (s Set) Value(k Kind) float64 { return s.vals[k] }
+func (s Set) Value(k Kind) float64 {
+	v, _ := s.Get(k)
+	return v
+}
 
 // Has reports whether kind k is present.
-func (s Set) Has(k Kind) bool {
-	_, ok := s.vals[k]
-	return ok
-}
+func (s Set) Has(k Kind) bool { return k.Valid() && s.has&(1<<k) != 0 }
 
 // Set assigns value v to kind k, returning a new Set; the receiver is not
 // modified (attribute sets are treated as values at module boundaries).
 func (s Set) Set(k Kind, v float64) Set {
-	out := s.Clone()
-	if out.vals == nil {
-		out.vals = make(map[Kind]float64, 1)
-	}
-	out.vals[k] = v
-	return out
+	s.put(k, v)
+	return s
 }
 
-// Clone returns a deep copy of the set.
-func (s Set) Clone() Set {
-	if s.vals == nil {
-		return Set{}
-	}
-	out := Set{vals: make(map[Kind]float64, len(s.vals))}
-	for k, v := range s.vals {
-		out.vals[k] = v
-	}
-	return out
-}
+// Clone returns a copy of the set. A Set is a value, so this is the set
+// itself; it is kept for callers that copy explicitly.
+func (s Set) Clone() Set { return s }
 
 // Len returns the number of attributes present.
-func (s Set) Len() int { return len(s.vals) }
+func (s Set) Len() int { return bits.OnesCount16(s.has) }
 
 // Kinds returns the kinds present, sorted for deterministic iteration.
 func (s Set) Kinds() []Kind {
-	ks := make([]Kind, 0, len(s.vals))
-	for k := range s.vals {
-		ks = append(ks, k)
+	ks := make([]Kind, 0, s.Len())
+	for k := Criticality; int(k) <= numKinds; k++ {
+		if s.Has(k) {
+			ks = append(ks, k)
+		}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
 }
 
@@ -226,15 +228,15 @@ func Combine(a, b Set) Set {
 // CombineWith merges two attribute sets using policyOf to select the policy
 // for each kind.
 func CombineWith(a, b Set, policyOf func(Kind) Policy) Set {
-	out := Set{vals: make(map[Kind]float64, len(a.vals)+len(b.vals))}
-	for k, v := range a.vals {
-		out.vals[k] = v
-	}
-	for k, v := range b.vals {
-		if prev, ok := out.vals[k]; ok {
-			out.vals[k] = policyOf(k).Combine(prev, v)
+	out := a
+	for k := Criticality; int(k) <= numKinds; k++ {
+		if !b.Has(k) {
+			continue
+		}
+		if a.Has(k) {
+			out.vals[k] = policyOf(k).Combine(a.vals[k], b.vals[k])
 		} else {
-			out.vals[k] = v
+			out.put(k, b.vals[k])
 		}
 	}
 	return out
@@ -246,7 +248,7 @@ func CombineAll(sets ...Set) Set {
 	var out Set
 	for i, s := range sets {
 		if i == 0 {
-			out = s.Clone()
+			out = s
 			continue
 		}
 		out = Combine(out, s)
@@ -256,12 +258,11 @@ func CombineAll(sets ...Set) Set {
 
 // Equal reports whether two sets hold identical kinds and values.
 func (s Set) Equal(o Set) bool {
-	if len(s.vals) != len(o.vals) {
+	if s.has != o.has {
 		return false
 	}
-	for k, v := range s.vals {
-		ov, ok := o.vals[k]
-		if !ok || ov != v {
+	for k := Criticality; int(k) <= numKinds; k++ {
+		if s.Has(k) && s.vals[k] != o.vals[k] {
 			return false
 		}
 	}
@@ -318,12 +319,15 @@ func DefaultWeights() (Weights, error) {
 	return w, nil
 }
 
-// Importance computes I_i = Σ_k w_k · v_k over the kinds present in s.
+// Importance computes I_i = Σ_k w_k · v_k over the kinds present in s,
+// summed in kind order.
 // Kinds without a weight contribute nothing.
 func (ws Weights) Importance(s Set) float64 {
 	var sum float64
-	for k, v := range s.vals {
-		sum += ws.w[k] * v
+	for k := Criticality; int(k) <= numKinds; k++ {
+		if s.Has(k) {
+			sum += ws.w[k] * s.vals[k]
+		}
 	}
 	return sum
 }

@@ -63,12 +63,17 @@ type Condenser struct {
 	G *graph.Graph
 	// jobs maps each base node id to its scheduling job.
 	jobs map[string]sched.Job
-	// nodeJobs caches each node's jobs in Members order. A node id
-	// determines its members, so an entry never goes stale.
-	nodeJobs map[string][]sched.Job
+	// baseJobs caches jobs by the graph's base-node ids (jobsGraph's), and
+	// hasJob marks the ids with a job.
+	jobsGraph *graph.Graph
+	baseJobs  []sched.Job
+	hasJob    []bool
 	// union is the reused buffer holding the joint job set of the pair or
-	// group under test.
+	// group under test; bases and pair are scratch for member ids and
+	// the slots of a merge.
 	union []sched.Job
+	bases []int32
+	pair  [2]int
 	// Trace accumulates the combination steps in order.
 	Trace []Step
 	// span receives one event per merge / backtrack; metrics count the
@@ -154,25 +159,46 @@ func NewCondenser(g *graph.Graph, jobs []sched.Job) *Condenser {
 	for _, j := range jobs {
 		jm[j.Name] = j
 	}
-	return &Condenser{G: g, jobs: jm, nodeJobs: map[string][]sched.Job{}}
+	return &Condenser{G: g, jobs: jm}
+}
+
+// appendJobs appends the scheduling jobs of the base members of slot s to
+// dst, in member order.
+func (c *Condenser) appendJobs(dst []sched.Job, s int) []sched.Job {
+	if c.jobsGraph != c.G {
+		c.jobsGraph, c.baseJobs, c.hasJob = c.G, c.baseJobs[:0], c.hasJob[:0]
+	}
+	c.bases = c.G.AppendMembers(c.bases[:0], s)
+	for _, b := range c.bases {
+		for int(b) >= len(c.baseJobs) {
+			j, ok := c.jobs[c.G.BaseName(int32(len(c.baseJobs)))]
+			c.baseJobs, c.hasJob = append(c.baseJobs, j), append(c.hasJob, ok)
+		}
+		if c.hasJob[b] {
+			dst = append(dst, c.baseJobs[b])
+		}
+	}
+	return dst
+}
+
+// appendJobsOf is appendJobs for node id. An id that is not in the graph
+// still names its members, as Members parses them.
+func (c *Condenser) appendJobsOf(dst []sched.Job, id string) []sched.Job {
+	if s, ok := c.G.Slot(id); ok {
+		return c.appendJobs(dst, s)
+	}
+	for _, m := range graph.Members(id) {
+		if j, ok := c.jobs[m]; ok {
+			dst = append(dst, j)
+		}
+	}
+	return dst
 }
 
 // jobsOf returns the scheduling jobs of the base members of node id (a
-// plain node or a cluster id) in Members order. The slice is cached per id,
-// so callers must not modify it.
+// plain node or a cluster id) in Members order.
 func (c *Condenser) jobsOf(id string) []sched.Job {
-	if js, ok := c.nodeJobs[id]; ok {
-		return js
-	}
-	members := graph.Members(id)
-	js := make([]sched.Job, 0, len(members))
-	for _, m := range members {
-		if j, ok := c.jobs[m]; ok {
-			js = append(js, j)
-		}
-	}
-	c.nodeJobs[id] = js
-	return js
+	return c.appendJobsOf(nil, id)
 }
 
 // timingInfeasible is the reason combinable gives for a pair whose joint
@@ -195,22 +221,32 @@ func (c *Condenser) CanCombine(a, b string) (bool, string) {
 // loops that discard the reason. After a timing rejection c.union still
 // holds the pair's jobs.
 func (c *Condenser) combinable(a, b string) (bool, string) {
+	sa, okA := c.G.Slot(a)
+	sb, okB := c.G.Slot(b)
+	if !okA || !okB {
+		if m := c.metrics; m != nil {
+			m.pairsConsidered.Inc()
+		}
+		return false, "unknown node"
+	}
+	return c.combinableSlots(sa, sb)
+}
+
+// combinableSlots is combinable for two live slots.
+func (c *Condenser) combinableSlots(a, b int) (bool, string) {
 	if m := c.metrics; m != nil {
 		m.pairsConsidered.Inc()
-	}
-	if !c.G.HasNode(a) || !c.G.HasNode(b) {
-		return false, "unknown node"
 	}
 	if a == b {
 		return false, "same node"
 	}
-	if c.G.AreReplicas(a, b) {
+	if c.G.AreReplicaSlots(a, b) {
 		if m := c.metrics; m != nil {
 			m.rejectedReplica.Inc()
 		}
 		return false, "replicas of one module"
 	}
-	c.union = append(append(c.union[:0], c.jobsOf(a)...), c.jobsOf(b)...)
+	c.union = c.appendJobs(c.appendJobs(c.union[:0], a), b)
 	ok, err := sched.Check(c.union)
 	if err != nil {
 		return false, err.Error()
@@ -231,14 +267,36 @@ func (c *Condenser) combinable(a, b string) (bool, string) {
 // influence combination, records the step under the given rule label, and
 // returns the new cluster id.
 func (c *Condenser) Combine(a, b, rule string) (string, error) {
-	if ok, why := c.CanCombine(a, b); !ok {
+	sa, okA := c.G.Slot(a)
+	sb, okB := c.G.Slot(b)
+	if !okA || !okB {
+		_, why := c.CanCombine(a, b)
 		return "", fmt.Errorf("cluster: cannot combine %q and %q: %s", a, b, why)
 	}
-	mutual := c.G.MutualInfluence(a, b)
-	id, err := c.G.Contract([]string{a, b}, influence.MustCombine)
+	s, err := c.combineSlots(sa, sb, rule)
 	if err != nil {
-		return "", fmt.Errorf("cluster: contract: %w", err)
+		return "", err
 	}
+	return c.G.Name(s), nil
+}
+
+// combineSlots is Combine for two live slots; it returns the cluster's
+// slot, which is a's.
+func (c *Condenser) combineSlots(sa, sb int, rule string) (int, error) {
+	a, b := c.G.Name(sa), c.G.Name(sb)
+	if ok, why := c.combinableSlots(sa, sb); !ok {
+		if why == timingInfeasible {
+			why += ": " + sched.Witness(c.union)
+		}
+		return 0, fmt.Errorf("cluster: cannot combine %q and %q: %s", a, b, why)
+	}
+	mutual := c.G.MutualSlots(sa, sb)
+	c.pair = [2]int{sa, sb}
+	s, err := c.G.ContractSlots(c.pair[:], influence.MustCombine)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: contract: %w", err)
+	}
+	id := c.G.Name(s)
 	c.Trace = append(c.Trace, Step{A: a, B: b, Mutual: mutual, Result: id, Rule: rule})
 	c.led.Append(ledger.Record{
 		Kind: ledger.KindMerge, Stage: "condense", Rule: rule,
@@ -258,7 +316,7 @@ func (c *Condenser) Combine(a, b, rule string) (string, error) {
 		m.mergeMutual.Observe(mutual)
 		m.clusterSizeAfter.Set(float64(c.G.NumNodes()))
 	}
-	return id, nil
+	return s, nil
 }
 
 // backtrack books one undone pairing decision of the criticality search

@@ -28,7 +28,7 @@ func replicaName(base string, i, ft int) string {
 		return base
 	}
 	if i < 26 {
-		return fmt.Sprintf("%s%c", base, 'a'+i)
+		return base + string(rune('a'+i))
 	}
 	return fmt.Sprintf("%s_r%d", base, i+1)
 }
@@ -47,22 +47,17 @@ func Expand(g *graph.Graph, jobs []sched.Job) (*Expansion, error) {
 		jm[j.Name] = j
 	}
 	out := &Expansion{
-		Graph:      graph.New(),
 		ReplicasOf: make(map[string][]string, g.NumNodes()),
 		BaseOf:     map[string]string{},
 	}
 	for _, id := range g.Nodes() {
-		a := g.Attrs(id)
-		ft := int(a.Value(attrs.FaultTolerance))
+		ft := int(g.Attrs(id).Value(attrs.FaultTolerance))
 		if ft < 1 {
 			ft = 1
 		}
 		names := make([]string, 0, ft)
 		for i := 0; i < ft; i++ {
 			name := replicaName(id, i, ft)
-			if err := out.Graph.AddNode(name, a.Clone()); err != nil {
-				return nil, fmt.Errorf("cluster: expand: %w", err)
-			}
 			names = append(names, name)
 			out.BaseOf[name] = id
 			if j, ok := jm[id]; ok {
@@ -71,26 +66,12 @@ func Expand(g *graph.Graph, jobs []sched.Job) (*Expansion, error) {
 			}
 		}
 		out.ReplicasOf[id] = names
-		for i := range names {
-			for k := i + 1; k < len(names); k++ {
-				if err := out.Graph.AddReplicaEdge(names[i], names[k]); err != nil {
-					return nil, fmt.Errorf("cluster: expand: %w", err)
-				}
-			}
-		}
 	}
-	for _, e := range g.Edges() {
-		if e.Replica {
-			continue
-		}
-		for _, from := range out.ReplicasOf[e.From] {
-			for _, to := range out.ReplicasOf[e.To] {
-				if err := out.Graph.SetEdge(from, to, e.Weight, e.Factors...); err != nil {
-					return nil, fmt.Errorf("cluster: expand: %w", err)
-				}
-			}
-		}
+	eg, err := g.Replicate(out.ReplicasOf)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: expand: %w", err)
 	}
+	out.Graph = eg
 	return out, nil
 }
 

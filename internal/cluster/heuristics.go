@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/attrs"
 	"repro/internal/graph"
@@ -35,97 +36,80 @@ func (c *Condenser) ReduceByInfluence(target int) error {
 			return fmt.Errorf("%w: %d nodes remain, target %d",
 				ErrCannotReduce, c.G.NumNodes(), target)
 		}
-		id, err := c.Combine(a, b, "H1")
+		s, err := c.combineSlots(a, b, "H1")
 		if err != nil {
 			return err
 		}
-		t.merge(c.G, a, b, id)
+		t.merge(c.G, a, b, s)
 	}
 	return nil
 }
 
-// pairTable is H1's incremental view of the working graph: the live node
-// ids in sorted order, each with a slot in a symmetric matrix of mutual
-// influence and a member count. Contract changes no edge between two other
-// nodes, so after a merge only the merged node's row and column need
-// refreshing: O(n) map lookups instead of O(n²).
+// pairTable is H1's incremental view of the working graph: its live slots
+// in node-id order, a symmetric matrix of mutual influence indexed by
+// graph slot, and each slot's member count. Contract changes no edge
+// between two other nodes, so after a merge only the merged slot's row and
+// column need refreshing, from that slot's adjacency rows alone.
 type pairTable struct {
-	ids    []string  // live node ids, sorted
-	slots  []int     // slots[i] is the matrix slot of ids[i]
-	stride int       // row length of mutual
+	order  []int     // live slots, by node id
+	stride int       // row length of mutual: the graph's slot count
 	mutual []float64 // mutual[s*stride+t]: mutual influence of slots s, t
 	size   []int     // member count per slot
 }
 
 // newPairTable reads every pair's mutual influence from g once.
 func newPairTable(g *graph.Graph) *pairTable {
-	ids := g.Nodes()
-	n := len(ids)
+	n := g.NumSlots()
 	t := &pairTable{
-		ids:    ids,
-		slots:  make([]int, n),
+		order:  g.SlotsByName(),
 		stride: n,
 		mutual: make([]float64, n*n),
 		size:   make([]int, n),
 	}
-	for i, a := range ids {
-		t.slots[i] = i
-		t.size[i] = graph.MemberCount(a)
-		for j := i + 1; j < n; j++ {
-			m := g.MutualInfluence(a, ids[j])
-			t.mutual[i*n+j], t.mutual[j*n+i] = m, m
-		}
+	for _, s := range t.order {
+		t.size[s] = g.NumMembers(s)
+		g.MutualRow(s, t.mutual[s*n:(s+1)*n])
 	}
 	return t
 }
 
-// merge replaces a and b by their contraction id, which takes a's slot,
+// merge replaces slots a and b by their contraction, which took slot s,
 // and refreshes that slot's row and column from g.
-func (t *pairTable) merge(g *graph.Graph, a, b, id string) {
-	slot := -1
-	live := t.ids[:0]
-	slots := t.slots[:0]
-	for i, x := range t.ids {
-		switch x {
-		case a:
-			slot = t.slots[i]
-		case b:
-		default:
+func (t *pairTable) merge(g *graph.Graph, a, b, s int) {
+	live := t.order[:0]
+	for _, x := range t.order {
+		if x != a && x != b {
 			live = append(live, x)
-			slots = append(slots, t.slots[i])
 		}
 	}
-	at, _ := slices.BinarySearch(live, id)
-	t.ids = slices.Insert(live, at, id)
-	t.slots = slices.Insert(slots, at, slot)
-	t.size[slot] = graph.MemberCount(id)
-	for i, x := range t.ids {
-		if i == at {
-			continue
-		}
-		s := t.slots[i]
-		m := g.MutualInfluence(id, x)
-		t.mutual[slot*t.stride+s], t.mutual[s*t.stride+slot] = m, m
+	id := g.Name(s)
+	at, _ := slices.BinarySearchFunc(live, id, func(x int, id string) int {
+		return strings.Compare(g.Name(x), id)
+	})
+	t.order = slices.Insert(live, at, s)
+	t.size[s] = g.NumMembers(s)
+	row := t.mutual[s*t.stride : (s+1)*t.stride]
+	g.MutualRow(s, row)
+	for _, x := range t.order {
+		t.mutual[x*t.stride+s] = row[x]
 	}
 }
 
-// bestFeasiblePair returns the feasible pair with the highest mutual
-// influence; ties break lexicographically. Pairs with zero mutual
-// influence are considered last (preferring small clusters), so reduction
-// can always proceed when any feasible pair exists. Only a pair that would
-// beat the best so far is checked for feasibility.
-func (t *pairTable) bestFeasiblePair(c *Condenser) (string, string, bool) {
-	bestA, bestB := "", ""
+// bestFeasiblePair returns the slots of the feasible pair with the highest
+// mutual influence; ties break lexicographically by node id. Pairs with
+// zero mutual influence are considered last (preferring small clusters),
+// so reduction can always proceed when any feasible pair exists. Only a
+// pair that would beat the best so far is checked for feasibility.
+func (t *pairTable) bestFeasiblePair(c *Condenser) (int, int, bool) {
+	bestA, bestB := -1, -1
 	bestMutual := -1.0
 	bestSize := 0
-	for i, a := range t.ids {
+	for i, sa := range t.order {
 		if c.ctx != nil && c.ctx.Err() != nil {
-			return "", "", false // caller re-checks and reports the cancellation
+			return 0, 0, false // caller re-checks and reports the cancellation
 		}
-		sa := t.slots[i]
 		row := t.mutual[sa*t.stride : (sa+1)*t.stride]
-		for j := i + 1; j < len(t.ids); j++ {
-			sb := t.slots[j]
+		for _, sb := range t.order[i+1:] {
 			m := row[sb]
 			size := t.size[sa] + t.size[sb]
 			better := false
@@ -141,14 +125,13 @@ func (t *pairTable) bestFeasiblePair(c *Condenser) (string, string, bool) {
 			if !better {
 				continue
 			}
-			b := t.ids[j]
-			if ok, _ := c.combinable(a, b); !ok {
+			if ok, _ := c.combinableSlots(sa, sb); !ok {
 				continue
 			}
-			bestA, bestB, bestMutual, bestSize = a, b, m, size
+			bestA, bestB, bestMutual, bestSize = sa, sb, m, size
 		}
 	}
-	return bestA, bestB, bestA != ""
+	return bestA, bestB, bestA >= 0
 }
 
 // ReduceByInfluencePairAll implements the H1 variation: "pair all nodes
@@ -351,7 +334,7 @@ func (c *Condenser) groupFeasible(group []string) bool {
 	}
 	c.union = c.union[:0]
 	for _, id := range group {
-		c.union = append(c.union, c.jobsOf(id)...)
+		c.union = c.appendJobsOf(c.union, id)
 	}
 	ok, err := sched.Check(c.union)
 	return err == nil && ok

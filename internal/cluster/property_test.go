@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -339,6 +340,47 @@ func TestH1PairTableMatchesRescan(t *testing.T) {
 					t.Errorf("pair table diverges from the rescan:\n got %+v\nwant %+v", got, want)
 				}
 			})
+		}
+	}
+}
+
+// TestReduceByInfluenceAllocs pins H1's allocation cost per merge on a
+// 60-process scengen scenario of every family: set-up and all merges of
+// one reduction, divided by the merges made. Each merge allocates its
+// cluster id and the Trace step; contraction, the pair table and the
+// feasibility checks add at most a few amortised allocations.
+func TestReduceByInfluenceAllocs(t *testing.T) {
+	const perMerge = 4
+	for _, fam := range scengen.Families() {
+		sc, err := scengen.Generate(scengen.Config{Family: fam, Processes: 60, Seed: 1998})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := sc.System.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := Expand(g, sc.System.Jobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := exp.Condenser()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err = c.ReduceByInfluence(sc.System.HWNodes)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merges := len(c.Trace)
+		if merges == 0 {
+			t.Fatalf("%s: no merge", fam)
+		}
+		got := float64(after.Mallocs-before.Mallocs) / float64(merges)
+		t.Logf("%s: %d merges, %.2f allocations per merge", fam, merges, got)
+		if got > perMerge {
+			t.Errorf("%s: H1 made %.2f allocations per merge, want at most %d", fam, got, perMerge)
 		}
 	}
 }

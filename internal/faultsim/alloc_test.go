@@ -3,6 +3,7 @@ package faultsim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/attrs"
@@ -63,5 +64,48 @@ func TestChunkRunnerAllocsFlatInEdges(t *testing.T) {
 	}
 	if small, large := allocs(5), allocs(80); large > small {
 		t.Errorf("ChunkRunner.Run allocates %.0f per chunk on 320 edges, %.0f on 20", large, small)
+	}
+}
+
+// TestParallelRunBytesNearSerial pins chunk recycling in the worker pool:
+// merged chunks go back to the workers, so a Workers=2 campaign allocates
+// at most twice the bytes of the same campaign at Workers=1 instead of one
+// fresh chunk per 64 trials.
+func TestParallelRunBytesNearSerial(t *testing.T) {
+	g := graph.New()
+	hw := map[string]string{}
+	const nodes = 48
+	for i := 0; i < nodes; i++ {
+		id := fmt.Sprintf("n%02d", i)
+		if err := g.AddNode(id, attrs.New(map[attrs.Kind]float64{attrs.Criticality: float64(i % 16)})); err != nil {
+			t.Fatal(err)
+		}
+		hw[id] = fmt.Sprintf("h%d", i%16)
+	}
+	for i := 0; i < nodes; i++ {
+		for d := 1; d <= 3; d++ {
+			if err := g.SetEdge(fmt.Sprintf("n%02d", i), fmt.Sprintf("n%02d", (i+d*7)%nodes), 0.1*float64(d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bytes := func(workers int) float64 {
+		c := Campaign{Graph: g, HWOf: hw, Trials: 400 * ChunkSize, Seed: 7, Workers: workers,
+			CommFaultFraction: 0.3, CriticalThreshold: 10}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := Run(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	serial, parallel := bytes(1), bytes(2)
+	t.Logf("bytes per campaign: %.0f at Workers=1, %.0f at Workers=2", serial, parallel)
+	if parallel > 2*serial {
+		t.Errorf("Workers=2 allocates %.0f bytes per campaign, more than twice the %.0f of Workers=1", parallel, serial)
 	}
 }

@@ -600,6 +600,7 @@ type campaignRun struct {
 
 	done         int                  // completed-trial frontier (all trials < done merged)
 	held         map[int]*ChunkOutput // absorbed ahead of the frontier, by grid index
+	release      func(*ChunkOutput)   // when set, takes each chunk once merged or dropped
 	fp           string
 	persistEvery int
 	eventEvery   int
@@ -680,17 +681,30 @@ func (r *campaignRun) absorb(ch *ChunkOutput) (stop bool, err error) {
 		return false, nil
 	}
 	for ch != nil {
-		if stop, err := r.merge(ch); err != nil || stop {
-			if stop {
-				clear(r.held)
+		stop, err := r.merge(ch)
+		if err != nil {
+			return false, err
+		}
+		r.releaseChunk(ch)
+		if stop {
+			for _, held := range r.held {
+				r.releaseChunk(held)
 			}
-			return stop, err
+			clear(r.held)
+			return true, nil
 		}
 		seq := ChunkIndex(r.done)
 		ch = r.held[seq]
 		delete(r.held, seq)
 	}
 	return false, nil
+}
+
+// releaseChunk hands a merged or dropped chunk to release, if set.
+func (r *campaignRun) releaseChunk(ch *ChunkOutput) {
+	if r.release != nil {
+		r.release(ch)
+	}
 }
 
 // checkShape rejects a chunk whose slices do not fit the campaign: one
@@ -864,8 +878,21 @@ func (r *campaignRun) parallel(start, workers int) error {
 		err error
 	}
 	maxInFlight := workers * 2
+	window := 2 * maxInFlight
 	jobs := make(chan job)
 	out := make(chan outcome, maxInFlight)
+	// Dispatch stays within window chunks of the merge frontier, so the
+	// chunks in flight or held ahead of it stay bounded even when the
+	// frontier chunk is slow. free returns merged and dropped chunks to the
+	// workers, so a worker allocates a chunk only while it is empty.
+	free := make(chan *ChunkOutput, window)
+	r.release = func(ch *ChunkOutput) {
+		select {
+		case free <- ch:
+		default:
+		}
+	}
+	defer func() { r.release = nil }()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -883,7 +910,13 @@ func (r *campaignRun) parallel(start, workers int) error {
 			tw := r.env.newWorker()
 			chunks, trials := 0, 0
 			for j := range jobs {
-				ch := r.env.newChunk(j.b, j.e)
+				var ch *ChunkOutput
+				select {
+				case ch = <-free:
+					r.env.resetChunk(ch, j.b, j.e)
+				default:
+					ch = r.env.newChunk(j.b, j.e)
+				}
 				err := tw.runChunk(r.c.Ctx, ch)
 				if err == nil {
 					chunks++
@@ -907,7 +940,7 @@ func (r *campaignRun) parallel(start, workers int) error {
 	for !dispatchDone || inFlight > 0 {
 		var send chan job
 		next := job{b, chunkEnd(b, r.c.Trials)}
-		if !dispatchDone && inFlight < maxInFlight {
+		if !dispatchDone && inFlight < maxInFlight && b-r.done < window*trialChunkSize {
 			send = jobs
 		}
 		select {
@@ -923,10 +956,13 @@ func (r *campaignRun) parallel(start, workers int) error {
 					cancelCause = o.err
 				}
 				dispatchDone = true
+				r.releaseChunk(o.ch)
 			case cancelCause == nil && fatal == nil && !r.ended():
 				stop, err := r.absorb(o.ch)
 				fatal = err
 				dispatchDone = dispatchDone || stop || err != nil
+			default:
+				r.releaseChunk(o.ch)
 			}
 		}
 	}

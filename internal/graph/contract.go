@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,138 +22,362 @@ func ClusterID(members []string) string {
 	return "{" + strings.Join(ms, ",") + "}"
 }
 
+// contractScratch holds Contract's buffers between calls. The per-slot
+// arrays are all zero/false between calls.
+type contractScratch struct {
+	member        []bool  // slot is being contracted
+	outPos, inPos []int32 // slot -> 1 + index of its aggregate, 0 when none
+	outAgg, inAgg []nbrAgg
+	weights       []float64
+	slots         []int
+	heads         []int32
+	id            []byte
+}
+
+// nbrAgg gathers the edges between the contracted members and one outside
+// neighbour in one direction.
+type nbrAgg struct {
+	nbr     int32
+	n, fill int32 // weighted edges; weights written so far
+	off     int32 // start of this neighbour's weights in scratch.weights
+	fs      int32 // union of the weighted edges' factor sets; -1 before the first
+	replica bool  // a member has a replica edge to nbr, in either direction
+	w       float64
+}
+
 // Contract merges the given member nodes into a single cluster node and
 // returns the id of the new node. Per §5.2:
 //
 //   - internal influences disappear;
 //   - if several cluster members had individual influences on a common
-//     neighbour, those values are combined (with combine — Eq. (4));
+//     neighbour, those values are combined (with combine — Eq. (4)), one
+//     weight per member in member order;
 //   - if any component node had a replica (weight-0) edge to a neighbour,
-//     the resulting edge is also a replica edge ("the final value is
-//     also 0") — the constraint is absorbing;
+//     in either direction, the resulting edges both ways are replica edges
+//     ("the final value is also 0") — the constraint is absorbing;
+//   - factor labels of combined edges are the sorted union of the members'
+//     factors;
 //   - node attributes combine per the standard attribute policies.
 //
-// Contract fails if the member set includes two replicas of one module
-// (they must be mapped to different HW nodes) or references unknown nodes.
+// The cluster id lists the members' base nodes in sorted order, so repeated
+// contraction produces flat "{a,b,c}" ids rather than nested ones. Contract
+// fails, leaving the graph unchanged, if the member set includes two
+// replicas of one module (they must be mapped to different HW nodes),
+// references unknown nodes, repeats a member, names a cluster id that
+// another node already has, or combine yields a weight outside [0,1].
 func (g *Graph) Contract(members []string, combine CombineWeights) (string, error) {
 	if len(members) == 0 {
 		return "", fmt.Errorf("%w: empty member set", ErrNoSuchNode)
 	}
-	set := make(map[string]bool, len(members))
+	sc := g.scratch()
+	sc.slots = sc.slots[:0]
 	for _, m := range members {
-		if !g.HasNode(m) {
+		s, ok := g.index[m]
+		if !ok {
+			g.unmark(sc.slots)
 			return "", fmt.Errorf("%w: %q", ErrNoSuchNode, m)
 		}
-		if set[m] {
+		if sc.member[s] {
+			g.unmark(sc.slots)
 			return "", fmt.Errorf("graph: duplicate member %q", m)
 		}
-		set[m] = true
+		sc.member[s] = true
+		sc.slots = append(sc.slots, s)
 	}
-	for i, a := range members {
-		for _, b := range members[i+1:] {
-			if g.AreReplicas(a, b) {
-				return "", fmt.Errorf("graph: %w: %q and %q", ErrReplicaConflict, a, b)
-			}
-		}
-	}
-
-	// Combined attributes.
-	sets := make([]attrs.Set, 0, len(members))
-	for _, m := range members {
-		sets = append(sets, g.Attrs(m))
-	}
-	clusterAttrs := attrs.CombineAll(sets...)
-
-	// Collect external influences in both directions, keyed by neighbour.
-	type agg struct {
-		weights []float64
-		factors map[string]bool
-		replica bool
-	}
-	outAgg := map[string]*agg{}
-	inAgg := map[string]*agg{}
-	accumulate := func(m map[string]*agg, nbr string, e Edge) {
-		a := m[nbr]
-		if a == nil {
-			a = &agg{factors: map[string]bool{}}
-			m[nbr] = a
-		}
-		if e.Replica {
-			a.replica = true
-			return
-		}
-		a.weights = append(a.weights, e.Weight)
-		for _, f := range e.Factors {
-			a.factors[f] = true
-		}
-	}
-	for _, m := range members {
-		for to, e := range g.out[m] {
-			if !set[to] {
-				accumulate(outAgg, to, e)
-			}
-		}
-		for from, e := range g.in[m] {
-			if !set[from] {
-				accumulate(inAgg, from, e)
-			}
-		}
-	}
-
-	id := ClusterID(flattenMembers(g, members))
-	for _, m := range members {
-		if err := g.RemoveNode(m); err != nil {
-			return "", err
-		}
-	}
-	if err := g.AddNode(id, clusterAttrs); err != nil {
+	s, err := g.contract(sc.slots, combine)
+	if err != nil {
 		return "", err
 	}
-	apply := func(m map[string]*agg, makeEdge func(nbr string, w float64, factors []string) error, replicate func(nbr string) error) error {
-		nbrs := make([]string, 0, len(m))
-		for n := range m {
-			nbrs = append(nbrs, n)
+	return g.names[s], nil
+}
+
+// ContractSlots is Contract over slots; the cluster takes slots[0].
+func (g *Graph) ContractSlots(slots []int, combine CombineWeights) (int, error) {
+	if len(slots) == 0 {
+		return 0, fmt.Errorf("%w: empty member set", ErrNoSuchNode)
+	}
+	sc := g.scratch()
+	for i, s := range slots {
+		if !g.live(s) {
+			g.unmark(slots[:i])
+			return 0, fmt.Errorf("%w: slot %d", ErrNoSuchNode, s)
 		}
-		sort.Strings(nbrs)
-		for _, nbr := range nbrs {
-			a := m[nbr]
-			if a.replica {
-				if err := replicate(nbr); err != nil {
-					return err
-				}
+		if sc.member[s] {
+			g.unmark(slots[:i])
+			return 0, fmt.Errorf("graph: duplicate member %q", g.names[s])
+		}
+		sc.member[s] = true
+	}
+	return g.contract(slots, combine)
+}
+
+// scratch sizes the per-slot scratch arrays to the slot count.
+func (g *Graph) scratch() *contractScratch {
+	sc := &g.scr
+	if n := len(g.names); len(sc.member) < n {
+		sc.member = make([]bool, n)
+		sc.outPos = make([]int32, n)
+		sc.inPos = make([]int32, n)
+		// The free list never outgrows the slots.
+		g.free = slices.Grow(g.free, n-len(g.free))
+	}
+	return sc
+}
+
+func (g *Graph) unmark(slots []int) {
+	for _, s := range slots {
+		g.scr.member[s] = false
+	}
+}
+
+// contract merges the distinct live slots, already marked as members.
+func (g *Graph) contract(slots []int, combine CombineWeights) (int, error) {
+	sc := &g.scr
+	defer g.unmark(slots)
+	for i, a := range slots {
+		for _, b := range slots[i+1:] {
+			if g.AreReplicaSlots(a, b) {
+				return 0, fmt.Errorf("graph: %w: %q and %q", ErrReplicaConflict, g.names[a], g.names[b])
+			}
+		}
+	}
+	id := g.clusterID(slots)
+	if s, ok := g.index[id]; ok && !sc.member[s] {
+		return 0, fmt.Errorf("%w: %q", ErrDuplicateNode, id)
+	}
+	if err := g.aggregate(slots, combine); err != nil {
+		return 0, err
+	}
+
+	t := slots[0]
+	merged := g.attrs[t]
+	for _, s := range slots[1:] {
+		merged = attrs.Combine(merged, g.attrs[s])
+	}
+	head, size := g.mergeMembers(slots)
+
+	// Detach the members. Edges between members vanish with the rows.
+	for _, m := range slots {
+		for _, a := range g.out[m] {
+			if !sc.member[a.peer] {
+				g.dropIn(int(a.peer), int(a.twin))
+			}
+		}
+		for _, a := range g.in[m] {
+			if !sc.member[a.peer] {
+				g.dropOut(int(a.peer), int(a.twin))
+				g.edges--
+			}
+		}
+		g.edges -= len(g.out[m])
+	}
+	for _, m := range slots {
+		g.out[m], g.in[m] = g.out[m][:0], g.in[m][:0]
+		// The cluster keeps the roomiest rows; freed slots keep the rest.
+		if cap(g.out[m]) > cap(g.out[t]) {
+			g.out[m], g.out[t] = g.out[t], g.out[m]
+		}
+		if cap(g.in[m]) > cap(g.in[t]) {
+			g.in[m], g.in[t] = g.in[t], g.in[m]
+		}
+	}
+	for _, s := range slots[1:] {
+		g.releaseSlot(s)
+	}
+	delete(g.index, g.names[t])
+	g.names[t], g.attrs[t], g.head[t], g.size[t] = id, merged, head, size
+	g.index[id] = t
+
+	for _, ag := range sc.outAgg {
+		if x := int(ag.nbr); ag.replica {
+			g.appendArc(t, x, 0, 0, true)
+			g.appendArc(x, t, 0, 0, true)
+		} else {
+			g.appendArc(t, x, ag.w, ag.fs, false)
+		}
+	}
+	for _, ag := range sc.inAgg {
+		if x := int(ag.nbr); !ag.replica {
+			g.appendArc(x, t, ag.w, ag.fs, false)
+		} else if sc.outPos[x] == 0 {
+			// A replica pair with an out aggregate was linked above.
+			g.appendArc(t, x, 0, 0, true)
+			g.appendArc(x, t, 0, 0, true)
+		}
+	}
+	g.clearAggregates()
+	return t, nil
+}
+
+// aggregate fills the scratch neighbour aggregates of the members, in both
+// directions, and computes each combined weight. A replica edge on either
+// side marks both directions' aggregates as replica.
+func (g *Graph) aggregate(slots []int, combine CombineWeights) error {
+	sc := &g.scr
+	sc.outAgg, sc.inAgg = sc.outAgg[:0], sc.inAgg[:0]
+	for _, m := range slots {
+		for _, a := range g.out[m] {
+			if !sc.member[a.peer] {
+				sc.outAgg = g.accumulate(sc.outAgg, sc.outPos, a)
+			}
+		}
+		for _, a := range g.in[m] {
+			if !sc.member[a.peer] {
+				sc.inAgg = g.accumulate(sc.inAgg, sc.inPos, a)
+			}
+		}
+	}
+	// Lay the weights out per neighbour, then fill them in member order.
+	off := int32(0)
+	for _, aggs := range [2][]nbrAgg{sc.outAgg, sc.inAgg} {
+		for i := range aggs {
+			aggs[i].off = off
+			off += aggs[i].n
+		}
+	}
+	if cap(sc.weights) < int(off) {
+		sc.weights = make([]float64, off)
+	}
+	ws := sc.weights[:off]
+	for _, m := range slots {
+		for _, a := range g.out[m] {
+			if !sc.member[a.peer] && !a.replica {
+				ag := &sc.outAgg[sc.outPos[a.peer]-1]
+				ws[ag.off+ag.fill] = a.w
+				ag.fill++
+			}
+		}
+		for _, a := range g.in[m] {
+			if !sc.member[a.peer] && !a.replica {
+				ag := &sc.inAgg[sc.inPos[a.peer]-1]
+				ws[ag.off+ag.fill] = a.w
+				ag.fill++
+			}
+		}
+	}
+	for i := range sc.outAgg {
+		if j := sc.inPos[sc.outAgg[i].nbr]; j != 0 && sc.inAgg[j-1].replica {
+			sc.outAgg[i].replica = true
+		}
+	}
+	for i := range sc.inAgg {
+		if j := sc.outPos[sc.inAgg[i].nbr]; j != 0 && sc.outAgg[j-1].replica {
+			sc.inAgg[i].replica = true
+		}
+	}
+	for _, aggs := range [2][]nbrAgg{sc.outAgg, sc.inAgg} {
+		for i := range aggs {
+			ag := &aggs[i]
+			if ag.replica {
 				continue
 			}
-			fs := make([]string, 0, len(a.factors))
-			for f := range a.factors {
-				fs = append(fs, f)
-			}
-			sort.Strings(fs)
-			if err := makeEdge(nbr, combine(a.weights), fs); err != nil {
-				return err
+			ag.w = combine(ws[ag.off : ag.off+ag.n])
+			if ag.w < 0 || ag.w > 1 {
+				g.clearAggregates()
+				return fmt.Errorf("%w: %g", ErrBadWeight, ag.w)
 			}
 		}
-		return nil
 	}
-	err := apply(outAgg,
-		func(nbr string, w float64, fs []string) error { return g.SetEdge(id, nbr, w, fs...) },
-		func(nbr string) error { return g.AddReplicaEdge(id, nbr) })
-	if err != nil {
-		return "", err
+	return nil
+}
+
+// accumulate books arc a into the aggregate of its peer.
+func (g *Graph) accumulate(aggs []nbrAgg, pos []int32, a arc) []nbrAgg {
+	i := pos[a.peer]
+	if i == 0 {
+		aggs = append(aggs, nbrAgg{nbr: a.peer, fs: -1})
+		i = int32(len(aggs))
+		pos[a.peer] = i
 	}
-	err = apply(inAgg,
-		func(nbr string, w float64, fs []string) error {
-			// A replica edge set while processing outAgg is symmetric;
-			// do not overwrite it with a weighted edge.
-			if g.AreReplicas(nbr, id) {
-				return nil
+	ag := &aggs[i-1]
+	switch {
+	case a.replica:
+		ag.replica = true
+	case ag.fs < 0:
+		ag.n, ag.fs = 1, g.fac.sets[a.fs].canon
+	default:
+		ag.n++
+		ag.fs = g.fac.union(ag.fs, a.fs)
+	}
+	return aggs
+}
+
+func (g *Graph) clearAggregates() {
+	sc := &g.scr
+	for _, ag := range sc.outAgg {
+		sc.outPos[ag.nbr] = 0
+	}
+	for _, ag := range sc.inAgg {
+		sc.inPos[ag.nbr] = 0
+	}
+}
+
+// clusterID renders the id of the cluster of the given slots: their member
+// names merged in sorted order, duplicates kept, as ClusterID would.
+func (g *Graph) clusterID(slots []int) string {
+	sc := &g.scr
+	// Walk all member chains at once, taking the smallest name each time.
+	heads := sc.heads[:0]
+	for _, s := range slots {
+		heads = append(heads, g.head[s])
+	}
+	sc.heads = heads
+	b := append(sc.id[:0], '{')
+	for first := true; ; first = false {
+		best := -1
+		for i, c := range heads {
+			if c >= 0 && (best < 0 || g.bases[g.cells[c].base] < g.bases[g.cells[heads[best]].base]) {
+				best = i
 			}
-			return g.SetEdge(nbr, id, w, fs...)
-		},
-		func(nbr string) error { return g.AddReplicaEdge(nbr, id) })
-	if err != nil {
-		return "", err
+		}
+		if best < 0 {
+			break
+		}
+		if !first {
+			b = append(b, ',')
+		}
+		c := heads[best]
+		b = append(b, g.bases[g.cells[c].base]...)
+		heads[best] = g.cells[c].next
 	}
-	return id, nil
+	b = append(b, '}')
+	sc.id = b
+	return string(b)
+}
+
+// mergeMembers links the slots' membership chains into one chain in name
+// order, stable in member order, and returns its head and length.
+func (g *Graph) mergeMembers(slots []int) (int32, int32) {
+	head, size := g.head[slots[0]], g.size[slots[0]]
+	for _, s := range slots[1:] {
+		head = g.mergeChains(head, g.head[s])
+		size += g.size[s]
+	}
+	return head, size
+}
+
+// mergeChains merges two name-sorted chains in place; on equal names the
+// cell of a comes first.
+func (g *Graph) mergeChains(a, b int32) int32 {
+	head, tail := int32(-1), int32(-1)
+	for a >= 0 || b >= 0 {
+		var c int32
+		if b < 0 || (a >= 0 && g.bases[g.cells[a].base] <= g.bases[g.cells[b].base]) {
+			c, a = a, g.cells[a].next
+		} else {
+			c, b = b, g.cells[b].next
+		}
+		if tail < 0 {
+			head = c
+		} else {
+			g.cells[tail].next = c
+		}
+		tail = c
+	}
+	if tail >= 0 {
+		g.cells[tail].next = -1
+	}
+	return head
 }
 
 // ErrReplicaConflict marks an attempt to place two replicas of one module
@@ -190,12 +415,91 @@ func MemberCount(id string) int {
 	return strings.Count(inner, ",") + 1
 }
 
-// flattenMembers expands any cluster members into their base ids so that
-// repeated contraction produces flat "{a,b,c}" ids rather than nested ones.
-func flattenMembers(g *Graph, members []string) []string {
-	var out []string
-	for _, m := range members {
-		out = append(out, Members(m)...)
+// Replicate builds the replication expansion of g (§5.4) straight into a
+// new graph: node id becomes the nodes named replicas[id], in g's sorted
+// node order, each with id's attributes; the replicas of one node are
+// linked pairwise by replica edges; and every weighted edge u→v of g is
+// copied, factors included, from every replica of u to every replica of v.
+// A node without entries in replicas is dropped with its edges. g is not
+// modified.
+func (g *Graph) Replicate(replicas map[string][]string) (*Graph, error) {
+	n := 0
+	for _, names := range replicas {
+		n += len(names)
 	}
-	return out
+	r := New()
+	r.fac = g.fac.clone()
+	r.reserve(n)
+	first := make([]int, len(g.names)) // slot of the first replica in r
+	for _, s := range g.SlotsByName() {
+		names := replicas[g.names[s]]
+		for i, name := range names {
+			if err := r.AddNode(name, g.attrs[s]); err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				first[s] = r.index[name]
+			}
+		}
+	}
+	// Size every row exactly, in one backing array per direction.
+	outDeg, inDeg := make([]int, len(r.names)), make([]int, len(r.names))
+	for s, row := range g.out {
+		ns := len(replicas[g.names[s]])
+		for i := 0; i < ns; i++ {
+			outDeg[first[s]+i] += ns - 1
+			inDeg[first[s]+i] += ns - 1
+		}
+		for _, a := range row {
+			if a.replica {
+				continue
+			}
+			nt := len(replicas[g.names[a.peer]])
+			for i := 0; i < ns; i++ {
+				outDeg[first[s]+i] += nt
+			}
+			for k := 0; k < nt; k++ {
+				inDeg[first[a.peer]+k] += ns
+			}
+		}
+	}
+	r.out, r.in = presized(outDeg), presized(inDeg)
+	for s, row := range g.out {
+		from := replicas[g.names[s]]
+		for i := range from {
+			for k := i + 1; k < len(from); k++ {
+				r.appendArc(first[s]+i, first[s]+k, 0, 0, true)
+				r.appendArc(first[s]+k, first[s]+i, 0, 0, true)
+			}
+		}
+		for _, a := range row {
+			if a.replica {
+				continue
+			}
+			to := replicas[g.names[a.peer]]
+			for i := range from {
+				for k := range to {
+					r.appendArc(first[s]+i, first[a.peer]+k, a.w, a.fs, false)
+				}
+			}
+		}
+	}
+	return r, nil
+}
+
+// presized returns empty rows with the given capacities, carved from one
+// backing array.
+func presized(deg []int) [][]arc {
+	n := 0
+	for _, d := range deg {
+		n += d
+	}
+	backing := make([]arc, n)
+	rows := make([][]arc, len(deg))
+	off := 0
+	for i, d := range deg {
+		rows[i] = backing[off : off : off+d]
+		off += d
+	}
+	return rows
 }

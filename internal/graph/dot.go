@@ -20,38 +20,39 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	fmt.Fprintf(&b, "digraph %q {\n", name)
 	b.WriteString("  rankdir=LR;\n  node [shape=box, style=filled];\n")
 	// Criticality range for shading.
+	slots := g.SlotsByName()
 	maxCrit := 0.0
-	for _, id := range g.Nodes() {
-		if c := g.Attrs(id).Value(attrs.Criticality); c > maxCrit {
+	for _, s := range slots {
+		if c := g.attrs[s].Value(attrs.Criticality); c > maxCrit {
 			maxCrit = c
 		}
 	}
-	for _, id := range g.Nodes() {
-		c := g.Attrs(id).Value(attrs.Criticality)
+	for _, s := range slots {
+		c := g.attrs[s].Value(attrs.Criticality)
 		shade := 0
 		if maxCrit > 0 {
 			shade = int(c / maxCrit * 80)
 		}
 		fmt.Fprintf(&b, "  %q [fillcolor=\"gray%d\", label=\"%s\\nC=%g\"];\n",
-			id, 100-shade, id, c)
+			g.names[s], 100-shade, g.names[s], c)
 	}
-	seenReplica := map[string]bool{}
-	for _, e := range g.Edges() {
-		if e.Replica {
-			a, bnode := e.From, e.To
-			if bnode < a {
-				a, bnode = bnode, a
-			}
-			key := a + "|" + bnode
-			if seenReplica[key] {
-				continue
-			}
-			seenReplica[key] = true
-			fmt.Fprintf(&b, "  %q -> %q [dir=none, style=dashed, label=\"replica\"];\n", a, bnode)
-			continue
+	seenReplica := map[[2]int32]bool{}
+	g.eachEdge(func(s int, e arc) {
+		from, to := g.names[s], g.names[e.peer]
+		if !e.replica {
+			fmt.Fprintf(&b, "  %q -> %q [label=\"%.2g\"];\n", from, to, e.w)
+			return
 		}
-		fmt.Fprintf(&b, "  %q -> %q [label=\"%.2g\"];\n", e.From, e.To, e.Weight)
-	}
+		key := [2]int32{int32(s), e.peer}
+		if to < from {
+			from, to = to, from
+			key[0], key[1] = key[1], key[0]
+		}
+		if !seenReplica[key] {
+			seenReplica[key] = true
+			fmt.Fprintf(&b, "  %q -> %q [dir=none, style=dashed, label=\"replica\"];\n", from, to)
+		}
+	})
 	b.WriteString("}\n")
 	if _, err := io.WriteString(w, b.String()); err != nil {
 		return fmt.Errorf("graph: write dot: %w", err)

@@ -11,12 +11,23 @@
 // by such an edge "cannot be combined, as the nodes contain replicas of the
 // same module, which must be mapped onto different HW nodes". Absence of an
 // edge means no influence.
+//
+// Internally every node lives in a dense int slot; freed slots are reused.
+// A slot holds out and in adjacency rows whose arcs point at each other, so
+// an edge is added or removed in O(1) and Contract merges its members' rows
+// in O(deg) without allocating beyond the new cluster id. Factor names are
+// interned into per-graph bitsets, and cluster membership is a name-sorted
+// chain of base-node ids per slot. Names and sorted views (Nodes, Edges,
+// String, Matrix, ...) are built only when asked for, and every returned
+// slice belongs to the caller. Package cluster drives the slot-level
+// methods (Slot, ContractSlots, MutualRow, ...) directly.
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/attrs"
@@ -32,8 +43,10 @@ var (
 
 // Edge is one directed influence edge. Weight is the influence value of
 // Eq. (2) in [0,1]. Factors lists the fault-factor names contributing to
-// the influence (e.g. "shared-memory", "message", "timing"). Replica marks
-// the weight-0 link between replicas of one module.
+// the influence (e.g. "shared-memory", "message", "timing"); an Edge read
+// from a Graph shares that list with the graph, so its elements must not
+// be modified. Replica marks the weight-0 link between replicas of one
+// module.
 type Edge struct {
 	From    string
 	To      string
@@ -50,190 +63,443 @@ func (e Edge) Label() string {
 	return "(" + strings.Join(e.Factors, ",") + ")"
 }
 
+// arc is one directed edge as seen from one of its endpoints: out[s] holds
+// the arcs leaving s, in[s] those entering it. Both copies carry the
+// payload; twin links each to the other.
+type arc struct {
+	peer    int32 // slot at the other end
+	twin    int32 // index of the mirror arc in the peer's opposite row
+	fs      int32 // interned factor set
+	replica bool
+	w       float64
+}
+
+// cell is one entry of a membership chain: a base-node id and the next
+// cell of the same node, in base-name order (-1 ends the chain).
+type cell struct {
+	base, next int32
+}
+
 // Graph is a directed, edge-weighted graph with attributed nodes. The zero
-// value is not usable; call New.
+// value is not usable; call New. A Graph may be read from several
+// goroutines at once; mutations need exclusive access.
 type Graph struct {
-	nodes map[string]attrs.Set
-	// out[from][to] = Edge. At most one edge per ordered pair: influence is
-	// already a combination over factors.
-	out map[string]map[string]Edge
-	in  map[string]map[string]Edge
+	index   map[string]int // live node id -> slot
+	names   []string       // slot -> node id; "" marks a free slot
+	attrs   []attrs.Set
+	out, in [][]arc
+	head    []int32 // slot -> first membership cell
+	size    []int32 // slot -> member count
+	free    []int   // free slots, reused last-in first-out
+	edges   int
+
+	cells    []cell
+	freeCell int32            // head of the free-cell chain
+	bases    []string         // base-node id -> name
+	baseIDs  map[string]int32 // name -> base-node id
+	fac      factorTable
+
+	scr contractScratch // Contract's reusable buffers; never shared by clones
 }
 
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		nodes: make(map[string]attrs.Set),
-		out:   make(map[string]map[string]Edge),
-		in:    make(map[string]map[string]Edge),
+		index:    map[string]int{},
+		baseIDs:  map[string]int32{},
+		freeCell: -1,
+		fac:      newFactorTable(),
 	}
 }
 
-// AddNode inserts a node with the given attribute set.
+// live reports whether slot s holds a node.
+func (g *Graph) live(s int) bool { return s >= 0 && s < len(g.names) && g.names[s] != "" }
+
+// AddNode inserts a node with the given attribute set. Its members are
+// those Members(id) names.
 func (g *Graph) AddNode(id string, a attrs.Set) error {
 	if id == "" {
 		return fmt.Errorf("%w: empty id", ErrNoSuchNode)
 	}
-	if _, ok := g.nodes[id]; ok {
+	if _, ok := g.index[id]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateNode, id)
 	}
-	g.nodes[id] = a
-	g.out[id] = make(map[string]Edge)
-	g.in[id] = make(map[string]Edge)
+	s := g.allocSlot()
+	g.names[s], g.attrs[s] = id, a
+	g.index[id] = s
+	if !strings.HasPrefix(id, "{") {
+		g.head[s], g.size[s] = g.newCell(g.baseID(id), -1), 1
+		return nil
+	}
+	ms := Members(id)
+	slices.SortFunc(ms, strings.Compare)
+	for i := len(ms) - 1; i >= 0; i-- {
+		g.head[s] = g.newCell(g.baseID(ms[i]), g.head[s])
+	}
+	g.size[s] = int32(len(ms))
 	return nil
+}
+
+// reserve makes room for n more nodes without growing the slot arrays.
+func (g *Graph) reserve(n int) {
+	g.names = slices.Grow(g.names, n)
+	g.attrs = slices.Grow(g.attrs, n)
+	g.out = slices.Grow(g.out, n)
+	g.in = slices.Grow(g.in, n)
+	g.head = slices.Grow(g.head, n)
+	g.size = slices.Grow(g.size, n)
+	g.cells = slices.Grow(g.cells, n)
+	g.bases = slices.Grow(g.bases, n)
+	if len(g.index) == 0 {
+		g.index, g.baseIDs = make(map[string]int, n), make(map[string]int32, n)
+	}
+}
+
+func (g *Graph) allocSlot() int {
+	if n := len(g.free); n > 0 {
+		s := g.free[n-1]
+		g.free = g.free[:n-1]
+		return s
+	}
+	g.names = append(g.names, "")
+	g.attrs = append(g.attrs, attrs.Set{})
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
+	g.head = append(g.head, -1)
+	g.size = append(g.size, 0)
+	return len(g.names) - 1
+}
+
+// releaseSlot frees slot s, whose rows must already be empty. Its member
+// chain must have been freed or handed to another slot.
+func (g *Graph) releaseSlot(s int) {
+	delete(g.index, g.names[s])
+	g.names[s], g.attrs[s] = "", attrs.Set{}
+	g.head[s], g.size[s] = -1, 0
+	g.free = append(g.free, s)
+}
+
+func (g *Graph) baseID(name string) int32 {
+	if b, ok := g.baseIDs[name]; ok {
+		return b
+	}
+	b := int32(len(g.bases))
+	g.bases = append(g.bases, name)
+	g.baseIDs[name] = b
+	return b
+}
+
+func (g *Graph) newCell(base, next int32) int32 {
+	c := g.freeCell
+	if c < 0 {
+		g.cells = append(g.cells, cell{})
+		c = int32(len(g.cells) - 1)
+	} else {
+		g.freeCell = g.cells[c].next
+	}
+	g.cells[c] = cell{base: base, next: next}
+	return c
 }
 
 // RemoveNode deletes a node and all incident edges.
 func (g *Graph) RemoveNode(id string) error {
-	if _, ok := g.nodes[id]; !ok {
+	s, ok := g.index[id]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchNode, id)
 	}
-	for to := range g.out[id] {
-		delete(g.in[to], id)
+	g.detach(s)
+	c := g.head[s]
+	for c >= 0 {
+		next := g.cells[c].next
+		g.cells[c].next, g.freeCell = g.freeCell, c
+		c = next
 	}
-	for from := range g.in[id] {
-		delete(g.out[from], id)
-	}
-	delete(g.nodes, id)
-	delete(g.out, id)
-	delete(g.in, id)
+	g.releaseSlot(s)
 	return nil
+}
+
+// detach removes every edge incident to slot s.
+func (g *Graph) detach(s int) {
+	for len(g.out[s]) > 0 {
+		g.unlink(s, len(g.out[s])-1)
+	}
+	for len(g.in[s]) > 0 {
+		a := g.in[s][len(g.in[s])-1]
+		g.unlink(int(a.peer), int(a.twin))
+	}
 }
 
 // HasNode reports whether id exists.
 func (g *Graph) HasNode(id string) bool {
-	_, ok := g.nodes[id]
+	_, ok := g.index[id]
 	return ok
 }
 
 // Attrs returns the attribute set of node id (zero Set if absent).
-func (g *Graph) Attrs(id string) attrs.Set { return g.nodes[id] }
+func (g *Graph) Attrs(id string) attrs.Set {
+	if s, ok := g.index[id]; ok {
+		return g.attrs[s]
+	}
+	return attrs.Set{}
+}
 
 // SetAttrs replaces the attribute set of node id.
 func (g *Graph) SetAttrs(id string, a attrs.Set) error {
-	if _, ok := g.nodes[id]; !ok {
+	s, ok := g.index[id]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchNode, id)
 	}
-	g.nodes[id] = a
+	g.attrs[s] = a
 	return nil
 }
 
 // NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return len(g.index) }
 
 // NumEdges returns the directed edge count.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, m := range g.out {
-		n += len(m)
-	}
-	return n
-}
+func (g *Graph) NumEdges() int { return g.edges }
 
 // Nodes returns all node ids in sorted order (deterministic iteration).
 func (g *Graph) Nodes() []string {
-	ids := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
+	ids := make([]string, 0, len(g.index))
+	for id := range g.index {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	return ids
 }
 
 // SetEdge inserts or replaces the directed influence edge from→to.
 // Replica edges must use AddReplicaEdge.
 func (g *Graph) SetEdge(from, to string, weight float64, factors ...string) error {
-	if err := g.checkPair(from, to); err != nil {
+	f, t, err := g.checkPair(from, to)
+	if err != nil {
 		return err
 	}
 	if weight < 0 || weight > 1 {
 		return fmt.Errorf("%w: %g", ErrBadWeight, weight)
 	}
-	e := Edge{From: from, To: to, Weight: weight, Factors: append([]string(nil), factors...)}
-	g.out[from][to] = e
-	g.in[to][from] = e
+	g.link(f, t, weight, g.fac.intern(factors), false)
 	return nil
 }
 
 // AddReplicaEdge links two replicas of one module with the paper's
 // weight-0 marker, in both directions (the relation is symmetric).
 func (g *Graph) AddReplicaEdge(a, b string) error {
-	if err := g.checkPair(a, b); err != nil {
+	sa, sb, err := g.checkPair(a, b)
+	if err != nil {
 		return err
 	}
-	for _, p := range [][2]string{{a, b}, {b, a}} {
-		e := Edge{From: p[0], To: p[1], Weight: 0, Replica: true}
-		g.out[p[0]][p[1]] = e
-		g.in[p[1]][p[0]] = e
-	}
+	g.link(sa, sb, 0, 0, true)
+	g.link(sb, sa, 0, 0, true)
 	return nil
 }
 
-func (g *Graph) checkPair(from, to string) error {
+func (g *Graph) checkPair(from, to string) (int, int, error) {
 	if from == to {
-		return fmt.Errorf("%w: %q", ErrSelfEdge, from)
+		return 0, 0, fmt.Errorf("%w: %q", ErrSelfEdge, from)
 	}
-	if _, ok := g.nodes[from]; !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchNode, from)
+	f, ok := g.index[from]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %q", ErrNoSuchNode, from)
 	}
-	if _, ok := g.nodes[to]; !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchNode, to)
+	t, ok := g.index[to]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %q", ErrNoSuchNode, to)
 	}
-	return nil
+	return f, t, nil
+}
+
+// link sets the edge from→to, replacing any edge already there.
+func (g *Graph) link(from, to int, w float64, fs int32, replica bool) {
+	if i := g.find(from, to); i >= 0 {
+		a := &g.out[from][i]
+		a.w, a.fs, a.replica = w, fs, replica
+		b := &g.in[to][a.twin]
+		b.w, b.fs, b.replica = w, fs, replica
+		return
+	}
+	g.appendArc(from, to, w, fs, replica)
+}
+
+// appendArc adds the edge from→to, which must not exist yet.
+func (g *Graph) appendArc(from, to int, w float64, fs int32, replica bool) {
+	oi, ii := len(g.out[from]), len(g.in[to])
+	// Skip the smallest growth steps of a row built one edge at a time.
+	if cap(g.out[from]) == 0 {
+		g.out[from] = make([]arc, 0, 4)
+	}
+	if cap(g.in[to]) == 0 {
+		g.in[to] = make([]arc, 0, 4)
+	}
+	g.out[from] = append(g.out[from], arc{peer: int32(to), twin: int32(ii), fs: fs, replica: replica, w: w})
+	g.in[to] = append(g.in[to], arc{peer: int32(from), twin: int32(oi), fs: fs, replica: replica, w: w})
+	g.edges++
+}
+
+// unlink removes the edge stored at out[from][i].
+func (g *Graph) unlink(from, i int) {
+	a := g.out[from][i]
+	g.dropIn(int(a.peer), int(a.twin))
+	g.dropOut(from, i)
+	g.edges--
+}
+
+// dropOut deletes out[s][i] from its row alone: the last arc moves into
+// its place and the moved arc's twin is repointed.
+func (g *Graph) dropOut(s, i int) {
+	row := g.out[s]
+	last := len(row) - 1
+	if i != last {
+		row[i] = row[last]
+		g.in[row[i].peer][row[i].twin].twin = int32(i)
+	}
+	g.out[s] = row[:last]
+}
+
+// dropIn is dropOut for the in row of s.
+func (g *Graph) dropIn(s, i int) {
+	row := g.in[s]
+	last := len(row) - 1
+	if i != last {
+		row[i] = row[last]
+		g.out[row[i].peer][row[i].twin].twin = int32(i)
+	}
+	g.in[s] = row[:last]
+}
+
+// find returns the index in out[from] of the edge from→to, or -1. It scans
+// the shorter of out[from] and in[to].
+func (g *Graph) find(from, to int) int {
+	if len(g.in[to]) < len(g.out[from]) {
+		for _, a := range g.in[to] {
+			if int(a.peer) == from {
+				return int(a.twin)
+			}
+		}
+		return -1
+	}
+	for i, a := range g.out[from] {
+		if int(a.peer) == to {
+			return i
+		}
+	}
+	return -1
+}
+
+// arcBetween returns the edge from→to of two slots.
+func (g *Graph) arcBetween(from, to int) (arc, bool) {
+	if i := g.find(from, to); i >= 0 {
+		return g.out[from][i], true
+	}
+	return arc{}, false
+}
+
+// slotPair resolves two node ids.
+func (g *Graph) slotPair(a, b string) (int, int, bool) {
+	sa, okA := g.index[a]
+	sb, okB := g.index[b]
+	return sa, sb, okA && okB
 }
 
 // RemoveEdge deletes the directed edge from→to if present.
 func (g *Graph) RemoveEdge(from, to string) {
-	if m, ok := g.out[from]; ok {
-		delete(m, to)
+	if f, t, ok := g.slotPair(from, to); ok {
+		if i := g.find(f, t); i >= 0 {
+			g.unlink(f, i)
+		}
 	}
-	if m, ok := g.in[to]; ok {
-		delete(m, from)
-	}
+}
+
+// edge renders arc a of slot s's out row as an Edge.
+func (g *Graph) edge(s int, a arc) Edge {
+	return Edge{From: g.names[s], To: g.names[a.peer], Weight: a.w, Factors: g.fac.list(a.fs), Replica: a.replica}
 }
 
 // EdgeBetween returns the directed edge from→to and whether it exists.
 func (g *Graph) EdgeBetween(from, to string) (Edge, bool) {
-	e, ok := g.out[from][to]
-	return e, ok
+	f, t, ok := g.slotPair(from, to)
+	if !ok {
+		return Edge{}, false
+	}
+	a, ok := g.arcBetween(f, t)
+	if !ok {
+		return Edge{}, false
+	}
+	return g.edge(f, a), true
 }
 
 // Influence returns the influence weight FCM_from → FCM_to; 0 when no edge.
 func (g *Graph) Influence(from, to string) float64 {
-	return g.out[from][to].Weight
+	f, t, ok := g.slotPair(from, to)
+	if !ok {
+		return 0
+	}
+	a, _ := g.arcBetween(f, t)
+	return a.w
 }
 
 // AreReplicas reports whether a and b are joined by a replica edge.
 func (g *Graph) AreReplicas(a, b string) bool {
-	e, ok := g.out[a][b]
-	return ok && e.Replica
+	sa, sb, ok := g.slotPair(a, b)
+	return ok && g.AreReplicaSlots(sa, sb)
 }
 
 // OutEdges returns the out-edges of id sorted by target (deterministic).
 func (g *Graph) OutEdges(id string) []Edge {
-	return sortEdges(g.out[id], func(e Edge) string { return e.To })
+	s, ok := g.index[id]
+	if !ok {
+		return []Edge{}
+	}
+	es := make([]Edge, 0, len(g.out[s]))
+	for _, a := range g.sortedRow(g.out[s]) {
+		es = append(es, g.edge(s, a))
+	}
+	return es
 }
 
 // InEdges returns the in-edges of id sorted by source.
 func (g *Graph) InEdges(id string) []Edge {
-	return sortEdges(g.in[id], func(e Edge) string { return e.From })
+	s, ok := g.index[id]
+	if !ok {
+		return []Edge{}
+	}
+	es := make([]Edge, 0, len(g.in[s]))
+	for _, a := range g.sortedRow(g.in[s]) {
+		es = append(es, Edge{From: g.names[a.peer], To: g.names[s], Weight: a.w, Factors: g.fac.list(a.fs), Replica: a.replica})
+	}
+	return es
 }
 
-func sortEdges(m map[string]Edge, key func(Edge) string) []Edge {
-	es := make([]Edge, 0, len(m))
-	for _, e := range m {
-		es = append(es, e)
+// sortedRow returns a copy of row sorted by peer name.
+func (g *Graph) sortedRow(row []arc) []arc {
+	row = slices.Clone(row)
+	g.sortRow(row)
+	return row
+}
+
+// sortRow sorts row by peer name in place.
+func (g *Graph) sortRow(row []arc) {
+	slices.SortFunc(row, func(x, y arc) int { return strings.Compare(g.names[x.peer], g.names[y.peer]) })
+}
+
+// eachEdge calls f for every edge in Edges() order: by source, then by
+// target name.
+func (g *Graph) eachEdge(f func(from int, a arc)) {
+	var row []arc
+	for _, s := range g.SlotsByName() {
+		row = append(row[:0], g.out[s]...)
+		g.sortRow(row)
+		for _, a := range row {
+			f(s, a)
+		}
 	}
-	sort.Slice(es, func(i, j int) bool { return key(es[i]) < key(es[j]) })
-	return es
 }
 
 // Edges returns every directed edge, sorted by (From, To).
 func (g *Graph) Edges() []Edge {
-	es := make([]Edge, 0, g.NumEdges())
-	for _, id := range g.Nodes() {
-		es = append(es, g.OutEdges(id)...)
-	}
+	es := make([]Edge, 0, g.edges)
+	g.eachEdge(func(s int, a arc) { es = append(es, g.edge(s, a)) })
 	return es
 }
 
@@ -246,40 +512,68 @@ func (g *Graph) MutualInfluence(a, b string) float64 {
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	for id, a := range g.nodes {
-		c.nodes[id] = a.Clone()
-		c.out[id] = make(map[string]Edge, len(g.out[id]))
-		c.in[id] = make(map[string]Edge, len(g.in[id]))
+	return &Graph{
+		index:    maps.Clone(g.index),
+		names:    slices.Clone(g.names),
+		attrs:    slices.Clone(g.attrs),
+		out:      cloneRows(g.out),
+		in:       cloneRows(g.in),
+		head:     slices.Clone(g.head),
+		size:     slices.Clone(g.size),
+		free:     slices.Clone(g.free),
+		edges:    g.edges,
+		cells:    slices.Clone(g.cells),
+		freeCell: g.freeCell,
+		bases:    g.bases[:len(g.bases):len(g.bases)],
+		baseIDs:  maps.Clone(g.baseIDs),
+		fac:      g.fac.clone(),
 	}
-	for from, m := range g.out {
-		for to, e := range m {
-			e.Factors = append([]string(nil), e.Factors...)
-			c.out[from][to] = e
-			c.in[to][from] = e
-		}
+}
+
+// cloneRows copies rows into one backing array. Each copied row is capped
+// at its length, so growing one reallocates it rather than overwrite its
+// neighbour.
+func cloneRows(rows [][]arc) [][]arc {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
 	}
-	return c
+	backing := make([]arc, 0, n)
+	out := make([][]arc, len(rows))
+	for i, r := range rows {
+		start := len(backing)
+		backing = append(backing, r...)
+		out[i] = backing[start:len(backing):len(backing)]
+	}
+	return out
+}
+
+// rankByName returns the sorted node ids and, per slot, the position of
+// its id among them.
+func (g *Graph) rankByName() ([]string, []int) {
+	ids := g.Nodes()
+	rank := make([]int, len(g.names))
+	for i, id := range ids {
+		rank[g.index[id]] = i
+	}
+	return ids, rank
 }
 
 // Matrix returns the influence matrix P (P[i][j] = influence of node i on
 // node j) together with the sorted node-id index it is expressed in.
 // Replica edges contribute 0, matching their weight.
 func (g *Graph) Matrix() ([][]float64, []string) {
-	ids := g.Nodes()
-	idx := make(map[string]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
-	p := make([][]float64, len(ids))
-	backing := make([]float64, len(ids)*len(ids))
+	ids, rank := g.rankByName()
+	n := len(ids)
+	p := make([][]float64, n)
+	backing := make([]float64, n*n)
 	for i := range p {
-		p[i] = backing[i*len(ids) : (i+1)*len(ids)]
+		p[i] = backing[i*n : (i+1)*n]
 	}
-	for from, m := range g.out {
-		for to, e := range m {
-			if !e.Replica {
-				p[idx[from]][idx[to]] = e.Weight
+	for s, row := range g.out {
+		for _, a := range row {
+			if !a.replica {
+				p[rank[s]][rank[a.peer]] = a.w
 			}
 		}
 	}
@@ -290,20 +584,23 @@ func (g *Graph) Matrix() ([][]float64, []string) {
 // positive weight (replica edges do not transmit influence).
 func (g *Graph) Reachable(start string) map[string]bool {
 	seen := map[string]bool{}
-	if _, ok := g.nodes[start]; !ok {
+	s, ok := g.index[start]
+	if !ok {
 		return seen
 	}
-	queue := []string{start}
-	seen[start] = true
+	mark := make([]bool, len(g.names))
+	mark[s] = true
+	queue := []int{s}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for to, e := range g.out[cur] {
-			if e.Replica || e.Weight <= 0 || seen[to] {
+		seen[g.names[cur]] = true
+		for _, a := range g.out[cur] {
+			if a.replica || a.w <= 0 || mark[a.peer] {
 				continue
 			}
-			seen[to] = true
-			queue = append(queue, to)
+			mark[a.peer] = true
+			queue = append(queue, int(a.peer))
 		}
 	}
 	return seen
@@ -312,15 +609,83 @@ func (g *Graph) Reachable(start string) map[string]bool {
 // String renders the graph compactly for traces and golden tests.
 func (g *Graph) String() string {
 	var b strings.Builder
-	for _, id := range g.Nodes() {
-		fmt.Fprintf(&b, "%s [%s]\n", id, g.nodes[id])
-		for _, e := range g.OutEdges(id) {
-			if e.Replica {
-				fmt.Fprintf(&b, "  -> %s replica\n", e.To)
+	for _, s := range g.SlotsByName() {
+		fmt.Fprintf(&b, "%s [%s]\n", g.names[s], g.attrs[s])
+		for _, a := range g.sortedRow(g.out[s]) {
+			if a.replica {
+				fmt.Fprintf(&b, "  -> %s replica\n", g.names[a.peer])
 			} else {
-				fmt.Fprintf(&b, "  -> %s %.3g%s\n", e.To, e.Weight, e.Label())
+				fmt.Fprintf(&b, "  -> %s %.3g%s\n", g.names[a.peer], a.w, Edge{Factors: g.fac.sets[a.fs].list}.Label())
 			}
 		}
 	}
 	return b.String()
+}
+
+// --- Slot-level access, for callers that iterate the graph in a hot loop.
+
+// Slot returns the slot of node id. A slot is a dense int that stays with
+// the node until it is removed or contracted away; Contract gives its
+// result the first member's slot.
+func (g *Graph) Slot(id string) (int, bool) {
+	s, ok := g.index[id]
+	return s, ok
+}
+
+// NumSlots returns one more than the largest slot ever used: arrays
+// indexed by slot need this length.
+func (g *Graph) NumSlots() int { return len(g.names) }
+
+// Name returns the id of the node in slot s, or "" for a free slot.
+func (g *Graph) Name(s int) string { return g.names[s] }
+
+// SlotsByName returns the live slots ordered by node id.
+func (g *Graph) SlotsByName() []int {
+	slots := make([]int, 0, len(g.index))
+	for _, s := range g.index {
+		slots = append(slots, s)
+	}
+	slices.SortFunc(slots, func(a, b int) int { return strings.Compare(g.names[a], g.names[b]) })
+	return slots
+}
+
+// NumMembers returns the number of base nodes in slot s (1 for a plain
+// node, the cluster size for a contracted one).
+func (g *Graph) NumMembers(s int) int { return int(g.size[s]) }
+
+// AppendMembers appends the base-node ids of slot s to dst in member-name
+// order, as Members(Name(s)) lists them, and returns the extended slice.
+func (g *Graph) AppendMembers(dst []int32, s int) []int32 {
+	for c := g.head[s]; c >= 0; c = g.cells[c].next {
+		dst = append(dst, g.cells[c].base)
+	}
+	return dst
+}
+
+// BaseName returns the name of base-node id b.
+func (g *Graph) BaseName(b int32) string { return g.bases[b] }
+
+// AreReplicaSlots reports whether the edge a→b is a replica edge.
+func (g *Graph) AreReplicaSlots(a, b int) bool {
+	e, ok := g.arcBetween(a, b)
+	return ok && e.replica
+}
+
+// MutualSlots is MutualInfluence of two slots.
+func (g *Graph) MutualSlots(a, b int) float64 {
+	ab, _ := g.arcBetween(a, b)
+	ba, _ := g.arcBetween(b, a)
+	return ab.w + ba.w
+}
+
+// MutualRow sets row[x] to the mutual influence between slots s and x for
+// every slot x; row must hold NumSlots entries. It reads only s's rows.
+func (g *Graph) MutualRow(s int, row []float64) {
+	clear(row)
+	for _, a := range g.out[s] {
+		row[a.peer] += a.w
+	}
+	for _, a := range g.in[s] {
+		row[a.peer] += a.w
+	}
 }

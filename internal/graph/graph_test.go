@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -579,5 +580,93 @@ func TestGlobalMinCutSeparatesReplicas(t *testing.T) {
 	}
 	if len(cut.S) != 1 || len(cut.T) != 1 {
 		t.Errorf("cut sides: %v | %v", cut.S, cut.T)
+	}
+}
+
+func TestCrossWeightSumsInEdgeOrder(t *testing.T) {
+	// One heavy cross edge and many tiny ones: adding the tiny ones to
+	// 1 first loses them, adding them to each other first keeps them, so
+	// the sum depends on the order of the additions.
+	g := New()
+	mustAdd(t, g, "a", "b", "c", "d", "e", "f", "g", "h")
+	mustEdge(t, g, "a", "e", 1)
+	for _, from := range []string{"b", "c", "d"} {
+		for _, to := range []string{"e", "f", "g", "h"} {
+			mustEdge(t, g, from, to, 1e-16)
+		}
+	}
+	part := [][]string{{"a", "b", "c", "d"}, {"e", "f", "g", "h"}}
+	inEdgeOrder, reversed := 0.0, 0.0
+	es := g.Edges()
+	for _, e := range es {
+		inEdgeOrder += e.Weight
+	}
+	for i := len(es) - 1; i >= 0; i-- {
+		reversed += es[i].Weight
+	}
+	if inEdgeOrder == reversed {
+		t.Fatal("fixture weights do not make the sum order-dependent")
+	}
+	c := g.Clone()
+	for i := 0; i < 100; i++ {
+		for _, h := range []*Graph{g, c} {
+			if got := h.CrossWeight(part); math.Float64bits(got) != math.Float64bits(inEdgeOrder) {
+				t.Fatalf("call %d: CrossWeight = %v, want %v (Edges() order)", i, got, inEdgeOrder)
+			}
+			if got := h.InternalWeight([][]string{{"a", "b", "c", "d", "e", "f", "g", "h"}}); math.Float64bits(got) != math.Float64bits(inEdgeOrder) {
+				t.Fatalf("call %d: InternalWeight = %v, want %v (Edges() order)", i, got, inEdgeOrder)
+			}
+		}
+	}
+}
+
+// allocGraph builds a 60-node graph with timing attributes, factor-labelled
+// edges (unsorted and repeated lists among them) and replica links between
+// nodes i and i+30.
+func allocGraph(t *testing.T) *Graph {
+	t.Helper()
+	g := New()
+	for i := 0; i < 60; i++ {
+		if err := g.AddNode(fmt.Sprintf("n%02d", i), attrs.Timing(float64(i%7), 1+i%3, float64(i%5), float64(40+i%9), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	factors := [][]string{{"message"}, {"timing", "message"}, {"shared-memory", "timing"}, {"message", "message"}}
+	s := uint32(7)
+	for i := 0; i < 60; i++ {
+		for k := 0; k < 4; k++ {
+			s = s*1664525 + 1013904223
+			j := int(s>>8) % 60
+			if j == i || j == i+30 || i == j+30 {
+				continue
+			}
+			mustEdge(t, g, fmt.Sprintf("n%02d", i), fmt.Sprintf("n%02d", j), float64(s>>16%1000)/1000, factors[(i+k)%4]...)
+		}
+		if i < 30 {
+			if err := g.AddReplicaEdge(fmt.Sprintf("n%02d", i), fmt.Sprintf("n%02d", i+30)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return g
+}
+
+func TestContractAllocsSteadyState(t *testing.T) {
+	g := allocGraph(t)
+	var pairs [][]string
+	for i := 0; i < 60; i += 2 {
+		pairs = append(pairs, []string{fmt.Sprintf("n%02d", i), fmt.Sprintf("n%02d", i+1)})
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := g.Contract(pairs[next], eq4); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	// The cluster id string, and now and then a row that outgrows the
+	// larger of its members' rows.
+	if allocs > 2 {
+		t.Errorf("Contract made %.1f allocations per call, want at most 2", allocs)
 	}
 }

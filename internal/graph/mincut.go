@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -26,29 +27,11 @@ type Cut struct {
 // Replica edges carry weight 0 and therefore never hold a cut together —
 // replicas naturally fall on opposite sides, as the paper requires.
 func (g *Graph) GlobalMinCut() (Cut, error) {
-	ids := g.Nodes()
-	n := len(ids)
-	if n < 2 {
+	if g.NumNodes() < 2 {
 		return Cut{}, ErrTooSmall
 	}
-	// Symmetric weight matrix of mutual influence.
-	w := make([][]float64, n)
-	for i := range w {
-		w[i] = make([]float64, n)
-	}
-	idx := make(map[string]int, n)
-	for i, id := range ids {
-		idx[id] = i
-	}
-	for from, m := range g.out {
-		for to, e := range m {
-			if e.Replica {
-				continue
-			}
-			w[idx[from]][idx[to]] += e.Weight
-			w[idx[to]][idx[from]] += e.Weight
-		}
-	}
+	w, ids := g.symmetric()
+	n := len(ids)
 
 	// Stoer–Wagner with supernode tracking. members[i] lists the original
 	// node indices currently merged into supernode i.
@@ -148,26 +131,10 @@ func (g *Graph) MinCutST(s, t string) (Cut, error) {
 	if s == t {
 		return Cut{}, ErrSelfEdge
 	}
-	ids := g.Nodes()
-	idx := make(map[string]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
+	capM, ids := g.symmetric()
 	n := len(ids)
-	capM := make([][]float64, n)
-	for i := range capM {
-		capM[i] = make([]float64, n)
-	}
-	for from, m := range g.out {
-		for to, e := range m {
-			if e.Replica {
-				continue
-			}
-			capM[idx[from]][idx[to]] += e.Weight
-			capM[idx[to]][idx[from]] += e.Weight
-		}
-	}
-	si, ti := idx[s], idx[t]
+	si, _ := slices.BinarySearch(ids, s)
+	ti, _ := slices.BinarySearch(ids, t)
 	flowTotal := 0.0
 	const eps = 1e-12
 	for {
@@ -227,53 +194,66 @@ func (g *Graph) MinCutST(s, t string) (Cut, error) {
 	return Cut{S: sSide, T: tSide, Weight: flowTotal}, nil
 }
 
+// symmetric returns the symmetrized influence matrix (w[i][j] is the sum
+// of the influences between nodes i and j, replica edges excluded) over the
+// sorted node ids.
+func (g *Graph) symmetric() ([][]float64, []string) {
+	ids, rank := g.rankByName()
+	n := len(ids)
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+	}
+	for s, row := range g.out {
+		for _, a := range row {
+			if a.replica {
+				continue
+			}
+			i, j := rank[s], rank[a.peer]
+			w[i][j] += a.w
+			w[j][i] += a.w
+		}
+	}
+	return w, ids
+}
+
 // CrossWeight sums the directed influence of every edge whose endpoints lie
 // in different groups of the given partition. It is the containment metric
 // of §5.3: the residual influence not contained within any one HW node.
+// Edges are summed in Edges() order, so the result is the same bits on
+// every call and on every clone.
 func (g *Graph) CrossWeight(partition [][]string) float64 {
-	groupOf := map[string]int{}
-	for gi, grp := range partition {
-		for _, id := range grp {
-			groupOf[id] = gi
-		}
-	}
-	total := 0.0
-	for from, m := range g.out {
-		for to, e := range m {
-			if e.Replica {
-				continue
-			}
-			gf, okF := groupOf[from]
-			gt, okT := groupOf[to]
-			if okF && okT && gf != gt {
-				total += e.Weight
-			}
-		}
-	}
-	return total
+	return g.partitionWeight(partition, false)
 }
 
 // InternalWeight sums the directed influence contained inside the groups of
-// the partition (the complement of CrossWeight over covered nodes).
+// the partition (the complement of CrossWeight over covered nodes), in
+// Edges() order.
 func (g *Graph) InternalWeight(partition [][]string) float64 {
-	groupOf := map[string]int{}
+	return g.partitionWeight(partition, true)
+}
+
+// partitionWeight sums the weighted edges whose endpoints are both covered
+// by the partition and lie in the same group (internal) or in different
+// groups (!internal).
+func (g *Graph) partitionWeight(partition [][]string, internal bool) float64 {
+	groupOf := make([]int, len(g.names))
+	for i := range groupOf {
+		groupOf[i] = -1
+	}
 	for gi, grp := range partition {
 		for _, id := range grp {
-			groupOf[id] = gi
+			if s, ok := g.index[id]; ok {
+				groupOf[s] = gi
+			}
 		}
 	}
 	total := 0.0
-	for from, m := range g.out {
-		for to, e := range m {
-			if e.Replica {
-				continue
-			}
-			gf, okF := groupOf[from]
-			gt, okT := groupOf[to]
-			if okF && okT && gf == gt {
-				total += e.Weight
-			}
+	g.eachEdge(func(s int, a arc) {
+		gf, gt := groupOf[s], groupOf[a.peer]
+		if !a.replica && gf >= 0 && gt >= 0 && (gf == gt) == internal {
+			total += a.w
 		}
-	}
+	})
 	return total
 }

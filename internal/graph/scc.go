@@ -12,33 +12,30 @@ import "sort"
 // are large makes high-order terms significant (experiment E4's
 // oscillation) — worth surfacing to the designer.
 func (g *Graph) StronglyConnectedComponents() [][]string {
-	ids := g.Nodes()
-	index := map[string]int{}
-	lowlink := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
+	n := len(g.names)
+	index := make([]int, n) // 1 + visit order; 0 = unvisited
+	lowlink := make([]int, n)
+	onStack := make([]bool, n)
+	var stack []int
 	counter := 0
 	var comps [][]string
 
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = counter
-		lowlink[v] = counter
+	var strongconnect func(v int)
+	strongconnect = func(v int) {
 		counter++
+		index[v], lowlink[v] = counter, counter
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, e := range g.OutEdges(v) {
-			if e.Replica || e.Weight <= 0 {
+		for _, a := range g.out[v] {
+			if a.replica || a.w <= 0 {
 				continue
 			}
-			w := e.To
-			if _, seen := index[w]; !seen {
+			w := int(a.peer)
+			if index[w] == 0 {
 				strongconnect(w)
-				if lowlink[w] < lowlink[v] {
-					lowlink[v] = lowlink[w]
-				}
-			} else if onStack[w] && index[w] < lowlink[v] {
-				lowlink[v] = index[w]
+				lowlink[v] = min(lowlink[v], lowlink[w])
+			} else if onStack[w] {
+				lowlink[v] = min(lowlink[v], index[w])
 			}
 		}
 		if lowlink[v] == index[v] {
@@ -47,7 +44,7 @@ func (g *Graph) StronglyConnectedComponents() [][]string {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				comp = append(comp, g.names[w])
 				if w == v {
 					break
 				}
@@ -56,8 +53,8 @@ func (g *Graph) StronglyConnectedComponents() [][]string {
 			comps = append(comps, comp)
 		}
 	}
-	for _, v := range ids {
-		if _, seen := index[v]; !seen {
+	for _, v := range g.SlotsByName() {
+		if index[v] == 0 {
 			strongconnect(v)
 		}
 	}

@@ -146,6 +146,10 @@ func eventsHandler(b *Bus) http.Handler {
 				from = n + 1
 			}
 		}
+		// Subscribe before the headers go out, so a client whose request
+		// has returned is already counted and sees every later event.
+		sub := b.Subscribe(from, 1024)
+		defer sub.Close()
 		if sse {
 			w.Header().Set("Content-Type", "text/event-stream")
 			w.Header().Set("Cache-Control", "no-cache")
@@ -154,9 +158,6 @@ func eventsHandler(b *Bus) http.Handler {
 		}
 		w.WriteHeader(http.StatusOK)
 		flusher.Flush()
-
-		sub := b.Subscribe(from, 1024)
-		defer sub.Close()
 		for {
 			ev, ok := sub.Next(req.Context())
 			if !ok {

@@ -392,6 +392,7 @@ func (co *Coordinator) loop(ctx context.Context) (faultsim.Result, error) {
 			co.publishDone(res)
 			return res, nil
 		}
+		co.regrant()
 		co.maybeLocal()
 		select {
 		case c := <-co.accepted:
@@ -723,6 +724,20 @@ func (co *Coordinator) nextChunk() (int, bool) {
 		return seq, true
 	}
 	return 0, false
+}
+
+// regrant hands requeued chunks to live workers with free lease slots.
+// A dropped or quarantined worker's chunks are requeued while the others
+// may sit idle — they last asked when every chunk was leased out, and
+// grant otherwise runs only on a welcome, a result or an expiry of their
+// own lease — so without this the campaign would stall.
+func (co *Coordinator) regrant() {
+	for w := range co.workers {
+		if len(co.requeue) == 0 {
+			return
+		}
+		co.grant(w)
+	}
 }
 
 // liveWorkers counts welcomed, still-connected workers.

@@ -166,6 +166,94 @@ func TestFabricAllLiarsFallsBackLocal(t *testing.T) {
 	}
 }
 
+// TestFabricDroppedLeasesReachIdleWorker: chunks requeued when a worker
+// drops must go to a live worker that already sits idle. A silent
+// hand-rolled worker holds the first two chunks; a real worker finishes
+// the rest and goes idle (every chunk leased out); then the silent one
+// disconnects. Nothing else ever prompts a grant to the idle worker, so
+// the campaign completes only if the drop itself hands the chunks on.
+func TestFabricDroppedLeasesReachIdleWorker(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	c := testCampaign(t, 640)
+	want := localReference(t, c)
+	const perWork = 2
+	rest := faultsim.NumChunks(c.Trials) - perWork
+
+	bus := obs.NewBus(1024)
+	defer bus.Close()
+	sub := bus.Subscribe(0, 1024)
+	defer sub.Close()
+
+	pl := NewPipeListener()
+	type serveOut struct {
+		res   faultsim.Result
+		stats Stats
+		err   error
+	}
+	ch := make(chan serveOut, 1)
+	sctx, scancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer scancel()
+	go func() {
+		// The TTL outlasts the test: only the drop can free the chunks.
+		res, stats, err := Serve(sctx, Config{
+			Campaign: c, Listener: pl, LeaseTTL: time.Minute, LeasesPerWorker: perWork, Bus: bus,
+		})
+		ch <- serveOut{res, stats, err}
+	}()
+
+	silent, err := pl.Dial()(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	if err := silent.Send(&Frame{Type: TypeHello, Proto: Proto, Fingerprint: c.Fingerprint(), Worker: "silent"}); err != nil {
+		t.Fatal(err)
+	}
+	for leases := 0; leases < perWork; {
+		f, err := silent.Recv()
+		if err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		if f.Type == TypeLease {
+			leases++
+		}
+	}
+
+	wctx, wcancel := context.WithCancel(context.Background())
+	var wwg sync.WaitGroup
+	wwg.Add(1)
+	go func() {
+		defer wwg.Done()
+		_ = RunWorker(wctx, flaglessWorker(pl.Dial(), 1))
+	}()
+	// Each result is published before the grant that follows it, in the
+	// same loop step: once the last reachable result is seen, the live
+	// worker has been told there is nothing left.
+	for results := 0; results < rest; {
+		ev, ok := sub.Next(sctx)
+		if !ok {
+			t.Fatalf("saw %d of %d results before the deadline", results, rest)
+		}
+		if ev.Kind == "fabric_lease" && ev.Attrs["state"] == "result" {
+			results++
+		}
+	}
+	silent.Close()
+
+	out := <-ch
+	wcancel()
+	wwg.Wait()
+	if out.err != nil {
+		t.Fatalf("Serve: %v (stats %+v)", out.err, out.stats)
+	}
+	if !reflect.DeepEqual(out.res, want) {
+		t.Error("result after a dropped worker differs from Workers=1")
+	}
+	if out.stats.WorkersLost != 1 || out.stats.Reassigned != perWork {
+		t.Errorf("WorkersLost = %d, Reassigned = %d, want 1 and %d", out.stats.WorkersLost, out.stats.Reassigned, perWork)
+	}
+}
+
 // TestFabricFlaglessWorkersSelfConfigure: workers launched with no
 // campaign at all adopt the shipped spec (after verifying it against its
 // claimed fingerprint) and the result stays bit-identical.

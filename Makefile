@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet build test race bench fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln
+.PHONY: check fmt vet build test race bench bench-module fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln
 
-check: fmt vet build test race bench fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln
+check: fmt vet build test race bench bench-module fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -34,6 +34,13 @@ race:
 # `go test -bench=. -benchmem` for real measurements.
 bench:
 	$(GO) test -run NONE -bench 'Integrate(Pipeline|NilObserver|WithObserver)$$' -benchtime 50x .
+
+# bench-module vets the end-to-end benchmark harness (its own module in
+# bench/, outside ./...) and runs its self-tests: the output checks and
+# metric derivations that `bash bench/run.sh` relies on.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # scenario-check is the corpus acceptance gate: every committed scenario
 # in testdata/corpus is regenerated from its seed (spec drift fails),

@@ -254,7 +254,8 @@ func chaosTransport(c faultsim.Campaign, want faultsim.Result) {
 
 // telemetryTrace certifies the federated-telemetry leg: with a bus and
 // observer attached, the coordinator propagates trace context on grants
-// and absorbs the phase spans workers relay back on their result frames.
+// and builds each accepted chunk's phase spans from the phase times its
+// result frame carries.
 // Even with a worker killed mid-campaign (its chunks reassigned), the
 // merge must stay bit-identical to Workers=1, every chunk must appear
 // exactly once among the relayed evaluate spans, and every span's parent

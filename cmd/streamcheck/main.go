@@ -248,7 +248,7 @@ func produce(trials int) ([]obs.BusEvent, *obs.Bus, error) {
 
 	// A third fabric run feeds the federated-telemetry kinds: the
 	// coordinator has both Bus and Observer, so grant frames carry trace
-	// context and workers relay phase spans (fabric_span) and clock echoes
+	// context and workers relay phase times (fabric_span) and clock echoes
 	// (fabric_clock) back. One worker's transport delays every result by
 	// far more than the fleet's chunk time, so its latency p95 trips the
 	// straggler detector (fabric_straggler) at the lowered thresholds.

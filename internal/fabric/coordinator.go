@@ -110,7 +110,7 @@ type lease struct {
 	worker   *workerConn
 	deadline time.Time
 	// granted timestamps the grant for leased→resulted latency
-	// attribution (telemetry only; zero when federation is off).
+	// attribution (telemetry only).
 	granted time.Time
 }
 
@@ -125,8 +125,8 @@ type workerConn struct {
 	// Challenge-response state while authentication is in flight.
 	authPending bool
 	authNonce   string
-	leases      map[uint64]*lease
-	chunks      int // results delivered over this connection
+	leases      map[uint64]*lease // by id; each is also Coordinator.leased[seq]
+	chunks      int               // results delivered over this connection
 
 	// Telemetry federation state, loop-owned like everything else here
 	// (see telemetry.go). clockOff/rttBest hold the smallest-RTT clock
@@ -190,8 +190,7 @@ type Coordinator struct {
 	totalChunks int
 	nextSeq     int // next never-granted chunk index
 	requeue     []int
-	leased      map[int]*lease
-	leases      map[uint64]*lease
+	leased      map[int]*lease // the live lease of each leased chunk
 	leaseID     uint64
 
 	workers     map[*workerConn]struct{}
@@ -225,7 +224,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:         cfg,
 		label:       label,
 		leased:      map[int]*lease{},
-		leases:      map[uint64]*lease{},
 		workers:     map[*workerConn]struct{}{},
 		quarantined: map[string]bool{},
 		inbox:       make(chan inbound, 64),
@@ -354,7 +352,6 @@ func (co *Coordinator) Run(ctx context.Context, c faultsim.Campaign) (faultsim.R
 	co.nextSeq = faultsim.ChunkIndex(merger.Frontier())
 	co.requeue = nil
 	co.leased = map[int]*lease{}
-	co.leases = map[uint64]*lease{}
 	co.localCh = make(chan localResult, 1)
 	co.localBusy = false
 	for w := range co.workers {
@@ -524,8 +521,7 @@ func (co *Coordinator) dropWorker(w *workerConn, state string) {
 		co.stats.WorkersLost++
 		co.publishWorker(w, state)
 	}
-	for id, l := range w.leases {
-		delete(co.leases, id)
+	for _, l := range w.leases {
 		delete(co.leased, l.seq)
 		if !co.merger.Has(l.seq) {
 			co.requeue = append(co.requeue, l.seq)
@@ -604,10 +600,9 @@ func (co *Coordinator) handle(w *workerConn, f *Frame) error {
 			return nil
 		}
 		co.renew(w, f.Leases)
-		// Telemetry rides the result frame and is absorbed before the
-		// result itself: the spans of an accepted chunk land exactly once,
-		// and a duplicate's spans are rejected by the same Merger.Has test
-		// that suppresses the duplicate (see absorbSpans).
+		// The clock sample rides the result frame and is taken first, so
+		// the phase spans of an accepted result rebase on the freshest
+		// offset (see phaseSpans).
 		co.telemetryIn(w, f)
 		if f.Epoch != co.epoch {
 			return nil // stale epoch: result of a previous Run
@@ -698,7 +693,6 @@ func (co *Coordinator) grant(w *workerConn) {
 		co.leaseID++
 		now := time.Now()
 		l := &lease{id: co.leaseID, seq: seq, worker: w, deadline: now.Add(co.ttl), granted: now}
-		co.leases[l.id] = l
 		co.leased[seq] = l
 		w.leases[l.id] = l
 		begin, end := faultsim.ChunkBounds(seq, co.trials)
@@ -783,18 +777,18 @@ func (co *Coordinator) maybeLocal() {
 // reassigned copy it is suppressed as a duplicate.
 func (co *Coordinator) expireLeases() {
 	now := time.Now()
-	for id, l := range co.leases {
+	for seq, l := range co.leased {
 		if now.Before(l.deadline) {
 			continue
 		}
-		delete(co.leases, id)
-		delete(l.worker.leases, id)
-		delete(co.leased, l.seq)
+		delete(co.leased, seq)
+		delete(l.worker.leases, l.id)
 		co.stats.LeasesExpired++
 		co.publishLease(l, "expire")
-		if !co.merger.Has(l.seq) {
-			co.requeue = append(co.requeue, l.seq)
+		if !co.merger.Has(seq) {
+			co.requeue = append(co.requeue, seq)
 			co.stats.Reassigned++
+			co.publishLease(l, "reassign")
 		}
 		co.grant(l.worker)
 	}
@@ -838,6 +832,7 @@ func (co *Coordinator) result(w *workerConn, f *Frame) error {
 		}
 	}
 	w.chunks++
+	co.phaseSpans(w, f, seq)
 	return co.acceptChunk(w, f.Lease, seq, f.Chunk)
 }
 
@@ -845,33 +840,23 @@ func (co *Coordinator) result(w *workerConn, f *Frame) error {
 // spot-check re-evaluation, or the local fallback) and absorbs it; the
 // merger holds it until every chunk before it has arrived.
 func (co *Coordinator) acceptChunk(w *workerConn, leaseID uint64, seq int, out *faultsim.ChunkOutput) error {
-	// Leased→resulted latency of the delivering worker's own grant,
-	// measured before the release below discards the lease. Feeds the
-	// per-worker histograms and the straggler detector (telemetry only).
-	latMS := -1.0
-	if w != nil && co.telemetry() {
-		if l, ok := w.leases[leaseID]; ok && l.seq == seq && !l.granted.IsZero() {
-			latMS = float64(time.Since(l.granted)) / float64(time.Millisecond)
-		}
-	}
-	// Release whichever lease covers the chunk — possibly another
-	// worker's, when the chunk was reassigned and the first owner won.
-	if l := co.leased[seq]; l != nil {
-		delete(co.leases, l.id)
+	// Release the chunk's lease — possibly another worker's, when the
+	// chunk was reassigned and the first owner won.
+	l := co.leased[seq]
+	if l != nil {
 		delete(l.worker.leases, l.id)
 		delete(co.leased, seq)
 	}
-	if w != nil {
-		if l, ok := w.leases[leaseID]; ok && l.seq == seq {
-			delete(co.leases, l.id)
-			delete(w.leases, l.id)
-		}
-	}
-	if latMS >= 0 {
-		co.publishLease(&lease{id: leaseID, seq: seq, worker: w}, "result", obs.Float("latency_ms", latMS))
+	// Leased→resulted latency of the delivering worker's own grant feeds
+	// the per-worker histograms and the straggler detector (telemetry
+	// only).
+	ev := &lease{id: leaseID, seq: seq, worker: w}
+	if w != nil && l != nil && l.worker == w && l.id == leaseID && co.telemetry() {
+		latMS := float64(time.Since(l.granted)) / float64(time.Millisecond)
+		co.publishLease(ev, "result", obs.Float("latency_ms", latMS))
 		co.observeLatency(w, latMS)
 	} else {
-		co.publishLease(&lease{id: leaseID, seq: seq, worker: w}, "result")
+		co.publishLease(ev, "result")
 	}
 	_, err := co.merger.Absorb(out)
 	return err

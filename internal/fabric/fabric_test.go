@@ -534,8 +534,9 @@ func TestFabricRejectsProtoMismatch(t *testing.T) {
 		_, _, err := Serve(sctx, Config{Campaign: c, Listener: pl})
 		ch <- err
 	}()
-	// Proto-1 is a worker still sending the v2 map-keyed chunk body.
-	for _, proto := range []int{Proto - 1, Proto + 1} {
+	// v2 sends map-keyed chunk bodies; v3 relays worker-built span
+	// records instead of result-frame phase times.
+	for _, proto := range []int{2, 3, Proto + 1} {
 		conn, err := pl.Dial()(context.Background())
 		if err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -251,6 +252,97 @@ func TestFabricDroppedLeasesReachIdleWorker(t *testing.T) {
 	}
 	if out.stats.WorkersLost != 1 || out.stats.Reassigned != perWork {
 		t.Errorf("WorkersLost = %d, Reassigned = %d, want 1 and %d", out.stats.WorkersLost, out.stats.Reassigned, perWork)
+	}
+}
+
+// TestFabricExpiryPublishesReassign: every chunk the coordinator requeues
+// is announced on the bus as a fabric_lease "reassign" event, whether its
+// lease expired or its worker dropped, so the live board's reassignment
+// count matches Stats.Reassigned. A silent hand-rolled worker takes
+// leases and never answers: they expire and are granted back to it, then
+// it disconnects and a real worker finishes the campaign.
+func TestFabricExpiryPublishesReassign(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	c := testCampaign(t, 640)
+	want := localReference(t, c)
+	const perWork = 2
+
+	bus := obs.NewBus(1 << 12)
+	defer bus.Close()
+	sub := bus.Subscribe(0, 1<<12)
+	defer sub.Close()
+
+	pl := NewPipeListener()
+	type serveOut struct {
+		res   faultsim.Result
+		stats Stats
+		err   error
+	}
+	ch := make(chan serveOut, 1)
+	sctx, scancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer scancel()
+	go func() {
+		res, stats, err := Serve(sctx, Config{
+			Campaign: c, Listener: pl, LeaseTTL: 50 * time.Millisecond, LeasesPerWorker: perWork, Bus: bus,
+		})
+		ch <- serveOut{res, stats, err}
+	}()
+
+	silent, err := pl.Dial()(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	if err := silent.Send(&Frame{Type: TypeHello, Proto: Proto, Fingerprint: c.Fingerprint(), Worker: "silent"}); err != nil {
+		t.Fatal(err)
+	}
+	// The first perWork grants expire unanswered and come back as the
+	// next perWork grants.
+	for leases := 0; leases < 2*perWork; {
+		f, err := silent.Recv()
+		if err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		if f.Type == TypeLease {
+			leases++
+		}
+	}
+	silent.Close()
+
+	wctx, wcancel := context.WithCancel(context.Background())
+	var wwg sync.WaitGroup
+	wwg.Add(1)
+	go func() {
+		defer wwg.Done()
+		_ = RunWorker(wctx, flaglessWorker(pl.Dial(), 1))
+	}()
+	out := <-ch
+	wcancel()
+	wwg.Wait()
+	if out.err != nil {
+		t.Fatalf("Serve: %v (stats %+v)", out.err, out.stats)
+	}
+	if !reflect.DeepEqual(out.res, want) {
+		t.Error("result after expiries differs from Workers=1")
+	}
+	if out.stats.LeasesExpired < perWork {
+		t.Fatalf("LeasesExpired = %d, want at least %d (stats %+v)", out.stats.LeasesExpired, perWork, out.stats)
+	}
+	reassigns := 0
+	for {
+		ev, ok := sub.TryNext()
+		if !ok {
+			break
+		}
+		if ev.Kind == "fabric_lease" && ev.Attrs["state"] == "reassign" {
+			reassigns++
+		}
+	}
+	if sub.Dropped() != 0 {
+		t.Fatalf("subscriber dropped %d events; the count would be short", sub.Dropped())
+	}
+	if reassigns != out.stats.Reassigned {
+		t.Errorf("%d reassign events on the bus, Stats.Reassigned = %d", reassigns, out.stats.Reassigned)
 	}
 }
 
@@ -569,8 +661,9 @@ func TestFabricRelayDeterminism(t *testing.T) {
 
 // TestFabricRelayUnderChaos runs the relay over a dropping, duplicating,
 // delaying transport with real lease expiries: the merge must stay
-// bit-identical, and relayed evaluate spans may be lost with their
-// frames but never duplicated — dup suppression covers telemetry too.
+// bit-identical, and every chunk merged from a worker result must carry
+// exactly one set of phase spans — a lost result frame takes its phase
+// times with it, and a duplicate is suppressed before any span is built.
 func TestFabricRelayUnderChaos(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	c := testCampaign(t, 1600)
@@ -586,21 +679,199 @@ func TestFabricRelayUnderChaos(t *testing.T) {
 		workers: 3,
 		cfg:     Config{Bus: bus, Observer: observer, LeaseTTL: 150 * time.Millisecond},
 	}
-	got, _ := h.run(t, c)
+	got, stats := h.run(t, c)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("chaos + relay: merged result differs from Workers=1")
 	}
-	seen := map[int]int{}
-	for _, rs := range observer.RemoteSpans() {
-		if rs.Name == "evaluate" {
-			if seen[rs.Chunk]++; seen[rs.Chunk] > 1 {
-				t.Fatalf("chunk %d evaluate span relayed twice", rs.Chunk)
+	checkPhaseSpans(t, observer.RemoteSpans(), faultsim.NumChunks(c.Trials)-stats.LocalChunks)
+}
+
+// checkPhaseSpans asserts that spans trace exactly wantChunks chunks, each
+// with one decode, one evaluate and one encode span under the same lease,
+// with the lease-derived span ids.
+func checkPhaseSpans(t *testing.T, spans []obs.RemoteSpan, wantChunks int) {
+	t.Helper()
+	phase := map[string]uint64{"decode": 1, "evaluate": 2, "encode": 3}
+	type key struct {
+		chunk int
+		name  string
+	}
+	seen := map[key]obs.RemoteSpan{}
+	parent := map[int]uint64{}
+	for _, rs := range spans {
+		k := key{rs.Chunk, rs.Name}
+		if _, dup := seen[k]; dup {
+			t.Fatalf("chunk %d has two %s spans", rs.Chunk, rs.Name)
+		}
+		seen[k] = rs
+		if p, ok := parent[rs.Chunk]; ok && p != rs.Parent {
+			t.Fatalf("chunk %d spans name parents %d and %d", rs.Chunk, p, rs.Parent)
+		}
+		parent[rs.Chunk] = rs.Parent
+		if rs.Worker == "" || rs.Parent == 0 || rs.ID != rs.Parent*4+phase[rs.Name] || rs.DurUS < 0 {
+			t.Fatalf("malformed remote span %+v", rs)
+		}
+	}
+	for chunk := range parent {
+		for name := range phase {
+			if _, ok := seen[key{chunk, name}]; !ok {
+				t.Fatalf("chunk %d has no %s span", chunk, name)
 			}
 		}
 	}
-	if len(seen) == 0 {
-		t.Error("chaos + relay: no evaluate spans survived")
+	if len(parent) != wantChunks {
+		t.Fatalf("%d chunks traced, want %d (one per chunk merged from a worker result)", len(parent), wantChunks)
 	}
+}
+
+// TestPhaseSpansFromResultFrame pins the coordinator's span derivation
+// for a fixed clock: a result's phase times become the same decode,
+// evaluate and encode records workers used to build themselves (ids
+// lease*4+k under the lease, start rebased by the worker's clock offset),
+// and phase times out of order yield nothing.
+func TestPhaseSpansFromResultFrame(t *testing.T) {
+	observer := obs.New()
+	co := &Coordinator{cfg: Config{Observer: observer}, label: "c"}
+	w := &workerConn{name: "w1", clockSet: true, clockOff: 7}
+	f := &Frame{Type: TypeResult, Lease: 5, Epoch: 2, RecvUS: 1000, StartUS: 1010, EndUS: 1040, WTS: 1045}
+	co.phaseSpans(w, f, 3)
+	want := []obs.RemoteSpan{
+		{Worker: "w1", Name: "decode", ID: 21, Parent: 5, Epoch: 2, Chunk: 3, StartUS: 993, DurUS: 10},
+		{Worker: "w1", Name: "evaluate", ID: 22, Parent: 5, Epoch: 2, Chunk: 3, StartUS: 1003, DurUS: 30},
+		{Worker: "w1", Name: "encode", ID: 23, Parent: 5, Epoch: 2, Chunk: 3, StartUS: 1033, DurUS: 5},
+	}
+	if got := observer.RemoteSpans(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("phase spans:\n got %+v\nwant %+v", got, want)
+	}
+
+	for _, bad := range []Frame{
+		{RecvUS: 0, StartUS: 1010, EndUS: 1040, WTS: 1045},    // no grant receipt
+		{RecvUS: -5, StartUS: 1010, EndUS: 1040, WTS: 1045},   // negative receipt
+		{RecvUS: 1020, StartUS: 1010, EndUS: 1040, WTS: 1045}, // receipt after start
+		{RecvUS: 1000, StartUS: 1050, EndUS: 1040, WTS: 1045}, // start after end
+		{RecvUS: 1000, StartUS: 1010, EndUS: 1050, WTS: 1045}, // end after send
+		{RecvUS: 1000, StartUS: 1010, EndUS: 1040},            // no send time
+	} {
+		bad.Type, bad.Lease, bad.Epoch = TypeResult, 6, 2
+		co.phaseSpans(w, &bad, 4)
+	}
+	if n := len(observer.RemoteSpans()); n != len(want) {
+		t.Fatalf("out-of-order phase times produced %d extra spans", n-len(want))
+	}
+}
+
+// scrambleConn rewrites the phase times of a worker's result frames so
+// they are out of order, cycling through every way the order can break.
+type scrambleConn struct {
+	Conn
+	n atomic.Int64
+}
+
+func (c *scrambleConn) Send(f *Frame) error {
+	if f.Type != TypeResult || f.StartUS == 0 {
+		return c.Conn.Send(f)
+	}
+	g := *f // copy: the in-process pipe hands the coordinator this memory
+	switch c.n.Add(1) % 4 {
+	case 0:
+		g.RecvUS = g.StartUS + 1
+	case 1:
+		g.StartUS = g.EndUS + 1
+	case 2:
+		g.EndUS = g.WTS + 1
+	default:
+		g.RecvUS = -1
+	}
+	return c.Conn.Send(&g)
+}
+
+// TestFabricOutOfOrderPhaseTimesIgnored: a worker whose result frames
+// carry phase times out of order gets no spans built from them, and its
+// results still merge bit-identically — phase times never touch the
+// merge.
+func TestFabricOutOfOrderPhaseTimesIgnored(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	c := testCampaign(t, 640)
+	want := localReference(t, c)
+	bus := obs.NewBus(1 << 12)
+	defer bus.Close()
+	sub := bus.Subscribe(0, 1<<12)
+	defer sub.Close()
+	observer := obs.New(obs.WithBus(bus))
+	pl := NewPipeListener()
+	inner := pl.Dial()
+	h := &fabricHarness{
+		ln: pl,
+		dial: func(ctx context.Context) (Conn, error) {
+			conn, err := inner(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return &scrambleConn{Conn: conn}, nil
+		},
+		workers: 2,
+		cfg:     Config{Bus: bus, Observer: observer},
+	}
+	got, stats := h.run(t, c)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("scrambled phase times changed the merged result (stats %+v)", stats)
+	}
+	if stats.LocalChunks != 0 {
+		t.Fatalf("LocalChunks = %d, want every chunk from a worker result", stats.LocalChunks)
+	}
+	if n := len(observer.RemoteSpans()); n != 0 {
+		t.Errorf("%d remote spans built from out-of-order phase times, want 0", n)
+	}
+	for {
+		ev, ok := sub.TryNext()
+		if !ok {
+			break
+		}
+		if ev.Kind == "fabric_span" {
+			t.Fatalf("fabric_span event published from out-of-order phase times: %+v", ev)
+		}
+	}
+}
+
+// TestFabricLiarChunkUntraced: the chunk a lying worker delivered is
+// audited, found wrong and replaced by the coordinator's own bytes, so it
+// carries no remote spans; every chunk merged from an honest result
+// carries exactly one set.
+func TestFabricLiarChunkUntraced(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	c := testCampaign(t, 1600)
+	want := localReference(t, c)
+	observer := obs.New()
+	pl := NewPipeListener()
+	h := &fabricHarness{
+		ln:      pl,
+		dial:    pl.Dial(),
+		workers: 4,
+		cfg:     Config{SpotCheck: 0.25, Observer: observer},
+		wcfg: func(i int) WorkerConfig {
+			wc := flaglessWorker(pl.Dial(), i)
+			if i == 0 {
+				wc.Name = "liar"
+				wc.Dial = CorruptDialer(pl.Dial(), 7, 1) // corrupts every result
+			}
+			return wc
+		},
+	}
+	got, stats := h.run(t, c)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("result with a lying worker differs from Workers=1 (stats %+v)", stats)
+	}
+	if stats.Quarantined != 1 {
+		t.Fatalf("Quarantined = %d, want 1 (stats %+v)", stats.Quarantined, stats)
+	}
+	spans := observer.RemoteSpans()
+	for _, rs := range spans {
+		if rs.Worker == "liar" {
+			t.Fatalf("quarantined liar's chunk was traced: %+v", rs)
+		}
+	}
+	// The audited chunk merged the coordinator's substitute bytes.
+	checkPhaseSpans(t, spans, faultsim.NumChunks(c.Trials)-stats.LocalChunks-stats.Quarantined)
 }
 
 // TestFabricServeSearchRelay certifies that the fabric-sharded search

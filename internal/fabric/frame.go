@@ -44,9 +44,11 @@ import (
 // campaign shipping (self-configuring workers), HMAC challenge-response
 // authentication, per-campaign epochs and quarantine; v3 made the result
 // chunk's per-node and per-edge counters dense arrays (sorted-node and
-// live-edge order) instead of name-keyed maps. Older peers are rejected
-// at hello.
-const Proto = 3
+// live-edge order) instead of name-keyed maps; v4 moved relayed phase
+// telemetry from worker-built span records onto the result frame's own
+// phase times (RecvUS/StartUS/EndUS), from which the coordinator derives
+// the spans of results it accepts. Older peers are rejected at hello.
+const Proto = 4
 
 // Frame types. The zero value of unused fields is elided on the wire.
 const (
@@ -131,8 +133,7 @@ type Frame struct {
 	Leases []uint64 `json:"leases,omitempty"`
 
 	// Telemetry federation (all optional; every field is elided when the
-	// coordinator runs with telemetry off, so the relay-disabled wire
-	// format is byte-identical to protocol v2 without it).
+	// coordinator runs with telemetry off).
 	//
 	// Campaign: Trace is the coordinator-assigned run-scoped trace id.
 	// Its presence is what switches a worker's relay on; the per-chunk
@@ -150,26 +151,27 @@ type Frame struct {
 	EchoTS int64 `json:"echo_ts,omitempty"`
 	HoldUS int64 `json:"hold_us,omitempty"`
 	WTS    int64 `json:"wts,omitempty"`
-	// Result / Heartbeat: completed remote span records and relayed
-	// worker bus events, bounded per frame (maxFrameSpans /
-	// maxFrameEvents — the coordinator truncates anything larger) and
-	// epoch-tagged; Meter carries a small worker metric snapshot on
-	// heartbeats. All of it is best-effort payload: dropped, never
-	// blocked on, and never consulted by the merge.
-	Spans  []obs.RemoteSpan   `json:"spans,omitempty"`
+	// Result: the worker-clock phase times of the delivered chunk —
+	// grant receipt, compute start and compute end; WTS closes the encode
+	// phase. The coordinator turns them into the chunk's decode, evaluate
+	// and encode spans only if it accepts the result, so each merged
+	// worker chunk is traced exactly once (see Coordinator.phaseSpans).
+	RecvUS  int64 `json:"recv_us,omitempty"`
+	StartUS int64 `json:"start_us,omitempty"`
+	EndUS   int64 `json:"end_us,omitempty"`
+	// Result / Heartbeat: relayed worker bus events, bounded per frame
+	// (maxFrameEvents — the coordinator truncates anything larger); Meter
+	// carries a small worker metric snapshot on heartbeats. Both are
+	// best-effort payload: dropped, never blocked on, and never consulted
+	// by the merge.
 	Events []obs.BusEvent     `json:"events,omitempty"`
 	Meter  map[string]float64 `json:"meter,omitempty"`
 }
 
-// maxFrameSpans and maxFrameEvents bound the telemetry payload one frame
-// may carry: a result frame needs three spans (decode/evaluate/encode)
-// for its own chunk, heartbeats drain a small backlog, and a hostile
-// worker cannot balloon coordinator memory past these bounds because the
-// coordinator truncates before absorbing.
-const (
-	maxFrameSpans  = 64
-	maxFrameEvents = 16
-)
+// maxFrameEvents bounds the relayed events one frame may carry: a hostile
+// worker cannot balloon coordinator memory past it because the
+// coordinator truncates before republishing.
+const maxFrameEvents = 16
 
 // maxFrameSize bounds one frame on the wire (length prefix included
 // payload only). Chunk results over sizeable graphs stay well under this;

@@ -1,15 +1,16 @@
 package fabric
 
 // Worker-side telemetry relay. When the coordinator's campaign frame
-// carries a trace id, the worker opens child spans for every chunk it
-// computes — decode (grant receipt to compute start), evaluate (the
-// chunk computation) and encode (result assembly) — and attaches the
-// completed records, its liveness bus events and a small metric snapshot
-// to the frames it was sending anyway. A nil *relay is the telemetry-off
+// carries a trace id, the worker stamps every result frame with the
+// worker-clock times that bound its chunk's phases — grant receipt,
+// compute start, compute end, and the send time (WTS) — from which the
+// coordinator derives the decode, evaluate and encode spans of results it
+// accepts. Liveness bus events and a small metric snapshot ride the
+// frames the worker was sending anyway. A nil *relay is the telemetry-off
 // state: every method is a pointer comparison and nothing else, so the
-// relay-disabled hot path allocates exactly as much as protocol v2 did
-// (pinned by TestRelayOffZeroAlloc), and frames carry only zero-valued —
-// hence wire-elided — telemetry fields.
+// relay adds no allocation to the relay-disabled hot path (pinned by
+// TestRelayOffZeroAlloc), and frames carry only zero-valued — hence
+// wire-elided — telemetry fields.
 
 import (
 	"time"
@@ -17,27 +18,19 @@ import (
 	"repro/internal/obs"
 )
 
-// relaySpanBuf bounds the pending-span backlog between sends; results
-// drain three spans per chunk, so the bound only matters to a worker
-// whose coordinator stopped granting while frames still flow. Overflow
-// is counted and dropped.
-const relaySpanBuf = 256
-
-// relayEventBuf bounds buffered liveness events the same way.
+// relayEventBuf bounds buffered liveness events between sends; overflow
+// drops the oldest and is counted.
 const relayEventBuf = 32
 
 // relay holds the per-connection telemetry state of one worker session.
 type relay struct {
 	trace string
 
-	spans        []obs.RemoteSpan
-	spansDropped int
-
 	events        []obs.BusEvent
 	eventsDropped int
 
 	// leaseRecv records the worker clock (unix µs) at grant receipt per
-	// held lease: the decode span's start.
+	// held lease: the decode phase's start.
 	leaseRecv map[uint64]int64
 
 	// Clock echo: the most recent coordinator timestamp and the worker
@@ -48,16 +41,14 @@ type relay struct {
 
 func nowUS() int64 { return time.Now().UnixMicro() }
 
-// reset clears chunk-scoped state (pending spans, lease receipt times,
-// the clock echo) at the start of a new connection; spans buffered on a
-// dead connection belong to chunks the coordinator will reassign.
-// Buffered liveness events survive — a retry storm between sessions is
-// exactly what the relay should deliver once reconnected.
+// reset clears chunk-scoped state (lease receipt times, the clock echo)
+// at the start of a new connection. Buffered liveness events survive — a
+// retry storm between sessions is exactly what the relay should deliver
+// once reconnected.
 func (r *relay) reset() {
 	if r == nil {
 		return
 	}
-	r.spans = nil
 	r.leaseRecv = map[uint64]int64{}
 	r.echoTS, r.recvAt = 0, 0
 }
@@ -70,7 +61,7 @@ func (r *relay) noteTS(ts int64) {
 	r.echoTS, r.recvAt = ts, nowUS()
 }
 
-// leaseSeen records grant receipt time (the decode span start).
+// leaseSeen records grant receipt time (the decode phase start).
 func (r *relay) leaseSeen(lease uint64) {
 	if r == nil {
 		return
@@ -81,41 +72,20 @@ func (r *relay) leaseSeen(lease uint64) {
 	r.leaseRecv[lease] = nowUS()
 }
 
-// addSpan buffers one completed record, dropping on overflow.
-func (r *relay) addSpan(rs obs.RemoteSpan) {
-	if len(r.spans) >= relaySpanBuf {
-		r.spansDropped++
+// phases stamps a result frame with its chunk's phase times:
+// grant receipt, compute start and compute end (stamp's WTS closes the
+// encode phase). A grant whose receipt went unseen (a reconnect raced it)
+// gets a zero-width decode phase anchored at the compute start.
+func (r *relay) phases(f *Frame, startUS, endUS int64) {
+	if r == nil || startUS == 0 {
 		return
 	}
-	r.spans = append(r.spans, rs)
-}
-
-// chunkSpans records the three phase spans of one computed chunk. The
-// parent span id is the lease id (the per-chunk context the grant frame
-// carried); phase span ids derive from it so they are unique per grant
-// without coordination.
-func (r *relay) chunkSpans(lease, epoch uint64, chunk int, startUS, endUS int64) {
-	if r == nil {
-		return
-	}
-	recv := r.leaseRecv[lease]
-	delete(r.leaseRecv, lease)
+	recv := r.leaseRecv[f.Lease]
+	delete(r.leaseRecv, f.Lease)
 	if recv == 0 || recv > startUS {
-		recv = startUS // grant receipt unseen (chaos reorder): zero-width decode
+		recv = startUS
 	}
-	now := nowUS()
-	r.addSpan(obs.RemoteSpan{
-		Name: "decode", ID: lease*4 + 1, Parent: lease, Epoch: epoch,
-		Chunk: chunk, StartUS: recv, DurUS: startUS - recv,
-	})
-	r.addSpan(obs.RemoteSpan{
-		Name: "evaluate", ID: lease*4 + 2, Parent: lease, Epoch: epoch,
-		Chunk: chunk, StartUS: startUS, DurUS: endUS - startUS,
-	})
-	r.addSpan(obs.RemoteSpan{
-		Name: "encode", ID: lease*4 + 3, Parent: lease, Epoch: epoch,
-		Chunk: chunk, StartUS: endUS, DurUS: now - endUS,
-	})
+	f.RecvUS, f.StartUS, f.EndUS = recv, startUS, endUS
 }
 
 // event buffers a worker liveness event for relay (drop-oldest).
@@ -132,8 +102,8 @@ func (r *relay) event(kind, name string, attrs map[string]any) {
 }
 
 // stamp attaches the relay payload to an outbound worker frame: the
-// clock echo, any pending spans and events (handed over as bounded,
-// freshly-owned slices — transports may hold frame pointers past the
+// clock echo, any pending events (handed over as a bounded,
+// freshly-owned slice — transports may hold frame pointers past the
 // send), and, on heartbeats, the metric snapshot.
 func (r *relay) stamp(f *Frame, chunks int, heartbeat bool) {
 	if r == nil {
@@ -144,15 +114,6 @@ func (r *relay) stamp(f *Frame, chunks int, heartbeat bool) {
 	if r.echoTS != 0 {
 		f.EchoTS = r.echoTS
 		f.HoldUS = now - r.recvAt
-	}
-	if n := len(r.spans); n > 0 {
-		if n <= maxFrameSpans {
-			f.Spans = r.spans
-			r.spans = nil
-		} else {
-			f.Spans = r.spans[:maxFrameSpans:maxFrameSpans]
-			r.spans = append([]obs.RemoteSpan(nil), r.spans[maxFrameSpans:]...)
-		}
 	}
 	if n := len(r.events); n > 0 {
 		if n <= maxFrameEvents {
@@ -166,8 +127,6 @@ func (r *relay) stamp(f *Frame, chunks int, heartbeat bool) {
 	if heartbeat {
 		f.Meter = map[string]float64{
 			"chunks_done":    float64(chunks),
-			"spans_pending":  float64(len(r.spans)),
-			"spans_dropped":  float64(r.spansDropped),
 			"events_dropped": float64(r.eventsDropped),
 		}
 	}

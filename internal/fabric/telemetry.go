@@ -1,8 +1,8 @@
 package fabric
 
-// Coordinator-side telemetry federation: clock-offset estimation, remote
-// span absorption, relayed worker events, chunk-latency attribution and
-// straggler detection. Everything here is advisory observability riding
+// Coordinator-side telemetry federation: clock-offset estimation, phase
+// spans of accepted worker results, relayed worker events, chunk-latency
+// attribution and straggler detection. Everything here is advisory observability riding
 // the existing frame flow — it is called from the coordinator's
 // single-goroutine loop, owns no locks, and never touches the merge
 // path, so the bit-identical-to-Workers=1 contract cannot be perturbed
@@ -41,8 +41,8 @@ func (co *Coordinator) stampTS(f *Frame) *Frame {
 }
 
 // telemetryIn absorbs the telemetry payload of one worker frame
-// (heartbeat or result): a clock sample, relayed span records, relayed
-// worker events. Post-auth only; everything is bounded and best-effort.
+// (heartbeat or result): a clock sample and relayed worker events.
+// Post-auth only; everything is bounded and best-effort.
 func (co *Coordinator) telemetryIn(w *workerConn, f *Frame) {
 	if !co.telemetry() || !w.helloed {
 		return
@@ -61,42 +61,33 @@ func (co *Coordinator) telemetryIn(w *workerConn, f *Frame) {
 			co.publishClock(w, f.Meter)
 		}
 	}
-	co.absorbSpans(w, f.Spans)
 	co.relayEvents(w, f.Events)
 }
 
-// absorbSpans validates, rebases and stores relayed span records.
-// Acceptance mirrors result dup-suppression exactly — current epoch, a
-// chunk of the campaign the merger has neither merged nor held — and runs
-// before result() hands the carrying frame's chunk to the merger, so the
-// spans that rode the accepted result are kept and every later duplicate
-// (chaos copy, slow pre-reassignment owner) rejects its spans with it:
-// each merged chunk's phases appear exactly once in the merged trace.
-func (co *Coordinator) absorbSpans(w *workerConn, spans []obs.RemoteSpan) {
-	if len(spans) == 0 {
+// phaseSpans records the decode, evaluate and encode spans of one
+// accepted worker result from the phase times its frame carries (grant
+// receipt, compute start, compute end, send), rebased onto the
+// coordinator clock. It runs only for a result the coordinator merges, so
+// every chunk merged from a worker result is traced exactly once, and a
+// duplicate, a stale epoch or an audited lie leaves no trace. Phase times
+// out of order are dropped whole. The span ids derive from the lease id,
+// the per-chunk span context the grant frame carried; the worker name
+// comes from the authenticated connection, never from the payload.
+func (co *Coordinator) phaseSpans(w *workerConn, f *Frame, seq int) {
+	if !co.telemetry() || f.RecvUS <= 0 || f.RecvUS > f.StartUS || f.StartUS > f.EndUS || f.EndUS > f.WTS {
 		return
 	}
-	if len(spans) > maxFrameSpans {
-		spans = spans[:maxFrameSpans]
-	}
-	accepted := make([]obs.RemoteSpan, 0, len(spans))
-	for i := range spans {
-		rs := spans[i] // copy before rebasing: transports may share the frame
-		if rs.Epoch != co.epoch || rs.Chunk < 0 || rs.Chunk >= co.totalChunks || co.merger.Has(rs.Chunk) {
-			continue
+	t := [4]int64{f.RecvUS, f.StartUS, f.EndUS, f.WTS}
+	var spans [3]obs.RemoteSpan
+	for k, name := range [3]string{"decode", "evaluate", "encode"} {
+		spans[k] = obs.RemoteSpan{
+			Worker: w.name, Name: name, ID: f.Lease*4 + uint64(k+1), Parent: f.Lease,
+			Epoch: f.Epoch, Chunk: seq, StartUS: t[k] - w.clockOff, DurUS: t[k+1] - t[k],
 		}
-		rs.Worker = w.name // trusted connection identity, not payload
-		if w.clockSet {
-			rs.StartUS -= w.clockOff
-		}
-		accepted = append(accepted, rs)
 	}
-	if len(accepted) == 0 {
-		return
-	}
-	co.cfg.Observer.AddRemoteSpans(accepted...)
+	co.cfg.Observer.AddRemoteSpans(spans[:]...)
 	if co.cfg.Bus != nil {
-		for _, rs := range accepted {
+		for _, rs := range spans {
 			co.cfg.Bus.Publish("fabric_span", rs.Name,
 				obs.String("campaign", co.label),
 				obs.String("worker", rs.Worker),

@@ -200,7 +200,7 @@ type computeOut struct {
 func (w *worker) session(ctx context.Context, conn Conn) (handshaked, terminal bool, err error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	w.rel.reset() // spans pending on a dead conn belong to reassigned chunks
+	w.rel.reset()
 
 	// Reader goroutine: pumps frames until the conn dies. sessDone stops
 	// it if the session exits while frames are still arriving; the
@@ -323,7 +323,7 @@ func (w *worker) session(ctx context.Context, conn Conn) (handshaked, terminal b
 		}
 		seen[f.Lease] = true
 		held[f.Lease] = true
-		w.rel.leaseSeen(f.Lease) // decode-span start: grant receipt
+		w.rel.leaseSeen(f.Lease) // decode-phase start: grant receipt
 		leaseQ = append(leaseQ, f)
 		if f.Epoch > w.epoch {
 			_ = conn.Send(&Frame{Type: TypeNeedCampaign}) // best-effort; heartbeat retries
@@ -536,14 +536,12 @@ handshake:
 			}
 			w.chunks++
 			delete(held, r.lease)
-			if w.rel != nil && r.startUS != 0 {
-				w.rel.chunkSpans(r.lease, r.epoch, faultsim.ChunkIndex(r.out.Begin), r.startUS, r.endUS)
-			}
 			f := &Frame{
 				Type: TypeResult, Lease: r.lease, Epoch: r.epoch,
 				Begin: r.out.Begin, End: r.out.End, Chunk: r.out,
 				Leases: heldIDs(),
 			}
+			w.rel.phases(f, r.startUS, r.endUS)
 			w.rel.stamp(f, w.chunks, false)
 			if err := conn.Send(f); err != nil {
 				return failover(err, false)

@@ -6,17 +6,17 @@ package obs
 //
 // The design constraint is the fabric's merge contract: the campaign
 // Result must stay bit-identical to a Workers=1 run with telemetry on,
-// off, or half-delivered. Remote spans therefore ride existing frames as
-// optional payload (bounded per frame, dropped — never blocked on —
-// under backpressure) and land in a bounded side store on the observer;
-// nothing on this path can stall or reorder the merge.
+// off, or half-delivered. A worker's result frame therefore carries only
+// optional phase times of its own chunk; the coordinator builds the
+// chunk's spans from them once it has accepted the result, and they land
+// in a bounded side store on the observer (dropped — never blocked on —
+// when full); nothing on this path can stall or reorder the merge.
 
 import "sort"
 
-// RemoteSpan is one completed span recorded in another process (a fabric
-// worker) and relayed here. Timestamps are absolute microseconds on the
-// *sender's* clock until the receiver rebases them with the estimated
-// clock offset; after AddRemoteSpans they are on the local clock.
+// RemoteSpan is one completed span of work done in another process (a
+// fabric worker), timed on that process's clock and rebased onto the
+// local clock with the estimated offset before AddRemoteSpans.
 type RemoteSpan struct {
 	// Worker names the originating process; the coordinator fills it in
 	// from the authenticated connection, never from the payload.

@@ -246,9 +246,9 @@ func TestReduceByMinCutH2(t *testing.T) {
 		t.Errorf("nodes = %d, want 6", got)
 	}
 	// Feasibility invariants hold after repair.
-	for _, node := range c.G.Nodes() {
-		if !c.groupFeasible([]string{node}) {
-			t.Errorf("cluster %s infeasible", node)
+	for _, s := range c.G.SlotsByName() {
+		if !c.groupFeasible([]int{s}) {
+			t.Errorf("cluster %s infeasible", c.G.Name(s))
 		}
 	}
 }
@@ -326,9 +326,9 @@ func TestReduceByTimingFig8(t *testing.T) {
 		t.Errorf("timing grouping nodes = %d, want within [3,6]", n)
 	}
 	// Every cluster feasible; replicas separated.
-	for _, node := range c.G.Nodes() {
-		if !c.groupFeasible([]string{node}) {
-			t.Errorf("cluster %s infeasible", node)
+	for _, s := range c.G.SlotsByName() {
+		if !c.groupFeasible([]int{s}) {
+			t.Errorf("cluster %s infeasible", c.G.Name(s))
 		}
 	}
 	owner := map[string]string{}
@@ -358,7 +358,8 @@ func TestPartitionAndJobsOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := c.jobsOf(id)
+	s, _ := c.G.Slot(id)
+	jobs := c.appendJobs(nil, s)
 	if len(jobs) != 2 {
 		t.Errorf("cluster jobs = %d, want 2", len(jobs))
 	}
@@ -439,9 +440,9 @@ func TestReduceByMinCutSTVariant(t *testing.T) {
 		t.Errorf("nodes = %d, want 6", got)
 	}
 	// Feasibility invariants hold after repair; replicas separated.
-	for _, node := range c.G.Nodes() {
-		if !c.groupFeasible([]string{node}) {
-			t.Errorf("cluster %s infeasible", node)
+	for _, s := range c.G.SlotsByName() {
+		if !c.groupFeasible([]int{s}) {
+			t.Errorf("cluster %s infeasible", c.G.Name(s))
 		}
 	}
 	owner := map[string]string{}

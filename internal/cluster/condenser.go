@@ -181,26 +181,6 @@ func (c *Condenser) appendJobs(dst []sched.Job, s int) []sched.Job {
 	return dst
 }
 
-// appendJobsOf is appendJobs for node id. An id that is not in the graph
-// still names its members, as Members parses them.
-func (c *Condenser) appendJobsOf(dst []sched.Job, id string) []sched.Job {
-	if s, ok := c.G.Slot(id); ok {
-		return c.appendJobs(dst, s)
-	}
-	for _, m := range graph.Members(id) {
-		if j, ok := c.jobs[m]; ok {
-			dst = append(dst, j)
-		}
-	}
-	return dst
-}
-
-// jobsOf returns the scheduling jobs of the base members of node id (a
-// plain node or a cluster id) in Members order.
-func (c *Condenser) jobsOf(id string) []sched.Job {
-	return c.appendJobsOf(nil, id)
-}
-
 // timingInfeasible is the reason combinable gives for a pair whose joint
 // job set does not fit on one processor.
 const timingInfeasible = "timing infeasible"

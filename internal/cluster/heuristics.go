@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -202,43 +203,7 @@ func (c *Condenser) ReduceByInfluencePairAll(target int) error {
 // feasibility are repaired by moving nodes to other parts (or the reduction
 // fails with ErrCannotReduce).
 func (c *Condenser) ReduceByMinCut(target int) error {
-	if err := c.checkTarget(target); err != nil {
-		return err
-	}
-	parts := [][]string{c.G.Nodes()}
-	for len(parts) < target {
-		if err := c.checkCtx(); err != nil {
-			return err
-		}
-		// Cut the largest part next.
-		idx := -1
-		for i, p := range parts {
-			if len(p) < 2 {
-				continue
-			}
-			if idx == -1 || len(p) > len(parts[idx]) {
-				idx = i
-			}
-		}
-		if idx == -1 {
-			break // all parts are singletons
-		}
-		sub := induced(c.G, parts[idx])
-		cut, err := sub.GlobalMinCut()
-		if err != nil {
-			return fmt.Errorf("cluster: H2 cut: %w", err)
-		}
-		parts[idx] = cut.S
-		parts = append(parts, cut.T)
-	}
-	parts = c.repairPartition(parts)
-	if parts == nil {
-		if err := c.checkCtx(); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: H2 partition cannot satisfy feasibility", ErrCannotReduce)
-	}
-	return c.materialise(parts, "H2")
+	return c.reduceByCuts(target, "H2", nil)
 }
 
 // ReduceByMinCutST implements the other H2 variation the paper lists:
@@ -247,101 +212,262 @@ func (c *Condenser) ReduceByMinCut(target int) error {
 // are the nodes one most wants separated — critical modules on distinct
 // processors) and splits along the minimum s–t cut.
 func (c *Condenser) ReduceByMinCutST(target int, w attrs.Weights) error {
+	return c.reduceByCuts(target, "H2-st", w.Importance)
+}
+
+// reduceByCuts runs H2 (importance nil) or H2-st under rule: bisect,
+// repair, materialise.
+func (c *Condenser) reduceByCuts(target int, rule string, importance func(attrs.Set) float64) error {
 	if err := c.checkTarget(target); err != nil {
 		return err
 	}
-	parts := [][]string{c.G.Nodes()}
+	b := c.newBisection(importance)
+	parts, _, err := b.split(target)
+	if err != nil {
+		return err
+	}
+	return b.finish(parts, rule)
+}
+
+// bisection is H2's int view of the working graph, built once per
+// reduction: the live nodes in id order, where a node's rank is its
+// position, and their symmetrized influence matrix by rank. Parts of a
+// partition are rank lists; a part kept sorted lists its nodes in id
+// order.
+type bisection struct {
+	c     *Condenser
+	slots []int       // slots[r]: the graph slot of the node ranked r
+	w     [][]float64 // w[r][q]: mutual influence of ranks r and q
+	// importance[r] is the importance of the node ranked r under H2-st,
+	// which cuts between the two most important nodes of a part; nil
+	// under H2, which takes the global minimum cut.
+	importance []float64
+	// sub and buf hold the k×k restriction a cut overwrites; byImportance,
+	// group, cand and evict are scratch.
+	sub          [][]float64
+	buf          []float64
+	byImportance []int
+	group        []int
+	cand         []int
+	evict        []bond
+}
+
+// bond is a part member's rank and its mutual influence with the rest of
+// the part.
+type bond struct {
+	rank int
+	w    float64
+}
+
+func (c *Condenser) newBisection(importance func(attrs.Set) float64) *bisection {
+	w, slots := c.G.MutualMatrix()
+	n := len(slots)
+	b := &bisection{c: c, slots: slots, w: w, sub: make([][]float64, n), buf: make([]float64, n*n)}
+	if importance != nil {
+		b.importance = make([]float64, n)
+		for r, s := range slots {
+			b.importance[r] = importance(c.G.Attrs(c.G.Name(s)))
+		}
+	}
+	return b
+}
+
+// split bisects the working graph until it has target parts, cutting the
+// part with the most nodes next (the first such part on ties). It returns
+// the parts as sorted rank lists and the weight of each cut in order.
+func (b *bisection) split(target int) ([][]int, []float64, error) {
+	all := make([]int, len(b.slots))
+	for r := range all {
+		all[r] = r
+	}
+	parts := [][]int{all}
+	var weights []float64
 	for len(parts) < target {
-		if err := c.checkCtx(); err != nil {
-			return err
+		if err := b.c.checkCtx(); err != nil {
+			return nil, nil, err
 		}
 		idx := -1
 		for i, p := range parts {
-			if len(p) < 2 {
-				continue
-			}
-			if idx == -1 || len(p) > len(parts[idx]) {
+			if len(p) >= 2 && (idx == -1 || len(p) > len(parts[idx])) {
 				idx = i
 			}
 		}
 		if idx == -1 {
-			break
+			break // all parts are singletons
 		}
-		sub := induced(c.G, parts[idx])
-		// s and t: the two most important nodes of the part.
-		members := append([]string(nil), parts[idx]...)
-		sort.Slice(members, func(i, j int) bool {
-			ii := w.Importance(c.G.Attrs(members[i]))
-			ij := w.Importance(c.G.Attrs(members[j]))
-			if ii != ij {
-				return ii > ij
-			}
-			return members[i] < members[j]
-		})
-		cut, err := sub.MinCutST(members[0], members[1])
-		if err != nil {
-			return fmt.Errorf("cluster: H2-st cut: %w", err)
+		part := parts[idx]
+		s, t, weight := b.cut(part)
+		for i, x := range s {
+			s[i] = part[x]
 		}
-		parts[idx] = cut.S
-		parts = append(parts, cut.T)
+		for i, x := range t {
+			t[i] = part[x]
+		}
+		parts[idx] = s
+		parts = append(parts, t)
+		weights = append(weights, weight)
 	}
-	parts = c.repairPartition(parts)
-	if parts == nil {
-		if err := c.checkCtx(); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: H2-st partition cannot satisfy feasibility", ErrCannotReduce)
-	}
-	return c.materialise(parts, "H2-st")
+	return parts, weights, nil
 }
 
-// induced builds the subgraph of g on the given node set.
-func induced(g *graph.Graph, ids []string) *graph.Graph {
-	in := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		in[id] = true
+// cut splits a part of two or more nodes and returns the sides as
+// ascending indices into the part, and the cut weight.
+func (b *bisection) cut(part []int) ([]int, []int, float64) {
+	sub := b.restrict(part)
+	if b.importance == nil {
+		return graph.GlobalMinCutMatrix(sub)
 	}
-	sub := graph.New()
-	for _, id := range ids {
-		// Construction over an existing graph: errors impossible for
-		// distinct known ids, but keep the checks.
-		if err := sub.AddNode(id, g.Attrs(id).Clone()); err != nil {
-			continue
-		}
+	// s and t: the two most important nodes of the part.
+	order := b.byImportance[:0]
+	for i := range part {
+		order = append(order, i)
 	}
-	for _, e := range g.Edges() {
-		if !in[e.From] || !in[e.To] {
-			continue
+	sort.Slice(order, func(i, j int) bool {
+		ri, rj := part[order[i]], part[order[j]]
+		if b.importance[ri] != b.importance[rj] {
+			return b.importance[ri] > b.importance[rj]
 		}
-		if e.Replica {
-			_ = sub.AddReplicaEdge(e.From, e.To)
-		} else {
-			_ = sub.SetEdge(e.From, e.To, e.Weight, e.Factors...)
+		return ri < rj
+	})
+	b.byImportance = order
+	return graph.MinCutSTMatrix(sub, order[0], order[1])
+}
+
+// restrict copies the rows and columns of w at the ranks in part into sub.
+// Each entry is read, not summed, so the copy equals the matrix of the
+// induced subgraph bit for bit.
+func (b *bisection) restrict(part []int) [][]float64 {
+	k := len(part)
+	sub := b.sub[:k]
+	for i, r := range part {
+		sub[i] = b.buf[i*k : (i+1)*k]
+		for j, q := range part {
+			sub[i][j] = b.w[r][q]
 		}
 	}
 	return sub
 }
 
-// groupFeasible reports whether a group of current node ids could form one
+// finish repairs the partition and merges each part into one cluster node
+// under rule.
+func (b *bisection) finish(parts [][]int, rule string) error {
+	if !b.repair(parts) {
+		if err := b.c.checkCtx(); err != nil {
+			return err
+		}
+		return fmt.Errorf("%w: %s partition cannot satisfy feasibility", ErrCannotReduce, rule)
+	}
+	for _, p := range parts {
+		for i, r := range p {
+			p[i] = b.slots[r]
+		}
+	}
+	return b.c.materialise(parts, rule)
+}
+
+// feasible reports whether the nodes ranked in group could form one
 // cluster.
-func (c *Condenser) groupFeasible(group []string) bool {
+func (b *bisection) feasible(group []int) bool {
+	b.group = b.group[:0]
+	for _, r := range group {
+		b.group = append(b.group, b.slots[r])
+	}
+	return b.c.groupFeasible(b.group)
+}
+
+// repair moves nodes out of infeasible parts into feasible ones, in place,
+// and reports whether every part ends feasible.
+func (b *bisection) repair(parts [][]int) bool {
+	const maxPasses = 16
+	for pass := 0; pass < maxPasses; pass++ {
+		if b.c.ctx != nil && b.c.ctx.Err() != nil {
+			return false // callers re-check and report the cancellation
+		}
+		fixed := true
+		for gi := range parts {
+			if b.feasible(parts[gi]) {
+				continue
+			}
+			fixed = false
+			// Move the node whose removal best helps: try each member,
+			// prefer moving the one with the least mutual influence to the
+			// rest of its part.
+			if !b.evictOne(parts, gi) {
+				return false
+			}
+		}
+		if fixed {
+			return true
+		}
+	}
+	return false
+}
+
+// evictOne moves the least-coupled member of parts[gi] that some other
+// part can take into the first such part, and reports whether it found
+// one.
+func (b *bisection) evictOne(parts [][]int, gi int) bool {
+	for _, victim := range b.evictionOrder(parts[gi]) {
+		for gj := range parts {
+			if gi == gj {
+				continue
+			}
+			b.cand = append(append(b.cand[:0], parts[gj]...), victim.rank)
+			if !b.feasible(b.cand) {
+				continue
+			}
+			parts[gj] = slices.Clone(b.cand)
+			parts[gi] = slices.DeleteFunc(parts[gi], func(r int) bool { return r == victim.rank })
+			return true
+		}
+	}
+	return false
+}
+
+// evictionOrder sorts group members by ascending mutual influence with the
+// rest of the group, so the least-coupled node moves first; ties go to
+// the lower rank.
+func (b *bisection) evictionOrder(group []int) []bond {
+	b.evict = b.evict[:0]
+	for _, r := range group {
+		sum := 0.0
+		for _, q := range group {
+			if q != r {
+				sum += b.w[r][q]
+			}
+		}
+		b.evict = append(b.evict, bond{r, sum})
+	}
+	slices.SortFunc(b.evict, func(x, y bond) int {
+		if c := cmp.Compare(x.w, y.w); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.rank, y.rank)
+	})
+	return b.evict
+}
+
+// groupFeasible reports whether the nodes in the given slots could form
+// one cluster.
+func (c *Condenser) groupFeasible(group []int) bool {
 	for i, a := range group {
 		for _, b := range group[i+1:] {
-			if c.G.AreReplicas(a, b) {
+			if c.G.AreReplicaSlots(a, b) {
 				return false
 			}
 		}
 	}
 	c.union = c.union[:0]
-	for _, id := range group {
-		c.union = c.appendJobsOf(c.union, id)
+	for _, s := range group {
+		c.union = c.appendJobs(c.union, s)
 	}
 	ok, err := sched.Check(c.union)
 	return err == nil && ok
 }
 
-// materialise merges each multi-node part into one cluster node.
-func (c *Condenser) materialise(parts [][]string, rule string) error {
+// materialise merges the nodes in each multi-slot part, in id order, into
+// one cluster node.
+func (c *Condenser) materialise(parts [][]int, rule string) error {
 	for _, p := range parts {
 		if err := c.checkCtx(); err != nil {
 			return err
@@ -349,105 +475,14 @@ func (c *Condenser) materialise(parts [][]string, rule string) error {
 		if len(p) < 2 {
 			continue
 		}
-		sort.Strings(p)
-		cur := p[0]
+		slices.SortFunc(p, func(a, b int) int { return strings.Compare(c.G.Name(a), c.G.Name(b)) })
 		for _, next := range p[1:] {
-			id, err := c.Combine(cur, next, rule)
-			if err != nil {
+			if _, err := c.combineSlots(p[0], next, rule); err != nil {
 				return err
 			}
-			cur = id
 		}
 	}
 	return nil
-}
-
-// repairPartition moves nodes out of infeasible groups into feasible ones.
-// Returns nil if the partition cannot be repaired.
-func (c *Condenser) repairPartition(parts [][]string) [][]string {
-	const maxPasses = 16
-	for pass := 0; pass < maxPasses; pass++ {
-		if c.ctx != nil && c.ctx.Err() != nil {
-			return nil // callers re-check and report the cancellation
-		}
-		fixed := true
-		for gi := range parts {
-			if c.groupFeasible(parts[gi]) {
-				continue
-			}
-			fixed = false
-			// Move the node whose removal best helps: try each member,
-			// prefer moving the one with the least mutual influence to the
-			// rest of its group.
-			moved := false
-			order := c.evictionOrder(parts[gi])
-			for _, victim := range order {
-				for gj := range parts {
-					if gi == gj {
-						continue
-					}
-					candidate := append(append([]string(nil), parts[gj]...), victim)
-					if !c.groupFeasible(candidate) {
-						continue
-					}
-					parts[gj] = candidate
-					parts[gi] = remove(parts[gi], victim)
-					moved = true
-					break
-				}
-				if moved {
-					break
-				}
-			}
-			if !moved {
-				return nil
-			}
-		}
-		if fixed {
-			return parts
-		}
-	}
-	return nil
-}
-
-// evictionOrder sorts group members by ascending mutual influence with the
-// rest of the group, so the least-coupled node moves first.
-func (c *Condenser) evictionOrder(group []string) []string {
-	type scored struct {
-		id   string
-		bond float64
-	}
-	out := make([]scored, 0, len(group))
-	for _, id := range group {
-		bond := 0.0
-		for _, other := range group {
-			if other != id {
-				bond += c.G.MutualInfluence(id, other)
-			}
-		}
-		out = append(out, scored{id, bond})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].bond != out[j].bond {
-			return out[i].bond < out[j].bond
-		}
-		return out[i].id < out[j].id
-	})
-	ids := make([]string, len(out))
-	for i, s := range out {
-		ids[i] = s.id
-	}
-	return ids
-}
-
-func remove(xs []string, x string) []string {
-	out := xs[:0]
-	for _, v := range xs {
-		if v != x {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // ReduceBySpheres implements heuristic H3 (§5.4): "Start with the most
@@ -461,25 +496,26 @@ func (c *Condenser) ReduceBySpheres(target int, w attrs.Weights) error {
 	if err := c.checkTarget(target); err != nil {
 		return err
 	}
-	nodes := c.G.Nodes()
 	type ranked struct {
-		id         string
+		slot, rank int // rank: position in id order
 		importance float64
 	}
-	rs := make([]ranked, 0, len(nodes))
-	for _, id := range nodes {
-		rs = append(rs, ranked{id, w.Importance(c.G.Attrs(id))})
+	slots := c.G.SlotsByName()
+	rs := make([]ranked, 0, len(slots))
+	for r, s := range slots {
+		rs = append(rs, ranked{s, r, w.Importance(c.G.Attrs(c.G.Name(s)))})
 	}
 	sort.Slice(rs, func(i, j int) bool {
 		if rs[i].importance != rs[j].importance {
 			return rs[i].importance > rs[j].importance
 		}
-		return rs[i].id < rs[j].id
+		return rs[i].rank < rs[j].rank
 	})
-	groups := make([][]string, target)
+	groups := make([][]int, target)
 	for i := 0; i < target; i++ {
-		groups[i] = []string{rs[i].id}
+		groups[i] = []int{rs[i].slot}
 	}
+	var candidate []int
 	for _, r := range rs[target:] {
 		if err := c.checkCtx(); err != nil {
 			return err
@@ -487,13 +523,13 @@ func (c *Condenser) ReduceBySpheres(target int, w attrs.Weights) error {
 		bestG, bestScore := -1, -1.0
 		bestLoad := 0
 		for gi, grp := range groups {
-			candidate := append(append([]string(nil), grp...), r.id)
+			candidate = append(append(candidate[:0], grp...), r.slot)
 			if !c.groupFeasible(candidate) {
 				continue
 			}
 			score := 0.0
 			for _, member := range grp {
-				score += c.G.MutualInfluence(r.id, member)
+				score += c.G.MutualSlots(r.slot, member)
 			}
 			if bestG == -1 || score > bestScore ||
 				(score == bestScore && len(grp) < bestLoad) {
@@ -501,9 +537,9 @@ func (c *Condenser) ReduceBySpheres(target int, w attrs.Weights) error {
 			}
 		}
 		if bestG == -1 {
-			return fmt.Errorf("%w: H3 cannot place %q", ErrCannotReduce, r.id)
+			return fmt.Errorf("%w: H3 cannot place %q", ErrCannotReduce, c.G.Name(r.slot))
 		}
-		groups[bestG] = append(groups[bestG], r.id)
+		groups[bestG] = append(groups[bestG], r.slot)
 	}
 	return c.materialise(groups, "H3")
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/sched"
 )
 
 // ReduceByTiming implements the Fig. 8 technique of §6.2, used "in some
@@ -20,15 +22,15 @@ import (
 // unlimited; a positive maxGroups fails with ErrCannotReduce if a node fits
 // no group and the group budget is exhausted.
 func (c *Condenser) ReduceByTiming(maxGroups int) error {
-	nodes := c.G.Nodes()
+	slots := c.G.SlotsByName()
 	type key struct {
 		est, tcd float64
 	}
-	keys := make(map[string]key, len(nodes))
-	for _, id := range nodes {
-		jobs := c.jobsOf(id)
+	keys := make([]key, c.G.NumSlots())
+	var jobs []sched.Job
+	for _, s := range slots {
+		jobs = c.appendJobs(jobs[:0], s)
 		if len(jobs) == 0 {
-			keys[id] = key{}
 			continue
 		}
 		k := key{est: jobs[0].EST, tcd: jobs[0].TCD}
@@ -40,29 +42,30 @@ func (c *Condenser) ReduceByTiming(maxGroups int) error {
 				k.tcd = j.TCD
 			}
 		}
-		keys[id] = k
+		keys[s] = k
 	}
-	sort.Slice(nodes, func(i, j int) bool {
-		a, b := keys[nodes[i]], keys[nodes[j]]
+	sort.Slice(slots, func(i, j int) bool {
+		a, b := keys[slots[i]], keys[slots[j]]
 		if a.est != b.est {
 			return a.est < b.est
 		}
 		if a.tcd != b.tcd {
 			return a.tcd < b.tcd
 		}
-		return nodes[i] < nodes[j]
+		return c.G.Name(slots[i]) < c.G.Name(slots[j])
 	})
 
-	var groups [][]string
-	for _, id := range nodes {
+	var groups [][]int
+	var candidate []int
+	for _, s := range slots {
 		if err := c.checkCtx(); err != nil {
 			return err
 		}
 		placed := false
 		for gi := range groups {
-			candidate := append(append([]string(nil), groups[gi]...), id)
+			candidate = append(append(candidate[:0], groups[gi]...), s)
 			if c.groupFeasible(candidate) {
-				groups[gi] = candidate
+				groups[gi] = append(groups[gi], s)
 				placed = true
 				break
 			}
@@ -72,9 +75,9 @@ func (c *Condenser) ReduceByTiming(maxGroups int) error {
 		}
 		if maxGroups > 0 && len(groups) >= maxGroups {
 			return fmt.Errorf("%w: %q fits no group within %d groups",
-				ErrCannotReduce, id, maxGroups)
+				ErrCannotReduce, c.G.Name(s), maxGroups)
 		}
-		groups = append(groups, []string{id})
+		groups = append(groups, []int{s})
 	}
 	return c.materialise(groups, "timing-order")
 }

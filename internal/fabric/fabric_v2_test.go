@@ -599,13 +599,16 @@ func TestFabricServeSearchMatchesLocal(t *testing.T) {
 			}, scfg)
 			ch <- searchOut{res, stats, err}
 		}()
+		// Every worker must join before the first result lands, or one
+		// fast worker can finish the search alone.
+		gate := newJoinGate(n)
 		wctx, wcancel := context.WithCancel(context.Background())
 		var wwg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wwg.Add(1)
 			go func(i int) {
 				defer wwg.Done()
-				_ = RunWorker(wctx, flaglessWorker(pl.Dial(), i))
+				_ = RunWorker(wctx, flaglessWorker(gate.dialer(i, pl.Dial()), i))
 			}(i)
 		}
 		out := <-ch

@@ -670,3 +670,37 @@ func TestContractAllocsSteadyState(t *testing.T) {
 		t.Errorf("Contract made %.1f allocations per call, want at most 2", allocs)
 	}
 }
+
+// TestMinCutAllocsConstant pins the min-cuts' allocations to a count that
+// does not grow with the graph: Stoer–Wagner runs n−1 phases and
+// Edmonds–Karp one BFS per augmenting path, all on buffers allocated once
+// per cut. The count is the matrix and its rows, the slot order and
+// ranks, the cut's buffers and its two sides as indices and as names.
+func TestMinCutAllocsConstant(t *testing.T) {
+	const bound = 16
+	small, large := New(), allocGraph(t)
+	mustAdd(t, small, "a", "b", "c", "d")
+	mustEdge(t, small, "a", "b", 0.5)
+	mustEdge(t, small, "c", "d", 0.25)
+	mustEdge(t, small, "b", "c", 0.125)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		s, t string
+	}{{"4 nodes", small, "a", "d"}, {"60 nodes", large, "n00", "n59"}} {
+		global := testing.AllocsPerRun(5, func() {
+			if _, err := tc.g.GlobalMinCut(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		st := testing.AllocsPerRun(5, func() {
+			if _, err := tc.g.MinCutST(tc.s, tc.t); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: GlobalMinCut %.0f, MinCutST %.0f allocations", tc.name, global, st)
+		if global > bound || st > bound {
+			t.Errorf("%s: GlobalMinCut made %.0f and MinCutST %.0f allocations, want at most %d each", tc.name, global, st, bound)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sort"
 )
 
 // ErrTooSmall is returned by cut algorithms on graphs with < 2 nodes.
@@ -30,42 +29,44 @@ func (g *Graph) GlobalMinCut() (Cut, error) {
 	if g.NumNodes() < 2 {
 		return Cut{}, ErrTooSmall
 	}
-	w, ids := g.symmetric()
-	n := len(ids)
+	w, slots := g.MutualMatrix()
+	s, t, weight := GlobalMinCutMatrix(w)
+	return Cut{S: g.namesOf(slots, s), T: g.namesOf(slots, t), Weight: weight}, nil
+}
 
-	// Stoer–Wagner with supernode tracking. members[i] lists the original
-	// node indices currently merged into supernode i.
+// GlobalMinCutMatrix is GlobalMinCut on a symmetric weight matrix with at
+// least two rows, which it overwrites: it returns the two sides as
+// ascending row indices and the weight crossing the cut. Phases pick the
+// most tightly connected vertex next, ties to the lowest index, and the
+// first phase reaching the minimum wins.
+func GlobalMinCutMatrix(w [][]float64) (s, t []int, weight float64) {
+	n := len(w)
+	// active lists the supernodes still in play, ascending; owner[v] is
+	// the supernode holding vertex v, and inT marks the T side of the best
+	// cut so far.
 	active := make([]int, n)
+	owner := make([]int, n)
 	for i := range active {
-		active[i] = i
+		active[i], owner[i] = i, i
 	}
-	members := make([][]int, n)
-	for i := range members {
-		members[i] = []int{i}
-	}
-
-	best := Cut{Weight: math.Inf(1)}
+	inA := make([]bool, n)
+	weightTo := make([]float64, n)
+	order := make([]int, 0, n)
+	inT := make([]bool, n)
+	weight = math.Inf(1)
 	for len(active) > 1 {
-		// Minimum cut phase: maximum adjacency ordering.
+		// Minimum cut phase: maximum adjacency ordering from active[0].
 		a := active[0]
-		inA := map[int]bool{a: true}
-		order := []int{a}
-		weightTo := map[int]float64{}
 		for _, v := range active {
-			if v != a {
-				weightTo[v] = w[a][v]
-			}
+			inA[v], weightTo[v] = false, w[a][v]
 		}
+		inA[a] = true
+		order = append(order[:0], a)
 		for len(order) < len(active) {
-			// pick most tightly connected vertex; break ties by index for
-			// determinism.
-			bestV, bestW := -1, math.Inf(-1)
+			bestV := -1
 			for _, v := range active {
-				if inA[v] {
-					continue
-				}
-				if weightTo[v] > bestW || (weightTo[v] == bestW && (bestV == -1 || v < bestV)) {
-					bestV, bestW = v, weightTo[v]
+				if !inA[v] && (bestV == -1 || weightTo[v] > weightTo[bestV]) {
+					bestV = v
 				}
 			}
 			inA[bestV] = true
@@ -76,49 +77,55 @@ func (g *Graph) GlobalMinCut() (Cut, error) {
 				}
 			}
 		}
-		s, t := order[len(order)-2], order[len(order)-1]
+		ps, pt := order[len(order)-2], order[len(order)-1]
 		cutOfPhase := 0.0
 		for _, v := range active {
-			if v != t {
-				cutOfPhase += w[t][v]
+			if v != pt {
+				cutOfPhase += w[pt][v]
 			}
 		}
-		if cutOfPhase < best.Weight {
-			tSide := make([]string, 0, len(members[t]))
-			for _, m := range members[t] {
-				tSide = append(tSide, ids[m])
+		if cutOfPhase < weight {
+			weight = cutOfPhase
+			for v, o := range owner {
+				inT[v] = o == pt
 			}
-			inT := map[string]bool{}
-			for _, id := range tSide {
-				inT[id] = true
-			}
-			sSide := make([]string, 0, n-len(tSide))
-			for _, id := range ids {
-				if !inT[id] {
-					sSide = append(sSide, id)
-				}
-			}
-			sort.Strings(sSide)
-			sort.Strings(tSide)
-			best = Cut{S: sSide, T: tSide, Weight: cutOfPhase}
 		}
-		// Merge t into s.
-		members[s] = append(members[s], members[t]...)
+		// Merge pt into ps.
 		for _, v := range active {
-			if v != s && v != t {
-				w[s][v] += w[t][v]
-				w[v][s] = w[s][v]
+			if v != ps && v != pt {
+				w[ps][v] += w[pt][v]
+				w[v][ps] = w[ps][v]
 			}
 		}
-		next := active[:0]
-		for _, v := range active {
-			if v != t {
-				next = append(next, v)
+		for v, o := range owner {
+			if o == pt {
+				owner[v] = ps
 			}
 		}
-		active = next
+		active = slices.DeleteFunc(active, func(v int) bool { return v == pt })
 	}
-	return best, nil
+	s, t = cutSides(inT)
+	return s, t, weight
+}
+
+// cutSides returns the indices of inT that are false (s) and true (t),
+// each ascending.
+func cutSides(inT []bool) (s, t []int) {
+	nT := 0
+	for _, x := range inT {
+		if x {
+			nT++
+		}
+	}
+	s, t = make([]int, 0, len(inT)-nT), make([]int, 0, nT)
+	for v, x := range inT {
+		if x {
+			t = append(t, v)
+		} else {
+			s = append(s, v)
+		}
+	}
+	return s, t
 }
 
 // MinCutST computes a minimum s–t cut of the symmetrized influence using
@@ -131,23 +138,33 @@ func (g *Graph) MinCutST(s, t string) (Cut, error) {
 	if s == t {
 		return Cut{}, ErrSelfEdge
 	}
-	capM, ids := g.symmetric()
-	n := len(ids)
-	si, _ := slices.BinarySearch(ids, s)
-	ti, _ := slices.BinarySearch(ids, t)
-	flowTotal := 0.0
+	capM, slots := g.MutualMatrix()
+	si := slices.Index(slots, g.index[s])
+	ti := slices.Index(slots, g.index[t])
+	sSide, tSide, flow := MinCutSTMatrix(capM, si, ti)
+	return Cut{S: g.namesOf(slots, sSide), T: g.namesOf(slots, tSide), Weight: flow}, nil
+}
+
+// MinCutSTMatrix is MinCutST on a symmetric capacity matrix and two
+// distinct row indices: it returns the side of s (the vertices reachable
+// from s in the residual graph) and the side of t as ascending indices, and
+// the maximum flow. It overwrites capM with the residual capacities.
+func MinCutSTMatrix(capM [][]float64, s, t int) (sSide, tSide []int, flow float64) {
+	n := len(capM)
 	const eps = 1e-12
+	parent := make([]int, n)
+	queue := make([]int, 0, n)
 	for {
-		// BFS for an augmenting path in the residual graph.
-		parent := make([]int, n)
+		// BFS for an augmenting path in the residual graph. When none is
+		// left, the BFS has run to exhaustion and parent marks the
+		// residual reach of s.
 		for i := range parent {
 			parent[i] = -1
 		}
-		parent[si] = si
-		queue := []int{si}
-		for len(queue) > 0 && parent[ti] == -1 {
-			u := queue[0]
-			queue = queue[1:]
+		parent[s] = s
+		queue = append(queue[:0], s)
+		for head := 0; head < len(queue) && parent[t] == -1; head++ {
+			u := queue[head]
 			for v := 0; v < n; v++ {
 				if parent[v] == -1 && capM[u][v] > eps {
 					parent[v] = u
@@ -155,54 +172,44 @@ func (g *Graph) MinCutST(s, t string) (Cut, error) {
 				}
 			}
 		}
-		if parent[ti] == -1 {
+		if parent[t] == -1 {
 			break
 		}
-		// Bottleneck.
 		bottleneck := math.Inf(1)
-		for v := ti; v != si; v = parent[v] {
+		for v := t; v != s; v = parent[v] {
 			bottleneck = math.Min(bottleneck, capM[parent[v]][v])
 		}
-		for v := ti; v != si; v = parent[v] {
+		for v := t; v != s; v = parent[v] {
 			capM[parent[v]][v] -= bottleneck
 			capM[v][parent[v]] += bottleneck
 		}
-		flowTotal += bottleneck
+		flow += bottleneck
 	}
-	// S side = reachable in residual graph.
-	inS := make([]bool, n)
-	inS[si] = true
-	queue := []int{si}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := 0; v < n; v++ {
-			if !inS[v] && capM[u][v] > eps {
-				inS[v] = true
-				queue = append(queue, v)
-			}
-		}
+	inT := make([]bool, n)
+	for v, p := range parent {
+		inT[v] = p == -1
 	}
-	var sSide, tSide []string
-	for i, id := range ids {
-		if inS[i] {
-			sSide = append(sSide, id)
-		} else {
-			tSide = append(tSide, id)
-		}
-	}
-	return Cut{S: sSide, T: tSide, Weight: flowTotal}, nil
+	sSide, tSide = cutSides(inT)
+	return sSide, tSide, flow
 }
 
-// symmetric returns the symmetrized influence matrix (w[i][j] is the sum
-// of the influences between nodes i and j, replica edges excluded) over the
-// sorted node ids.
-func (g *Graph) symmetric() ([][]float64, []string) {
-	ids, rank := g.rankByName()
-	n := len(ids)
+// MutualMatrix returns the symmetrized influence matrix over the live
+// nodes in id order — w[i][j] is the sum of the influences between the
+// i-th and j-th nodes, replica edges excluded — and the slot of each node.
+// Each entry sums at most two arcs, so it equals MutualInfluence bit for
+// bit, and the matrix of an induced subgraph is the restriction of this
+// one.
+func (g *Graph) MutualMatrix() ([][]float64, []int) {
+	slots := g.SlotsByName()
+	n := len(slots)
+	rank := make([]int, len(g.names))
+	for i, s := range slots {
+		rank[s] = i
+	}
 	w := make([][]float64, n)
+	backing := make([]float64, n*n)
 	for i := range w {
-		w[i] = make([]float64, n)
+		w[i] = backing[i*n : (i+1)*n]
 	}
 	for s, row := range g.out {
 		for _, a := range row {
@@ -214,7 +221,16 @@ func (g *Graph) symmetric() ([][]float64, []string) {
 			w[j][i] += a.w
 		}
 	}
-	return w, ids
+	return w, slots
+}
+
+// namesOf returns the node ids of slots[i] for each index i in idx.
+func (g *Graph) namesOf(slots, idx []int) []string {
+	out := make([]string, len(idx))
+	for k, i := range idx {
+		out[k] = g.names[slots[i]]
+	}
+	return out
 }
 
 // CrossWeight sums the directed influence of every edge whose endpoints lie

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,7 +20,10 @@ import (
 // as a differential oracle. FuzzGraphMatchesReference requires Graph to
 // agree with it after every step. Two changes from that code: Contract
 // checks that the cluster id is free before it mutates anything, and
-// CrossWeight and InternalWeight sum in Edges() order.
+// CrossWeight and InternalWeight sum in Edges() order. It also keeps the
+// min-cuts the slice-based ones replaced — Stoer–Wagner with per-phase
+// maps and string cut sides, Edmonds–Karp allocating its BFS buffers per
+// augmentation — for FuzzMinCutMatchesReference.
 
 // refGraph is the string-keyed graph.
 type refGraph struct {
@@ -807,5 +811,272 @@ func TestReplicateMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameGraph(t, fmt.Sprintf("seed %d", seed), got, r)
+	}
+}
+
+// symmetric returns the reference's symmetrized influence matrix over the
+// sorted node ids, summing arcs in map order.
+func (g *refGraph) symmetric() ([][]float64, []string) {
+	ids := g.Nodes()
+	idx := make(map[string]int, len(ids))
+	for i, id := range ids {
+		idx[id] = i
+	}
+	w := make([][]float64, len(ids))
+	for i := range w {
+		w[i] = make([]float64, len(ids))
+	}
+	for from, m := range g.out {
+		for to, e := range m {
+			if e.Replica {
+				continue
+			}
+			i, j := idx[from], idx[to]
+			w[i][j] += e.Weight
+			w[j][i] += e.Weight
+		}
+	}
+	return w, ids
+}
+
+// GlobalMinCut is the map-based Stoer–Wagner GlobalMinCut replaced.
+func (g *refGraph) GlobalMinCut() (Cut, error) {
+	if g.NumNodes() < 2 {
+		return Cut{}, ErrTooSmall
+	}
+	w, ids := g.symmetric()
+	n := len(ids)
+	active := make([]int, n)
+	for i := range active {
+		active[i] = i
+	}
+	members := make([][]int, n)
+	for i := range members {
+		members[i] = []int{i}
+	}
+	best := Cut{Weight: math.Inf(1)}
+	for len(active) > 1 {
+		a := active[0]
+		inA := map[int]bool{a: true}
+		order := []int{a}
+		weightTo := map[int]float64{}
+		for _, v := range active {
+			if v != a {
+				weightTo[v] = w[a][v]
+			}
+		}
+		for len(order) < len(active) {
+			bestV, bestW := -1, math.Inf(-1)
+			for _, v := range active {
+				if inA[v] {
+					continue
+				}
+				if weightTo[v] > bestW || (weightTo[v] == bestW && (bestV == -1 || v < bestV)) {
+					bestV, bestW = v, weightTo[v]
+				}
+			}
+			inA[bestV] = true
+			order = append(order, bestV)
+			for _, v := range active {
+				if !inA[v] {
+					weightTo[v] += w[bestV][v]
+				}
+			}
+		}
+		s, t := order[len(order)-2], order[len(order)-1]
+		cutOfPhase := 0.0
+		for _, v := range active {
+			if v != t {
+				cutOfPhase += w[t][v]
+			}
+		}
+		if cutOfPhase < best.Weight {
+			tSide := make([]string, 0, len(members[t]))
+			for _, m := range members[t] {
+				tSide = append(tSide, ids[m])
+			}
+			inT := map[string]bool{}
+			for _, id := range tSide {
+				inT[id] = true
+			}
+			sSide := make([]string, 0, n-len(tSide))
+			for _, id := range ids {
+				if !inT[id] {
+					sSide = append(sSide, id)
+				}
+			}
+			sort.Strings(sSide)
+			sort.Strings(tSide)
+			best = Cut{S: sSide, T: tSide, Weight: cutOfPhase}
+		}
+		members[s] = append(members[s], members[t]...)
+		for _, v := range active {
+			if v != s && v != t {
+				w[s][v] += w[t][v]
+				w[v][s] = w[s][v]
+			}
+		}
+		next := active[:0]
+		for _, v := range active {
+			if v != t {
+				next = append(next, v)
+			}
+		}
+		active = next
+	}
+	return best, nil
+}
+
+// MinCutST is the allocating Edmonds–Karp MinCutST replaced.
+func (g *refGraph) MinCutST(s, t string) (Cut, error) {
+	if !g.HasNode(s) || !g.HasNode(t) {
+		return Cut{}, ErrNoSuchNode
+	}
+	if s == t {
+		return Cut{}, ErrSelfEdge
+	}
+	capM, ids := g.symmetric()
+	n := len(ids)
+	si := sort.SearchStrings(ids, s)
+	ti := sort.SearchStrings(ids, t)
+	flowTotal := 0.0
+	const eps = 1e-12
+	for {
+		parent := make([]int, n)
+		for i := range parent {
+			parent[i] = -1
+		}
+		parent[si] = si
+		queue := []int{si}
+		for len(queue) > 0 && parent[ti] == -1 {
+			u := queue[0]
+			queue = queue[1:]
+			for v := 0; v < n; v++ {
+				if parent[v] == -1 && capM[u][v] > eps {
+					parent[v] = u
+					queue = append(queue, v)
+				}
+			}
+		}
+		if parent[ti] == -1 {
+			break
+		}
+		bottleneck := math.Inf(1)
+		for v := ti; v != si; v = parent[v] {
+			bottleneck = math.Min(bottleneck, capM[parent[v]][v])
+		}
+		for v := ti; v != si; v = parent[v] {
+			capM[parent[v]][v] -= bottleneck
+			capM[v][parent[v]] += bottleneck
+		}
+		flowTotal += bottleneck
+	}
+	inS := make([]bool, n)
+	inS[si] = true
+	queue := []int{si}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for v := 0; v < n; v++ {
+			if !inS[v] && capM[u][v] > eps {
+				inS[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	var sSide, tSide []string
+	for i, id := range ids {
+		if inS[i] {
+			sSide = append(sSide, id)
+		} else {
+			tSide = append(tSide, id)
+		}
+	}
+	return Cut{S: sSide, T: tSide, Weight: flowTotal}, nil
+}
+
+// FuzzMinCutMatchesReference builds the same random graph in Graph and the
+// reference — nodes added in shuffled order, a removed node leaving a free
+// slot, replica edges, weights drawn from a few tied values or at random,
+// and nodes split into components that no edge joins — and requires
+// GlobalMinCut and MinCutST between random nodes to return the same sides
+// and bit-equal weights.
+func FuzzMinCutMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(6), uint8(0), uint8(1))
+	f.Add(uint64(2), uint8(12), uint8(3), uint8(9))
+	f.Add(uint64(3), uint8(2), uint8(0), uint8(1))
+	f.Add(uint64(4), uint8(9), uint8(7), uint8(7))
+	f.Add(uint64(5), uint8(1), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, size, si, ti uint8) {
+		pr := rand.New(rand.NewPCG(seed, seed^0x5851f42d4c957f2d))
+		n := int(size)%14 + 1
+		names := make([]string, n+1)
+		for i := range names {
+			names[i] = fmt.Sprintf("n%02d", i)
+		}
+		pr.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+		g, r := New(), newRef()
+		for _, id := range names {
+			if g.AddNode(id, attrs.Set{}) != nil || r.AddNode(id, attrs.Set{}) != nil {
+				t.Fatal("AddNode failed")
+			}
+		}
+		// Remove one node so a free slot sits among the live ones.
+		gone := names[pr.IntN(len(names))]
+		if g.RemoveNode(gone) != nil || r.RemoveNode(gone) != nil {
+			t.Fatal("RemoveNode failed")
+		}
+		nodes := g.Nodes()
+		comps := 1 + pr.IntN(3)
+		comp := make(map[string]int, len(nodes))
+		for _, id := range nodes {
+			comp[id] = pr.IntN(comps)
+		}
+		tied := pr.IntN(2) == 0
+		for _, from := range nodes {
+			for _, to := range nodes {
+				if from == to || comp[from] != comp[to] {
+					continue
+				}
+				switch k := pr.IntN(10); {
+				case k < 4:
+				case k == 4:
+					if g.AddReplicaEdge(from, to) != nil || r.AddReplicaEdge(from, to) != nil {
+						t.Fatal("AddReplicaEdge failed")
+					}
+				default:
+					w := pr.Float64()
+					if tied {
+						w = float64(pr.IntN(4)) / 4
+					}
+					if g.SetEdge(from, to, w) != nil || r.SetEdge(from, to, w) != nil {
+						t.Fatal("SetEdge failed")
+					}
+				}
+			}
+		}
+		got, errG := g.GlobalMinCut()
+		want, errR := r.GlobalMinCut()
+		requireSameCut(t, "GlobalMinCut", got, errG, want, errR)
+		if len(nodes) == 0 {
+			return
+		}
+		s, d := nodes[int(si)%len(nodes)], nodes[int(ti)%len(nodes)]
+		got, errG = g.MinCutST(s, d)
+		want, errR = r.MinCutST(s, d)
+		requireSameCut(t, "MinCutST "+s+" "+d, got, errG, want, errR)
+	})
+}
+
+// requireSameCut fails unless a cut and its error match the reference's,
+// with the weight compared bit for bit.
+func requireSameCut(t *testing.T, what string, got Cut, errG error, want Cut, errR error) {
+	t.Helper()
+	if fmt.Sprint(errG) != fmt.Sprint(errR) {
+		t.Fatalf("%s: err %v, reference %v", what, errG, errR)
+	}
+	if !slices.Equal(got.S, want.S) || !slices.Equal(got.T, want.T) ||
+		math.Float64bits(got.Weight) != math.Float64bits(want.Weight) {
+		t.Fatalf("%s: %v | %v (%v), reference %v | %v (%v)", what, got.S, got.T, got.Weight, want.S, want.T, want.Weight)
 	}
 }

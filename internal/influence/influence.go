@@ -126,19 +126,28 @@ func ClusterInfluence(memberInfluences []float64) (float64, error) {
 // to be neglected."
 const DefaultMaxOrder = 8
 
+// ErrMatrix marks an influence matrix the Eq. (3) sweep cannot take: a
+// row of the wrong length, or an entry that is negative, NaN or infinite.
+var ErrMatrix = errors.New("influence: matrix must be square, finite and non-negative")
+
 // Separation computes Eq. (3) for the ordered pair (i, j) over the
 // influence matrix p (p[a][b] = influence of a on b): one minus the sum of
 // the direct influence plus all transitive path products up to maxOrder
 // hops. Intermediate nodes range over the whole matrix, including i and j,
 // exactly as the paper's double sums do. The result is clamped to [0,1]
 // (the raw series can exceed 1 for strongly coupled systems, where
-// separation is simply zero).
+// separation is simply zero). A matrix that is not square, finite and
+// non-negative is rejected with an error wrapping ErrMatrix.
 //
 // maxOrder < 1 uses DefaultMaxOrder.
 func Separation(p [][]float64, i, j, maxOrder int) (float64, error) {
 	n := len(p)
 	if i < 0 || i >= n || j < 0 || j >= n {
 		return 0, fmt.Errorf("influence: separation index out of range: (%d,%d) for n=%d", i, j, n)
+	}
+	m, err := newSparse(p)
+	if err != nil {
+		return 0, err
 	}
 	if i == j {
 		return 0, nil // an FCM is never separated from itself
@@ -147,8 +156,50 @@ func Separation(p [][]float64, i, j, maxOrder int) (float64, error) {
 		maxOrder = DefaultMaxOrder
 	}
 	out := make([]float64, n)
-	separationRow(p, i, maxOrder, out, make([]float64, n), make([]float64, n))
+	separationRow(p, m, i, maxOrder, out, make([]float64, 2*n))
 	return out[j], nil
+}
+
+// sparse holds the nonzero entries of a square influence matrix by row:
+// row k's are ent[start[k]:start[k+1]], by ascending column.
+type sparse struct {
+	start []int
+	ent   []entry
+}
+
+type entry struct {
+	col int
+	p   float64
+}
+
+// newSparse validates p and copies its nonzeros. A counting pass checks
+// every row and sizes the copy exactly.
+func newSparse(p [][]float64) (sparse, error) {
+	n := len(p)
+	nnz := 0
+	for i, row := range p {
+		if len(row) != n {
+			return sparse{}, fmt.Errorf("%w: row %d has %d entries, want %d", ErrMatrix, i, len(row), n)
+		}
+		for j, x := range row {
+			if !(x >= 0) || math.IsInf(x, 1) {
+				return sparse{}, fmt.Errorf("%w: row %d, column %d is %g", ErrMatrix, i, j, x)
+			}
+			if x != 0 {
+				nnz++
+			}
+		}
+	}
+	m := sparse{start: make([]int, n+1), ent: make([]entry, 0, nnz)}
+	for i, row := range p {
+		for j, x := range row {
+			if x != 0 {
+				m.ent = append(m.ent, entry{j, x})
+			}
+		}
+		m.start[i+1] = len(m.ent)
+	}
+	return m, nil
 }
 
 // separationRow is the one Eq. (3) kernel: it computes the separation of
@@ -156,29 +207,32 @@ func Separation(p [][]float64, i, j, maxOrder int) (float64, error) {
 // the separations into out. reach[v] holds the summed edge-probability
 // products of all paths of the current length from i to v; the recurrence
 // depends only on the source row, so one sweep serves all n targets.
-// reach and next are caller-provided scratch of length n.
-func separationRow(p [][]float64, i, maxOrder int, out, reach, next []float64) {
+// Each order costs O(nnz): it visits only the nonzeros m holds of p, in
+// ascending k for every target, so it adds the same terms in the same
+// order as the dense sweep over p minus the r·0 = +0 ones, and its result
+// is the dense sweep's bit for bit (for a finite, non-negative p whose
+// path sums do not overflow). scratch holds 2n floats.
+func separationRow(p [][]float64, m sparse, i, maxOrder int, out, scratch []float64) {
 	n := len(p)
+	reach, next := scratch[:n], scratch[n:2*n]
 	copy(reach, p[i])
 	copy(out, reach)
 	for order := 2; order <= maxOrder; order++ {
-		for v := range next {
-			next[v] = 0
-		}
-		for k := 0; k < n; k++ {
-			if reach[k] == 0 {
+		clear(next)
+		for k, r := range reach {
+			if r == 0 {
 				continue
 			}
-			for v := 0; v < n; v++ {
-				next[v] += reach[k] * p[k][v]
+			for _, e := range m.ent[m.start[k]:m.start[k+1]] {
+				next[e.col] += r * e.p
 			}
 		}
 		reach, next = next, reach
-		for v := 0; v < n; v++ {
-			out[v] += reach[v]
+		for v, x := range reach {
+			out[v] += x
 		}
 	}
-	for v := 0; v < n; v++ {
+	for v := range out {
 		out[v] = clamp01(1 - out[v])
 	}
 	out[i] = 0 // an FCM is never separated from itself
@@ -189,13 +243,19 @@ func sepRowErr(i, n int, err error) error {
 }
 
 // SeparationMatrixWorkers computes the separation matrix with its
-// O(n³·maxOrder) power-series sweep chunked by row over a pool of workers
-// (0 = GOMAXPROCS). Every worker polls ctx once per row and the first
-// cancellation aborts the sweep with an error wrapping ctx.Err(). Row
-// outputs are disjoint and each row's arithmetic is independent of the
-// pool size, so the matrix is bit-identical for every worker count.
+// O(n·nnz·maxOrder) power-series sweep chunked by row over a pool of
+// workers (0 = GOMAXPROCS). Every worker polls ctx once per row and the
+// first cancellation aborts the sweep with an error wrapping ctx.Err().
+// Row outputs are disjoint and each row's arithmetic is independent of the
+// pool size, so the matrix is bit-identical for every worker count. A
+// matrix that is not square, finite and non-negative is rejected with an
+// error wrapping ErrMatrix before any row is swept.
 func SeparationMatrixWorkers(ctx context.Context, p [][]float64, maxOrder, workers int) ([][]float64, error) {
 	n := len(p)
+	m, err := newSparse(p)
+	if err != nil {
+		return nil, err
+	}
 	if maxOrder < 1 {
 		maxOrder = DefaultMaxOrder
 	}
@@ -211,15 +271,14 @@ func SeparationMatrixWorkers(ctx context.Context, p [][]float64, maxOrder, worke
 		out[i] = backing[i*n : (i+1)*n]
 	}
 	if workers <= 1 {
-		reach := make([]float64, n)
-		next := make([]float64, n)
+		scratch := make([]float64, 2*n)
 		for i := 0; i < n; i++ {
 			if ctx != nil {
 				if err := ctx.Err(); err != nil {
 					return nil, sepRowErr(i, n, err)
 				}
 			}
-			separationRow(p, i, maxOrder, out[i], reach, next)
+			separationRow(p, m, i, maxOrder, out[i], scratch)
 		}
 		return out, nil
 	}
@@ -231,10 +290,9 @@ func SeparationMatrixWorkers(ctx context.Context, p [][]float64, maxOrder, worke
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(w, maxOrder int) {
 			defer wg.Done()
-			reach := make([]float64, n)
-			next := make([]float64, n)
+			scratch := make([]float64, 2*n)
 			for {
 				i := int(nextRow.Add(1)) - 1
 				if i >= n || failed.Load() {
@@ -247,9 +305,9 @@ func SeparationMatrixWorkers(ctx context.Context, p [][]float64, maxOrder, worke
 						return
 					}
 				}
-				separationRow(p, i, maxOrder, out[i], reach, next)
+				separationRow(p, m, i, maxOrder, out[i], scratch)
 			}
-		}(w)
+		}(w, maxOrder)
 	}
 	wg.Wait()
 	for _, err := range errs {

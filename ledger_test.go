@@ -3,12 +3,14 @@ package depint
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/ledger"
+	"repro/internal/spec"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden ledger reports under docs/ledger")
@@ -82,6 +84,57 @@ func TestLedgerIdenticalRunsProduceNoDivergence(t *testing.T) {
 	}
 	if !d.FingerprintMatch {
 		t.Error("identical runs have different config fingerprints")
+	}
+}
+
+// TestCorpusLedgersDeterministic extends the determinism contract to the
+// committed corpus and every strategy: each scenario, integrated three
+// times in one process under each of the 8 strategies, must write
+// byte-identical ledgers and fail, if at all, with the same error. Go
+// randomises map iteration order on every range, so a decision that
+// depends on it shows up as a divergence between the runs.
+func TestCorpusLedgersDeterministic(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := 0
+	for _, f := range files {
+		if filepath.Base(f) == "manifest.json" {
+			continue
+		}
+		scenarios++
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := H1; s <= H2SourceTarget; s++ {
+			var first string
+			for run := 0; run < 3; run++ {
+				sys, err := spec.Decode(bytes.NewReader(raw))
+				if err != nil {
+					t.Fatalf("%s: %v", f, err)
+				}
+				led := NewLedger("determinism")
+				_, err = Integrate(sys, WithStrategy(s), WithLedger(led))
+				var buf bytes.Buffer
+				if werr := led.WriteJSONL(&buf); werr != nil {
+					t.Fatal(werr)
+				}
+				got := fmt.Sprintf("%v\n%s", err, buf.Bytes())
+				if run == 0 && bytes.Count(buf.Bytes(), []byte("\n")) < 2 {
+					t.Errorf("%s under %v: the ledger holds no decision record", filepath.Base(f), s)
+				}
+				if run == 0 {
+					first = got
+				} else if got != first {
+					t.Errorf("%s under %v: run %d wrote a different ledger or error than run 0", filepath.Base(f), s, run)
+				}
+			}
+		}
+	}
+	if scenarios != 12 {
+		t.Errorf("%d corpus scenarios, want 12", scenarios)
 	}
 }
 

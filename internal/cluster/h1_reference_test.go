@@ -1,0 +1,224 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"repro/internal/attrs"
+	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/scengen"
+	"repro/internal/spec"
+)
+
+// refBestFeasiblePair is H1's selection as it ran before rows could be
+// skipped: every pair of live slots in id order, checking each pair that
+// beats the best so far. It is the reference
+// TestH1BoundedScanMatchesFullScan holds the bounded scan to.
+func refBestFeasiblePair(t *pairTable, c *Condenser) (int, int, bool) {
+	bestA, bestB := -1, -1
+	bestMutual := -1.0
+	bestSize := 0
+	for i, sa := range t.order {
+		row := t.mutual[sa*t.stride : (sa+1)*t.stride]
+		for _, sb := range t.order[i+1:] {
+			m := row[sb]
+			size := t.size[sa] + t.size[sb]
+			better := false
+			switch {
+			case m > bestMutual:
+				better = true
+			case m == bestMutual && bestMutual > 0:
+				better = false
+			case m == bestMutual && bestMutual == 0 && size < bestSize:
+				better = true
+			}
+			if !better {
+				continue
+			}
+			if ok, _ := c.combinableSlots(sa, sb); !ok {
+				continue
+			}
+			bestA, bestB, bestMutual, bestSize = sa, sb, m, size
+		}
+	}
+	return bestA, bestB, bestA >= 0
+}
+
+// h1Systems returns the systems TestH1BoundedScanMatchesFullScan runs:
+// those of h2Systems plus a 60-process scengen system of every family.
+func h1Systems(t *testing.T) map[string]*spec.System {
+	t.Helper()
+	systems := h2Systems(t)
+	for _, fam := range scengen.Families() {
+		sc, err := scengen.Generate(scengen.Config{Family: fam, Processes: 60, Seed: 1998})
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems[fmt.Sprintf("scengen/%s-60", fam)] = sc.System
+	}
+	return systems
+}
+
+// requireBoundsCover fails unless every live slot's bound is at least its
+// mutual influence with every other live slot.
+func requireBoundsCover(t *testing.T, pt *pairTable, merge int) {
+	t.Helper()
+	for _, s := range pt.order {
+		for _, x := range pt.order {
+			if m := pt.mutual[s*pt.stride+x]; x != s && !(pt.bound[s] >= m) {
+				t.Fatalf("after merge %d: bound[%d] = %v below its entry %v for slot %d", merge, s, pt.bound[s], m, x)
+			}
+		}
+	}
+}
+
+// TestH1BoundedScanMatchesFullScan runs H1 with the bounded scan and with
+// the full reference scan in lockstep on two copies of each system of
+// h1Systems, reduced to its HW node count, and of sparse random graphs
+// reduced to one node, where zero-influence merges (the size tie-break)
+// and replica rejections dominate. At every merge both must pick the same
+// pair and leave the same cluster_* counters (so every pair checked for
+// feasibility is checked by both, and answered alike); after every merge
+// each bound must still cover its row.
+func TestH1BoundedScanMatchesFullScan(t *testing.T) {
+	merges := 0
+	for name, sys := range h1Systems(t) {
+		t.Run(name, func(t *testing.T) {
+			condenser := func() *Condenser {
+				g, err := sys.Graph()
+				if err != nil {
+					t.Fatal(err)
+				}
+				exp, err := Expand(g, sys.Jobs())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return exp.Condenser()
+			}
+			merges += h1Lockstep(t, condenser(), condenser(), sys.HWNodes)
+		})
+	}
+	for seed := uint64(0); seed < 40; seed++ {
+		t.Run(fmt.Sprintf("sparse-%d", seed), func(t *testing.T) {
+			build := func() *Condenser {
+				pr := rand.New(rand.NewPCG(seed, 0x51))
+				g := graph.New()
+				n := 4 + pr.IntN(20)
+				for i := 0; i < n; i++ {
+					if err := g.AddNode(fmt.Sprintf("n%02d", i), attrs.Set{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						from, to := fmt.Sprintf("n%02d", i), fmt.Sprintf("n%02d", j)
+						switch k := pr.IntN(40); {
+						case i == j || k > 2:
+						case k == 0:
+							if err := g.AddReplicaEdge(from, to); err != nil {
+								t.Fatal(err)
+							}
+						default:
+							if err := g.SetEdge(from, to, float64(1+pr.IntN(4))/8); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				return NewCondenser(g, nil)
+			}
+			merges += h1Lockstep(t, build(), build(), 1)
+		})
+	}
+	t.Logf("%d merges matched", merges)
+	if merges == 0 {
+		t.Error("no system merged anything")
+	}
+}
+
+// h1Lockstep reduces c with the bounded scan and ref, a copy of c, with
+// the full scan toward target, failing at the first merge where they
+// differ or a bound falls below its row; it returns the merges made.
+func h1Lockstep(t *testing.T, c, ref *Condenser, target int) int {
+	t.Helper()
+	observe := func(c *Condenser) func() map[string]int64 {
+		reg := obs.NewRegistry()
+		c.Observe(nil, reg)
+		return func() map[string]int64 {
+			m := map[string]int64{}
+			for _, ctr := range reg.Snapshot().Counters {
+				m[ctr.Name] = ctr.Value
+			}
+			return m
+		}
+	}
+	counters, refCounters := observe(c), observe(ref)
+	pt, refPT := newPairTable(c.G), newPairTable(ref.G)
+	requireBoundsCover(t, pt, 0)
+	merges := 0
+	for c.G.NumNodes() > target {
+		a, b, ok := pt.bestFeasiblePair(c)
+		ra, rb, rok := refBestFeasiblePair(refPT, ref)
+		if ok != rok || (ok && (c.G.Name(a) != ref.G.Name(ra) || c.G.Name(b) != ref.G.Name(rb))) {
+			t.Fatalf("merge %d: bounded scan picks %v (%s, %s), full scan %v (%s, %s)", merges+1,
+				ok, slotName(c, a, ok), slotName(c, b, ok), rok, slotName(ref, ra, rok), slotName(ref, rb, rok))
+		}
+		if got, want := counters(), refCounters(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("merge %d: counters %v, full scan %v", merges+1, got, want)
+		}
+		if !ok {
+			break
+		}
+		s, err := c.combineSlots(a, b, "H1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := ref.combineSlots(ra, rb, "H1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt.merge(c.G, a, b, s)
+		refPT.merge(ref.G, ra, rb, rs)
+		merges++
+		requireBoundsCover(t, pt, merges)
+	}
+	return merges
+}
+
+// slotName returns the node id in slot s of c's graph, or "-" when there is
+// no pair.
+func slotName(c *Condenser, s int, ok bool) string {
+	if !ok {
+		return "-"
+	}
+	return c.G.Name(s)
+}
+
+// TestH1BoundNaNNeverSkips plants a NaN in a row's bound and checks the
+// scan still reads that row: a NaN bound must fail every skip test.
+func TestH1BoundNaNNeverSkips(t *testing.T) {
+	sys := spec.PaperExample()
+	g, err := sys.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := Expand(g, sys.Jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := exp.Condenser()
+	pt := newPairTable(c.G)
+	for _, s := range pt.order {
+		pt.bound[s] = math.NaN()
+	}
+	pt.bestFeasiblePair(c)
+	for _, s := range pt.order {
+		if math.IsNaN(pt.bound[s]) {
+			t.Errorf("row of %s was skipped under a NaN bound", c.G.Name(s))
+		}
+	}
+}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -56,6 +57,13 @@ type pairTable struct {
 	stride int       // row length of mutual: the graph's slot count
 	mutual []float64 // mutual[s*stride+t]: mutual influence of slots s, t
 	size   []int     // member count per slot
+	// bound[s] is at least slot s's mutual influence with every other
+	// live slot, or NaN, which never lets a row be skipped. Merges only
+	// raise it; a scan of the row tightens it to the exact maximum.
+	bound []float64
+	// minLater[i] is the smallest member count among order[i+1:] (MaxInt
+	// past the end), rebuilt by each bestFeasiblePair.
+	minLater []int
 }
 
 // newPairTable reads every pair's mutual influence from g once.
@@ -66,16 +74,33 @@ func newPairTable(g *graph.Graph) *pairTable {
 		stride: n,
 		mutual: make([]float64, n*n),
 		size:   make([]int, n),
+		bound:  make([]float64, n),
 	}
 	for _, s := range t.order {
 		t.size[s] = g.NumMembers(s)
 		g.MutualRow(s, t.mutual[s*n:(s+1)*n])
+		t.bound[s] = t.rowMax(s, t.order)
 	}
 	return t
 }
 
+// rowMax returns the largest mutual influence of slot s with the slots in
+// others other than s itself: -Inf when there are none, NaN when any entry
+// is NaN.
+func (t *pairTable) rowMax(s int, others []int) float64 {
+	row := t.mutual[s*t.stride : (s+1)*t.stride]
+	hi := math.Inf(-1)
+	for _, x := range others {
+		if m := row[x]; x != s && (m > hi || m != m) {
+			hi = m
+		}
+	}
+	return hi
+}
+
 // merge replaces slots a and b by their contraction, which took slot s,
-// and refreshes that slot's row and column from g.
+// and refreshes that slot's row, column and bound from g. Every other
+// live bound is raised to cover its entry for s.
 func (t *pairTable) merge(g *graph.Graph, a, b, s int) {
 	live := t.order[:0]
 	for _, x := range t.order {
@@ -93,7 +118,11 @@ func (t *pairTable) merge(g *graph.Graph, a, b, s int) {
 	g.MutualRow(s, row)
 	for _, x := range t.order {
 		t.mutual[x*t.stride+s] = row[x]
+		if m := row[x]; x != s && (m > t.bound[x] || m != m) {
+			t.bound[x] = m
+		}
 	}
+	t.bound[s] = t.rowMax(s, t.order)
 }
 
 // bestFeasiblePair returns the slots of the feasible pair with the highest
@@ -101,29 +130,46 @@ func (t *pairTable) merge(g *graph.Graph, a, b, s int) {
 // zero mutual influence are considered last (preferring small clusters),
 // so reduction can always proceed when any feasible pair exists. Only a
 // pair that would beat the best so far is checked for feasibility.
+//
+// Rows are visited in id order, but a row whose bound shows that none of
+// its pairs with later slots could beat the best so far is skipped. A full
+// scan would check none of that row's pairs, so the pairs checked, their
+// order and the answer are those of a full scan.
 func (t *pairTable) bestFeasiblePair(c *Condenser) (int, int, bool) {
+	t.minLater = slices.Grow(t.minLater[:0], len(t.order))[:len(t.order)]
+	least := math.MaxInt
+	for i := len(t.order) - 1; i >= 0; i-- {
+		t.minLater[i] = least
+		least = min(least, t.size[t.order[i]])
+	}
 	bestA, bestB := -1, -1
 	bestMutual := -1.0
 	bestSize := 0
 	for i, sa := range t.order {
+		// A pair beats the best only with more mutual influence, or with
+		// none at all and fewer members; bestMutual < 0 (nothing yet)
+		// never skips, and a NaN bound fails the first comparison.
+		if bestMutual >= 0 && t.bound[sa] <= bestMutual &&
+			(bestMutual > 0 || t.minLater[i] >= bestSize-t.size[sa]) {
+			continue
+		}
 		if c.ctx != nil && c.ctx.Err() != nil {
 			return 0, 0, false // caller re-checks and reports the cancellation
 		}
 		row := t.mutual[sa*t.stride : (sa+1)*t.stride]
+		hi := t.rowMax(sa, t.order[:i])
 		for _, sb := range t.order[i+1:] {
 			m := row[sb]
+			if m > hi || m != m {
+				hi = m
+			}
 			size := t.size[sa] + t.size[sb]
-			better := false
 			switch {
 			case m > bestMutual:
-				better = true
-			case m == bestMutual && bestMutual > 0:
-				// equal positive influence: lexicographic
-				better = false // nodes are already in sorted order
 			case m == bestMutual && bestMutual == 0 && size < bestSize:
-				better = true
-			}
-			if !better {
+			default:
+				// Not better; equal positive influence keeps the earlier
+				// pair, as nodes are visited in sorted order.
 				continue
 			}
 			if ok, _ := c.combinableSlots(sa, sb); !ok {
@@ -131,6 +177,7 @@ func (t *pairTable) bestFeasiblePair(c *Condenser) (int, int, bool) {
 			}
 			bestA, bestB, bestMutual, bestSize = sa, sb, m, size
 		}
+		t.bound[sa] = hi
 	}
 	return bestA, bestB, bestA >= 0
 }

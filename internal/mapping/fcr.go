@@ -38,91 +38,7 @@ func AssignCriticalityAwareDetailed(g *graph.Graph, p *hw.Platform, req Requirem
 		}
 		return order[i] < order[j]
 	})
-	if len(order) > p.NumNodes() {
-		return nil, nil, fmt.Errorf("%w: %d clusters, %d nodes", ErrTooManyClusters, len(order), p.NumNodes())
-	}
-
-	asg := make(Assignment, len(order))
-	used := map[string]bool{}
-	criticalFCRs := map[string]bool{}
-	decisions := make([]Decision, 0, len(order))
-	for _, cluster := range order {
-		critical := g.Attrs(cluster).Value(attrs.Criticality) >= threshold
-		needs := req.forCluster(cluster)
-		// Sum the cost over the sorted placed clusters, not the assignment
-		// map: map iteration would perturb the float accumulation order
-		// and could flip equal-cost tie-breaks between runs (the same fix
-		// placementDecisions carries).
-		placed := asg.Clusters()
-		bestNode := ""
-		bestFresh := false
-		bestCost := 0.0
-		var feasible []Alternative
-		for _, nodeName := range p.Nodes() {
-			if used[nodeName] {
-				continue
-			}
-			node, err := p.Node(nodeName)
-			if err != nil {
-				return nil, nil, err
-			}
-			ok := true
-			for _, res := range needs {
-				if !node.HasResource(res) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			fresh := !criticalFCRs[node.FCR]
-			cost := 0.0
-			for _, pc := range placed {
-				m := g.MutualInfluence(cluster, pc)
-				if m <= 0 {
-					continue
-				}
-				d, conn := p.Distance(nodeName, asg[pc])
-				if !conn {
-					d = float64(p.NumNodes())
-				}
-				cost += m * d
-			}
-			feasible = append(feasible, Alternative{Node: nodeName, Cost: cost})
-			better := false
-			switch {
-			case bestNode == "":
-				better = true
-			case critical && fresh != bestFresh:
-				better = fresh // fresh FCR dominates for critical clusters
-			case cost < bestCost:
-				better = true
-			}
-			if better {
-				bestNode, bestFresh, bestCost = nodeName, fresh, cost
-			}
-		}
-		if bestNode == "" {
-			return nil, nil, fmt.Errorf("%w: cluster %s needs %v", ErrNoFeasibleNode, cluster, needs)
-		}
-		asg[cluster] = bestNode
-		used[bestNode] = true
-		decisions = append(decisions, Decision{
-			Cluster:      cluster,
-			Node:         bestNode,
-			Cost:         bestCost,
-			Alternatives: beaten(feasible, bestNode),
-		})
-		if critical {
-			node, err := p.Node(bestNode)
-			if err != nil {
-				return nil, nil, err
-			}
-			criticalFCRs[node.FCR] = true
-		}
-	}
-	return asg, decisions, nil
+	return place(order, g, p, req, rule{fcrAware: true, threshold: threshold})
 }
 
 // CriticalPairsSharedFCR counts pairs of critical base modules (at or

@@ -19,7 +19,9 @@ package mapping
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/attrs"
 	"repro/internal/graph"
@@ -38,6 +40,9 @@ type Requirements map[string][]string
 
 // forCluster unions the requirements of a cluster's members.
 func (r Requirements) forCluster(clusterID string) []string {
+	if len(r) == 0 {
+		return nil
+	}
 	seen := map[string]bool{}
 	var out []string
 	for _, m := range graph.Members(clusterID) {
@@ -96,86 +101,159 @@ type Decision struct {
 	Alternatives []Alternative
 }
 
-// placementDecisions greedily assigns ordered clusters to HW nodes. Each
-// cluster goes to an unused node that offers its required resources; among
-// valid nodes it picks the one minimizing influence-weighted communication
-// distance to already-placed clusters (the dilation concern of §6), with
-// name order breaking ties. The returned decisions record, per cluster,
-// the chosen node and the feasible alternatives it beat.
-func placementDecisions(order []string, g *graph.Graph, p *hw.Platform, req Requirements) (Assignment, []Decision, error) {
+// rule is how a placement pass picks among the feasible nodes for one
+// cluster. The zero rule is the standard one of Approaches A and B:
+// lower cost, then fewer resources. fcrAware is AssignCriticalityAware's:
+// a cluster at or above threshold criticality first prefers a node whose
+// FCR hosts no critical cluster yet, then lower cost, with no resource
+// tie-break.
+type rule struct {
+	fcrAware  bool
+	threshold float64
+}
+
+// placedCluster is a placed cluster a later candidate's cost may sum
+// over: its id, graph slot and HW node index.
+type placedCluster struct {
+	id       string
+	slot, hw int
+}
+
+// peer is one term of a candidate's cost: a placed cluster's mutual
+// influence with the cluster being placed, and its HW node index.
+type peer struct {
+	m  float64
+	hw int
+}
+
+// place greedily assigns ordered clusters, distinct ids, to HW nodes.
+// Each cluster goes to an unused node that offers its required resources;
+// among valid nodes it picks by r, minimizing the influence-weighted
+// communication distance to already-placed clusters (the dilation concern
+// of §6), with name order breaking ties. The returned decisions record,
+// per cluster, the chosen node and the feasible alternatives it beat.
+//
+// The platform's nodes and distances are read into int-indexed tables
+// once per call. A candidate's cost sums m·d over the placed clusters in
+// cluster-name order, skipping those with m <= 0 (every cluster absent
+// from g), so equal costs compare equal bit for bit between runs.
+func place(order []string, g *graph.Graph, p *hw.Platform, req Requirements, r rule) (Assignment, []Decision, error) {
 	if len(order) > p.NumNodes() {
 		return nil, nil, fmt.Errorf("%w: %d clusters, %d nodes", ErrTooManyClusters, len(order), p.NumNodes())
 	}
+	names := p.Nodes()
+	n := len(names)
+	nodes := make([]*hw.Node, n)
+	dist := make([]float64, n*n) // dist[i*n+j]: Distance(names[i], names[j]) or the disconnected penalty
+	for i, name := range names {
+		node, err := p.Node(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		nodes[i] = node
+		for j, other := range names {
+			d, conn := p.Distance(name, other)
+			if !conn {
+				d = float64(n) // disconnected penalty
+			}
+			dist[i*n+j] = d
+		}
+	}
+
 	asg := make(Assignment, len(order))
-	used := map[string]bool{}
 	decisions := make([]Decision, 0, len(order))
+	used := make([]bool, n)
+	criticalFCRs := map[string]bool{}
+	placed := make([]placedCluster, 0, len(order)) // by id
+	row := make([]float64, g.NumSlots())
+	peers := make([]peer, 0, len(order))
+	feasible := make([]Alternative, 0, n)
 	for _, cluster := range order {
 		needs := req.forCluster(cluster)
-		// Fix the float accumulation order of the cost sum below: summing
-		// over the assignment map directly lets map iteration perturb the
-		// last bits of equal costs, flipping tie-breaks between runs.
-		placed := asg.Clusters()
-		bestNode, bestCost, bestRes := "", 0.0, 0
-		var feasible []Alternative
-		for _, nodeName := range p.Nodes() {
-			if used[nodeName] {
-				continue
-			}
-			node, err := p.Node(nodeName)
-			if err != nil {
-				return nil, nil, err
-			}
-			ok := true
-			for _, res := range needs {
-				if !node.HasResource(res) {
-					ok = false
-					break
+		critical := r.fcrAware && g.Attrs(cluster).Value(attrs.Criticality) >= r.threshold
+		slot, inGraph := g.Slot(cluster)
+		peers = peers[:0]
+		if inGraph {
+			g.MutualRow(slot, row)
+			for _, pc := range placed {
+				if m := row[pc.slot]; !(m <= 0) { // a NaN m stays in the sum
+					peers = append(peers, peer{m, pc.hw})
 				}
 			}
-			if !ok {
+		}
+		best, bestCost, bestFresh := -1, 0.0, false
+		feasible = feasible[:0]
+		for i, node := range nodes {
+			if used[i] || !hasAll(node, needs) {
 				continue
 			}
 			cost := 0.0
-			for _, pc := range placed {
-				m := g.MutualInfluence(cluster, pc)
-				if m <= 0 {
-					continue
-				}
-				d, conn := p.Distance(nodeName, asg[pc])
-				if !conn {
-					d = float64(p.NumNodes()) // disconnected penalty
-				}
-				cost += m * d
+			d := dist[i*n : (i+1)*n]
+			for _, pr := range peers {
+				cost += pr.m * d[pr.hw]
 			}
-			feasible = append(feasible, Alternative{Node: nodeName, Cost: cost})
-			// Prefer lower communication cost; among equal costs prefer
-			// the node with the fewest resources, so scarce resources stay
-			// free for the clusters that need them (the paper's "resource
-			// present on only one processor" complication).
-			if bestNode == "" || cost < bestCost ||
-				(cost == bestCost && len(node.Resources) < bestRes) {
-				bestNode, bestCost, bestRes = nodeName, cost, len(node.Resources)
+			feasible = append(feasible, Alternative{Node: names[i], Cost: cost})
+			fresh := r.fcrAware && !criticalFCRs[node.FCR]
+			better := false
+			switch {
+			case best < 0:
+				better = true
+			case critical && fresh != bestFresh:
+				better = fresh // a fresh FCR dominates for critical clusters
+			case cost < bestCost:
+				better = true
+			case !r.fcrAware && cost == bestCost && len(node.Resources) < len(nodes[best].Resources):
+				// Among equal costs prefer the node with the fewest
+				// resources, so scarce resources stay free for the
+				// clusters that need them (the paper's "resource present
+				// on only one processor" complication).
+				better = true
+			}
+			if better {
+				best, bestCost, bestFresh = i, cost, fresh
 			}
 		}
-		if bestNode == "" {
+		if best < 0 {
 			return nil, nil, fmt.Errorf("%w: cluster %s needs %v", ErrNoFeasibleNode, cluster, needs)
 		}
-		asg[cluster] = bestNode
-		used[bestNode] = true
+		asg[cluster] = names[best]
+		used[best] = true
+		if critical {
+			criticalFCRs[nodes[best].FCR] = true
+		}
+		if inGraph {
+			at, _ := slices.BinarySearchFunc(placed, cluster, func(pc placedCluster, id string) int {
+				return strings.Compare(pc.id, id)
+			})
+			placed = slices.Insert(placed, at, placedCluster{cluster, slot, best})
+		}
 		decisions = append(decisions, Decision{
 			Cluster:      cluster,
-			Node:         bestNode,
+			Node:         names[best],
 			Cost:         bestCost,
-			Alternatives: beaten(feasible, bestNode),
+			Alternatives: beaten(feasible, names[best]),
 		})
 	}
 	return asg, decisions, nil
 }
 
+// hasAll reports whether node offers every resource in needs.
+func hasAll(node *hw.Node, needs []string) bool {
+	for _, res := range needs {
+		if !node.HasResource(res) {
+			return false
+		}
+	}
+	return true
+}
+
 // beaten filters the chosen node out of the feasible candidates, leaving
 // the alternatives a placement decision beat (in platform node order).
 func beaten(feasible []Alternative, chosen string) []Alternative {
-	var out []Alternative
+	if len(feasible) < 2 {
+		return nil
+	}
+	out := make([]Alternative, 0, len(feasible)-1)
 	for _, alt := range feasible {
 		if alt.Node != chosen {
 			out = append(out, alt)
@@ -203,7 +281,7 @@ func AssignByImportanceDetailed(g *graph.Graph, p *hw.Platform, w attrs.Weights,
 		}
 		return order[i] < order[j]
 	})
-	return placementDecisions(order, g, p, req)
+	return place(order, g, p, req, rule{})
 }
 
 // AssignLexicographic implements Approach B of §5.4: "List attributes in
@@ -232,7 +310,7 @@ func AssignLexicographicDetailed(g *graph.Graph, p *hw.Platform, kinds []attrs.K
 		}
 		return order[i] < order[j]
 	})
-	return placementDecisions(order, g, p, req)
+	return place(order, g, p, req, rule{})
 }
 
 // Report quantifies the goodness of a mapping per §5.3.

@@ -2,7 +2,9 @@ package mapping
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -325,4 +327,42 @@ func defaultWeights(t *testing.T) attrs.Weights {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestPlacementAllocsBounded pins the placement kernel's allocations to
+// its per-call tables plus one alternatives slice per cluster: placing 20
+// clusters on a 20-node platform may cost at most 1.5 allocations per
+// cluster more than placing 10, so no per-cluster node list, placed-cluster
+// list or requirement set is built.
+func TestPlacementAllocsBounded(t *testing.T) {
+	w := defaultWeights(t)
+	p := completePlatform(t, 20)
+	allocs := func(k int) float64 {
+		pr := rand.New(rand.NewPCG(7, 7))
+		g := graph.New()
+		for i := 0; i < k; i++ {
+			a := attrs.New(map[attrs.Kind]float64{attrs.Criticality: float64(pr.IntN(20))})
+			if err := g.AddNode(fmt.Sprintf("c%02d", i), a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				if i != j && pr.IntN(3) == 0 {
+					if err := g.SetEdge(fmt.Sprintf("c%02d", i), fmt.Sprintf("c%02d", j), pr.Float64()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := AssignByImportanceDetailed(g, p, w, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a10, a20 := allocs(10), allocs(20)
+	if a20 > 80 || a20-a10 > 15 {
+		t.Errorf("allocs per call: %v for 10 clusters, %v for 20; want at most 80 for 20, and at most 1.5 more per added cluster", a10, a20)
+	}
 }

@@ -1,9 +1,12 @@
 package mapping
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/hw"
@@ -73,10 +76,20 @@ func RefineCtx(ctx context.Context, asg Assignment, g *graph.Graph, p *hw.Platfo
 		}
 		return d
 	}
+	// Sum the cost over the coupled pairs in sorted order: ranging over the
+	// coupling map would let map iteration perturb the last bits of equal
+	// costs and flip which of two equally good moves wins between runs.
+	pairs := make([][2]string, 0, len(coupling))
+	for pair := range coupling {
+		pairs = append(pairs, pair)
+	}
+	slices.SortFunc(pairs, func(x, y [2]string) int {
+		return cmp.Or(strings.Compare(x[0], y[0]), strings.Compare(x[1], y[1]))
+	})
 	cost := func(a Assignment) float64 {
 		total := 0.0
-		for pair, m := range coupling {
-			total += m * dist(a[pair[0]], a[pair[1]])
+		for _, pair := range pairs {
+			total += coupling[pair] * dist(a[pair[0]], a[pair[1]])
 		}
 		return total
 	}

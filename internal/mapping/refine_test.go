@@ -1,6 +1,9 @@
 package mapping
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/attrs"
@@ -156,5 +159,57 @@ func TestDilationAccounting(t *testing.T) {
 	partial := Assignment{"a": "hw1"}
 	if got := Dilation(partial, g, p); got != 0 {
 		t.Errorf("partial dilation = %g, want 0", got)
+	}
+}
+
+// TestRefineDeterministic calls Refine repeatedly on random 8-cluster
+// graphs whose few distinct weights make equal-cost moves common, and
+// requires every call on one input to return the same assignment and move
+// count: the cost sum may not depend on map iteration order.
+func TestRefineDeterministic(t *testing.T) {
+	ring, err := hw.Ring(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := []float64{0.1, 0.2, 0.3, 0.7}
+	nodes := ring.Nodes()
+	for seed := uint64(0); seed < 50; seed++ {
+		pr := rand.New(rand.NewPCG(seed, 0x5eed))
+		g := graph.New()
+		var clusters []string
+		for i := 0; i < 8; i++ {
+			id := fmt.Sprintf("c%d", i)
+			if err := g.AddNode(id, attrs.Set{}); err != nil {
+				t.Fatal(err)
+			}
+			clusters = append(clusters, id)
+		}
+		for _, a := range clusters {
+			for _, b := range clusters {
+				if a != b && pr.IntN(3) == 0 {
+					if err := g.SetEdge(a, b, weights[pr.IntN(len(weights))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		start := Assignment{}
+		for i, hwi := range pr.Perm(len(nodes))[:len(clusters)] {
+			start[clusters[i]] = nodes[hwi]
+		}
+		first, firstMoves, err := Refine(start, g, ring, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 1; call < 16; call++ {
+			got, moves, err := Refine(start, g, ring, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moves != firstMoves || !reflect.DeepEqual(got, first) {
+				t.Fatalf("seed %d call %d: %v after %d moves, first call %v after %d moves",
+					seed, call, got, moves, first, firstMoves)
+			}
+		}
 	}
 }

@@ -121,9 +121,10 @@ vuln:
 # int-indexed trial loop and the slot-indexed graph (each against its
 # string-keyed reference), the slice-based min-cuts (against the map-based
 # Stoer–Wagner and allocating Edmonds–Karp), the sparse Eq. 3 sweep
-# (against the dense per-pair recurrence) and the int-indexed placement
-# kernel (against the string-keyed Approach A/B and FCR-aware loops)
-# without turning the gate into a fuzzing session.
+# (against the dense per-pair recurrence), the int-indexed placement
+# kernel (against the string-keyed Approach A/B and FCR-aware loops) and
+# the slot walk of mapping.Evaluate (against the string walk) without
+# turning the gate into a fuzzing session.
 # The graph target's inputs are long operation scripts, so its new inputs
 # get a short minimisation budget; the default 60s would eat the run.
 fuzz-smoke:
@@ -136,5 +137,6 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzMinCutMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run NONE -fuzz 'FuzzSeparationMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/influence
 	$(GO) test -run NONE -fuzz 'FuzzPlacementMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mapping
+	$(GO) test -run NONE -fuzz 'FuzzEvaluateMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mapping
 	$(GO) test -run NONE -fuzz 'FuzzCheckMatchesScan$$' -fuzztime $(FUZZTIME) ./internal/sched
 	$(GO) test -run NONE -fuzz 'FuzzFeasibleSimulateAgreement$$' -fuzztime $(FUZZTIME) ./internal/sched

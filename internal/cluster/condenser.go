@@ -127,6 +127,7 @@ type condMetrics struct {
 	rejectedTiming   *obs.Counter
 	merges           *obs.Counter
 	backtracks       *obs.Counter
+	verdictReuses    *obs.Counter
 	mergeMutual      *obs.Histogram
 	clusterSizeAfter *obs.Gauge
 }
@@ -146,6 +147,7 @@ func (c *Condenser) Observe(span *obs.Span, reg *obs.Registry) {
 		rejectedTiming:   reg.Counter("cluster_rejected_timing_total", "pairs rejected as timing infeasible"),
 		merges:           reg.Counter("cluster_merges_total", "combination steps applied"),
 		backtracks:       reg.Counter("cluster_backtracks_total", "criticality-pairing backtracks"),
+		verdictReuses:    reg.Counter("cluster_verdict_reuses_total", "feasibility verdicts H1 took from its memo instead of the oracle"),
 		mergeMutual:      reg.Histogram("cluster_merge_mutual_influence", "mutual influence of applied merges", nil),
 		clusterSizeAfter: reg.Gauge("cluster_nodes_current", "working-graph node count"),
 	}
@@ -214,33 +216,76 @@ func (c *Condenser) combinable(a, b string) (bool, string) {
 
 // combinableSlots is combinable for two live slots.
 func (c *Condenser) combinableSlots(a, b int) (bool, string) {
+	if why := c.precheck(a, b); why != "" {
+		return false, why
+	}
+	v, err := c.schedule(a, b)
+	c.book(v)
+	switch v {
+	case oracleError:
+		return false, err.Error()
+	case timingRejected:
+		return false, timingInfeasible
+	}
+	return true, ""
+}
+
+// verdict is the feasibility oracle's answer for the joint job set of a
+// pair; unchecked marks a pair it has not been asked about.
+type verdict int8
+
+const (
+	unchecked verdict = iota
+	feasible
+	timingRejected
+	oracleError // the oracle returned an error
+)
+
+// precheck counts a candidate pair and applies the checks that need no
+// oracle. It returns why a and b may not combine, or "".
+func (c *Condenser) precheck(a, b int) string {
 	if m := c.metrics; m != nil {
 		m.pairsConsidered.Inc()
 	}
 	if a == b {
-		return false, "same node"
+		return "same node"
 	}
 	if c.G.AreReplicaSlots(a, b) {
 		if m := c.metrics; m != nil {
 			m.rejectedReplica.Inc()
 		}
-		return false, "replicas of one module"
+		return "replicas of one module"
 	}
+	return ""
+}
+
+// schedule asks the oracle whether the jobs of a and then b fit on one
+// processor; the error is the oracle's under oracleError. Afterwards
+// c.union holds the jobs.
+func (c *Condenser) schedule(a, b int) (verdict, error) {
 	c.union = c.appendJobs(c.appendJobs(c.union[:0], a), b)
 	ok, err := sched.Check(c.union)
-	if err != nil {
-		return false, err.Error()
+	switch {
+	case err != nil:
+		return oracleError, err
+	case !ok:
+		return timingRejected, nil
 	}
-	if !ok {
-		if m := c.metrics; m != nil {
-			m.rejectedTiming.Inc()
-		}
-		return false, timingInfeasible
+	return feasible, nil
+}
+
+// book counts an oracle verdict as combinableSlots reports it.
+func (c *Condenser) book(v verdict) {
+	m := c.metrics
+	if m == nil {
+		return
 	}
-	if m := c.metrics; m != nil {
+	switch v {
+	case feasible:
 		m.pairsFeasible.Inc()
+	case timingRejected:
+		m.rejectedTiming.Inc()
 	}
-	return true, ""
 }
 
 // Combine merges two nodes (after a CanCombine check) using the Eq. (4)
@@ -263,13 +308,19 @@ func (c *Condenser) Combine(a, b, rule string) (string, error) {
 // combineSlots is Combine for two live slots; it returns the cluster's
 // slot, which is a's.
 func (c *Condenser) combineSlots(sa, sb int, rule string) (int, error) {
-	a, b := c.G.Name(sa), c.G.Name(sb)
 	if ok, why := c.combinableSlots(sa, sb); !ok {
 		if why == timingInfeasible {
 			why += ": " + sched.Witness(c.union)
 		}
-		return 0, fmt.Errorf("cluster: cannot combine %q and %q: %s", a, b, why)
+		return 0, fmt.Errorf("cluster: cannot combine %q and %q: %s", c.G.Name(sa), c.G.Name(sb), why)
 	}
+	return c.mergeSlots(sa, sb, rule)
+}
+
+// mergeSlots is combineSlots without the feasibility check, for a pair
+// whose verdict its caller already holds.
+func (c *Condenser) mergeSlots(sa, sb int, rule string) (int, error) {
+	a, b := c.G.Name(sa), c.G.Name(sb)
 	mutual := c.G.MutualSlots(sa, sb)
 	c.pair = [2]int{sa, sb}
 	s, err := c.G.ContractSlots(c.pair[:], influence.MustCombine)

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"reflect"
 	"testing"
 
 	"repro/internal/attrs"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/scengen"
+	"repro/internal/sched"
 	"repro/internal/spec"
 )
 
@@ -81,9 +81,9 @@ func requireBoundsCover(t *testing.T, pt *pairTable, merge int) {
 // h1Systems, reduced to its HW node count, and of sparse random graphs
 // reduced to one node, where zero-influence merges (the size tie-break)
 // and replica rejections dominate. At every merge both must pick the same
-// pair and leave the same cluster_* counters (so every pair checked for
-// feasibility is checked by both, and answered alike); after every merge
-// each bound must still cover its row.
+// pair and leave the same counters (see requireCountersMatch); after every
+// merge each bound must still cover its row and each remembered verdict
+// must match a fresh check.
 func TestH1BoundedScanMatchesFullScan(t *testing.T) {
 	merges := 0
 	for name, sys := range h1Systems(t) {
@@ -99,7 +99,7 @@ func TestH1BoundedScanMatchesFullScan(t *testing.T) {
 				}
 				return exp.Condenser()
 			}
-			merges += h1Lockstep(t, condenser(), condenser(), sys.HWNodes)
+			merges += h1Lockstep(t, condenser(), condenser(), sys.HWNodes).merges
 		})
 	}
 	for seed := uint64(0); seed < 40; seed++ {
@@ -131,7 +131,7 @@ func TestH1BoundedScanMatchesFullScan(t *testing.T) {
 				}
 				return NewCondenser(g, nil)
 			}
-			merges += h1Lockstep(t, build(), build(), 1)
+			merges += h1Lockstep(t, build(), build(), 1).merges
 		})
 	}
 	t.Logf("%d merges matched", merges)
@@ -140,53 +140,119 @@ func TestH1BoundedScanMatchesFullScan(t *testing.T) {
 	}
 }
 
-// h1Lockstep reduces c with the bounded scan and ref, a copy of c, with
-// the full scan toward target, failing at the first merge where they
-// differ or a bound falls below its row; it returns the merges made.
-func h1Lockstep(t *testing.T, c, ref *Condenser, target int) int {
+// lockstepStats counts what h1Lockstep compared: merges, and the
+// remembered verdicts checked afresh, in all and timing-rejected.
+type lockstepStats struct {
+	merges, verdicts, timing int
+}
+
+// h1Lockstep reduces c as ReduceByInfluence does and ref, a copy of c,
+// with the full scan and checked merges toward target, failing at the
+// first merge where they differ, a bound falls below its row or a
+// remembered verdict differs from a fresh check.
+func h1Lockstep(t *testing.T, c, ref *Condenser, target int) lockstepStats {
 	t.Helper()
-	observe := func(c *Condenser) func() map[string]int64 {
-		reg := obs.NewRegistry()
-		c.Observe(nil, reg)
-		return func() map[string]int64 {
-			m := map[string]int64{}
-			for _, ctr := range reg.Snapshot().Counters {
-				m[ctr.Name] = ctr.Value
-			}
-			return m
-		}
-	}
-	counters, refCounters := observe(c), observe(ref)
+	// The oracle's counters are process-global: each side installs its
+	// registry before it runs.
+	defer sched.Observe(nil)
+	reg, refReg := obs.NewRegistry(), obs.NewRegistry()
+	c.Observe(nil, reg)
+	ref.Observe(nil, refReg)
 	pt, refPT := newPairTable(c.G), newPairTable(ref.G)
 	requireBoundsCover(t, pt, 0)
-	merges := 0
+	var st lockstepStats
 	for c.G.NumNodes() > target {
+		sched.Observe(reg)
 		a, b, ok := pt.bestFeasiblePair(c)
+		sched.Observe(refReg)
 		ra, rb, rok := refBestFeasiblePair(refPT, ref)
 		if ok != rok || (ok && (c.G.Name(a) != ref.G.Name(ra) || c.G.Name(b) != ref.G.Name(rb))) {
-			t.Fatalf("merge %d: bounded scan picks %v (%s, %s), full scan %v (%s, %s)", merges+1,
+			t.Fatalf("merge %d: bounded scan picks %v (%s, %s), full scan %v (%s, %s)", st.merges+1,
 				ok, slotName(c, a, ok), slotName(c, b, ok), rok, slotName(ref, ra, rok), slotName(ref, rb, rok))
 		}
-		if got, want := counters(), refCounters(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("merge %d: counters %v, full scan %v", merges+1, got, want)
-		}
+		requireCountersMatch(t, fmt.Sprintf("merge %d", st.merges+1), counters(reg), counters(refReg))
 		if !ok {
 			break
 		}
-		s, err := c.combineSlots(a, b, "H1")
-		if err != nil {
+		sched.Observe(reg)
+		if err := pt.combine(c, a, b); err != nil {
 			t.Fatal(err)
 		}
+		sched.Observe(refReg)
 		rs, err := ref.combineSlots(ra, rb, "H1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt.merge(c.G, a, b, s)
 		refPT.merge(ref.G, ra, rb, rs)
-		merges++
-		requireBoundsCover(t, pt, merges)
+		sched.Observe(nil)
+		st.merges++
+		requireBoundsCover(t, pt, st.merges)
+		requireVerdictsFresh(t, c, pt, st.merges, &st)
 	}
-	return merges
+	requireCountersMatch(t, "at the end", counters(reg), counters(refReg))
+	return st
+}
+
+// counters reads reg's counters by name.
+func counters(reg *obs.Registry) map[string]int64 {
+	m := map[string]int64{}
+	for _, ctr := range reg.Snapshot().Counters {
+		m[ctr.Name] = ctr.Value
+	}
+	return m
+}
+
+// requireCountersMatch fails unless H1's counters equal those of its
+// reference, which asks the oracle on every check: every counter the
+// same, except that each verdict taken from the memo is one oracle call
+// fewer (calls + reuses equal the reference's calls, and neither verdict
+// count exceeds the reference's).
+func requireCountersMatch(t *testing.T, label string, got, want map[string]int64) {
+	t.Helper()
+	reuses := got["cluster_verdict_reuses_total"]
+	for name, w := range want {
+		g, ok := got[name]
+		switch name {
+		case "cluster_verdict_reuses_total":
+			ok = ok && w == 0
+		case "sched_feasible_calls_total":
+			ok = ok && g+reuses == w
+		case "sched_feasible_verdicts_total", "sched_infeasible_verdicts_total":
+			ok = ok && g <= w
+		default:
+			ok = ok && g == w
+		}
+		if !ok {
+			t.Fatalf("%s: %s = %d (%d verdicts reused), reference %d\ncounters %v\nreference %v",
+				label, name, g, reuses, w, got, want)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: counters %v, reference %v", label, got, want)
+	}
+}
+
+// requireVerdictsFresh fails unless every verdict pt remembers equals a
+// fresh oracle check of that pair's job union, and adds the verdicts
+// checked to st.
+func requireVerdictsFresh(t *testing.T, c *Condenser, pt *pairTable, merge int, st *lockstepStats) {
+	t.Helper()
+	for _, x := range pt.order {
+		for _, y := range pt.order {
+			v := pt.verdict[x*pt.stride+y]
+			if v == unchecked {
+				continue
+			}
+			if fresh, _ := c.schedule(x, y); v != fresh {
+				t.Fatalf("after merge %d: verdict for (%s, %s) is %d, a fresh check says %d",
+					merge, c.G.Name(x), c.G.Name(y), v, fresh)
+			}
+			st.verdicts++
+			if v == timingRejected {
+				st.timing++
+			}
+		}
+	}
 }
 
 // slotName returns the node id in slot s of c's graph, or "-" when there is

@@ -38,20 +38,20 @@ func (c *Condenser) ReduceByInfluence(target int) error {
 			return fmt.Errorf("%w: %d nodes remain, target %d",
 				ErrCannotReduce, c.G.NumNodes(), target)
 		}
-		s, err := c.combineSlots(a, b, "H1")
-		if err != nil {
+		if err := t.combine(c, a, b); err != nil {
 			return err
 		}
-		t.merge(c.G, a, b, s)
 	}
 	return nil
 }
 
 // pairTable is H1's incremental view of the working graph: its live slots
 // in node-id order, a symmetric matrix of mutual influence indexed by
-// graph slot, and each slot's member count. Contract changes no edge
-// between two other nodes, so after a merge only the merged slot's row and
-// column need refreshing, from that slot's adjacency rows alone.
+// graph slot, each slot's member count and the oracle's verdicts. Contract
+// changes no edge between two other nodes and no other node's members, so
+// after a merge only the merged slots' rows and columns need refreshing,
+// from the new slot's adjacency rows alone. A table lives for one
+// ReduceByInfluence call, during which only its loop mutates the graph.
 type pairTable struct {
 	order  []int     // live slots, by node id
 	stride int       // row length of mutual: the graph's slot count
@@ -64,17 +64,21 @@ type pairTable struct {
 	// minLater[i] is the smallest member count among order[i+1:] (MaxInt
 	// past the end), rebuilt by each bestFeasiblePair.
 	minLater []int
+	// verdict[s*stride+t] is the oracle's verdict on slots s and t, s the
+	// earlier in id order, or unchecked; merge clears the merged slots'.
+	verdict []verdict
 }
 
 // newPairTable reads every pair's mutual influence from g once.
 func newPairTable(g *graph.Graph) *pairTable {
 	n := g.NumSlots()
 	t := &pairTable{
-		order:  g.SlotsByName(),
-		stride: n,
-		mutual: make([]float64, n*n),
-		size:   make([]int, n),
-		bound:  make([]float64, n),
+		order:   g.SlotsByName(),
+		stride:  n,
+		mutual:  make([]float64, n*n),
+		size:    make([]int, n),
+		bound:   make([]float64, n),
+		verdict: make([]verdict, n*n),
 	}
 	for _, s := range t.order {
 		t.size[s] = g.NumMembers(s)
@@ -98,14 +102,52 @@ func (t *pairTable) rowMax(s int, others []int) float64 {
 	return hi
 }
 
+// feasible is combinableSlots for slots a and b, a the earlier in id
+// order, asking the oracle only about a pair it has not judged yet. The
+// replica test runs on every visit, and a remembered verdict is counted
+// as a fresh check would count it.
+func (t *pairTable) feasible(c *Condenser, a, b int) bool {
+	if c.precheck(a, b) != "" {
+		return false
+	}
+	v := &t.verdict[a*t.stride+b]
+	if *v == unchecked {
+		*v, _ = c.schedule(a, b)
+	} else if m := c.metrics; m != nil {
+		m.verdictReuses.Inc()
+	}
+	c.book(*v)
+	return *v == feasible
+}
+
+// combine merges the pair bestFeasiblePair chose. The scan has just found
+// it feasible, so its check is answered from the memo and counted as
+// combineSlots' own check would be.
+func (t *pairTable) combine(c *Condenser, a, b int) error {
+	t.feasible(c, a, b)
+	s, err := c.mergeSlots(a, b, "H1")
+	if err != nil {
+		return err
+	}
+	t.merge(c.G, a, b, s)
+	return nil
+}
+
 // merge replaces slots a and b by their contraction, which took slot s,
-// and refreshes that slot's row, column and bound from g. Every other
-// live bound is raised to cover its entry for s.
+// forgets the verdicts of all three, and refreshes s's row, column and
+// bound from g. Every other live bound is raised to cover its entry for
+// s.
 func (t *pairTable) merge(g *graph.Graph, a, b, s int) {
 	live := t.order[:0]
 	for _, x := range t.order {
 		if x != a && x != b {
 			live = append(live, x)
+		}
+	}
+	for _, x := range [...]int{a, b, s} {
+		clear(t.verdict[x*t.stride : (x+1)*t.stride])
+		for _, y := range live {
+			t.verdict[y*t.stride+x] = unchecked
 		}
 	}
 	id := g.Name(s)
@@ -172,7 +214,7 @@ func (t *pairTable) bestFeasiblePair(c *Condenser) (int, int, bool) {
 				// pair, as nodes are visited in sorted order.
 				continue
 			}
-			if ok, _ := c.combinableSlots(sa, sb); !ok {
+			if !t.feasible(c, sa, sb) {
 				continue
 			}
 			bestA, bestB, bestMutual, bestSize = sa, sb, m, size

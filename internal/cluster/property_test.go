@@ -290,7 +290,8 @@ func rescanReduceByInfluence(c *Condenser, target int) error {
 // TestH1PairTableMatchesRescan holds the incremental pair table to the
 // full rescan it replaced: on every scengen family at 12, 36 and 60
 // processes, H1 must produce the same trace, the same partition, the same
-// error and the same condenser and oracle counters.
+// error and the same condenser and oracle counters, up to the oracle
+// calls its verdict memo saves (see requireCountersMatch).
 func TestH1PairTableMatchesRescan(t *testing.T) {
 	defer sched.Observe(nil)
 	type run struct {
@@ -318,10 +319,7 @@ func TestH1PairTableMatchesRescan(t *testing.T) {
 			r.err = err.Error()
 		}
 		r.trace, r.part = c.Trace, c.Partition()
-		r.counters = map[string]int64{}
-		for _, ctr := range reg.Snapshot().Counters {
-			r.counters[ctr.Name] = ctr.Value
-		}
+		r.counters = counters(reg)
 		return r
 	}
 	for _, fam := range scengen.Families() {
@@ -336,6 +334,8 @@ func TestH1PairTableMatchesRescan(t *testing.T) {
 				if len(want.trace) == 0 {
 					t.Fatalf("reference made no merge (err %q)", want.err)
 				}
+				requireCountersMatch(t, "pair table", got.counters, want.counters)
+				got.counters, want.counters = nil, nil
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("pair table diverges from the rescan:\n got %+v\nwant %+v", got, want)
 				}

@@ -24,6 +24,7 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -474,26 +475,35 @@ func (g *Graph) InEdges(id string) []Edge {
 // sortedRow returns a copy of row sorted by peer name.
 func (g *Graph) sortedRow(row []arc) []arc {
 	row = slices.Clone(row)
-	g.sortRow(row)
+	slices.SortFunc(row, func(x, y arc) int { return strings.Compare(g.names[x.peer], g.names[y.peer]) })
 	return row
 }
 
-// sortRow sorts row by peer name in place.
-func (g *Graph) sortRow(row []arc) {
-	slices.SortFunc(row, func(x, y arc) int { return strings.Compare(g.names[x.peer], g.names[y.peer]) })
-}
-
 // eachEdge calls f for every edge in Edges() order: by source, then by
-// target name.
+// target name. Its allocations do not grow with the edge count.
 func (g *Graph) eachEdge(f func(from int, a arc)) {
-	var row []arc
-	for _, s := range g.SlotsByName() {
+	order := g.SlotsByName()
+	rank := make([]int32, len(g.names)) // position in id order, by slot
+	longest := 0
+	for r, s := range order {
+		rank[s] = int32(r)
+		longest = max(longest, len(g.out[s]))
+	}
+	row := make([]arc, 0, longest)
+	for _, s := range order {
 		row = append(row[:0], g.out[s]...)
-		g.sortRow(row)
+		slices.SortFunc(row, func(x, y arc) int { return cmp.Compare(rank[x.peer], rank[y.peer]) })
 		for _, a := range row {
 			f(s, a)
 		}
 	}
+}
+
+// EachEdge calls f for every edge in Edges() order with the slots of its
+// endpoints, its weight and whether it is a replica edge, without
+// building the edge list.
+func (g *Graph) EachEdge(f func(from, to int, w float64, replica bool)) {
+	g.eachEdge(func(s int, a arc) { f(s, int(a.peer), a.w, a.replica) })
 }
 
 // Edges returns every directed edge, sorted by (From, To).

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -240,26 +241,40 @@ func (p *Platform) FCRs() map[string][]string {
 
 // Complete builds the paper's "strongly connected network with n HW
 // nodes": every pair linked at unit cost, each node its own FCR, names
-// hw1..hwN.
+// hw1..hwN. Every distance is known without a search (0 from a node to
+// itself, 1 to any other), so the table Distance reads is stored at once;
+// it equals the one Dijkstra would build, and AddNode and Link still
+// clear it.
 func Complete(n int) (*Platform, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: n=%d", ErrBadTopology, n)
 	}
 	p := NewPlatform()
 	for i := 1; i <= n; i++ {
-		name := fmt.Sprintf("hw%d", i)
+		name := "hw" + strconv.Itoa(i)
 		if err := p.AddNode(Node{Name: name, FCR: name}); err != nil {
 			return nil, err
 		}
+		p.links[name] = make(map[string]float64, n-1)
 	}
 	names := p.Nodes()
-	for i := range names {
-		for j := i + 1; j < len(names); j++ {
-			if err := p.Link(names[i], names[j], 1); err != nil {
-				return nil, err
+	t := &distTable{
+		index: make(map[string]int, n),
+		n:     n,
+		cost:  make([]float64, n*n),
+		reach: make([]bool, n*n),
+	}
+	for i, a := range names {
+		t.index[a] = i
+		for j, b := range names {
+			if i != j {
+				p.links[a][b] = 1
+				t.cost[i*n+j] = 1
 			}
+			t.reach[i*n+j] = true
 		}
 	}
+	p.dist.Store(t)
 	return p, nil
 }
 

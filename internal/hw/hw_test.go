@@ -3,7 +3,9 @@ package hw
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -360,6 +362,46 @@ func TestDistanceMatchesUncachedDijkstra(t *testing.T) {
 		}
 		check(p, round)
 		if err := p.Link("extra", "n0", cost()); err != nil {
+			t.Fatal(err)
+		}
+		check(p, round)
+	}
+	// Complete stores its table in closed form: it must equal Dijkstra's,
+	// and a later Link or AddNode must still clear it.
+	for n := 1; n <= 25; n++ {
+		p, err := Complete(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := 100 + n
+		got, want := p.dist.Load(), p.distances()
+		if got == nil || !reflect.DeepEqual(got.index, want.index) || !reflect.DeepEqual(got.reach, want.reach) {
+			t.Fatalf("Complete(%d): stored table %+v, Dijkstra %+v", n, got, want)
+		}
+		for i := range want.cost {
+			if math.Float64bits(got.cost[i]) != math.Float64bits(want.cost[i]) {
+				t.Fatalf("Complete(%d): cost[%d] = %v, Dijkstra %v", n, i, got.cost[i], want.cost[i])
+			}
+		}
+		check(p, round)
+		if n >= 2 {
+			if err := p.Link("hw1", "hw2", 0.25); err != nil {
+				t.Fatal(err)
+			}
+			if p.dist.Load() != nil {
+				t.Fatalf("Complete(%d): Link kept the table", n)
+			}
+			check(p, round)
+		}
+		p.Distance("hw1", "hw1") // rebuild the table
+		if err := p.AddNode(Node{Name: "extra"}); err != nil {
+			t.Fatal(err)
+		}
+		if p.dist.Load() != nil {
+			t.Fatalf("Complete(%d): AddNode kept the table", n)
+		}
+		check(p, round)
+		if err := p.Link("extra", "hw1", 0.3); err != nil {
 			t.Fatal(err)
 		}
 		check(p, round)

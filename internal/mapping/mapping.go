@@ -71,13 +71,12 @@ func (a Assignment) Clusters() []string {
 }
 
 // NodeOf returns the HW node hosting the given base SW node name (searching
-// cluster members), or "" if not found.
+// cluster members), or "" if not found. A base listed in several clusters
+// is hosted by the first of them in id order, as Evaluate places it.
 func (a Assignment) NodeOf(base string) string {
-	for cluster, node := range a {
-		for _, m := range graph.Members(cluster) {
-			if m == base {
-				return node
-			}
+	for _, cluster := range a.Clusters() {
+		if slices.Contains(graph.Members(cluster), base) {
+			return a[cluster]
 		}
 	}
 	return ""
@@ -358,20 +357,38 @@ type EvalConfig struct {
 
 // Evaluate scores an assignment of clusters (over the condensed graph's
 // node ids) against the original full influence graph and the platform.
+// A base node listed in more than one cluster is placed by the first of
+// them in id order, and each repeat is a violation.
+//
+// The walk runs on full's slots: every member is resolved to a host (a
+// distinct assigned node name) once, each host pair's distance is looked
+// up once, and the sums run in the orders of the string walk they
+// replaced (edges in Edges() order, criticality in sorted base order), so
+// every float is the same bit for bit.
 func Evaluate(full *graph.Graph, asg Assignment, p *hw.Platform, cfg EvalConfig) Report {
 	rep := Report{ConstraintsOK: true}
+	clusters := asg.Clusters()
 
 	// Constraint pass: distinct nodes, resources available.
-	seen := map[string]string{}
-	for _, cluster := range asg.Clusters() {
+	hosts := make([]host, 0, len(clusters))
+	hostIndex := make(map[string]int, len(clusters))
+	hostOf := make([]int, len(clusters)) // by cluster index
+	for i, cluster := range clusters {
 		nodeName := asg[cluster]
-		if prev, dup := seen[nodeName]; dup {
+		h, dup := hostIndex[nodeName]
+		if dup {
 			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("HW node %s hosts both %s and %s", nodeName, prev, cluster))
+				fmt.Sprintf("HW node %s hosts both %s and %s", nodeName, hosts[h].last, cluster))
+		} else {
+			h = len(hosts)
+			hostIndex[nodeName] = h
+			node, _ := p.Node(nodeName)
+			hosts = append(hosts, host{name: nodeName, node: node})
 		}
-		seen[nodeName] = cluster
-		node, err := p.Node(nodeName)
-		if err != nil {
+		hosts[h].last = cluster
+		hostOf[i] = h
+		node := hosts[h].node
+		if node == nil {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("cluster %s assigned to unknown node %s", cluster, nodeName))
 			continue
@@ -386,94 +403,125 @@ func Evaluate(full *graph.Graph, asg Assignment, p *hw.Platform, cfg EvalConfig)
 		}
 	}
 
-	// Base-node -> HW-node map; also detect unassigned bases present in
-	// the full graph.
-	hwOf := map[string]string{}
-	for cluster, nodeName := range asg {
-		for _, m := range graph.Members(cluster) {
-			hwOf[m] = nodeName
+	// Place each member by the first cluster listing it: at[s] is that
+	// cluster's host for full's slot s (-1 for none), extraOwner the
+	// cluster index for members full lacks.
+	at := make([]int, full.NumSlots())
+	first := make([]int, full.NumSlots()) // cluster index by slot
+	for s := range at {
+		at[s], first[s] = -1, -1
+	}
+	var extraOwner map[string]int
+	var members []string
+	for i, cluster := range clusters {
+		members = appendMembers(members[:0], cluster)
+		for _, m := range members {
+			prev := i
+			if s, ok := full.Slot(m); !ok {
+				if j, seen := extraOwner[m]; seen {
+					prev = j
+				} else {
+					if extraOwner == nil {
+						extraOwner = map[string]int{}
+					}
+					extraOwner[m] = i
+				}
+			} else if first[s] >= 0 {
+				prev = first[s]
+			} else {
+				first[s], at[s] = i, hostOf[i]
+			}
+			if prev != i {
+				rep.Violations = append(rep.Violations,
+					fmt.Sprintf("base node %s in both %s and %s", m, clusters[prev], cluster))
+			}
 		}
 	}
-	for _, base := range full.Nodes() {
-		if hwOf[base] == "" {
+	placed := func(s int) bool { return at[s] >= 0 && hosts[at[s]].name != "" }
+	order := full.SlotsByName()
+	for _, s := range order {
+		if !placed(s) {
 			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("base node %s unassigned", base))
+				fmt.Sprintf("base node %s unassigned", full.Name(s)))
 		}
 	}
 	rep.ConstraintsOK = len(rep.Violations) == 0
 
 	// Containment + dilation over the full graph.
-	for _, e := range full.Edges() {
-		if e.Replica {
-			continue
+	dist := make([]float64, len(hosts)*len(hosts))
+	known := make([]bool, len(dist))
+	full.EachEdge(func(from, to int, w float64, replica bool) {
+		if replica || !placed(from) || !placed(to) {
+			return
 		}
-		hu, hv := hwOf[e.From], hwOf[e.To]
-		if hu == "" || hv == "" {
-			continue
-		}
+		hu, hv := at[from], at[to]
 		if hu == hv {
-			rep.InternalInfluence += e.Weight
-			continue
+			rep.InternalInfluence += w
+			return
 		}
-		rep.CrossInfluence += e.Weight
-		d, conn := p.Distance(hu, hv)
-		if !conn {
-			d = float64(p.NumNodes())
+		rep.CrossInfluence += w
+		k := hu*len(hosts) + hv
+		if !known[k] {
+			d, conn := p.Distance(hosts[hu].name, hosts[hv].name)
+			if !conn {
+				d = float64(p.NumNodes())
+			}
+			dist[k], known[k] = d, true
 		}
-		rep.CommCost += e.Weight * d
-	}
+		rep.CommCost += w * dist[k]
+	})
 	if total := rep.InternalInfluence + rep.CrossInfluence; total > 0 {
 		rep.Containment = rep.InternalInfluence / total
 	} else {
 		rep.Containment = 1
 	}
 
-	// Criticality dispersion.
-	critOf := func(base string) float64 {
+	// Criticality dispersion. Accumulate in sorted base order: float
+	// addition is order-sensitive in the last ulps. full's bases come in
+	// id order already; the members it lacks are merged in.
+	extras := make([]string, 0, len(extraOwner))
+	for m := range extraOwner {
+		extras = append(extras, m)
+	}
+	slices.Sort(extras)
+	add := func(base string, h int) {
+		var c float64
 		if cfg.BaseCriticality != nil {
-			return cfg.BaseCriticality[base]
+			c = cfg.BaseCriticality[base]
+		} else {
+			c = full.Attrs(base).Value(attrs.Criticality)
 		}
-		return full.Attrs(base).Value(attrs.Criticality)
-	}
-	// Accumulate in sorted base order: float addition is order-sensitive
-	// in the last ulps, and map iteration would make MaxNodeCriticality
-	// differ between byte-identical runs.
-	bases := make([]string, 0, len(hwOf))
-	for base := range hwOf {
-		bases = append(bases, base)
-	}
-	sort.Strings(bases)
-	perNode := map[string][]float64{}
-	for _, base := range bases {
-		perNode[hwOf[base]] = append(perNode[hwOf[base]], critOf(base))
-	}
-	for _, crits := range perNode {
-		sum := 0.0
-		critical := 0
-		for _, c := range crits {
-			sum += c
-			if cfg.CriticalThreshold > 0 && c >= cfg.CriticalThreshold {
-				critical++
-			}
+		hosts[h].crit += c
+		if cfg.CriticalThreshold > 0 && c >= cfg.CriticalThreshold {
+			hosts[h].critical++
 		}
-		if sum > rep.MaxNodeCriticality {
-			rep.MaxNodeCriticality = sum
+	}
+	for _, s := range order {
+		base := full.Name(s)
+		for len(extras) > 0 && extras[0] < base {
+			add(extras[0], hostOf[extraOwner[extras[0]]])
+			extras = extras[1:]
 		}
-		if critical > 1 {
-			rep.CriticalPairsColocated += critical * (critical - 1) / 2
+		if at[s] >= 0 {
+			add(base, at[s])
+		}
+	}
+	for _, m := range extras {
+		add(m, hostOf[extraOwner[m]])
+	}
+	for _, h := range hosts {
+		if h.crit > rep.MaxNodeCriticality {
+			rep.MaxNodeCriticality = h.crit
+		}
+		if h.critical > 1 {
+			rep.CriticalPairsColocated += h.critical * (h.critical - 1) / 2
 		}
 	}
 	if cfg.CriticalThreshold > 0 {
 		perFCR := map[string]int{}
-		for nodeName, crits := range perNode {
-			node, err := p.Node(nodeName)
-			if err != nil {
-				continue // unknown nodes already reported as violations
-			}
-			for _, c := range crits {
-				if c >= cfg.CriticalThreshold {
-					perFCR[node.FCR]++
-				}
+		for _, h := range hosts {
+			if h.node != nil { // unknown nodes are already violations
+				perFCR[h.node.FCR] += h.critical
 			}
 		}
 		for _, k := range perFCR {
@@ -481,4 +529,35 @@ func Evaluate(full *graph.Graph, asg Assignment, p *hw.Platform, cfg EvalConfig)
 		}
 	}
 	return rep
+}
+
+// host is one distinct HW node name of an assignment under Evaluate: the
+// platform node (nil when unknown), the last cluster seen on it, and the
+// summed criticality and critical-base count of the bases it hosts.
+type host struct {
+	name     string
+	node     *hw.Node
+	last     string
+	crit     float64
+	critical int
+}
+
+// appendMembers appends the member ids of cluster id to dst as
+// graph.Members lists them, without allocating the list itself.
+func appendMembers(dst []string, id string) []string {
+	if !strings.HasPrefix(id, "{") || !strings.HasSuffix(id, "}") {
+		return append(dst, id)
+	}
+	inner := id[1 : len(id)-1]
+	if inner == "" {
+		return dst
+	}
+	for {
+		m, rest, more := strings.Cut(inner, ",")
+		dst = append(dst, m)
+		if !more {
+			return dst
+		}
+		inner = rest
+	}
 }

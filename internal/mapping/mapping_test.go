@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -364,5 +365,86 @@ func TestPlacementAllocsBounded(t *testing.T) {
 	a10, a20 := allocs(10), allocs(20)
 	if a20 > 80 || a20-a10 > 15 {
 		t.Errorf("allocs per call: %v for 10 clusters, %v for 20; want at most 80 for 20, and at most 1.5 more per added cluster", a10, a20)
+	}
+}
+
+// TestEvaluateDuplicateBaseDeterministic lists base b in two clusters on a
+// 4-node ring. Evaluate must place b by the first cluster in id order on
+// every call, report the repeat, and NodeOf must agree.
+func TestEvaluateDuplicateBaseDeterministic(t *testing.T) {
+	g := graph.New()
+	for _, n := range []string{"a", "b", "c"} {
+		if err := g.AddNode(n, attrs.Set{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.SetEdge("a", "b", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetEdge("b", "c", 0.25); err != nil {
+		t.Fatal(err)
+	}
+	p, err := hw.Ring(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg := Assignment{"{a,b}": "hw1", "{b,c}": "hw3"}
+	want := []string{"base node b in both {a,b} and {b,c}"}
+	for i := 0; i < 200; i++ {
+		rep := Evaluate(g, asg, p, EvalConfig{})
+		// b on hw1 with a: only b→c crosses, two hops.
+		if rep.CommCost != 0.5 || rep.ConstraintsOK || !reflect.DeepEqual(rep.Violations, want) {
+			t.Fatalf("call %d: CommCost %v, ConstraintsOK %v, violations %q; want 0.5, false, %q",
+				i, rep.CommCost, rep.ConstraintsOK, rep.Violations, want)
+		}
+		if node := asg.NodeOf("b"); node != "hw1" {
+			t.Fatalf("call %d: NodeOf(b) = %q, want hw1", i, node)
+		}
+	}
+}
+
+// TestEvaluateAllocsBounded evaluates 20 clusters of 5 bases on 20 nodes
+// over a sparse and a dense full graph: the slot walk's allocations must
+// not grow with the edge count.
+func TestEvaluateAllocsBounded(t *testing.T) {
+	p := completePlatform(t, 20)
+	allocs := func(perBase int) float64 {
+		pr := rand.New(rand.NewPCG(9, 9))
+		g := graph.New()
+		asg := Assignment{}
+		var bases []string
+		for c := 0; c < 20; c++ {
+			var members []string
+			for i := 0; i < 5; i++ {
+				id := fmt.Sprintf("b%02d%d", c, i)
+				a := attrs.New(map[attrs.Kind]float64{attrs.Criticality: float64(pr.IntN(20))})
+				if err := g.AddNode(id, a); err != nil {
+					t.Fatal(err)
+				}
+				members = append(members, id)
+			}
+			asg[graph.ClusterID(members)] = fmt.Sprintf("hw%d", c+1)
+			bases = append(bases, members...)
+		}
+		for _, from := range bases {
+			for _, k := range pr.Perm(len(bases))[:perBase] {
+				if to := bases[k]; to != from {
+					if err := g.SetEdge(from, to, pr.Float64()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		cfg := EvalConfig{CriticalThreshold: 10}
+		return testing.AllocsPerRun(20, func() {
+			if rep := Evaluate(g, asg, p, cfg); !rep.ConstraintsOK {
+				t.Fatal(rep.Violations)
+			}
+		})
+	}
+	sparse, dense := allocs(2), allocs(40)
+	t.Logf("allocs per call: %v with about 200 edges, %v with about 4000", sparse, dense)
+	if dense > sparse || dense > 30 {
+		t.Errorf("allocs per call: %v with about 200 edges, %v with about 4000; want at most 30, not growing with the edges", sparse, dense)
 	}
 }

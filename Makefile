@@ -122,14 +122,18 @@ vuln:
 # string-keyed reference), the slice-based min-cuts (against the map-based
 # Stoer–Wagner and allocating Edmonds–Karp), the sparse Eq. 3 sweep
 # (against the dense per-pair recurrence), the int-indexed placement
-# kernel (against the string-keyed Approach A/B and FCR-aware loops) and
-# the slot walk of mapping.Evaluate (against the string walk) without
-# turning the gate into a fuzzing session.
+# kernel (against the string-keyed Approach A/B and FCR-aware loops), the
+# slot walk of mapping.Evaluate (against the string walk), and the
+# hand-written ledger encoder and run fingerprint (against json.Encoder
+# and json.Marshal, byte for byte) without turning the gate into a
+# fuzzing session.
 # The graph target's inputs are long operation scripts, so its new inputs
 # get a short minimisation budget; the default 60s would eat the run.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeSystem$$' -fuzztime $(FUZZTIME) ./internal/spec
 	$(GO) test -run NONE -fuzz 'FuzzIntegrate$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run NONE -fuzz 'FuzzRunFingerprintMatchesJSON$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run NONE -fuzz 'FuzzLedgerEncodeMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/ledger
 	$(GO) test -run NONE -fuzz 'FuzzFaultModel$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzMergerOrder$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzTrialLoopMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/faultsim

@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/attrs"
@@ -503,12 +504,12 @@ func IntegrateContext(ctx context.Context, sys *System, opts ...Option) (*Result
 			return err
 		}
 		res.Initial = initial
-		p, idx := initial.Matrix()
-		sep, err := influence.SeparationMatrixWorkers(ctx, p, o.separationOrder, o.workers)
+		p := initial.SparseMatrix()
+		sep, err := influence.SeparationSparse(ctx, p, o.separationOrder, o.workers)
 		if err != nil {
 			return fmt.Errorf("separation: %w", err)
 		}
-		res.Separation, res.SeparationIndex = sep, idx
+		res.Separation, res.SeparationIndex = sep, p.IDs
 		sp.SetAttr(obs.Int("nodes", initial.NumNodes()), obs.Int("edges", len(initial.Edges())))
 		return nil
 	}); err != nil {
@@ -678,20 +679,98 @@ func IntegrateContext(ctx context.Context, sys *System, opts ...Option) (*Result
 // the specification and the configuration knobs that steer condensation,
 // mapping and refinement. Two ledgers sharing a fingerprint are expected
 // to be decision-identical (the contract ledger.Diff checks).
+//
+// The hashed bytes are appended by hand and equal json.Marshal of
+//
+//	struct {
+//		System            *System  `json:"system"`
+//		Chain             []string `json:"chain"`
+//		Approach          string   `json:"approach"`
+//		CriticalThreshold float64  `json:"critical_threshold"`
+//		SeparationOrder   int      `json:"separation_order"`
+//		RefineMoves       int      `json:"refine_moves"`
+//		Race              bool     `json:"race"`
+//	}
+//
+// for every specification json.Marshal accepts. A NaN or infinite value,
+// which json.Marshal rejects, is written as a fixed token (NaN, +Inf,
+// -Inf), so such a specification still gets one fingerprint.
 func runFingerprint(sys *System, o *options) string {
-	chain := make([]string, 0, 1+len(o.fallback))
-	for _, s := range append([]Strategy{o.strategy}, o.fallback...) {
-		chain = append(chain, s.String())
+	b := make([]byte, 0, 256+128*len(sys.Processes)+96*len(sys.Influences))
+	b = append(b, `{"system":`...)
+	b = appendSystemJSON(b, sys)
+	b = append(b, `,"chain":[`...)
+	b = ledger.AppendJSONString(b, o.strategy.String())
+	for _, s := range o.fallback {
+		b = ledger.AppendJSONString(append(b, ','), s.String())
 	}
-	return ledger.Fingerprint(struct {
-		System            *System  `json:"system"`
-		Chain             []string `json:"chain"`
-		Approach          string   `json:"approach"`
-		CriticalThreshold float64  `json:"critical_threshold"`
-		SeparationOrder   int      `json:"separation_order"`
-		RefineMoves       int      `json:"refine_moves"`
-		Race              bool     `json:"race"`
-	}{sys, chain, o.approach.String(), o.criticalThreshold, o.separationOrder, o.refineMoves, o.race})
+	b = ledger.AppendJSONString(append(b, `],"approach":`...), o.approach.String())
+	b = ledger.AppendJSONFloat(append(b, `,"critical_threshold":`...), o.criticalThreshold)
+	b = strconv.AppendInt(append(b, `,"separation_order":`...), int64(o.separationOrder), 10)
+	b = strconv.AppendInt(append(b, `,"refine_moves":`...), int64(o.refineMoves), 10)
+	b = strconv.AppendBool(append(b, `,"race":`...), o.race)
+	return ledger.FingerprintBytes(append(b, '}'))
+}
+
+// appendSystemJSON appends a non-nil sys as json.Marshal encodes it,
+// with runFingerprint's tokens for non-finite floats.
+func appendSystemJSON(b []byte, sys *System) []byte {
+	b = ledger.AppendJSONString(append(b, `{"name":`...), sys.Name)
+	b = append(b, `,"processes":`...)
+	if sys.Processes == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range sys.Processes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = ledger.AppendJSONString(append(b, `{"name":`...), p.Name)
+			b = ledger.AppendJSONFloat(append(b, `,"criticality":`...), p.Criticality)
+			b = strconv.AppendInt(append(b, `,"ft":`...), int64(p.FT), 10)
+			b = ledger.AppendJSONFloat(append(b, `,"est":`...), p.EST)
+			b = ledger.AppendJSONFloat(append(b, `,"tcd":`...), p.TCD)
+			b = ledger.AppendJSONFloat(append(b, `,"ct":`...), p.CT)
+			if len(p.Resources) > 0 {
+				b = appendStringsJSON(append(b, `,"resources":`...), p.Resources)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"influences":`...)
+	if sys.Influences == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, e := range sys.Influences {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = ledger.AppendJSONString(append(b, `{"from":`...), e.From)
+			b = ledger.AppendJSONString(append(b, `,"to":`...), e.To)
+			b = ledger.AppendJSONFloat(append(b, `,"weight":`...), e.Weight)
+			if len(e.Factors) > 0 {
+				b = appendStringsJSON(append(b, `,"factors":`...), e.Factors)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = strconv.AppendInt(append(b, `,"hw_nodes":`...), int64(sys.HWNodes), 10)
+	return append(b, '}')
+}
+
+// appendStringsJSON appends a string list as a JSON array.
+func appendStringsJSON(b []byte, ss []string) []byte {
+	b = append(b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = ledger.AppendJSONString(b, s)
+	}
+	return append(b, ']')
 }
 
 // integrateAttempt runs the condense and map stages for one strategy of

@@ -24,11 +24,12 @@ func (c *Condenser) ReduceBySeparation(target, order int) error {
 		if err := c.checkCtx(); err != nil {
 			return err
 		}
-		p, ids := c.G.Matrix()
-		sep, err := influence.SeparationMatrixWorkers(c.ctx, p, order, c.workers)
+		p := c.G.SparseMatrix()
+		sep, err := influence.SeparationSparse(c.ctx, p, order, c.workers)
 		if err != nil {
 			return fmt.Errorf("cluster: separation: %w", err)
 		}
+		ids := p.IDs
 		// Mutual coupling of a pair: (1−sep(i,j)) + (1−sep(j,i)), the
 		// separation analogue of mutual influence. Pick the most coupled
 		// feasible pair; ties break by id order (ids are sorted).

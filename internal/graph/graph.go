@@ -590,6 +590,66 @@ func (g *Graph) Matrix() ([][]float64, []string) {
 	return p, ids
 }
 
+// Sparse is a square influence matrix in compressed rows: row i's
+// nonzeros are Ent[Start[i]:Start[i+1]], by ascending column, and Start
+// has one entry more than there are rows. IDs names the rows and
+// columns when the matrix comes from a graph.
+type Sparse struct {
+	IDs   []string
+	Start []int
+	Ent   []Entry
+}
+
+// Entry is one nonzero of a Sparse row.
+type Entry struct {
+	Col int
+	W   float64
+}
+
+// SparseMatrix returns the nonzeros of Matrix in compressed rows, indexed
+// by the same sorted ids, without building the dense matrix: zero and
+// replica arcs are left out. The rows are filled by walking the targets
+// in id order over their in-arcs, so every row comes out with ascending
+// columns and none needs sorting.
+func (g *Graph) SparseMatrix() Sparse {
+	ids := g.Nodes()
+	n := len(ids)
+	buf := make([]int, len(g.names)+n)
+	rank, order := buf[:len(g.names)], buf[len(g.names):]
+	for i, id := range ids {
+		s := g.index[id]
+		rank[s], order[i] = i, s
+	}
+	// Count each row's arcs into start[r+1], then turn the counts into
+	// row starts.
+	start := make([]int, n+1)
+	for s, row := range g.out {
+		for _, a := range row {
+			if !a.replica && a.w != 0 {
+				start[rank[s]+1]++
+			}
+		}
+	}
+	for r := 1; r <= n; r++ {
+		start[r] += start[r-1]
+	}
+	// start[r] serves as row r's fill cursor and ends at row r+1's start;
+	// shifting by one restores the starts.
+	ent := make([]Entry, start[n])
+	for c, t := range order {
+		for _, a := range g.in[t] {
+			if !a.replica && a.w != 0 {
+				r := rank[a.peer]
+				ent[start[r]] = Entry{Col: c, W: a.w}
+				start[r]++
+			}
+		}
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	return Sparse{IDs: ids, Start: start, Ent: ent}
+}
+
 // Reachable returns the set of nodes reachable from start along edges with
 // positive weight (replica edges do not transmit influence).
 func (g *Graph) Reachable(start string) map[string]bool {

@@ -20,6 +20,7 @@
 package influence
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -27,6 +28,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/graph"
 )
 
 // ErrProbRange marks a probability outside [0,1].
@@ -156,50 +159,46 @@ func Separation(p [][]float64, i, j, maxOrder int) (float64, error) {
 		maxOrder = DefaultMaxOrder
 	}
 	out := make([]float64, n)
-	separationRow(p, m, i, maxOrder, out, make([]float64, 2*n))
+	separationRow(m, i, maxOrder, out, make([]float64, 2*n))
 	return out[j], nil
 }
 
-// sparse holds the nonzero entries of a square influence matrix by row:
-// row k's are ent[start[k]:start[k+1]], by ascending column.
-type sparse struct {
-	start []int
-	ent   []entry
-}
-
-type entry struct {
-	col int
-	p   float64
-}
-
-// newSparse validates p and copies its nonzeros. A counting pass checks
-// every row and sizes the copy exactly.
-func newSparse(p [][]float64) (sparse, error) {
+// newSparse validates p and copies its nonzeros into compressed rows. A
+// counting pass checks every row and sizes the copy exactly.
+func newSparse(p [][]float64) (graph.Sparse, error) {
 	n := len(p)
 	nnz := 0
 	for i, row := range p {
 		if len(row) != n {
-			return sparse{}, fmt.Errorf("%w: row %d has %d entries, want %d", ErrMatrix, i, len(row), n)
+			return graph.Sparse{}, fmt.Errorf("%w: row %d has %d entries, want %d", ErrMatrix, i, len(row), n)
 		}
 		for j, x := range row {
-			if !(x >= 0) || math.IsInf(x, 1) {
-				return sparse{}, fmt.Errorf("%w: row %d, column %d is %g", ErrMatrix, i, j, x)
+			if err := checkEntry(i, j, x); err != nil {
+				return graph.Sparse{}, err
 			}
 			if x != 0 {
 				nnz++
 			}
 		}
 	}
-	m := sparse{start: make([]int, n+1), ent: make([]entry, 0, nnz)}
+	m := graph.Sparse{Start: make([]int, n+1), Ent: make([]graph.Entry, 0, nnz)}
 	for i, row := range p {
 		for j, x := range row {
 			if x != 0 {
-				m.ent = append(m.ent, entry{j, x})
+				m.Ent = append(m.Ent, graph.Entry{Col: j, W: x})
 			}
 		}
-		m.start[i+1] = len(m.ent)
+		m.Start[i+1] = len(m.Ent)
 	}
 	return m, nil
+}
+
+// checkEntry rejects a negative, NaN or infinite entry (i, j) of P.
+func checkEntry(i, j int, x float64) error {
+	if !(x >= 0) || math.IsInf(x, 1) {
+		return fmt.Errorf("%w: row %d, column %d is %g", ErrMatrix, i, j, x)
+	}
+	return nil
 }
 
 // separationRow is the one Eq. (3) kernel: it computes the separation of
@@ -207,33 +206,39 @@ func newSparse(p [][]float64) (sparse, error) {
 // the separations into out. reach[v] holds the summed edge-probability
 // products of all paths of the current length from i to v; the recurrence
 // depends only on the source row, so one sweep serves all n targets.
-// Each order costs O(nnz): it visits only the nonzeros m holds of p, in
-// ascending k for every target, so it adds the same terms in the same
-// order as the dense sweep over p minus the r·0 = +0 ones, and its result
-// is the dense sweep's bit for bit (for a finite, non-negative p whose
-// path sums do not overflow). scratch holds 2n floats.
-func separationRow(p [][]float64, m sparse, i, maxOrder int, out, scratch []float64) {
-	n := len(p)
+// Order 1 is seeded from row i's nonzeros. Each step then makes one pass
+// over reach: a nonzero reach[k] is added into out[k], zeroed (so the
+// buffer is clear again when it next serves as next) and pushed along
+// row k's nonzeros into next; the last order is added into out as the
+// clamp is applied. So out[v] still sums reach[v] order by order, and
+// next receives the same terms in the same order (ascending k) as in the
+// dense sweep over P, minus the r·0 = +0 ones, which leave a +0 or
+// positive sum unchanged: the result is the dense sweep's bit for bit
+// (for a finite, non-negative P whose path sums do not overflow).
+// scratch holds 2n floats.
+func separationRow(m graph.Sparse, i, maxOrder int, out, scratch []float64) {
+	n := len(m.Start) - 1
 	reach, next := scratch[:n], scratch[n:2*n]
-	copy(reach, p[i])
-	copy(out, reach)
-	for order := 2; order <= maxOrder; order++ {
-		clear(next)
+	clear(scratch[:2*n])
+	clear(out)
+	for _, e := range m.Ent[m.Start[i]:m.Start[i+1]] {
+		reach[e.Col] = e.W
+	}
+	for order := 1; order < maxOrder; order++ {
 		for k, r := range reach {
 			if r == 0 {
 				continue
 			}
-			for _, e := range m.ent[m.start[k]:m.start[k+1]] {
-				next[e.col] += r * e.p
+			out[k] += r
+			reach[k] = 0
+			for _, e := range m.Ent[m.Start[k]:m.Start[k+1]] {
+				next[e.Col] += r * e.W
 			}
 		}
 		reach, next = next, reach
-		for v, x := range reach {
-			out[v] += x
-		}
 	}
-	for v := range out {
-		out[v] = clamp01(1 - out[v])
+	for v, x := range reach {
+		out[v] = clamp01(1 - (out[v] + x))
 	}
 	out[i] = 0 // an FCM is never separated from itself
 }
@@ -242,80 +247,106 @@ func sepRowErr(i, n int, err error) error {
 	return fmt.Errorf("influence: separation matrix row %d/%d: %w", i, n, err)
 }
 
-// SeparationMatrixWorkers computes the separation matrix with its
-// O(n·nnz·maxOrder) power-series sweep chunked by row over a pool of
-// workers (0 = GOMAXPROCS). Every worker polls ctx once per row and the
-// first cancellation aborts the sweep with an error wrapping ctx.Err().
-// Row outputs are disjoint and each row's arithmetic is independent of the
-// pool size, so the matrix is bit-identical for every worker count. A
-// matrix that is not square, finite and non-negative is rejected with an
-// error wrapping ErrMatrix before any row is swept.
+// SeparationMatrixWorkers computes the separation matrix of the dense
+// influence matrix p (see SeparationSparse). A matrix that is not square,
+// finite and non-negative is rejected with an error wrapping ErrMatrix
+// before any row is swept.
 func SeparationMatrixWorkers(ctx context.Context, p [][]float64, maxOrder, workers int) ([][]float64, error) {
-	n := len(p)
 	m, err := newSparse(p)
 	if err != nil {
 		return nil, err
 	}
+	return sweep(ctx, m, maxOrder, workers)
+}
+
+// SeparationSparse computes the separation matrix of P given in
+// compressed rows, as Graph.SparseMatrix returns it, with the
+// O(n·nnz·maxOrder) power-series sweep chunked by row over a pool of
+// workers (0 = GOMAXPROCS). Every worker polls ctx once per row and the
+// first cancellation aborts the sweep with an error wrapping ctx.Err().
+// Row outputs are disjoint and each row's arithmetic is independent of the
+// pool size, so the matrix is bit-identical for every worker count, and
+// to SeparationMatrixWorkers over the dense form of the same P. A
+// negative, NaN or infinite entry is rejected with an error wrapping
+// ErrMatrix, naming the first such entry in row-major order, before any
+// row is swept.
+func SeparationSparse(ctx context.Context, m graph.Sparse, maxOrder, workers int) ([][]float64, error) {
+	for i := 0; i+1 < len(m.Start); i++ {
+		for _, e := range m.Ent[m.Start[i]:m.Start[i+1]] {
+			if err := checkEntry(i, e.Col, e.W); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return sweep(ctx, m, maxOrder, workers)
+}
+
+// sweep runs separationRow over every row of a validated m: the caller
+// is worker 0 and workers−1 goroutines join it.
+func sweep(ctx context.Context, m graph.Sparse, maxOrder, workers int) ([][]float64, error) {
+	n := max(len(m.Start)-1, 0)
 	if maxOrder < 1 {
 		maxOrder = DefaultMaxOrder
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = max(min(workers, n), 1)
+	// One allocation holds the result rows and each worker's 2n scratch
+	// floats.
+	backing := make([]float64, n*n+2*n*workers)
 	out := make([][]float64, n)
-	backing := make([]float64, n*n)
 	for i := range out {
-		out[i] = backing[i*n : (i+1)*n]
+		out[i] = backing[i*n : (i+1)*n : (i+1)*n]
 	}
-	if workers <= 1 {
-		scratch := make([]float64, 2*n)
-		for i := 0; i < n; i++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, sepRowErr(i, n, err)
-				}
-			}
-			separationRow(p, m, i, maxOrder, out[i], scratch)
-		}
-		return out, nil
+	s := &rowSweep{ctx: ctx, m: m, maxOrder: maxOrder, out: out}
+	errs := make([]error, workers-1)
+	for w := range errs {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			errs[w] = s.run(backing[n*n+2*n*(w+1) : n*n+2*n*(w+2)])
+		}()
 	}
-	var (
-		nextRow atomic.Int64
-		failed  atomic.Bool
-		wg      sync.WaitGroup
-		errs    = make([]error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w, maxOrder int) {
-			defer wg.Done()
-			scratch := make([]float64, 2*n)
-			for {
-				i := int(nextRow.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						errs[w] = sepRowErr(i, n, err)
-						failed.Store(true)
-						return
-					}
-				}
-				separationRow(p, m, i, maxOrder, out[i], scratch)
-			}
-		}(w, maxOrder)
+	err := s.run(backing[n*n : n*n+2*n])
+	s.wg.Wait()
+	for _, e := range errs {
+		err = cmp.Or(err, e)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// rowSweep hands the rows of one separation sweep out to its workers.
+type rowSweep struct {
+	ctx      context.Context
+	m        graph.Sparse
+	maxOrder int
+	out      [][]float64
+	next     atomic.Int64
+	failed   atomic.Bool
+	wg       sync.WaitGroup
+}
+
+// run sweeps rows into s.out until none is left or a worker has failed,
+// polling ctx once per row; the first cancellation fails the sweep.
+func (s *rowSweep) run(scratch []float64) error {
+	n := len(s.out)
+	for {
+		i := int(s.next.Add(1)) - 1
+		if i >= n || s.failed.Load() {
+			return nil
+		}
+		if s.ctx != nil {
+			if err := s.ctx.Err(); err != nil {
+				s.failed.Store(true)
+				return sepRowErr(i, n, err)
+			}
+		}
+		separationRow(s.m, i, s.maxOrder, s.out[i], scratch)
+	}
 }
 
 // SpectralRadius estimates the spectral radius of the influence matrix by

@@ -128,8 +128,9 @@ func TestSeparationRejectsBadMatrix(t *testing.T) {
 }
 
 // TestSeparationMatrixAllocsIndependentOfOrder pins the serial sweep's
-// allocations: the result matrix, the nonzero copy and one scratch
-// buffer, however many orders the series runs.
+// allocations: the result rows, one buffer for their floats and the
+// scratch, the sweep state and the nonzero copy, however many orders the
+// series runs.
 func TestSeparationMatrixAllocsIndependentOfOrder(t *testing.T) {
 	const bound = 5
 	p := testMatrix(17)

@@ -281,27 +281,35 @@ var (
 )
 
 // WriteJSONL serialises the ledger: the header on the first line, then
-// one record per line, in append order.
+// one record per line, in append order. Each line is byte for byte what
+// encoding/json's Encoder writes for the header or record. The whole
+// ledger is encoded under the lock into one buffer and handed to w in one
+// Write; a record holding a NaN or infinite float fails with the error
+// encoding/json returns for it, and nothing is written.
 func (l *Ledger) WriteJSONL(w io.Writer) error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
-	header := l.header
-	records := append([]Record(nil), l.records...)
-	l.mu.Unlock()
-
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(header); err != nil {
-		return fmt.Errorf("ledger: write header: %w", err)
+	size := l.header.sizeHint()
+	for i := range l.records {
+		size += l.records[i].sizeHint()
 	}
-	for _, r := range records {
-		if err := enc.Encode(r); err != nil {
+	buf := appendHeader(make([]byte, 0, size), &l.header)
+	var (
+		keys []string
+		err  error
+	)
+	for i := range l.records {
+		r := &l.records[i]
+		if buf, keys, err = appendRecord(buf, r, keys); err != nil {
+			l.mu.Unlock()
 			return fmt.Errorf("ledger: write record %d: %w", r.Seq, err)
 		}
 	}
-	return bw.Flush()
+	l.mu.Unlock()
+	_, err = w.Write(buf)
+	return err
 }
 
 // WriteFile writes the JSONL serialisation to path (atomically enough
@@ -371,13 +379,21 @@ func ReadFile(path string) (*Ledger, error) {
 
 // Fingerprint hashes an arbitrary configuration value (via its canonical
 // JSON form) into a short hex digest — the identity two ledgers must
-// share to be decision-comparable.
+// share to be decision-comparable. A value encoding/json cannot marshal
+// is hashed from its %+v form instead, which is stable only for values
+// that hold no pointers (a pointer prints as its address).
 func Fingerprint(v any) string {
 	b, err := json.Marshal(v)
 	if err != nil {
-		// A non-marshalable config still deserves a stable identity.
 		b = []byte(fmt.Sprintf("%+v", v))
 	}
+	return FingerprintBytes(b)
+}
+
+// FingerprintBytes is Fingerprint's digest of an already encoded value:
+// the first 8 bytes of its SHA-256, in hex. Callers that append their
+// canonical JSON by hand (AppendJSONString, AppendJSONFloat) hash it here.
+func FingerprintBytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
 }

@@ -120,9 +120,11 @@ vuln:
 # campaign merge (any chunk arrival order against Run at Workers=1), the
 # int-indexed trial loop and the slot-indexed graph (each against its
 # string-keyed reference), the slice-based min-cuts (against the map-based
-# Stoer–Wagner and allocating Edmonds–Karp), the sparse Eq. 3 sweep
-# (against the dense per-pair recurrence), the int-indexed placement
-# kernel (against the string-keyed Approach A/B and FCR-aware loops), the
+# Stoer–Wagner and allocating Edmonds–Karp), the single-pass Stoer–Wagner
+# phase (against the two-pass one, on tie-heavy matrices of up to 64
+# rows), the sparse Eq. 3 sweep (against the dense per-pair recurrence),
+# the int-indexed placement kernel (against the string-keyed Approach A/B
+# and FCR-aware loops), the
 # slot walk of mapping.Evaluate (against the string walk), and the
 # hand-written ledger encoder and run fingerprint (against json.Encoder
 # and json.Marshal, byte for byte) without turning the gate into a
@@ -139,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzTrialLoopMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzGraphMatchesReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/graph
 	$(GO) test -run NONE -fuzz 'FuzzMinCutMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run NONE -fuzz 'FuzzGlobalMinCutMatrixMatchesParent$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run NONE -fuzz 'FuzzSeparationMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/influence
 	$(GO) test -run NONE -fuzz 'FuzzPlacementMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mapping
 	$(GO) test -run NONE -fuzz 'FuzzEvaluateMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mapping

@@ -510,7 +510,7 @@ func IntegrateContext(ctx context.Context, sys *System, opts ...Option) (*Result
 			return fmt.Errorf("separation: %w", err)
 		}
 		res.Separation, res.SeparationIndex = sep, p.IDs
-		sp.SetAttr(obs.Int("nodes", initial.NumNodes()), obs.Int("edges", len(initial.Edges())))
+		sp.SetAttr(obs.Int("nodes", initial.NumNodes()), obs.Int("edges", initial.NumEdges()))
 		return nil
 	}); err != nil {
 		return nil, err
@@ -519,7 +519,7 @@ func IntegrateContext(ctx context.Context, sys *System, opts ...Option) (*Result
 		o.ledger.Append(ledger.Record{
 			Kind: ledger.KindInfluence, Stage: "influence",
 			Detail: fmt.Sprintf("%d nodes, %d influence edges, Eq.3 separation analysed",
-				res.Initial.NumNodes(), len(res.Initial.Edges())),
+				res.Initial.NumNodes(), res.Initial.NumEdges()),
 		})
 	}
 

@@ -138,23 +138,13 @@ func (t *pairTable) combine(c *Condenser, a, b int) error {
 // bound from g. Every other live bound is raised to cover its entry for
 // s.
 func (t *pairTable) merge(g *graph.Graph, a, b, s int) {
-	live := t.order[:0]
-	for _, x := range t.order {
-		if x != a && x != b {
-			live = append(live, x)
-		}
-	}
+	t.order = replaceMerged(g, t.order, a, b, s)
 	for _, x := range [...]int{a, b, s} {
 		clear(t.verdict[x*t.stride : (x+1)*t.stride])
-		for _, y := range live {
+		for _, y := range t.order {
 			t.verdict[y*t.stride+x] = unchecked
 		}
 	}
-	id := g.Name(s)
-	at, _ := slices.BinarySearchFunc(live, id, func(x int, id string) int {
-		return strings.Compare(g.Name(x), id)
-	})
-	t.order = slices.Insert(live, at, s)
 	t.size[s] = g.NumMembers(s)
 	row := t.mutual[s*t.stride : (s+1)*t.stride]
 	g.MutualRow(s, row)
@@ -165,6 +155,22 @@ func (t *pairTable) merge(g *graph.Graph, a, b, s int) {
 		}
 	}
 	t.bound[s] = t.rowMax(s, t.order)
+}
+
+// replaceMerged removes slots a and b from order, which lists live slots
+// in id order, and inserts s, the slot of their contraction, at its id's
+// place. It reuses order's backing array.
+func replaceMerged(g *graph.Graph, order []int, a, b, s int) []int {
+	live := order[:0]
+	for _, x := range order {
+		if x != a && x != b {
+			live = append(live, x)
+		}
+	}
+	at, _ := slices.BinarySearchFunc(live, g.Name(s), func(x int, id string) int {
+		return strings.Compare(g.Name(x), id)
+	})
+	return slices.Insert(live, at, s)
 }
 
 // bestFeasiblePair returns the slots of the feasible pair with the highest
@@ -233,47 +239,14 @@ func (c *Condenser) ReduceByInfluencePairAll(target int) error {
 	if err := c.checkTarget(target); err != nil {
 		return err
 	}
+	var r pairAllRound
 	for c.G.NumNodes() > target {
 		if err := c.checkCtx(); err != nil {
 			return err
 		}
-		type pair struct {
-			a, b   string
-			mutual float64
-		}
-		nodes := c.G.Nodes()
-		var pairs []pair
-		for i, a := range nodes {
-			for _, b := range nodes[i+1:] {
-				pairs = append(pairs, pair{a, b, c.G.MutualInfluence(a, b)})
-			}
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].mutual != pairs[j].mutual {
-				return pairs[i].mutual > pairs[j].mutual
-			}
-			if pairs[i].a != pairs[j].a {
-				return pairs[i].a < pairs[j].a
-			}
-			return pairs[i].b < pairs[j].b
-		})
-		used := map[string]bool{}
-		progressed := false
-		for _, p := range pairs {
-			if c.G.NumNodes() <= target {
-				break
-			}
-			if used[p.a] || used[p.b] {
-				continue
-			}
-			if ok, _ := c.combinable(p.a, p.b); !ok {
-				continue
-			}
-			if _, err := c.Combine(p.a, p.b, "H1-pair-all"); err != nil {
-				return err
-			}
-			used[p.a], used[p.b] = true, true
-			progressed = true
+		progressed, err := r.run(c, target)
+		if err != nil {
+			return err
 		}
 		if !progressed {
 			return fmt.Errorf("%w: %d nodes remain, target %d",
@@ -281,6 +254,67 @@ func (c *Condenser) ReduceByInfluencePairAll(target int) error {
 		}
 	}
 	return nil
+}
+
+// pairAllRound holds the buffers of ReduceByInfluencePairAll's rounds.
+type pairAllRound struct {
+	row   []float64 // one slot's mutual influence, by slot
+	pairs []rankPair
+	used  []bool // by slot: merged in this round
+}
+
+// rankPair is a candidate pair of one round: the ranks (positions in id
+// order) of two nodes, a < b, and their mutual influence.
+type rankPair struct {
+	a, b   int
+	mutual float64
+}
+
+// run is one round: it merges disjoint feasible pairs in descending
+// mutual influence, then ascending rank pair, until the graph reaches
+// target, and reports whether it merged any.
+func (r *pairAllRound) run(c *Condenser, target int) (bool, error) {
+	slots := c.G.SlotsByName()
+	n := c.G.NumSlots()
+	r.row = slices.Grow(r.row[:0], n)[:n]
+	r.pairs = r.pairs[:0]
+	for i, sa := range slots {
+		c.G.MutualRow(sa, r.row)
+		for j := i + 1; j < len(slots); j++ {
+			r.pairs = append(r.pairs, rankPair{i, j, r.row[slots[j]]})
+		}
+	}
+	// The keys are unique, so the order is total.
+	slices.SortFunc(r.pairs, func(p, q rankPair) int {
+		if c := cmp.Compare(q.mutual, p.mutual); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(p.a, q.a); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.b, q.b)
+	})
+	r.used = slices.Grow(r.used[:0], n)[:n]
+	clear(r.used)
+	progressed := false
+	for _, p := range r.pairs {
+		if c.G.NumNodes() <= target {
+			break
+		}
+		sa, sb := slots[p.a], slots[p.b]
+		if r.used[sa] || r.used[sb] {
+			continue
+		}
+		if ok, _ := c.combinableSlots(sa, sb); !ok {
+			continue
+		}
+		if _, err := c.combineSlots(sa, sb, "H1-pair-all"); err != nil {
+			return progressed, err
+		}
+		r.used[sa], r.used[sb] = true, true
+		progressed = true
+	}
+	return progressed, nil
 }
 
 // ReduceByMinCut implements heuristic H2 (§5.4): "Find the min-cut of the

@@ -189,19 +189,24 @@ func TestCriticalityWeightedEscapeRate(t *testing.T) {
 	}
 }
 
-// nanGraph builds a graph with a NaN edge weight. graph.SetEdge's range
-// check (w < 0 || w > 1) lets NaN through — both comparisons are false —
-// which is exactly the leak the campaign-start validation must catch.
+// nanGraph builds a graph with a NaN edge weight. graph.SetEdge refuses
+// NaN, but Contract's range check on a combined weight (w < 0 || w > 1)
+// lets one through from a caller's combine function — both comparisons
+// are false — which is the leak the campaign-start validation must catch.
 func nanGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	g := graph.New()
-	for _, n := range []string{"a", "b"} {
+	for _, n := range []string{"a", "b", "c"} {
 		if err := g.AddNode(n, attrs.New(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := g.SetEdge("a", "b", math.NaN()); err != nil {
-		t.Fatalf("expected graph.SetEdge to accept NaN (the documented leak): %v", err)
+	if err := g.SetEdge("a", "c", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	nan := func([]float64) float64 { return math.NaN() }
+	if _, err := g.Contract([]string{"a", "b"}, nan); err != nil {
+		t.Fatalf("expected graph.Contract to accept a NaN combined weight (the documented leak): %v", err)
 	}
 	return g
 }

@@ -277,7 +277,7 @@ func (g *Graph) SetEdge(from, to string, weight float64, factors ...string) erro
 	if err != nil {
 		return err
 	}
-	if weight < 0 || weight > 1 {
+	if !(weight >= 0 && weight <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("%w: %g", ErrBadWeight, weight)
 	}
 	g.link(f, t, weight, g.fac.intern(factors), false)
@@ -608,23 +608,26 @@ type Entry struct {
 
 // SparseMatrix returns the nonzeros of Matrix in compressed rows, indexed
 // by the same sorted ids, without building the dense matrix: zero and
-// replica arcs are left out. The rows are filled by walking the targets
-// in id order over their in-arcs, so every row comes out with ascending
-// columns and none needs sorting.
-func (g *Graph) SparseMatrix() Sparse {
-	ids := g.Nodes()
-	n := len(ids)
-	buf := make([]int, len(g.names)+n)
-	rank, order := buf[:len(g.names)], buf[len(g.names):]
-	for i, id := range ids {
-		s := g.index[id]
-		rank[s], order[i] = i, s
+// replica arcs are left out.
+func (g *Graph) SparseMatrix() Sparse { return g.SparseRows(g.SlotsByName()) }
+
+// SparseRows is SparseMatrix for a caller that already holds the live
+// slots in id order, as SlotsByName returns them. The rows are filled by
+// walking the targets in that order over their in-arcs, so every row
+// comes out with ascending columns and none needs sorting.
+func (g *Graph) SparseRows(order []int) Sparse {
+	n := len(order)
+	ids := make([]string, n)
+	// One buffer holds the rank of each slot and the row starts.
+	buf := make([]int, len(g.names)+n+1)
+	rank, start := buf[:len(g.names)], buf[len(g.names):]
+	for i, s := range order {
+		ids[i], rank[s] = g.names[s], i
 	}
 	// Count each row's arcs into start[r+1], then turn the counts into
 	// row starts.
-	start := make([]int, n+1)
-	for s, row := range g.out {
-		for _, a := range row {
+	for _, s := range order {
+		for _, a := range g.out[s] {
 			if !a.replica && a.w != 0 {
 				start[rank[s]+1]++
 			}

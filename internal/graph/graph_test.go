@@ -72,6 +72,7 @@ func TestSetEdgeValidation(t *testing.T) {
 		{"missing to", "a", "x", 0.5, ErrNoSuchNode},
 		{"weight above 1", "a", "b", 1.5, ErrBadWeight},
 		{"negative weight", "a", "b", -0.1, ErrBadWeight},
+		{"NaN weight", "a", "b", math.NaN(), ErrBadWeight},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -49,35 +49,38 @@ func GlobalMinCutMatrix(w [][]float64) (s, t []int, weight float64) {
 	for i := range active {
 		active[i], owner[i] = i, i
 	}
-	inA := make([]bool, n)
+	// rem lists, ascending, the active vertices a phase has not added yet.
+	rem := make([]int, 0, n)
 	weightTo := make([]float64, n)
-	order := make([]int, 0, n)
 	inT := make([]bool, n)
 	weight = math.Inf(1)
 	for len(active) > 1 {
 		// Minimum cut phase: maximum adjacency ordering from active[0].
+		// Each step adds the vertex rem[next] and, in the same pass over
+		// the rest of rem, adds its row into weightTo and finds the next
+		// maximum, ties to the lowest index.
 		a := active[0]
-		for _, v := range active {
-			inA[v], weightTo[v] = false, w[a][v]
-		}
-		inA[a] = true
-		order = append(order[:0], a)
-		for len(order) < len(active) {
-			bestV := -1
-			for _, v := range active {
-				if !inA[v] && (bestV == -1 || weightTo[v] > weightTo[bestV]) {
-					bestV = v
-				}
-			}
-			inA[bestV] = true
-			order = append(order, bestV)
-			for _, v := range active {
-				if !inA[v] {
-					weightTo[v] += w[bestV][v]
-				}
+		rem = append(rem[:0], active[1:]...)
+		next := 0
+		for i, v := range rem {
+			weightTo[v] = w[a][v]
+			if weightTo[v] > weightTo[rem[next]] {
+				next = i
 			}
 		}
-		ps, pt := order[len(order)-2], order[len(order)-1]
+		ps, pt := -1, a
+		for len(rem) > 0 {
+			ps, pt = pt, rem[next]
+			rem = append(rem[:next], rem[next+1:]...)
+			row := w[pt]
+			next = 0
+			for i, v := range rem {
+				weightTo[v] += row[v]
+				if weightTo[v] > weightTo[rem[next]] {
+					next = i
+				}
+			}
+		}
 		cutOfPhase := 0.0
 		for _, v := range active {
 			if v != pt {

@@ -120,7 +120,7 @@ func (g *refGraph) SetEdge(from, to string, weight float64, factors ...string) e
 	if err := g.checkPair(from, to); err != nil {
 		return err
 	}
-	if weight < 0 || weight > 1 {
+	if !(weight >= 0 && weight <= 1) {
 		return fmt.Errorf("%w: %g", ErrBadWeight, weight)
 	}
 	e := Edge{From: from, To: to, Weight: weight, Factors: append([]string(nil), factors...)}
@@ -665,8 +665,12 @@ func requireSameGraph(t *testing.T, where string, g *Graph, r *refGraph) {
 	if want := r.Nodes(); !reflect.DeepEqual(nodes, want) {
 		t.Fatalf("%s: Nodes %v, reference %v", where, nodes, want)
 	}
-	if got, want := g.Edges(), r.Edges(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Edges\n %+v\nreference\n %+v", where, got, want)
+	edges := g.Edges()
+	if want := r.Edges(); !reflect.DeepEqual(edges, want) {
+		t.Fatalf("%s: Edges\n %+v\nreference\n %+v", where, edges, want)
+	}
+	if g.NumEdges() != len(edges) {
+		t.Fatalf("%s: NumEdges %d, Edges lists %d", where, g.NumEdges(), len(edges))
 	}
 	if g.NumEdges() != r.NumEdges() || g.NumNodes() != r.NumNodes() {
 		t.Fatalf("%s: %d nodes %d edges, reference %d, %d", where, g.NumNodes(), g.NumEdges(), r.NumNodes(), r.NumEdges())

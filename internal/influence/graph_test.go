@@ -143,27 +143,19 @@ func TestGraphSeparationMatchesMatrix(t *testing.T) {
 	}
 }
 
-// TestSeparationSparseRejectsBadEntry: a NaN weight (SetEdge lets one
-// through) fails the graph-built path with the error the dense path
-// gives, naming the same entry.
+// TestSeparationSparseRejectsBadEntry: a NaN entry, which Graph.SetEdge
+// refuses and so is planted in the rows directly, fails the sparse path
+// with the error the dense path gives, naming the same entry.
 func TestSeparationSparseRejectsBadEntry(t *testing.T) {
-	g := graph.New()
-	for _, id := range []string{"a", "b", "c"} {
-		if err := g.AddNode(id, attrs.Set{}); err != nil {
-			t.Fatal(err)
-		}
+	nan := math.NaN()
+	p := [][]float64{{0, 0.5, 0}, {0, 0, nan}, {nan, 0, 0}}
+	m := graph.Sparse{
+		IDs:   []string{"a", "b", "c"},
+		Start: []int{0, 1, 2, 3},
+		Ent:   []graph.Entry{{Col: 1, W: 0.5}, {Col: 2, W: nan}, {Col: 0, W: nan}},
 	}
-	for _, e := range []struct {
-		from, to string
-		w        float64
-	}{{"c", "a", math.NaN()}, {"b", "c", math.NaN()}, {"a", "b", 0.5}} {
-		if err := g.SetEdge(e.from, e.to, e.w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p, _ := g.Matrix()
 	_, want := SeparationMatrixWorkers(nil, p, 3, 1)
-	_, got := SeparationSparse(nil, g.SparseMatrix(), 3, 1)
+	_, got := SeparationSparse(nil, m, 3, 1)
 	if want == nil || got == nil || got.Error() != want.Error() {
 		t.Errorf("SeparationSparse error %v, dense path %v", got, want)
 	}

@@ -30,10 +30,12 @@ race:
 	$(GO) test -race ./...
 
 # bench is a smoke run (fixed iteration count) of the end-to-end pipeline
-# benchmarks, including the nil-observer telemetry fast path; use
+# benchmarks, including the nil-observer telemetry fast path, and of the
+# fault-injection trial loop (a 50,000-trial campaign on one worker); use
 # `go test -bench=. -benchmem` for real measurements.
 bench:
 	$(GO) test -run NONE -bench 'Integrate(Pipeline|NilObserver|WithObserver)$$' -benchtime 50x .
+	$(GO) test -run NONE -bench 'CampaignParallel/1$$' -benchtime 3x .
 
 # bench-module vets the end-to-end benchmark harness (its own module in
 # bench/, outside ./...) and runs its self-tests: the output checks and

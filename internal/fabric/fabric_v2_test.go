@@ -97,6 +97,9 @@ func TestFabricLyingWorkerQuarantined(t *testing.T) {
 			}
 			return wc
 		},
+		// The joinGate holds results until the liar has been welcomed,
+		// so its first chunk is always audited.
+		allJoin: true,
 	}
 	got, stats := h.run(t, c)
 	if !reflect.DeepEqual(got, want) {
@@ -859,6 +862,9 @@ func TestFabricLiarChunkUntraced(t *testing.T) {
 			}
 			return wc
 		},
+		// The joinGate holds results until the liar has been welcomed,
+		// so its first chunk is always audited.
+		allJoin: true,
 	}
 	got, stats := h.run(t, c)
 	if !reflect.DeepEqual(got, want) {

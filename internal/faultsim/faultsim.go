@@ -311,11 +311,29 @@ func (r *Result) absorb(ch *ChunkOutput) {
 }
 
 // liveEdge is one propagating influence edge (not a replica marker,
-// weight > 0) between node ids.
+// weight > 0) between node ids. thr is its transmission threshold: a
+// trial's 53-bit draw x transmits when x < thr (see transmitThreshold).
 type liveEdge struct {
 	id, from, to int
-	w            float64
+	thr          uint64
 }
+
+// transmitThreshold returns ⌈w·2⁵³⌉, the integer threshold at which a
+// 53-bit draw x transmits over an edge of weight w ∈ [0, 1] exactly when
+// rand.Rand.Float64() < w would have. Float64 is
+// float64(Uint64()<<11>>11) / 2⁵³; for a 53-bit x the conversion and the
+// division by a power of two are both exact, and so is w·2⁵³ for any w in
+// [0, 1] (a power-of-two scaling that cannot overflow, and subnormal
+// weights become normal). Hence x/2⁵³ < w ⇔ x < w·2⁵³ ⇔ x < ⌈w·2⁵³⌉, the
+// last step because x is an integer. w = 1 gives 2⁵³, above every draw,
+// so such an edge always transmits.
+func transmitThreshold(w float64) uint64 {
+	return uint64(math.Ceil(w * (1 << 53)))
+}
+
+// transmits returns 1 when the 53-bit draw x carries a fault over e and 0
+// otherwise, without a branch.
+func (e liveEdge) transmits(x uint64) int { return b2i(x < e.thr) }
 
 // campaignEnv is the immutable, precomputed view of a campaign shared by
 // all workers. Trials run on int ids: node ids index the sorted
@@ -378,7 +396,7 @@ func newCampaignEnv(c *Campaign) *campaignEnv {
 		if e.Replica || e.Weight <= 0 {
 			continue
 		}
-		le := liveEdge{id: len(env.edges), from: id[e.From], to: id[e.To], w: e.Weight}
+		le := liveEdge{id: len(env.edges), from: id[e.From], to: id[e.To], thr: transmitThreshold(e.Weight)}
 		env.edges = append(env.edges, le)
 		env.edgeKey = append(env.edgeKey, e.From+">"+e.To)
 		env.out[le.from] = append(env.out[le.from], le)
@@ -518,11 +536,15 @@ func (w *trialWorker) runTrial(ch *ChunkOutput) {
 				// target health would bias the per-edge estimate
 				// downward on convergent paths.
 				ch.EdgeTrials[e.id]++
-				if rng.Float64() >= e.w {
-					continue
-				}
-				ch.Transmissions[e.id]++
-				if w.seen[e.to] == stamp {
+				// The draw is rng.Float64()'s 53 bits taken straight from
+				// the PCG that rng wraps (rand.Rand keeps no state of its
+				// own), so the stream inject and admit see is unchanged.
+				// hit and fresh are 0/1 without a data-dependent branch;
+				// only a newly infected target, the rare case, branches.
+				hit := e.transmits(w.pcg.Uint64() << 11 >> 11)
+				fresh := b2i(w.seen[e.to] != stamp)
+				ch.Transmissions[e.id] += hit
+				if hit&fresh == 0 {
 					continue
 				}
 				crossed := env.hasHW && env.hw[u] != env.hw[e.to]
@@ -555,6 +577,15 @@ func (w *trialWorker) runTrial(ch *ChunkOutput) {
 	}
 	ch.CritPerTrial = append(ch.CritPerTrial, loss)
 	ch.EscPerTrial = append(ch.EscPerTrial, escLoss)
+}
+
+// b2i returns 1 for true and 0 for false; the compiler lowers it to a
+// flag set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // admit marks node n newly faulty; crossed marks a fault that arrived

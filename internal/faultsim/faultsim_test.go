@@ -3,6 +3,7 @@ package faultsim
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/attrs"
@@ -80,6 +81,34 @@ func TestEstimatedInfluenceRecoversEdgeWeight(t *testing.T) {
 	}
 	if p, trials := r.EstimatedInfluence("b", "a"); p != 0 || trials != 0 {
 		t.Errorf("non-existent edge b->a: p=%g over %d trials, want 0 over 0", p, trials)
+	}
+}
+
+// TestTransmitThresholdMatchesFloat64: the trial loop's transmission
+// test on a 53-bit draw x, x < ⌈w·2⁵³⌉, must agree with
+// rand.Rand.Float64() < w on every draw around each boundary weight's
+// threshold, and Float64 must still be the 53-bit draw over 2⁵³ that the
+// threshold assumes.
+func TestTransmitThresholdMatchesFloat64(t *testing.T) {
+	const one = 1 << 53
+	for _, w := range transmitBoundaryWeights {
+		e := liveEdge{thr: transmitThreshold(w)}
+		base := int64(math.Floor(w * one))
+		for x := max(base-1, 0); x <= min(base+2, one-1); x++ {
+			got := e.transmits(uint64(x)) == 1
+			want := float64(x)/one < w
+			if got != want {
+				t.Errorf("w = %g (thr %d), x = %d: integer draw transmits = %v, Float64 draw = %v",
+					w, e.thr, x, got, want)
+			}
+		}
+	}
+	a, b := rand.NewPCG(1, 2), rand.NewPCG(1, 2)
+	r := rand.New(b)
+	for i := 0; i < 1000; i++ {
+		if x, f := a.Uint64()<<11>>11, r.Float64(); float64(x)/one != f {
+			t.Fatalf("draw %d: Float64() = %g, want %d/2⁵³", i, f, x)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"math"
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
@@ -304,6 +305,16 @@ func refRun(t testing.TB, c Campaign) Result {
 	return res
 }
 
+// transmitBoundaryWeights are the edge weights at which the trial loop's
+// integer draw (x < ⌈w·2⁵³⌉) is most likely to part from the reference's
+// Float64() < w: zero and one, the smallest weights a 53-bit draw can
+// resolve, and the neighbours of exact binary fractions.
+var transmitBoundaryWeights = []float64{
+	0, math.SmallestNonzeroFloat64, 0x1p-53, math.Nextafter(0x1p-53, 1),
+	0.1, 0.25, math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1), 0.9,
+	math.Nextafter(1, 0), 1,
+}
+
 // refNames is the node-name pool of the fuzzed graphs. Names containing
 // '>' make edge keys collide: a>"b>c" and "a>b">c both key "a>b>c".
 var refNames = []string{"a", "b", "c", "a>b", "b>c", "c>a", ">", "a>", "h"}
@@ -324,7 +335,7 @@ func fuzzCampaign(t testing.TB, seed uint64, shape, model, hwMode, hops, occMode
 			t.Fatal(err)
 		}
 	}
-	weights := []float64{0, 0.25, 0.5, 0.9, 1}
+	weights := transmitBoundaryWeights
 	for _, from := range names {
 		for _, to := range names {
 			if from == to || pr.IntN(3) == 0 {
@@ -411,6 +422,8 @@ func FuzzTrialLoopMatchesReference(f *testing.F) {
 	f.Add(uint64(4), uint8(40), uint8(7), uint8(1), uint8(7), uint8(2), uint8(100), uint16(299))
 	f.Add(uint64(5), uint8(0), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint16(0))
 	f.Add(uint64(6), uint8(7), uint8(11), uint8(2), uint8(3), uint8(1), uint8(31), uint16(64))
+	// Nine nodes whose edges carry every transmitBoundaryWeights value.
+	f.Add(uint64(38), uint8(8), uint8(0), uint8(2), uint8(0), uint8(0), uint8(0), uint16(299))
 	f.Fuzz(func(t *testing.T, seed uint64, shape, model, hwMode, hops, occMode, comm uint8, trials uint16) {
 		c := fuzzCampaign(t, seed, shape, model, hwMode, hops, occMode, comm, trials)
 		got, err := Run(c)

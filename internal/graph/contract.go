@@ -272,7 +272,7 @@ func (g *Graph) aggregate(slots []int, combine CombineWeights) error {
 				continue
 			}
 			ag.w = combine(ws[ag.off : ag.off+ag.n])
-			if ag.w < 0 || ag.w > 1 {
+			if !(ag.w >= 0 && ag.w <= 1) { // NaN fails both comparisons
 				g.clearAggregates()
 				return fmt.Errorf("%w: %g", ErrBadWeight, ag.w)
 			}

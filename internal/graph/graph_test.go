@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -371,6 +372,26 @@ func TestContractErrors(t *testing.T) {
 	}
 	if _, err := g.Contract([]string{"zz"}, eq4); !errors.Is(err, ErrNoSuchNode) {
 		t.Errorf("unknown member err = %v", err)
+	}
+}
+
+// TestContractRejectsNaNCombinedWeight: a combine function that returns
+// NaN must fail the range check like any other out-of-range weight, and
+// the failed Contract must leave the node and edge sets as they were.
+func TestContractRejectsNaNCombinedWeight(t *testing.T) {
+	g := New()
+	mustAdd(t, g, "a", "b", "c")
+	mustEdge(t, g, "a", "c", 0.5)
+	nodes, edges := g.Nodes(), g.Edges()
+	nan := func([]float64) float64 { return math.NaN() }
+	if _, err := g.Contract([]string{"a", "b"}, nan); !errors.Is(err, ErrBadWeight) {
+		t.Fatalf("Contract with a NaN combine: err = %v, want ErrBadWeight", err)
+	}
+	if got := g.Nodes(); !reflect.DeepEqual(got, nodes) {
+		t.Errorf("nodes after failed Contract = %v, want %v", got, nodes)
+	}
+	if got := g.Edges(); !reflect.DeepEqual(got, edges) {
+		t.Errorf("edges after failed Contract = %v, want %v", got, edges)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/spec"
 )
 
 func TestIntegrateDefaultsOnPaperExample(t *testing.T) {
@@ -55,6 +56,33 @@ func TestIntegrateNilAndInvalid(t *testing.T) {
 	bad := &System{Name: "empty", HWNodes: 1}
 	if _, err := Integrate(bad); err == nil {
 		t.Error("invalid system accepted")
+	}
+}
+
+// TestIntegrateRejectsClusterIDSyntaxNames checks that a process name
+// containing a character of the cluster-id syntax ({a,b}) is refused up
+// front. graph.Members splits cluster ids on commas, so a process named
+// "p3,x" would otherwise be read back as two base nodes: Integrate
+// reported a false violation and a wrong cross-influence instead.
+func TestIntegrateRejectsClusterIDSyntaxNames(t *testing.T) {
+	for _, name := range []string{"p3,x", "{p3", "p3}"} {
+		sys := PaperExample()
+		for i := range sys.Processes {
+			if sys.Processes[i].Name == "p3" {
+				sys.Processes[i].Name = name
+			}
+		}
+		for i := range sys.Influences {
+			if sys.Influences[i].From == "p3" {
+				sys.Influences[i].From = name
+			}
+			if sys.Influences[i].To == "p3" {
+				sys.Influences[i].To = name
+			}
+		}
+		if _, err := Integrate(sys); !errors.Is(err, spec.ErrBadValue) {
+			t.Errorf("process %q: err = %v, want spec.ErrBadValue", name, err)
+		}
 	}
 }
 

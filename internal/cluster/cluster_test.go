@@ -60,9 +60,20 @@ func TestExpandFig4(t *testing.T) {
 	if count != 6 {
 		t.Errorf("replicated p1->p2 edges = %d, want 6", count)
 	}
-	// BaseOf inverts ReplicasOf.
-	if exp.BaseOf["p1c"] != "p1" || exp.BaseOf["p4"] != "p4" {
-		t.Errorf("BaseOf = %v", exp.BaseOf)
+	// ReplicasOf names every expanded node exactly once.
+	seen := map[string]int{}
+	for _, reps := range exp.ReplicasOf {
+		for _, r := range reps {
+			seen[r]++
+		}
+	}
+	for _, id := range exp.Graph.Nodes() {
+		if seen[id] != 1 {
+			t.Errorf("expanded node %s is listed %d times in ReplicasOf", id, seen[id])
+		}
+	}
+	if len(seen) != exp.Graph.NumNodes() {
+		t.Errorf("ReplicasOf names %d replicas, graph has %d nodes", len(seen), exp.Graph.NumNodes())
 	}
 	// Jobs cover all 12 replicas.
 	if len(exp.Jobs) != 12 {

@@ -16,8 +16,6 @@ type Expansion struct {
 	// ReplicasOf maps each original node id to its replica ids (a node
 	// with FT=1 maps to itself).
 	ReplicasOf map[string][]string
-	// BaseOf maps each replica id back to its original node id.
-	BaseOf map[string]string
 	// Jobs are the scheduling jobs of all replica nodes.
 	Jobs []sched.Job
 }
@@ -48,7 +46,6 @@ func Expand(g *graph.Graph, jobs []sched.Job) (*Expansion, error) {
 	}
 	out := &Expansion{
 		ReplicasOf: make(map[string][]string, g.NumNodes()),
-		BaseOf:     map[string]string{},
 	}
 	for _, id := range g.Nodes() {
 		ft := int(g.Attrs(id).Value(attrs.FaultTolerance))
@@ -59,7 +56,6 @@ func Expand(g *graph.Graph, jobs []sched.Job) (*Expansion, error) {
 		for i := 0; i < ft; i++ {
 			name := replicaName(id, i, ft)
 			names = append(names, name)
-			out.BaseOf[name] = id
 			if j, ok := jm[id]; ok {
 				j.Name = name
 				out.Jobs = append(out.Jobs, j)

@@ -50,28 +50,6 @@ type EdgeEstimate struct {
 // AbsError returns |Estimated − True|.
 func (e EdgeEstimate) AbsError() float64 { return math.Abs(e.Estimated - e.True) }
 
-// ConfidenceInterval returns the Wilson score interval for the edge's
-// transmission probability at the given z value (1.96 for 95%). With no
-// observations the interval is the vacuous [0, 1].
-func (e EdgeEstimate) ConfidenceInterval(z float64) (lo, hi float64) {
-	n := float64(e.Observations)
-	if n <= 0 || z <= 0 {
-		return 0, 1
-	}
-	p := e.Estimated
-	denom := 1 + z*z/n
-	center := (p + z*z/(2*n)) / denom
-	half := z / denom * math.Sqrt(p*(1-p)/n+z*z/(4*n*n))
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}
-
 // Result is a complete estimation run.
 type Result struct {
 	// Graph is the estimated influence graph: same nodes and attributes
@@ -178,62 +156,6 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// AdaptiveConfig parameterises RunAdaptive.
-type AdaptiveConfig struct {
-	// Truth is the ground-truth influence graph.
-	Truth *graph.Graph
-	// TargetWidth is the 95% Wilson-interval width at which an edge counts
-	// as measured precisely enough (default 0.1).
-	TargetWidth float64
-	// BatchTrials is the campaign size per round (default 2000).
-	BatchTrials int
-	// MaxTrials caps the total effort (default 200000).
-	MaxTrials int
-	Seed      uint64
-}
-
-// RunAdaptive grows the fault-injection campaign in batches until every
-// observed edge's 95% confidence interval is narrower than TargetWidth or
-// the trial cap is reached — answering the practitioner's question the
-// paper leaves open: *how much* testing is "extensive testing" (§4.2.1)?
-// It returns the final estimation result and the total trials spent.
-func RunAdaptive(cfg AdaptiveConfig) (*Result, int, error) {
-	if cfg.TargetWidth <= 0 {
-		cfg.TargetWidth = 0.1
-	}
-	if cfg.BatchTrials <= 0 {
-		cfg.BatchTrials = 2000
-	}
-	if cfg.MaxTrials <= 0 {
-		cfg.MaxTrials = 200000
-	}
-	trials := 0
-	for {
-		trials += cfg.BatchTrials
-		if trials > cfg.MaxTrials {
-			trials = cfg.MaxTrials
-		}
-		// Campaigns are cheap to rerun from scratch with a larger count;
-		// rerunning keeps every batch internally consistent under one
-		// seed (the PCG stream is deterministic in the trial index).
-		res, err := Run(Config{Truth: cfg.Truth, Trials: trials, Seed: cfg.Seed})
-		if err != nil {
-			return nil, trials, err
-		}
-		allTight := true
-		for _, e := range res.Edges {
-			lo, hi := e.ConfidenceInterval(1.96)
-			if hi-lo > cfg.TargetWidth {
-				allTight = false
-				break
-			}
-		}
-		if allTight || trials >= cfg.MaxTrials {
-			return res, trials, nil
-		}
-	}
 }
 
 // Agreement compares two partitions of the same base nodes (e.g. the

@@ -215,96 +215,3 @@ func TestEdgeEstimateAbsError(t *testing.T) {
 		t.Errorf("AbsError = %g", e.AbsError())
 	}
 }
-
-func TestConfidenceIntervalProperties(t *testing.T) {
-	// Vacuous cases.
-	lo, hi := (EdgeEstimate{}).ConfidenceInterval(1.96)
-	if lo != 0 || hi != 1 {
-		t.Errorf("no-observation interval = [%g,%g]", lo, hi)
-	}
-	// Known case: 30/100 at z=1.96 -> Wilson interval ≈ [0.218, 0.397].
-	e := EdgeEstimate{Estimated: 0.3, Observations: 100}
-	lo, hi = e.ConfidenceInterval(1.96)
-	if math.Abs(lo-0.2189) > 0.005 || math.Abs(hi-0.3970) > 0.005 {
-		t.Errorf("interval = [%g,%g], want ~[0.219, 0.397]", lo, hi)
-	}
-	// More observations tighten the interval.
-	wide := EdgeEstimate{Estimated: 0.3, Observations: 50}
-	narrow := EdgeEstimate{Estimated: 0.3, Observations: 5000}
-	wl, wh := wide.ConfidenceInterval(1.96)
-	nl, nh := narrow.ConfidenceInterval(1.96)
-	if nh-nl >= wh-wl {
-		t.Errorf("interval did not shrink: wide %g narrow %g", wh-wl, nh-nl)
-	}
-	// Bounds clamp to [0,1].
-	edge := EdgeEstimate{Estimated: 0.01, Observations: 10}
-	lo, hi = edge.ConfidenceInterval(1.96)
-	if lo < 0 || hi > 1 {
-		t.Errorf("interval out of range: [%g,%g]", lo, hi)
-	}
-}
-
-func TestConfidenceIntervalsCoverTruth(t *testing.T) {
-	// At 95% intervals over the 13 paper edges, expect (almost) all to
-	// cover the true weight at realistic trial counts.
-	g := paperGraph(t)
-	res, err := Run(Config{Truth: g, Trials: 20000, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	misses := 0
-	for _, e := range res.Edges {
-		lo, hi := e.ConfidenceInterval(1.96)
-		if e.True < lo || e.True > hi {
-			misses++
-		}
-	}
-	if misses > 1 { // one 5% miss among 13 edges is within expectation
-		t.Errorf("%d of %d intervals missed the true value", misses, len(res.Edges))
-	}
-}
-
-func TestRunAdaptiveStopsWhenTight(t *testing.T) {
-	g := paperGraph(t)
-	res, trials, err := RunAdaptive(AdaptiveConfig{
-		Truth: g, TargetWidth: 0.08, BatchTrials: 2000, MaxTrials: 100000, Seed: 23,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trials <= 0 || trials > 100000 {
-		t.Fatalf("trials = %d", trials)
-	}
-	// Every interval meets the target (unless we hit the cap, which this
-	// workload should not).
-	for _, e := range res.Edges {
-		lo, hi := e.ConfidenceInterval(1.96)
-		if hi-lo > 0.08+1e-9 {
-			t.Errorf("edge %s->%s interval width %g above target", e.From, e.To, hi-lo)
-		}
-	}
-	// A looser target needs no more trials than a tighter one.
-	_, looseTrials, err := RunAdaptive(AdaptiveConfig{
-		Truth: g, TargetWidth: 0.25, BatchTrials: 2000, MaxTrials: 100000, Seed: 23,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if looseTrials > trials {
-		t.Errorf("loose target took %d trials vs %d for tight", looseTrials, trials)
-	}
-}
-
-func TestRunAdaptiveHonoursCap(t *testing.T) {
-	g := paperGraph(t)
-	// Impossible precision: must stop at the cap.
-	_, trials, err := RunAdaptive(AdaptiveConfig{
-		Truth: g, TargetWidth: 0.0001, BatchTrials: 3000, MaxTrials: 9000, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trials != 9000 {
-		t.Errorf("trials = %d, want capped 9000", trials)
-	}
-}

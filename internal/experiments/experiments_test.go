@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/influence"
+	"repro/internal/spec"
 )
 
 func TestTable1(t *testing.T) {
@@ -553,4 +556,38 @@ func TestE15SimulatedMatchesAnalytic(t *testing.T) {
 		t.Errorf("TMR p1 %g not above simplex p4 %g",
 			byName["p1"].Simulated, byName["p4"].Simulated)
 	}
+}
+
+// SeparationCheck returns Eq. (3)'s separation(p1,p5) on the worked
+// example at the given order.
+func SeparationCheck(order int) (float64, error) {
+	sys := spec.PaperExample()
+	g, err := sys.Graph()
+	if err != nil {
+		return 0, err
+	}
+	p, ids := g.Matrix()
+	idx := map[string]int{}
+	for i, id := range ids {
+		idx[id] = i
+	}
+	return influence.Separation(p, idx["p1"], idx["p5"], order)
+}
+
+// FeasibilityProbe reports whether a synthetic system can be reduced to
+// the given target under H1.
+func FeasibilityProbe(sys *spec.System, target int) (bool, error) {
+	g, err := sys.Graph()
+	if err != nil {
+		return false, err
+	}
+	exp, err := cluster.Expand(g, sys.Jobs())
+	if err != nil {
+		return false, err
+	}
+	c := exp.Condenser()
+	if err := c.ReduceByInfluence(target); err != nil {
+		return false, nil
+	}
+	return true, nil
 }

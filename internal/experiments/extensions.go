@@ -640,37 +640,3 @@ func E9() (E9Result, error) {
 		np, p)
 	return res, nil
 }
-
-// SeparationCheck exposes Eq. (3) on the worked example for tests: returns
-// separation(p1,p5) at the given order.
-func SeparationCheck(order int) (float64, error) {
-	sys := spec.PaperExample()
-	g, err := sys.Graph()
-	if err != nil {
-		return 0, err
-	}
-	p, ids := g.Matrix()
-	idx := map[string]int{}
-	for i, id := range ids {
-		idx[id] = i
-	}
-	return influence.Separation(p, idx["p1"], idx["p5"], order)
-}
-
-// FeasibilityProbe reports whether a synthetic system can be reduced to
-// the given target under H1 — helper for tradeoff tests.
-func FeasibilityProbe(sys *spec.System, target int) (bool, error) {
-	g, err := sys.Graph()
-	if err != nil {
-		return false, err
-	}
-	exp, err := cluster.Expand(g, sys.Jobs())
-	if err != nil {
-		return false, err
-	}
-	c := exp.Condenser()
-	if err := c.ReduceByInfluence(target); err != nil {
-		return false, nil
-	}
-	return true, nil
-}

@@ -403,18 +403,6 @@ func Members(id string) []string {
 	return strings.Split(inner, ",")
 }
 
-// MemberCount returns len(Members(id)) without allocating.
-func MemberCount(id string) int {
-	if !strings.HasPrefix(id, "{") || !strings.HasSuffix(id, "}") {
-		return 1
-	}
-	inner := id[1 : len(id)-1]
-	if inner == "" {
-		return 0
-	}
-	return strings.Count(inner, ",") + 1
-}
-
 // Replicate builds the replication expansion of g (§5.4) straight into a
 // new graph: node id becomes the nodes named replicas[id], in g's sorted
 // node order, each with id's attributes; the replicas of one node are

@@ -424,9 +424,6 @@ func TestMembersRoundTrip(t *testing.T) {
 		{"{a", []string{"{a"}},
 	}
 	for _, tt := range tests {
-		if n := MemberCount(tt.id); n != len(tt.want) {
-			t.Errorf("MemberCount(%q) = %d, want %d", tt.id, n, len(tt.want))
-		}
 		got := Members(tt.id)
 		if len(got) != len(tt.want) {
 			t.Errorf("Members(%q) = %v, want %v", tt.id, got, tt.want)

@@ -133,12 +133,6 @@ func (p *Platform) Nodes() []string {
 // NumNodes returns the processor count.
 func (p *Platform) NumNodes() int { return len(p.nodes) }
 
-// Linked reports whether a and b share a direct link.
-func (p *Platform) Linked(a, b string) bool { return p.links[a][b] > 0 }
-
-// LinkCost returns the direct link cost (0 when unlinked).
-func (p *Platform) LinkCost(a, b string) float64 { return p.links[a][b] }
-
 // Distance returns the cheapest communication cost between two nodes
 // (Dijkstra over link costs) and whether they are connected at all.
 // Distance(a, a) is 0. Answers come from a table built on the first call
@@ -213,32 +207,6 @@ func (p *Platform) distances() *distTable {
 	return t
 }
 
-// StronglyConnected reports whether every pair of nodes is connected.
-func (p *Platform) StronglyConnected() bool {
-	names := p.Nodes()
-	if len(names) <= 1 {
-		return true
-	}
-	for _, b := range names[1:] {
-		if _, ok := p.Distance(names[0], b); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// FCRs returns the distinct FCR labels and their member nodes, sorted.
-func (p *Platform) FCRs() map[string][]string {
-	out := map[string][]string{}
-	for _, n := range p.nodes {
-		out[n.FCR] = append(out[n.FCR], n.Name)
-	}
-	for k := range out {
-		sort.Strings(out[k])
-	}
-	return out
-}
-
 // Complete builds the paper's "strongly connected network with n HW
 // nodes": every pair linked at unit cost, each node its own FCR, names
 // hw1..hwN. Every distance is known without a search (0 from a node to
@@ -295,27 +263,6 @@ func Ring(n int) (*Platform, error) {
 		a := fmt.Sprintf("hw%d", i)
 		b := fmt.Sprintf("hw%d", i%n+1)
 		if err := p.Link(a, b, 1); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// Star builds a hub-and-spoke platform: hw1 is the hub, hw2..hwN the
-// spokes. All spoke-to-spoke traffic transits the hub (distance 2).
-func Star(n int) (*Platform, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("%w: star needs n>=3, got %d", ErrBadTopology, n)
-	}
-	p := NewPlatform()
-	for i := 1; i <= n; i++ {
-		name := fmt.Sprintf("hw%d", i)
-		if err := p.AddNode(Node{Name: name, FCR: name}); err != nil {
-			return nil, err
-		}
-	}
-	for i := 2; i <= n; i++ {
-		if err := p.Link("hw1", fmt.Sprintf("hw%d", i), 1); err != nil {
 			return nil, err
 		}
 	}

@@ -82,8 +82,10 @@ func TestLinkValidation(t *testing.T) {
 	if err := p.Link("a", "b", 2.5); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Linked("b", "a") || p.LinkCost("b", "a") != 2.5 {
-		t.Error("link not symmetric")
+	for _, pair := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		if d, ok := p.Distance(pair[0], pair[1]); !ok || d != 2.5 {
+			t.Errorf("Distance(%s,%s) = %g,%v, want 2.5: link not symmetric", pair[0], pair[1], d, ok)
+		}
 	}
 }
 
@@ -95,20 +97,28 @@ func TestCompleteTopology(t *testing.T) {
 	if p.NumNodes() != 6 {
 		t.Errorf("nodes = %d, want 6", p.NumNodes())
 	}
-	if !p.StronglyConnected() {
-		t.Error("complete graph not strongly connected")
-	}
+	// Every pair is linked at unit cost, so every distance is one hop.
 	names := p.Nodes()
 	for i := range names {
-		for j := i + 1; j < len(names); j++ {
-			if !p.Linked(names[i], names[j]) {
-				t.Errorf("%s and %s not linked", names[i], names[j])
+		for j := range names {
+			want := 1.0
+			if i == j {
+				want = 0
+			}
+			if d, ok := p.Distance(names[i], names[j]); !ok || d != want {
+				t.Errorf("Distance(%s,%s) = %g,%v, want %g", names[i], names[j], d, ok, want)
 			}
 		}
 	}
 	// Each node is its own FCR.
-	if got := len(p.FCRs()); got != 6 {
-		t.Errorf("FCR count = %d, want 6", got)
+	for _, name := range names {
+		n, err := p.Node(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.FCR != name {
+			t.Errorf("node %s: FCR %q, want its own", name, n.FCR)
+		}
 	}
 	if _, err := Complete(0); !errors.Is(err, ErrBadTopology) {
 		t.Errorf("Complete(0) err = %v", err)
@@ -145,8 +155,11 @@ func TestMeshTopology(t *testing.T) {
 	if !ok || d != 3 {
 		t.Errorf("manhattan distance = %g,%v, want 3", d, ok)
 	}
-	if !p.StronglyConnected() {
-		t.Error("mesh not connected")
+	names := p.Nodes()
+	for _, b := range names[1:] {
+		if _, ok := p.Distance(names[0], b); !ok {
+			t.Errorf("mesh: %s unreachable from %s", b, names[0])
+		}
 	}
 	if _, err := Mesh(1, 1); !errors.Is(err, ErrBadTopology) {
 		t.Errorf("Mesh(1,1) err = %v", err)
@@ -169,9 +182,6 @@ func TestDistanceEdgeCases(t *testing.T) {
 	}
 	if _, ok := p.Distance("a", "zzz"); ok {
 		t.Error("missing node reported connected")
-	}
-	if p.StronglyConnected() {
-		t.Error("disconnected platform reported strongly connected")
 	}
 }
 
@@ -216,9 +226,14 @@ func TestResourcesAndFCRs(t *testing.T) {
 	if !n.HasResource("adc") || n.HasResource("dac") {
 		t.Error("resource lookup wrong")
 	}
-	fcrs := p.FCRs()
-	if len(fcrs) != 2 || len(fcrs["cab1"]) != 2 || fcrs["cab1"][0] != "a" {
-		t.Errorf("FCRs = %v", fcrs)
+	for name, want := range map[string]string{"a": "cab1", "b": "cab1", "c": "cab2"} {
+		n, err := p.Node(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.FCR != want {
+			t.Errorf("node %s: FCR %q, want %s", name, n.FCR, want)
+		}
 	}
 }
 
@@ -226,28 +241,6 @@ func TestNodeMissing(t *testing.T) {
 	p := NewPlatform()
 	if _, err := p.Node("ghost"); !errors.Is(err, ErrNoSuchNode) {
 		t.Errorf("err = %v, want ErrNoSuchNode", err)
-	}
-}
-
-func TestStarTopology(t *testing.T) {
-	p, err := Star(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumNodes() != 5 || !p.StronglyConnected() {
-		t.Errorf("nodes=%d connected=%v", p.NumNodes(), p.StronglyConnected())
-	}
-	// Spoke to spoke transits the hub.
-	d, ok := p.Distance("hw2", "hw3")
-	if !ok || d != 2 {
-		t.Errorf("spoke distance = %g, want 2", d)
-	}
-	d, ok = p.Distance("hw1", "hw4")
-	if !ok || d != 1 {
-		t.Errorf("hub distance = %g, want 1", d)
-	}
-	if _, err := Star(2); !errors.Is(err, ErrBadTopology) {
-		t.Errorf("Star(2) err = %v", err)
 	}
 }
 

@@ -52,16 +52,6 @@ type Factor struct {
 	PManifest float64
 }
 
-// Validate checks all three components are probabilities.
-func (f Factor) Validate() error {
-	for _, p := range []float64{f.POccur, f.PTransmit, f.PManifest} {
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			return fmt.Errorf("%w: factor %q has component %g", ErrProbRange, f.Name, p)
-		}
-	}
-	return nil
-}
-
 // P computes Eq. (1): the joint probability of this factor causing a fault
 // in the target.
 func (f Factor) P() float64 {
@@ -101,19 +91,6 @@ func clamp01(p float64) float64 {
 		return 1
 	}
 	return p
-}
-
-// FromFactors computes the influence FCM_i → FCM_j from its contributing
-// factors (Eqs. (1) and (2) composed).
-func FromFactors(factors []Factor) (float64, error) {
-	ps := make([]float64, 0, len(factors))
-	for _, f := range factors {
-		if err := f.Validate(); err != nil {
-			return 0, err
-		}
-		ps = append(ps, f.P())
-	}
-	return Combine(ps)
 }
 
 // ClusterInfluence computes Eq. (4): the influence of a cluster C on a
@@ -347,56 +324,4 @@ func (s *rowSweep) run(scratch []float64) error {
 		}
 		separationRow(s.m, i, s.maxOrder, s.out[i], scratch)
 	}
-}
-
-// SpectralRadius estimates the spectral radius of the influence matrix by
-// power iteration on |P| (entries are non-negative already). The Eq. (3)
-// series converges iff the radius is below 1; callers can use this to
-// decide whether a truncation order is trustworthy — the guard the paper's
-// "higher-order terms are likely to be small enough to be neglected"
-// implicitly assumes.
-func SpectralRadius(p [][]float64, iters int) float64 {
-	n := len(p)
-	if n == 0 {
-		return 0
-	}
-	if iters < 1 {
-		iters = 50
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	radius := 0.0
-	for it := 0; it < iters; it++ {
-		next := make([]float64, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				next[j] += v[i] * p[i][j]
-			}
-		}
-		norm := 0.0
-		for _, x := range next {
-			if x > norm {
-				norm = x
-			}
-		}
-		if norm == 0 {
-			return 0
-		}
-		for i := range next {
-			next[i] /= norm
-		}
-		v = next
-		radius = norm
-	}
-	return radius
-}
-
-// SeriesConverges reports whether the Eq. (3) series converges for the
-// influence matrix (spectral radius strictly below 1), together with the
-// estimated radius.
-func SeriesConverges(p [][]float64) (bool, float64) {
-	r := SpectralRadius(p, 100)
-	return r < 1, r
 }

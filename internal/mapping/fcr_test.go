@@ -45,7 +45,7 @@ func critGraph(t *testing.T) *graph.Graph {
 func TestAssignCriticalityAwareSeparatesFCRs(t *testing.T) {
 	g := critGraph(t)
 	p := cabinetPlatform(t)
-	asg, err := AssignCriticalityAware(g, p, nil, 10)
+	asg, _, err := AssignCriticalityAwareDetailed(g, p, nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPlainImportancePlacementMayShareFCR(t *testing.T) {
 	// critical clusters on n1/n2 — the same cabinet.
 	g := critGraph(t)
 	p := cabinetPlatform(t)
-	asg, err := AssignByImportance(g, p, defaultWeights(t), nil)
+	asg, _, err := AssignByImportanceDetailed(g, p, defaultWeights(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ func TestAssignCriticalityAwareErrors(t *testing.T) {
 	if err := small.AddNode(hw.Node{Name: "only", FCR: "c"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AssignCriticalityAware(g, small, nil, 10); !errors.Is(err, ErrTooManyClusters) {
+	if _, _, err := AssignCriticalityAwareDetailed(g, small, nil, 10); !errors.Is(err, ErrTooManyClusters) {
 		t.Errorf("err = %v", err)
 	}
 	p := cabinetPlatform(t)
 	req := Requirements{"critA": {"nonexistent"}}
-	if _, err := AssignCriticalityAware(g, p, req, 10); !errors.Is(err, ErrNoFeasibleNode) {
+	if _, _, err := AssignCriticalityAwareDetailed(g, p, req, 10); !errors.Is(err, ErrNoFeasibleNode) {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -102,10 +102,10 @@ type Decision struct {
 
 // rule is how a placement pass picks among the feasible nodes for one
 // cluster. The zero rule is the standard one of Approaches A and B:
-// lower cost, then fewer resources. fcrAware is AssignCriticalityAware's:
-// a cluster at or above threshold criticality first prefers a node whose
-// FCR hosts no critical cluster yet, then lower cost, with no resource
-// tie-break.
+// lower cost, then fewer resources. fcrAware is the rule of
+// AssignCriticalityAwareDetailed: a cluster at or above threshold
+// criticality first prefers a node whose FCR hosts no critical cluster
+// yet, then lower cost, with no resource tie-break.
 type rule struct {
 	fcrAware  bool
 	threshold float64
@@ -261,16 +261,11 @@ func beaten(feasible []Alternative, chosen string) []Alternative {
 	return out
 }
 
-// AssignByImportance implements Approach A of §5.4: "Evaluate importance of
-// each SW node based on its attributes. Map 'most important' SW node onto a
-// HW node such that all its resource requirements are satisfied."
-func AssignByImportance(g *graph.Graph, p *hw.Platform, w attrs.Weights, req Requirements) (Assignment, error) {
-	asg, _, err := AssignByImportanceDetailed(g, p, w, req)
-	return asg, err
-}
-
-// AssignByImportanceDetailed is AssignByImportance plus the per-cluster
-// decision trail (chosen node, cost, beaten alternatives).
+// AssignByImportanceDetailed implements Approach A of §5.4: "Evaluate
+// importance of each SW node based on its attributes. Map 'most important'
+// SW node onto a HW node such that all its resource requirements are
+// satisfied." It returns the per-cluster decision trail (chosen node,
+// cost, beaten alternatives) with the assignment.
 func AssignByImportanceDetailed(g *graph.Graph, p *hw.Platform, w attrs.Weights, req Requirements) (Assignment, []Decision, error) {
 	order := g.Nodes()
 	sort.SliceStable(order, func(i, j int) bool {

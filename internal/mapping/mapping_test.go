@@ -49,7 +49,7 @@ func completePlatform(t *testing.T, n int) *hw.Platform {
 func TestAssignByImportancePaperExample(t *testing.T) {
 	full, condensed := reducedPaper(t)
 	p := completePlatform(t, 6)
-	asg, err := AssignByImportance(condensed, p, defaultWeights(t), nil)
+	asg, _, err := AssignByImportanceDetailed(condensed, p, defaultWeights(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAssignByImportancePaperExample(t *testing.T) {
 func TestAssignmentNodeOf(t *testing.T) {
 	_, condensed := reducedPaper(t)
 	p := completePlatform(t, 6)
-	asg, err := AssignByImportance(condensed, p, defaultWeights(t), nil)
+	asg, _, err := AssignByImportanceDetailed(condensed, p, defaultWeights(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAssignmentNodeOf(t *testing.T) {
 func TestAssignTooManyClusters(t *testing.T) {
 	_, condensed := reducedPaper(t)
 	p := completePlatform(t, 3)
-	if _, err := AssignByImportance(condensed, p, defaultWeights(t), nil); !errors.Is(err, ErrTooManyClusters) {
+	if _, _, err := AssignByImportanceDetailed(condensed, p, defaultWeights(t), nil); !errors.Is(err, ErrTooManyClusters) {
 		t.Errorf("err = %v, want ErrTooManyClusters", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestAssignWithResourceRequirements(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Requirements{"a": {"adc"}}
-	asg, err := AssignByImportance(g, p, defaultWeights(t), req)
+	asg, _, err := AssignByImportanceDetailed(g, p, defaultWeights(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestAssignWithResourceRequirements(t *testing.T) {
 	}
 	// Conflicting requirement: both need the single adc node.
 	req["b"] = []string{"adc"}
-	if _, err := AssignByImportance(g, p, defaultWeights(t), req); !errors.Is(err, ErrNoFeasibleNode) {
+	if _, _, err := AssignByImportanceDetailed(g, p, defaultWeights(t), req); !errors.Is(err, ErrNoFeasibleNode) {
 		t.Errorf("err = %v, want ErrNoFeasibleNode", err)
 	}
 }
@@ -156,7 +156,7 @@ func TestPlacementMinimisesDilation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asg, err := AssignByImportance(g, ring, defaultWeights(t), nil)
+	asg, _, err := AssignByImportanceDetailed(g, ring, defaultWeights(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestApproachBBeatsAOnCriticalityDispersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := completePlatform(t, 6)
-		asg, err := AssignByImportance(c.G, p, defaultWeights(t), nil)
+		asg, _, err := AssignByImportanceDetailed(c.G, p, defaultWeights(t), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

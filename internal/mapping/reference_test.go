@@ -698,7 +698,7 @@ func TestEvaluateMatchesReference(t *testing.T) {
 	}
 	full, condensed := reducedPaper(t)
 	p := completePlatform(t, 6)
-	asg, err := AssignByImportance(condensed, p, defaultWeights(t), nil)
+	asg, _, err := AssignByImportanceDetailed(condensed, p, defaultWeights(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,29 @@ import (
 	"repro/internal/hw"
 )
 
+// Dilation computes the communication-cost objective of an assignment
+// over the given graph: Σ influence(u→v) × distance(hw(u), hw(v)) for
+// cross-node edges, measured at cluster granularity. It is the oracle the
+// Refine tests judge their moves by.
+func Dilation(asg Assignment, g *graph.Graph, p *hw.Platform) float64 {
+	total := 0.0
+	for _, e := range g.Edges() {
+		if e.Replica {
+			continue
+		}
+		na, nb := asg[e.From], asg[e.To]
+		if na == "" || nb == "" || na == nb {
+			continue
+		}
+		d, ok := p.Distance(na, nb)
+		if !ok {
+			d = float64(p.NumNodes())
+		}
+		total += e.Weight * d
+	}
+	return total
+}
+
 // lineGraph builds clusters a-b-c-d with strong a<->b and c<->d coupling
 // and weak b<->c coupling.
 func lineGraph(t *testing.T) *graph.Graph {

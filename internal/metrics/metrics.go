@@ -1,7 +1,7 @@
 // Package metrics provides the reliability mathematics used to quantify
-// the dependability of an integrated system: series/parallel/k-of-n
-// combination (TMR = 2-of-3), module reliability from influence exposure,
-// and a whole-system dependability report.
+// the dependability of an integrated system: k-of-n combination (TMR =
+// 2-of-3), module reliability from influence exposure, and a whole-system
+// dependability report.
 //
 // These computations give the framework the "measures to quantify the
 // goodness of dependable system integration" promised in the paper's
@@ -25,31 +25,6 @@ func checkProb(ps ...float64) error {
 		}
 	}
 	return nil
-}
-
-// Series returns the reliability of components in series: all must work.
-func Series(rs ...float64) (float64, error) {
-	if err := checkProb(rs...); err != nil {
-		return 0, err
-	}
-	out := 1.0
-	for _, r := range rs {
-		out *= r
-	}
-	return out, nil
-}
-
-// Parallel returns the reliability of components in parallel: one
-// suffices.
-func Parallel(rs ...float64) (float64, error) {
-	if err := checkProb(rs...); err != nil {
-		return 0, err
-	}
-	q := 1.0
-	for _, r := range rs {
-		q *= 1 - r
-	}
-	return 1 - q, nil
 }
 
 // KOfN returns the probability that at least k of n components with equal
@@ -84,14 +59,6 @@ func binom(n, k int) float64 {
 
 // TMR is the classic 2-of-3 majority reliability.
 func TMR(r float64) (float64, error) { return KOfN(2, 3, r) }
-
-// Availability converts MTTF/MTTR to steady-state availability.
-func Availability(mttf, mttr float64) (float64, error) {
-	if mttf < 0 || mttr < 0 || mttf+mttr == 0 {
-		return 0, fmt.Errorf("metrics: invalid MTTF %g / MTTR %g", mttf, mttr)
-	}
-	return mttf / (mttf + mttr), nil
-}
 
 // ModuleReliability estimates the probability a module stays fault-free
 // given its intrinsic fault probability and the influences it is exposed

@@ -9,44 +9,20 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
-func TestSeries(t *testing.T) {
-	got, err := Series(0.9, 0.9)
-	if err != nil || !almost(got, 0.81) {
-		t.Errorf("Series = %g, %v", got, err)
-	}
-	got, err = Series()
-	if err != nil || got != 1 {
-		t.Errorf("empty Series = %g, %v", got, err)
-	}
-	if _, err := Series(1.5); !errors.Is(err, ErrProbRange) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestParallel(t *testing.T) {
-	got, err := Parallel(0.9, 0.9)
-	if err != nil || !almost(got, 0.99) {
-		t.Errorf("Parallel = %g, %v", got, err)
-	}
-	if _, err := Parallel(-0.1); !errors.Is(err, ErrProbRange) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestKOfN(t *testing.T) {
 	// TMR with r = 0.9: 3(0.9)²(0.1) + (0.9)³ = 0.972.
 	got, err := KOfN(2, 3, 0.9)
 	if err != nil || !almost(got, 0.972) {
 		t.Errorf("KOfN(2,3,0.9) = %g, %v", got, err)
 	}
-	// 1-of-n equals Parallel with equal r.
+	// 1-of-n is the parallel combination: one working component suffices.
 	k1, err := KOfN(1, 2, 0.9)
-	if err != nil || !almost(k1, 0.99) {
+	if err != nil || !almost(k1, 1-(1-0.9)*(1-0.9)) {
 		t.Errorf("KOfN(1,2,0.9) = %g, %v", k1, err)
 	}
-	// n-of-n equals Series.
+	// n-of-n is the series combination: every component must work.
 	kn, err := KOfN(3, 3, 0.9)
-	if err != nil || !almost(kn, 0.729) {
+	if err != nil || !almost(kn, 0.9*0.9*0.9) {
 		t.Errorf("KOfN(3,3,0.9) = %g, %v", kn, err)
 	}
 	// 0-of-n is certain.
@@ -99,19 +75,6 @@ func TestTMRMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAvailability(t *testing.T) {
-	got, err := Availability(99, 1)
-	if err != nil || !almost(got, 0.99) {
-		t.Errorf("Availability = %g, %v", got, err)
-	}
-	if _, err := Availability(0, 0); err == nil {
-		t.Error("0/0 availability accepted")
-	}
-	if _, err := Availability(-1, 1); err == nil {
-		t.Error("negative MTTF accepted")
 	}
 }
 

@@ -217,25 +217,6 @@ func demand(jobs []Job, s, d float64) float64 {
 	return sum
 }
 
-// Utilization returns total CT over the union span of the jobs' windows —
-// a coarse load indicator (not a feasibility test).
-func Utilization(jobs []Job) float64 {
-	if len(jobs) == 0 {
-		return 0
-	}
-	minS, maxD := math.Inf(1), math.Inf(-1)
-	total := 0.0
-	for _, j := range jobs {
-		minS = math.Min(minS, j.EST)
-		maxD = math.Max(maxD, j.TCD)
-		total += j.CT
-	}
-	if maxD <= minS {
-		return 0
-	}
-	return total / (maxD - minS)
-}
-
 // Policy selects the uniprocessor scheduling policy for Simulate.
 type Policy int
 

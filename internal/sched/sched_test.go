@@ -220,19 +220,6 @@ func TestFeasibleAgreesWithSimulation(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	jobs := []Job{
-		{Name: "a", EST: 0, TCD: 10, CT: 4},
-		{Name: "b", EST: 5, TCD: 20, CT: 6},
-	}
-	if got := Utilization(jobs); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Utilization = %g, want 0.5", got)
-	}
-	if Utilization(nil) != 0 {
-		t.Error("empty utilization should be 0")
-	}
-}
-
 func TestSimulatePreemptive(t *testing.T) {
 	jobs := []Job{
 		{Name: "long", EST: 0, TCD: 20, CT: 8},

@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/attrs"
 	"repro/internal/graph"
@@ -84,6 +85,11 @@ func (s *System) Validate() error {
 	for _, p := range s.Processes {
 		if p.Name == "" {
 			return fmt.Errorf("%w: empty process name", ErrBadValue)
+		}
+		// Cluster ids are written {a,b}; a name using that syntax would
+		// be split back into other members by graph.Members.
+		if strings.ContainsAny(p.Name, ",{}") {
+			return fmt.Errorf("%w: process name %q contains one of ',{}'", ErrBadValue, p.Name)
 		}
 		if seen[p.Name] {
 			return fmt.Errorf("%w: %q", ErrDuplicate, p.Name)

@@ -140,6 +140,9 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"empty", func(s *System) { s.Processes = nil }, ErrEmptySystem},
 		{"dup", func(s *System) { s.Processes[1].Name = "a" }, ErrDuplicate},
 		{"empty name", func(s *System) { s.Processes[0].Name = "" }, ErrBadValue},
+		{"comma in name", func(s *System) { s.Processes[0].Name = "a,c" }, ErrBadValue},
+		{"open brace in name", func(s *System) { s.Processes[0].Name = "{a" }, ErrBadValue},
+		{"close brace in name", func(s *System) { s.Processes[0].Name = "a}" }, ErrBadValue},
 		{"bad ft", func(s *System) { s.Processes[0].FT = 0 }, ErrBadValue},
 		{"neg criticality", func(s *System) { s.Processes[0].Criticality = -1 }, ErrBadValue},
 		{"bad job", func(s *System) { s.Processes[0].CT = 100 }, sched.ErrBadJob},

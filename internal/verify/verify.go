@@ -123,16 +123,6 @@ func (c *Certifier) Status(name string) error {
 	return nil
 }
 
-// RuleCheck runs the structural rule validation (R1/R2 invariants, level
-// consistency) over the hierarchy and returns all violations found.
-func RuleCheck(h *core.Hierarchy) []error {
-	var out []error
-	if err := h.Validate(); err != nil {
-		out = append(out, err)
-	}
-	return out
-}
-
 // CostModel compares recertification effort over a sequence of
 // modifications (experiment E6).
 type CostModel struct {

@@ -104,13 +104,6 @@ func TestStatusStaleness(t *testing.T) {
 	}
 }
 
-func TestRuleCheckCleanTree(t *testing.T) {
-	h := mustTree(t)
-	if errs := RuleCheck(h); len(errs) != 0 {
-		t.Errorf("violations on clean tree: %v", errs)
-	}
-}
-
 func TestCompareCostsR5Saves(t *testing.T) {
 	mods := []string{"f1", "f3", "f4", "f2", "f1", "taskA"}
 	m, err := CompareCosts(buildTree, mods)

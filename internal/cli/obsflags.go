@@ -137,7 +137,7 @@ func (f *ObsFlags) Observer() (*obs.Observer, error) {
 	}
 	f.observer = obs.New(opts...)
 	if f.flightDir != "" {
-		f.flight = obs.NewFlightRecorder(f.observer, f.bus, f.tracker, 0)
+		f.flight = obs.NewFlightRecorder(f.observer, f.bus, f.tracker)
 	}
 	if f.metricsAddr != "" {
 		srv, err := obs.Serve(f.metricsAddr, obs.ServerConfig{

@@ -33,8 +33,6 @@ var (
 	// ErrBadTarget marks a target node count below 1 or above the current
 	// node count.
 	ErrBadTarget = errors.New("cluster: invalid target node count")
-	// ErrUnknownNode marks references to nodes not in the working graph.
-	ErrUnknownNode = errors.New("cluster: unknown node")
 )
 
 // Step records one combination step of a reduction trace.

@@ -24,7 +24,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Policy selects the per-processor scheduling policy.
+// Policy selects the scheduling policy.
 type Policy int
 
 // Scheduling policies (mirroring internal/sched).
@@ -70,9 +70,6 @@ type Task struct {
 	// SendsTo names tasks that receive a message at this task's
 	// completion.
 	SendsTo []string
-	// SendLatency delays message arrival after completion (communication
-	// cost; 0 = instantaneous).
-	SendLatency float64
 	// WaitsFor names tasks whose message must arrive before this task can
 	// start (in addition to its release time).
 	WaitsFor []string
@@ -93,14 +90,10 @@ func (t Task) demand() float64 {
 
 // Config configures a simulation run.
 type Config struct {
-	// Policy is the default scheduling policy for every processor.
-	Policy Policy
-	// PolicyOf optionally overrides the policy per processor — mixed
-	// platforms where a legacy partition stays non-preemptive while the
-	// rest enforce budgets.
-	PolicyOf map[string]Policy
-	Tasks    []Task
-	Horizon  float64 // 0 = default
+	// Policy is the scheduling policy of every processor.
+	Policy  Policy
+	Tasks   []Task
+	Horizon float64 // 0 = default
 	// Span, when set, receives the scheduler event stream (start, finish,
 	// preempt, abort, taint, message) with simulated timestamps, mirroring
 	// the textual Trace in structured form.
@@ -198,17 +191,6 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Policy != Preemptive && cfg.Policy != NonPreemptive {
 		return nil, fmt.Errorf("exec: unknown policy %d", int(cfg.Policy))
 	}
-	for proc, p := range cfg.PolicyOf {
-		if p != Preemptive && p != NonPreemptive {
-			return nil, fmt.Errorf("exec: unknown policy %d for processor %q", int(p), proc)
-		}
-	}
-	policyFor := func(proc string) Policy {
-		if p, ok := cfg.PolicyOf[proc]; ok {
-			return p
-		}
-		return cfg.Policy
-	}
 	states := map[string]*taskState{}
 	var order []string
 	for _, t := range cfg.Tasks {
@@ -269,12 +251,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	running := map[string]*taskState{} // processor -> running task (non-preemptive continuity)
-	type delivery struct {
-		at       float64
-		from, to string
-		tainted  bool
-	}
-	var pending []delivery
 	now := 0.0
 
 	ready := func(st *taskState, t float64) bool {
@@ -357,13 +333,6 @@ func Run(cfg Config) (*Report, error) {
 			}
 		}
 		for _, dst := range st.task.SendsTo {
-			if st.task.SendLatency > 0 {
-				pending = append(pending, delivery{
-					at: t + st.task.SendLatency, from: st.task.Name, to: dst, tainted: corrupt,
-				})
-				logf(t, "message %s->%s in transit (latency %g)", st.task.Name, dst, st.task.SendLatency)
-				continue
-			}
 			deliver(states[dst], st.task.Name, corrupt, t)
 		}
 		logf(t, "%s finished", st.task.Name)
@@ -373,16 +342,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	for now < horizon {
-		// Flush deliveries due now.
-		rest := pending[:0]
-		for _, d := range pending {
-			if d.at <= now+1e-12 {
-				deliver(states[d.to], d.from, d.tainted, d.at)
-			} else {
-				rest = append(rest, d)
-			}
-		}
-		pending = rest
 		// Pick what runs on each processor at `now`, then advance to the
 		// next boundary event.
 		type dispatch struct {
@@ -394,9 +353,8 @@ func Run(cfg Config) (*Report, error) {
 		anyUnfinished := false
 
 		for _, proc := range procList {
-			policy := policyFor(proc)
 			var pick *taskState
-			if policy == NonPreemptive {
+			if cfg.Policy == NonPreemptive {
 				if cur := running[proc]; cur != nil && !cur.finished && !cur.aborted {
 					pick = cur
 				}
@@ -407,7 +365,7 @@ func Run(cfg Config) (*Report, error) {
 					if st.task.Processor != proc || !ready(st, now) {
 						continue
 					}
-					if policy == Preemptive && (st.budget <= 1e-12 || now >= st.task.Deadline) {
+					if cfg.Policy == Preemptive && (st.budget <= 1e-12 || now >= st.task.Deadline) {
 						st.aborted = true
 						logf(now, "%s aborted (budget/deadline enforcement)", st.task.Name)
 						emit(now, "abort", obs.String("task", st.task.Name),
@@ -433,16 +391,12 @@ func Run(cfg Config) (*Report, error) {
 					onStart(pick, now)
 				}
 				step := pick.remaining
-				if policyFor(proc) == Preemptive {
+				if cfg.Policy == Preemptive {
 					step = math.Min(step, pick.budget)
 					step = math.Min(step, pick.task.Deadline-now)
 				}
 				nextEvent = math.Min(nextEvent, now+step)
 			}
-		}
-		// Pending deliveries are wake-up events too.
-		for _, d := range pending {
-			nextEvent = math.Min(nextEvent, d.at)
 		}
 		// Future releases and message-unblocked tasks appear at release
 		// times or at completions (already covered). Account releases:
@@ -483,7 +437,7 @@ func Run(cfg Config) (*Report, error) {
 				d.st.remaining = 0
 				onFinish(d.st, nextEvent)
 				running[d.proc] = nil
-			} else if policyFor(d.proc) == Preemptive && d.st.budget <= 1e-12 {
+			} else if cfg.Policy == Preemptive && d.st.budget <= 1e-12 {
 				d.st.aborted = true
 				logf(nextEvent, "%s aborted (budget exhausted)", d.st.task.Name)
 				emit(nextEvent, "abort", obs.String("task", d.st.task.Name),

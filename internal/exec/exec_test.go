@@ -368,90 +368,6 @@ func TestRunRejectsZeroWorkTask(t *testing.T) {
 	}
 }
 
-func TestPerProcessorPolicies(t *testing.T) {
-	// cpu0 stays non-preemptive (legacy partition): its stuck task starves
-	// the colocated victim. cpu1 is preemptive: its stuck task is killed
-	// and the victim survives.
-	tasks := []Task{
-		{Name: "stuck0", Processor: "cpu0", Deadline: 10, Budget: 2, Demand: math.Inf(1)},
-		{Name: "victim0", Processor: "cpu0", Release: 1, Deadline: 30, Budget: 2},
-		{Name: "stuck1", Processor: "cpu1", Deadline: 10, Budget: 2, Demand: math.Inf(1)},
-		{Name: "victim1", Processor: "cpu1", Release: 1, Deadline: 30, Budget: 2},
-	}
-	rep, err := Run(Config{
-		Policy:   Preemptive,
-		PolicyOf: map[string]Policy{"cpu0": NonPreemptive},
-		Tasks:    tasks,
-		Horizon:  1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	missed := map[string]bool{}
-	for _, m := range rep.Misses() {
-		missed[m] = true
-	}
-	if !missed["victim0"] {
-		t.Error("non-preemptive cpu0 victim should miss")
-	}
-	if missed["victim1"] {
-		t.Error("preemptive cpu1 victim should survive")
-	}
-}
-
-func TestPolicyOfValidation(t *testing.T) {
-	_, err := Run(Config{
-		Policy:   Preemptive,
-		PolicyOf: map[string]Policy{"cpu0": Policy(42)},
-		Tasks:    []Task{{Name: "a", Processor: "cpu0", Deadline: 5, Budget: 1}},
-	})
-	if err == nil {
-		t.Error("bad per-processor policy accepted")
-	}
-}
-
-func TestMessageLatencyDelaysConsumer(t *testing.T) {
-	rep, err := Run(Config{
-		Policy: Preemptive,
-		Tasks: []Task{
-			{Name: "producer", Processor: "cpu0", Deadline: 10, Budget: 3,
-				SendsTo: []string{"consumer"}, SendLatency: 4},
-			{Name: "consumer", Processor: "cpu1", Deadline: 20, Budget: 2,
-				WaitsFor: []string{"producer"}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := rep.Outcomes["consumer"]
-	// Producer finishes at 3; message arrives at 7; consumer runs [7,9].
-	if c.Start != 7 || c.Finish != 9 {
-		t.Errorf("consumer start=%g finish=%g, want 7, 9", c.Start, c.Finish)
-	}
-	joined := strings.Join(rep.Trace, "\n")
-	if !strings.Contains(joined, "in transit") {
-		t.Errorf("trace missing transit event:\n%s", joined)
-	}
-}
-
-func TestMessageLatencyCarriesTaint(t *testing.T) {
-	rep, err := Run(Config{
-		Policy: Preemptive,
-		Tasks: []Task{
-			{Name: "bad", Processor: "cpu0", Deadline: 10, Budget: 1,
-				CorruptsOutputs: true, SendsTo: []string{"victim"}, SendLatency: 2},
-			{Name: "victim", Processor: "cpu1", Deadline: 20, Budget: 1,
-				WaitsFor: []string{"bad"}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Outcomes["victim"].Tainted {
-		t.Error("taint lost in transit")
-	}
-}
-
 func TestGanttRendering(t *testing.T) {
 	rep, err := Run(Config{
 		Policy: Preemptive,

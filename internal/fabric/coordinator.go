@@ -16,8 +16,8 @@ import (
 type Config struct {
 	// Campaign is the campaign to shard. All merge-side features ride
 	// along unchanged: CheckpointPath/Resume give crash-safe coordinator
-	// restart on the v2 frontier format, StopHalfWidth gives Wald early
-	// stopping, Bus/Span/Metrics/Ledger stream and record as in Run.
+	// restart on the v2 frontier format, StopHalfWidth gives Wilson-interval
+	// early stopping, Bus/Span/Metrics/Ledger stream and record as in Run.
 	// Used by Serve; ServeSearch runs one campaign per evaluation instead.
 	Campaign faultsim.Campaign
 	// Listener accepts worker connections; the coordinator owns it and
@@ -26,9 +26,6 @@ type Config struct {
 	// LeaseTTL is how long a granted chunk may go without a result or
 	// heartbeat before it is reassigned (default 5s).
 	LeaseTTL time.Duration
-	// LeasesPerWorker bounds a worker's outstanding chunks (default 2):
-	// one computing, one queued to hide the round trip.
-	LeasesPerWorker int
 	// AuthToken, when non-empty, requires every worker to pass an
 	// HMAC-SHA256 challenge-response proving it holds the same token
 	// before any campaign material (fingerprint, spec, leases) is sent.
@@ -37,15 +34,12 @@ type Config struct {
 	// SpotCheck is the fraction of returned chunks the coordinator
 	// re-evaluates locally and compares byte-for-byte against the
 	// worker's answer (0 disables). Selection is a pure function of
-	// (SpotSeed, epoch, chunk index) — see SpotChecked — and every
+	// (campaign seed, epoch, chunk index) — see SpotChecked — and every
 	// worker's first chunk is always audited, so a worker that always
 	// lies never contributes a byte to the merge. A divergent worker is
 	// quarantined: dropped, its leases reassigned, its name barred from
 	// rejoining, and the audited chunk's trusted local bytes merged.
 	SpotCheck float64
-	// SpotSeed seeds spot-check selection (default Campaign.Seed, or the
-	// per-evaluation campaign seed under ServeSearch).
-	SpotSeed uint64
 	// Bus receives the fabric's own progress events — "fabric_worker"
 	// (join/lost/drain), "fabric_lease" (grant/result/expire/duplicate),
 	// "fabric_quarantine" (a worker failed a spot-check) and a final
@@ -159,8 +153,12 @@ type localResult struct {
 // and republishes, so a hostile hello cannot inflate event payloads.
 const maxWorkerName = 64
 
+// leasesPerWorker bounds a worker's outstanding chunks: one computing,
+// one queued to hide the round trip.
+const leasesPerWorker = 2
+
 // maxRenewIDs bounds how many lease ids one heartbeat may renew; a
-// legitimate worker holds LeasesPerWorker (default 2).
+// legitimate worker holds leasesPerWorker.
 const maxRenewIDs = 1024
 
 // Coordinator is a long-lived fabric coordinator: it owns the listener
@@ -182,7 +180,7 @@ type Coordinator struct {
 	fp       string
 	trials   int
 	epoch    uint64
-	spotSeed uint64
+	spotSeed uint64 // the campaign seed, which keys spot-check selection
 	runCtx   context.Context
 
 	traceID string // run-scoped trace id ("" with telemetry off)
@@ -206,7 +204,6 @@ type Coordinator struct {
 	acceptDone chan struct{}
 	closeOnce  sync.Once
 	ttl        time.Duration
-	perWork    int
 }
 
 // NewCoordinator builds a coordinator over cfg.Listener and starts
@@ -231,13 +228,9 @@ func NewCoordinator(cfg Config) *Coordinator {
 		done:        make(chan struct{}),
 		acceptDone:  make(chan struct{}),
 		ttl:         cfg.LeaseTTL,
-		perWork:     cfg.LeasesPerWorker,
 	}
 	if co.ttl <= 0 {
 		co.ttl = 5 * time.Second
-	}
-	if co.perWork <= 0 {
-		co.perWork = 2
 	}
 	go func() {
 		defer close(co.acceptDone)
@@ -256,10 +249,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}()
 	return co
 }
-
-// Stats returns the counters accumulated so far. Call only while no Run
-// is in flight (the loop goroutine owns them during a Run).
-func (co *Coordinator) Stats() Stats { return co.stats }
 
 // Close shuts the listener and every worker connection and waits for the
 // writer goroutines to flush. Call after the final Run returns; it does
@@ -335,10 +324,7 @@ func (co *Coordinator) Run(ctx context.Context, c faultsim.Campaign) (faultsim.R
 	co.merger, co.runner, co.spec = merger, runner, spec
 	co.fp = c.Fingerprint()
 	co.trials = c.Trials
-	co.spotSeed = co.cfg.SpotSeed
-	if co.spotSeed == 0 {
-		co.spotSeed = c.Seed
-	}
+	co.spotSeed = c.Seed
 	co.traceID = ""
 	if co.telemetry() {
 		// Deterministic, run-scoped: campaign fingerprint prefix + epoch.
@@ -668,7 +654,7 @@ func (co *Coordinator) reject(w *workerConn, reason string) {
 // in transit — are left to expire on schedule so they get reassigned;
 // renewing blindly on any sign of life would keep a lost grant alive for
 // as long as the worker heartbeats. The list is capped: a legitimate
-// worker holds LeasesPerWorker leases, so anything past maxRenewIDs is a
+// worker holds leasesPerWorker leases, so anything past maxRenewIDs is a
 // hostile payload, not a renewal.
 func (co *Coordinator) renew(w *workerConn, ids []uint64) {
 	if len(ids) > maxRenewIDs {
@@ -682,10 +668,10 @@ func (co *Coordinator) renew(w *workerConn, ids []uint64) {
 	}
 }
 
-// grant hands w chunks until it holds LeasesPerWorker, preferring
+// grant hands w chunks until it holds leasesPerWorker, preferring
 // reassigned chunks over fresh ones.
 func (co *Coordinator) grant(w *workerConn) {
-	for !co.merger.Done() && w.helloed && !w.closed && len(w.leases) < co.perWork {
+	for !co.merger.Done() && w.helloed && !w.closed && len(w.leases) < leasesPerWorker {
 		seq, ok := co.nextChunk()
 		if !ok {
 			return

@@ -180,8 +180,7 @@ func TestFabricDroppedLeasesReachIdleWorker(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	c := testCampaign(t, 640)
 	want := localReference(t, c)
-	const perWork = 2
-	rest := faultsim.NumChunks(c.Trials) - perWork
+	rest := faultsim.NumChunks(c.Trials) - leasesPerWorker
 
 	bus := obs.NewBus(1024)
 	defer bus.Close()
@@ -200,7 +199,7 @@ func TestFabricDroppedLeasesReachIdleWorker(t *testing.T) {
 	go func() {
 		// The TTL outlasts the test: only the drop can free the chunks.
 		res, stats, err := Serve(sctx, Config{
-			Campaign: c, Listener: pl, LeaseTTL: time.Minute, LeasesPerWorker: perWork, Bus: bus,
+			Campaign: c, Listener: pl, LeaseTTL: time.Minute, Bus: bus,
 		})
 		ch <- serveOut{res, stats, err}
 	}()
@@ -213,7 +212,7 @@ func TestFabricDroppedLeasesReachIdleWorker(t *testing.T) {
 	if err := silent.Send(&Frame{Type: TypeHello, Proto: Proto, Fingerprint: c.Fingerprint(), Worker: "silent"}); err != nil {
 		t.Fatal(err)
 	}
-	for leases := 0; leases < perWork; {
+	for leases := 0; leases < leasesPerWorker; {
 		f, err := silent.Recv()
 		if err != nil {
 			t.Fatalf("recv: %v", err)
@@ -253,8 +252,8 @@ func TestFabricDroppedLeasesReachIdleWorker(t *testing.T) {
 	if !reflect.DeepEqual(out.res, want) {
 		t.Error("result after a dropped worker differs from Workers=1")
 	}
-	if out.stats.WorkersLost != 1 || out.stats.Reassigned != perWork {
-		t.Errorf("WorkersLost = %d, Reassigned = %d, want 1 and %d", out.stats.WorkersLost, out.stats.Reassigned, perWork)
+	if out.stats.WorkersLost != 1 || out.stats.Reassigned != leasesPerWorker {
+		t.Errorf("WorkersLost = %d, Reassigned = %d, want 1 and %d", out.stats.WorkersLost, out.stats.Reassigned, leasesPerWorker)
 	}
 }
 
@@ -268,7 +267,6 @@ func TestFabricExpiryPublishesReassign(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	c := testCampaign(t, 640)
 	want := localReference(t, c)
-	const perWork = 2
 
 	bus := obs.NewBus(1 << 12)
 	defer bus.Close()
@@ -286,7 +284,7 @@ func TestFabricExpiryPublishesReassign(t *testing.T) {
 	defer scancel()
 	go func() {
 		res, stats, err := Serve(sctx, Config{
-			Campaign: c, Listener: pl, LeaseTTL: 50 * time.Millisecond, LeasesPerWorker: perWork, Bus: bus,
+			Campaign: c, Listener: pl, LeaseTTL: 50 * time.Millisecond, Bus: bus,
 		})
 		ch <- serveOut{res, stats, err}
 	}()
@@ -299,9 +297,9 @@ func TestFabricExpiryPublishesReassign(t *testing.T) {
 	if err := silent.Send(&Frame{Type: TypeHello, Proto: Proto, Fingerprint: c.Fingerprint(), Worker: "silent"}); err != nil {
 		t.Fatal(err)
 	}
-	// The first perWork grants expire unanswered and come back as the
-	// next perWork grants.
-	for leases := 0; leases < 2*perWork; {
+	// The first leasesPerWorker grants expire unanswered and come back as the
+	// next leasesPerWorker grants.
+	for leases := 0; leases < 2*leasesPerWorker; {
 		f, err := silent.Recv()
 		if err != nil {
 			t.Fatalf("recv: %v", err)
@@ -328,8 +326,8 @@ func TestFabricExpiryPublishesReassign(t *testing.T) {
 	if !reflect.DeepEqual(out.res, want) {
 		t.Error("result after expiries differs from Workers=1")
 	}
-	if out.stats.LeasesExpired < perWork {
-		t.Fatalf("LeasesExpired = %d, want at least %d (stats %+v)", out.stats.LeasesExpired, perWork, out.stats)
+	if out.stats.LeasesExpired < leasesPerWorker {
+		t.Fatalf("LeasesExpired = %d, want at least %d (stats %+v)", out.stats.LeasesExpired, leasesPerWorker, out.stats)
 	}
 	reassigns := 0
 	for {

@@ -172,20 +172,6 @@ func (co *Coordinator) observeLatency(w *workerConn, ms float64) {
 	co.checkStraggler(w)
 }
 
-// latP95 is the nearest-rank 95th percentile of a latency window.
-func latP95(lat []float64) float64 {
-	if len(lat) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), lat...)
-	sort.Float64s(s)
-	idx := (len(s)*95+99)/100 - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s[idx]
-}
-
 // checkStraggler flags w when its chunk-latency p95 exceeds
 // StragglerFactor × the fleet median of per-worker p95s (each worker
 // contributing at least StragglerMin samples, at least two workers
@@ -210,7 +196,7 @@ func (co *Coordinator) checkStraggler(w *workerConn) {
 	p95s := make([]float64, 0, len(co.workers))
 	for peer := range co.workers {
 		if peer.helloed && peer.latN >= minN {
-			p95s = append(p95s, latP95(peer.lat))
+			p95s = append(p95s, obs.Percentile(peer.lat, 95))
 		}
 	}
 	if len(p95s) < 2 {
@@ -218,7 +204,7 @@ func (co *Coordinator) checkStraggler(w *workerConn) {
 	}
 	sort.Float64s(p95s)
 	median := p95s[len(p95s)/2]
-	mine := latP95(w.lat)
+	mine := obs.Percentile(w.lat, 95)
 	if mine <= factor*median || mine <= median+5 {
 		return
 	}

@@ -165,20 +165,25 @@ func loadCheckpoint(path, fp string) (checkpointFile, bool, error) {
 	return cf, true, nil
 }
 
-// stopZ converts a two-sided confidence level into the normal quantile used
-// by the early-stopping interval (0.95 → 1.96).
-func stopZ(confidence float64) float64 {
-	if confidence <= 0 || confidence >= 1 {
-		confidence = 0.95
-	}
-	return math.Sqrt2 * math.Erfinv(confidence)
-}
+// stopZ is the two-sided 95% normal quantile of the early-stopping
+// interval, √2·erf⁻¹(0.95).
+const stopZ = 1.9599639845400534
 
-// waldHalfWidth is the half-width of the normal-approximation confidence
-// interval for a proportion p̂ observed over n trials.
-func waldHalfWidth(p float64, n int, z float64) float64 {
+// stopMinTrials is the number of trials before early stopping may end a
+// campaign.
+const stopMinTrials = 100
+
+// wilsonHalfWidth is the half-width of the 95% Wilson score interval for
+// a proportion p̂ observed over n trials:
+// z/(1+z²/n)·√(p̂(1−p̂)/n + z²/(4n²)). Unlike the Wald interval it stays
+// positive at p̂ = 0 (it is z²/(2n+2z²) there), so a campaign that has
+// seen no escape yet cannot certify a zero rate after a handful of
+// trials.
+func wilsonHalfWidth(p float64, n int) float64 {
 	if n <= 0 {
 		return math.Inf(1)
 	}
-	return z * math.Sqrt(p*(1-p)/float64(n))
+	nf := float64(n)
+	z2 := stopZ * stopZ
+	return stopZ / (1 + z2/nf) * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
 }

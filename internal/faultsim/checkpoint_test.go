@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -230,8 +231,48 @@ func TestEarlyStopping(t *testing.T) {
 		t.Errorf("early-stopped trial count = %d", res.Trials)
 	}
 	// The interval claim must hold at the stopping point.
-	if hwid := waldHalfWidth(res.EscapeRate(), res.Trials, stopZ(0)); hwid > 0.02 {
+	if hwid := wilsonHalfWidth(res.EscapeRate(), res.Trials); hwid > 0.02 {
 		t.Errorf("half-width at stop = %g, want <= 0.02", hwid)
+	}
+	// At p̂ = 0 the Wilson half-width is z²/(2n+2z²), not zero.
+	for _, n := range []int{1, 128, 2000} {
+		want := stopZ * stopZ / (2*float64(n) + 2*stopZ*stopZ)
+		if got := wilsonHalfWidth(0, n); math.Abs(got-want) > 1e-15 {
+			t.Errorf("wilsonHalfWidth(0, %d) = %g, want %g", n, got, want)
+		}
+	}
+}
+
+// TestEarlyStopNeedsAnEscape runs campaigns on a graph whose escape rate
+// is about 0.5% (a→b 0.5 inside one HW node, b→c 0.01 across to another)
+// with a ±0.001 stopping interval. A stop test whose half-width is zero at
+// p̂ = 0 ends many of these runs at the first check, around 128 trials,
+// certifying a zero escape rate; none may stop before it has seen an
+// escape.
+func TestEarlyStopNeedsAnEscape(t *testing.T) {
+	g := graph.New()
+	for _, n := range []string{"a", "b", "c"} {
+		if err := g.AddNode(n, attrs.Set{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.SetEdge("a", "b", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetEdge("b", "c", 0.01); err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(0); seed < 20; seed++ {
+		res, err := Run(Campaign{
+			Graph: g, HWOf: map[string]string{"a": "h1", "b": "h1", "c": "h2"},
+			Trials: 20000, Seed: seed, StopHalfWidth: 0.001, CheckpointEvery: 100,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.EarlyStopped && res.TrialsWithEscape == 0 {
+			t.Errorf("seed %d stopped after %d trials with no escape", seed, res.Trials)
+		}
 	}
 }
 

@@ -123,8 +123,8 @@ func (r *ChunkRunner) Run(ctx context.Context, begin, end int) (*ChunkOutput, er
 // ordered merge as Run's worker pool. It owns the partial Result, the
 // completed-trial frontier, the chunks held ahead of it, telemetry
 // checkpoints, crash-safe persistence (Campaign.CheckpointPath, resumable
-// across coordinator restarts via the v2 checkpoint format) and Wald
-// early stopping. Callers may absorb chunks in any order.
+// across coordinator restarts via the v2 checkpoint format) and
+// Wilson-interval early stopping. Callers may absorb chunks in any order.
 type Merger struct {
 	run *campaignRun
 }
@@ -167,7 +167,7 @@ func (m *Merger) CheckShape(co *ChunkOutput) error { return m.run.checkShape(co)
 // the frontier is held; one at the frontier is merged together with every
 // contiguous held chunk, in grid order. A chunk behind the frontier,
 // already held, off the grid, misshapen (see CheckShape) or absorbed after
-// Done is an error. stop reports that Wald early stopping ended the
+// Done is an error. stop reports that early stopping ended the
 // campaign in this call; the held chunks beyond the stopping frontier are
 // dropped, as Run does.
 func (m *Merger) Absorb(co *ChunkOutput) (stop bool, err error) {

@@ -104,7 +104,7 @@ type Campaign struct {
 	Ledger *ledger.Ledger
 	// Bus, when set, streams live progress over the observability fabric:
 	// one "campaign_start" event, a "campaign_checkpoint" event (with the
-	// running escape rate and its Wald CI half-width) at every telemetry
+	// running escape rate and its Wilson CI half-width) at every telemetry
 	// checkpoint, and a final "campaign_done" event. Publishing is
 	// non-blocking and only ever reads merged state, so the Result stays
 	// bit-identical to an unwatched run — slow subscribers drop events,
@@ -145,16 +145,10 @@ type Campaign struct {
 	// mode forgives damage, never identity mismatches.
 	LaxResume bool
 	// StopHalfWidth, when positive, enables confidence-interval early
-	// stopping: the campaign ends once the normal-approximation interval
-	// for the escape rate at StopConfidence is narrower than ±StopHalfWidth
-	// (checked every CheckpointEvery trials, after at least StopMinTrials).
+	// stopping: the campaign ends once the 95% Wilson score interval for
+	// the escape rate is narrower than ±StopHalfWidth (checked every
+	// CheckpointEvery trials, after at least 100).
 	StopHalfWidth float64
-	// StopConfidence is the two-sided confidence level of the stopping
-	// interval (default 0.95).
-	StopConfidence float64
-	// StopMinTrials is the minimum number of trials before early stopping
-	// may trigger (default 100).
-	StopMinTrials int
 }
 
 // Result aggregates a campaign.
@@ -635,8 +629,6 @@ type campaignRun struct {
 	fp           string
 	persistEvery int
 	eventEvery   int
-	minStop      int
-	z            float64
 	label        string
 
 	trialsCtr, escapesCtr, crossCtr *obs.Counter
@@ -661,7 +653,7 @@ func (r *campaignRun) checkpointEvent(done int) {
 			obs.Int("trials_done", done),
 			obs.Int("trials_total", r.c.Trials),
 			obs.Float("escape_rate", rate),
-			obs.Float("half_width", waldHalfWidth(rate, done, r.z)))
+			obs.Float("half_width", wilsonHalfWidth(rate, done)))
 	}
 }
 
@@ -784,16 +776,16 @@ func (r *campaignRun) merge(ch *ChunkOutput) (stop bool, err error) {
 			return false, err
 		}
 	}
-	if r.c.StopHalfWidth > 0 && e < r.c.Trials && e >= r.minStop && crossedPersist {
+	if r.c.StopHalfWidth > 0 && e < r.c.Trials && e >= stopMinTrials && crossedPersist {
 		rate := float64(r.res.TrialsWithEscape) / float64(e)
-		if waldHalfWidth(rate, e, r.z) <= r.c.StopHalfWidth {
+		if wilsonHalfWidth(rate, e) <= r.c.StopHalfWidth {
 			r.res.Trials = e
 			r.res.EarlyStopped = true
 			if r.c.Span != nil {
 				r.c.Span.Event("early_stop",
 					obs.Int("trials_done", e),
 					obs.Float("escape_rate", rate),
-					obs.Float("half_width", waldHalfWidth(rate, e, r.z)))
+					obs.Float("half_width", wilsonHalfWidth(rate, e)))
 			}
 			if r.c.CheckpointPath != "" {
 				if err := r.save(e); err != nil {
@@ -1182,11 +1174,6 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 	if run.eventEvery == 0 {
 		run.eventEvery = 1
 	}
-	run.minStop = c.StopMinTrials
-	if run.minStop <= 0 {
-		run.minStop = 100
-	}
-	run.z = stopZ(c.StopConfidence)
 	run.label = c.Label
 	if run.label == "" {
 		run.label = "campaign"

@@ -87,9 +87,6 @@ type SearchConfig struct {
 	// Workers shards each evaluation's trials, exactly as
 	// Campaign.Workers; scores are bit-identical for every value.
 	Workers int
-	// BurstMax bounds the burst size explored (default min(4, nodes),
-	// minimum 2 when the graph has at least two nodes).
-	BurstMax int
 	// MaxEvals bounds the number of distinct scenarios evaluated
 	// (default 50). Memoized re-visits are free.
 	MaxEvals int
@@ -160,23 +157,13 @@ func (cfg SearchConfig) fingerprint() string {
 	h.Write([]byte("faultsim-search-v1\x00"))
 	h.Write([]byte(base.fingerprint()))
 	h.Write([]byte("\x00" + strconv.Itoa(cfg.Trials)))
-	h.Write([]byte("\x00" + strconv.Itoa(cfg.burstMax(len(cfg.Graph.Nodes())))))
+	h.Write([]byte("\x00" + strconv.Itoa(burstMax(len(cfg.Graph.Nodes())))))
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-func (cfg SearchConfig) burstMax(nodes int) int {
-	bm := cfg.BurstMax
-	if bm <= 0 {
-		bm = 4
-	}
-	if bm > nodes {
-		bm = nodes
-	}
-	if bm < 2 {
-		bm = 2
-	}
-	return bm
-}
+// burstMax bounds the burst size the search explores on a graph of the
+// given size: 4, at most the node count, and at least 2.
+func burstMax(nodes int) int { return max(min(4, nodes), 2) }
 
 // searcher carries the memo table and evaluation log through the climb.
 type searcher struct {
@@ -321,7 +308,7 @@ func (s *searcher) start() Scenario {
 
 // neighbors enumerates the scenarios one move away, in a fixed order:
 // adjacent seed nodes (sorted order, wrapping), the other fault models at
-// the same seed, and burst size ±1 within [2, BurstMax].
+// the same seed, and burst size ±1 within [2, burstMax].
 func (s *searcher) neighbors(cur Scenario) []Scenario {
 	var out []Scenario
 	idx := sort.SearchStrings(s.nodes, cur.SeedNode)
@@ -331,7 +318,7 @@ func (s *searcher) neighbors(cur Scenario) []Scenario {
 			Scenario{SeedNode: s.nodes[(idx+1)%n], Model: cur.Model, Burst: cur.Burst},
 			Scenario{SeedNode: s.nodes[(idx+n-1)%n], Model: cur.Model, Burst: cur.Burst})
 	}
-	bm := s.cfg.burstMax(n)
+	bm := burstMax(n)
 	for _, m := range []string{"single", "correlated", "burst"} {
 		if m == cur.Model {
 			continue

@@ -128,13 +128,6 @@ func (nv *NVersion[I, O, K]) Execute(input I) (O, error) {
 	return zero, ErrNoMajority
 }
 
-// TMR is triple modular redundancy: a 2-of-3 N-version special case, the
-// mode required for process p1 in the worked example ("has to be
-// replicated three times to be run in a TMR mode").
-func TMR[I any, O comparable](v1, v2, v3 Variant[I, O]) (*NVersion[I, O, O], error) {
-	return NewNVersion(func(o O) O { return o }, v1, v2, v3)
-}
-
 // Stats summarises mechanism effectiveness for the containment
 // experiments.
 type Stats struct {

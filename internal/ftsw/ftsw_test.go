@@ -116,7 +116,7 @@ func TestNVersionConstructionErrors(t *testing.T) {
 }
 
 func TestTMROutvotesSingleFault(t *testing.T) {
-	tmr, err := TMR(good, bad, good)
+	tmr, err := NewNVersion(func(o int) int { return o }, good, bad, good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTMRDoubleFaultDetected(t *testing.T) {
 	// Two matching faulty versions outvote the good one: TMR masks single
 	// faults only. The mechanism still yields the (wrong) majority — the
 	// classic 2-of-3 limitation.
-	tmr, err := TMR(good, bad, bad)
+	tmr, err := NewNVersion(func(o int) int { return o }, good, bad, bad)
 	if err != nil {
 		t.Fatal(err)
 	}

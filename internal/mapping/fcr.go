@@ -1,7 +1,6 @@
 package mapping
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/attrs"
@@ -33,36 +32,4 @@ func AssignCriticalityAwareDetailed(g *graph.Graph, p *hw.Platform, req Requirem
 		return order[i] < order[j]
 	})
 	return place(order, g, p, req, rule{fcrAware: true, threshold: threshold})
-}
-
-// CriticalPairsSharedFCR counts pairs of critical base modules (at or
-// above threshold, criticality read from full's node attributes) whose HW
-// nodes share a fault containment region — the region-level analogue of
-// Report.CriticalPairsColocated.
-func CriticalPairsSharedFCR(full *graph.Graph, asg Assignment, p *hw.Platform, threshold float64) (int, error) {
-	fcrOf := map[string]string{}
-	for _, nodeName := range p.Nodes() {
-		node, err := p.Node(nodeName)
-		if err != nil {
-			return 0, err
-		}
-		fcrOf[nodeName] = node.FCR
-	}
-	perFCR := map[string]int{}
-	for clusterID, nodeName := range asg {
-		fcr, ok := fcrOf[nodeName]
-		if !ok {
-			return 0, fmt.Errorf("mapping: assignment references unknown node %q", nodeName)
-		}
-		for _, m := range graph.Members(clusterID) {
-			if full.Attrs(m).Value(attrs.Criticality) >= threshold {
-				perFCR[fcr]++
-			}
-		}
-	}
-	pairs := 0
-	for _, k := range perFCR {
-		pairs += k * (k - 1) / 2
-	}
-	return pairs, nil
 }

@@ -59,11 +59,7 @@ func TestAssignCriticalityAwareSeparatesFCRs(t *testing.T) {
 	if fcr("critA") == fcr("critB") {
 		t.Errorf("critical clusters share FCR %s", fcr("critA"))
 	}
-	pairs, err := CriticalPairsSharedFCR(g, asg, p, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pairs != 0 {
+	if pairs := Evaluate(g, asg, p, EvalConfig{CriticalThreshold: 10}).CriticalPairsSharedFCR; pairs != 0 {
 		t.Errorf("critical pairs sharing FCR = %d, want 0", pairs)
 	}
 }
@@ -77,10 +73,7 @@ func TestPlainImportancePlacementMayShareFCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := CriticalPairsSharedFCR(g, asg, p, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs := Evaluate(g, asg, p, EvalConfig{CriticalThreshold: 10}).CriticalPairsSharedFCR
 	if pairs == 0 {
 		t.Skip("FCR-blind placement happened to separate FCRs on this layout")
 	}
@@ -102,13 +95,5 @@ func TestAssignCriticalityAwareErrors(t *testing.T) {
 	req := Requirements{"critA": {"nonexistent"}}
 	if _, _, err := AssignCriticalityAwareDetailed(g, p, req, 10); !errors.Is(err, ErrNoFeasibleNode) {
 		t.Errorf("err = %v", err)
-	}
-}
-
-func TestCriticalPairsSharedFCRUnknownNode(t *testing.T) {
-	g := critGraph(t)
-	p := cabinetPlatform(t)
-	if _, err := CriticalPairsSharedFCR(g, Assignment{"critA": "ghost"}, p, 10); err == nil {
-		t.Error("unknown node accepted")
 	}
 }

@@ -345,9 +345,6 @@ type EvalConfig struct {
 	CriticalThreshold float64
 	// Requirements, when non-nil, are re-checked against the platform.
 	Requirements Requirements
-	// BaseCriticality maps base node names to their criticality. When nil,
-	// criticality is read from full's node attributes.
-	BaseCriticality map[string]float64
 }
 
 // Evaluate scores an assignment of clusters (over the condensed graph's
@@ -480,12 +477,7 @@ func Evaluate(full *graph.Graph, asg Assignment, p *hw.Platform, cfg EvalConfig)
 	}
 	slices.Sort(extras)
 	add := func(base string, h int) {
-		var c float64
-		if cfg.BaseCriticality != nil {
-			c = cfg.BaseCriticality[base]
-		} else {
-			c = full.Attrs(base).Value(attrs.Criticality)
-		}
+		c := full.Attrs(base).Value(attrs.Criticality)
 		hosts[h].crit += c
 		if cfg.CriticalThreshold > 0 && c >= cfg.CriticalThreshold {
 			hosts[h].critical++

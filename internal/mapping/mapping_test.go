@@ -260,19 +260,6 @@ func TestEvaluateCriticalityMetrics(t *testing.T) {
 	}
 }
 
-func TestEvaluateBaseCriticalityOverride(t *testing.T) {
-	g := graph.New()
-	if err := g.AddNode("a", attrs.Set{}); err != nil {
-		t.Fatal(err)
-	}
-	p := completePlatform(t, 1)
-	asg := Assignment{"a": "hw1"}
-	rep := Evaluate(g, asg, p, EvalConfig{BaseCriticality: map[string]float64{"a": 42}})
-	if rep.MaxNodeCriticality != 42 {
-		t.Errorf("MaxNodeCriticality = %g, want 42", rep.MaxNodeCriticality)
-	}
-}
-
 func TestApproachBBeatsAOnCriticalityDispersion(t *testing.T) {
 	// The paper's motivation for Approach B: criticality-driven reduction
 	// spreads criticality more evenly than influence-driven reduction.

@@ -484,12 +484,7 @@ func refEvaluate(full *graph.Graph, asg Assignment, p *hw.Platform, cfg EvalConf
 	}
 
 	// Criticality dispersion, accumulated in sorted base order.
-	critOf := func(base string) float64 {
-		if cfg.BaseCriticality != nil {
-			return cfg.BaseCriticality[base]
-		}
-		return full.Attrs(base).Value(attrs.Criticality)
-	}
+	critOf := func(base string) float64 { return full.Attrs(base).Value(attrs.Criticality) }
 	bases := make([]string, 0, len(hwOf))
 	for base := range hwOf {
 		bases = append(bases, base)
@@ -568,8 +563,7 @@ func requireSameReport(t *testing.T, label string, got, want Report) {
 // plain cluster ids over most of the bases, with members the graph lacks,
 // bases listed twice, unsorted and empty ids, and node names that repeat,
 // are unknown or empty; a Complete, Ring or disconnected platform; and a
-// configuration with a threshold of 0 or above, maybe a BaseCriticality
-// map and maybe requirements.
+// configuration with a threshold of 0 or above and maybe requirements.
 func randomEvalInput(t *testing.T, pr *rand.Rand) (*graph.Graph, Assignment, *hw.Platform, EvalConfig) {
 	t.Helper()
 	full := graph.New()
@@ -658,16 +652,6 @@ func randomEvalInput(t *testing.T, pr *rand.Rand) (*graph.Graph, Assignment, *hw
 	var cfg EvalConfig
 	if pr.IntN(2) == 0 {
 		cfg.CriticalThreshold = float64(pr.IntN(20))
-	}
-	if pr.IntN(3) == 0 {
-		cfg.BaseCriticality = map[string]float64{}
-		for _, members := range groups {
-			for _, m := range members {
-				if pr.IntN(3) > 0 {
-					cfg.BaseCriticality[m] = pr.Float64() * 20
-				}
-			}
-		}
 	}
 	if pr.IntN(3) == 0 {
 		cfg.Requirements = Requirements{}

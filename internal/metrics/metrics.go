@@ -1,7 +1,6 @@
 // Package metrics provides the reliability mathematics used to quantify
 // the dependability of an integrated system: k-of-n combination (TMR =
-// 2-of-3), module reliability from influence exposure, and a whole-system
-// dependability report.
+// 2-of-3) and a whole-system dependability report.
 //
 // These computations give the framework the "measures to quantify the
 // goodness of dependable system integration" promised in the paper's
@@ -18,11 +17,9 @@ import (
 // ErrProbRange marks a probability outside [0,1].
 var ErrProbRange = errors.New("metrics: probability must be in [0,1]")
 
-func checkProb(ps ...float64) error {
-	for _, p := range ps {
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			return fmt.Errorf("%w: %g", ErrProbRange, p)
-		}
+func checkProb(p float64) error {
+	if p < 0 || p > 1 || math.IsNaN(p) {
+		return fmt.Errorf("%w: %g", ErrProbRange, p)
 	}
 	return nil
 }
@@ -59,32 +56,6 @@ func binom(n, k int) float64 {
 
 // TMR is the classic 2-of-3 majority reliability.
 func TMR(r float64) (float64, error) { return KOfN(2, 3, r) }
-
-// ModuleReliability estimates the probability a module stays fault-free
-// given its intrinsic fault probability and the influences it is exposed
-// to: R = (1 − pOwn) · ∏(1 − influence_i · pSrc_i), where each incoming
-// influence transmits its source's fault with the edge probability.
-func ModuleReliability(pOwn float64, incoming []ExposedInfluence) (float64, error) {
-	if err := checkProb(pOwn); err != nil {
-		return 0, err
-	}
-	out := 1 - pOwn
-	for _, e := range incoming {
-		if err := checkProb(e.Influence, e.SourceFaultProb); err != nil {
-			return 0, err
-		}
-		out *= 1 - e.Influence*e.SourceFaultProb
-	}
-	return out, nil
-}
-
-// ExposedInfluence is one incoming influence edge with the source module's
-// own fault probability.
-type ExposedInfluence struct {
-	Source          string
-	Influence       float64
-	SourceFaultProb float64
-}
 
 // SystemReport summarises dependability of an integrated system.
 type SystemReport struct {

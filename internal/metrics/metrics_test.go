@@ -78,46 +78,6 @@ func TestTMRMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestModuleReliability(t *testing.T) {
-	// No exposure: R = 1 - pOwn.
-	got, err := ModuleReliability(0.1, nil)
-	if err != nil || !almost(got, 0.9) {
-		t.Errorf("ModuleReliability = %g, %v", got, err)
-	}
-	// One influence of 0.5 from a source with fault prob 0.2:
-	// R = 0.9 * (1 - 0.1) = 0.81.
-	got, err = ModuleReliability(0.1, []ExposedInfluence{
-		{Source: "x", Influence: 0.5, SourceFaultProb: 0.2},
-	})
-	if err != nil || !almost(got, 0.81) {
-		t.Errorf("ModuleReliability = %g, %v", got, err)
-	}
-	if _, err := ModuleReliability(2, nil); !errors.Is(err, ErrProbRange) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := ModuleReliability(0.1, []ExposedInfluence{{Influence: 3}}); !errors.Is(err, ErrProbRange) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestModuleReliabilityMoreInfluenceIsWorse(t *testing.T) {
-	f := func(a, b uint8) bool {
-		ia, ib := float64(a)/255, float64(b)/255
-		ra, err1 := ModuleReliability(0.05, []ExposedInfluence{{Influence: ia, SourceFaultProb: 0.3}})
-		rb, err2 := ModuleReliability(0.05, []ExposedInfluence{{Influence: ib, SourceFaultProb: 0.3}})
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if ia <= ib {
-			return ra+1e-12 >= rb
-		}
-		return ra <= rb+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSystemReliability(t *testing.T) {
 	rep, err := SystemReliability([]ModuleSpec{
 		{Name: "p1", FaultProb: 0.1, Replicas: 3, Majority: true}, // TMR: 0.972

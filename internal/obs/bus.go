@@ -134,19 +134,6 @@ func (b *Bus) Seq() uint64 {
 	return b.seq
 }
 
-// Subscribers reports how many subscribers are currently registered —
-// an observability hook for tests asserting that disconnected consumers
-// (an /events client that went away mid-replay, a closed watcher) were
-// actually unregistered rather than leaked.
-func (b *Bus) Subscribers() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // Dropped returns the total number of events dropped across all
 // subscribers (ring overflows plus replay gaps at subscribe time).
 func (b *Bus) Dropped() uint64 {

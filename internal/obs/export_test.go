@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// Subscribers reports how many subscribers are currently registered, for
+// tests asserting that disconnected consumers (an /events client that went
+// away mid-replay, a closed watcher) were unregistered rather than leaked.
+func (b *Bus) Subscribers() int {
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.subs)
+}
+
 // chromeFixture builds a trace whose raw depth-first walk would violate ts
 // order: the root records an event AFTER its child span started, so
 // without sorting the instant lands before the child in the list but

@@ -17,8 +17,8 @@ import (
 	"sync"
 )
 
-// DefaultFlightTail is the event-tail capacity NewFlightRecorder(.., 0)
-// keeps: enough for the closing minutes of a large campaign without
+// DefaultFlightTail is the event-tail capacity a FlightRecorder keeps:
+// enough for the closing minutes of a large campaign without
 // letting a long-running process grow the recorder unboundedly.
 const DefaultFlightTail = 4096
 
@@ -38,17 +38,14 @@ type FlightRecorder struct {
 
 // NewFlightRecorder builds a recorder over the given components (any may
 // be nil — the corresponding bundle entries are simply omitted). When bus
-// is non-nil the recorder attaches a sink keeping the most recent tailCap
-// events (0 = DefaultFlightTail); attach before concurrent publishing,
-// as with any bus sink.
-func NewFlightRecorder(o *Observer, bus *Bus, t *Tracker, tailCap int) *FlightRecorder {
-	if tailCap <= 0 {
-		tailCap = DefaultFlightTail
-	}
+// is non-nil the recorder attaches a sink keeping the most recent
+// DefaultFlightTail events; attach before concurrent publishing, as with
+// any bus sink.
+func NewFlightRecorder(o *Observer, bus *Bus, t *Tracker) *FlightRecorder {
 	fr := &FlightRecorder{
 		obs:     o,
 		tracker: t,
-		tail:    make([]BusEvent, tailCap),
+		tail:    make([]BusEvent, DefaultFlightTail),
 		files:   map[string]string{},
 	}
 	if bus != nil {

@@ -14,12 +14,12 @@ func TestFlightRecorderBundle(t *testing.T) {
 	defer bus.Close()
 	tracker := NewTracker(bus)
 	o := New(WithBus(bus))
-	fr := NewFlightRecorder(o, bus, tracker, 8)
+	fr := NewFlightRecorder(o, bus, tracker)
 
 	sp := o.StartSpan("stage")
 	sp.End()
 	o.AddRemoteSpans(RemoteSpan{Worker: "w0", Name: "evaluate", ID: 2, Parent: 1})
-	for i := 0; i < 12; i++ { // overflow the 8-slot tail
+	for i := 0; i < DefaultFlightTail+4; i++ { // overflow the tail
 		bus.Publish("event", "tick", Int("i", i))
 	}
 
@@ -48,9 +48,9 @@ func TestFlightRecorderBundle(t *testing.T) {
 			}
 		}
 	}
-	if man.Events != 8 || man.EventsDropped == 0 {
-		t.Errorf("tail kept %d events (%d dropped), want 8 kept and a nonzero drop count",
-			man.Events, man.EventsDropped)
+	if man.Events != DefaultFlightTail || man.EventsDropped == 0 {
+		t.Errorf("tail kept %d events (%d dropped), want %d kept and a nonzero drop count",
+			man.Events, man.EventsDropped, DefaultFlightTail)
 	}
 	if man.RemoteSpans != 1 {
 		t.Errorf("manifest counts %d remote spans, want 1", man.RemoteSpans)

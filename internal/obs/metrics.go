@@ -123,31 +123,14 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Quantile estimates the q-quantile (0 < q < 1) of the observed samples
-// by linear interpolation inside the bucket containing the rank,
-// Prometheus histogram_quantile-style. The estimate inherits the bucket
-// resolution: exact at bucket boundaries, interpolated within. Samples in
-// the +Inf overflow bucket clamp to the highest finite bound. Returns NaN
-// on a nil/empty histogram or an out-of-range q.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	h.mu.Lock()
-	cum := make([]uint64, len(h.counts))
-	var run uint64
-	for i, c := range h.counts {
-		run += c
-		cum[i] = run
-	}
-	total := h.count
-	bounds := h.bounds
-	h.mu.Unlock()
-	return bucketQuantile(bounds, cum, total, q)
-}
-
-// bucketQuantile interpolates a quantile from cumulative bucket counts.
-// cum has len(bounds)+1 entries (the last is the +Inf bucket == total).
+// bucketQuantile estimates the q-quantile (0 < q < 1) of a histogram's
+// samples from its cumulative bucket counts, by linear interpolation
+// inside the bucket containing the rank, Prometheus
+// histogram_quantile-style. cum has len(bounds)+1 entries (the last is
+// the +Inf bucket == total). The estimate inherits the bucket resolution:
+// exact at bucket boundaries, interpolated within. Samples in the +Inf
+// overflow bucket clamp to the highest finite bound. Returns NaN on an
+// empty histogram or an out-of-range q.
 func bucketQuantile(bounds []float64, cum []uint64, total uint64, q float64) float64 {
 	if total == 0 || math.IsNaN(q) || q <= 0 || q >= 1 || len(cum) != len(bounds)+1 {
 		return math.NaN()
@@ -288,16 +271,10 @@ type HistogramSnapshot struct {
 	Sum     float64   `json:"sum"`
 	Count   uint64    `json:"count"`
 	// P50/P95/P99 are bucket-interpolated quantile estimates (see
-	// Histogram.Quantile), 0 while the histogram is empty.
+	// bucketQuantile), 0 while the histogram is empty.
 	P50 float64 `json:"p50,omitempty"`
 	P95 float64 `json:"p95,omitempty"`
 	P99 float64 `json:"p99,omitempty"`
-}
-
-// Quantile estimates the q-quantile from the snapshot's cumulative
-// buckets (see Histogram.Quantile for the interpolation contract).
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	return bucketQuantile(h.Bounds, h.Buckets, h.Count, q)
 }
 
 // RegistrySnapshot is a point-in-time copy of every instrument, sorted by

@@ -85,12 +85,10 @@ type Observer struct {
 	now      func() time.Time
 	profiler *Profiler
 	bus      *Bus
-	spanCap  int // max retained root spans; 0 = unbounded
 
 	// remote holds span records relayed from other processes (fabric
 	// workers), already rebased onto this process's clock; see remote.go.
-	remote    []RemoteSpan
-	remoteCap int // max retained remote spans; 0 = DefaultRemoteSpanCap
+	remote []RemoteSpan
 }
 
 // Option configures New.
@@ -114,13 +112,6 @@ func WithProfiler(p *Profiler) Option { return func(o *Observer) { o.profiler = 
 // reach subscribers the moment they happen, with no changes at the
 // instrumentation sites.
 func WithBus(b *Bus) Option { return func(o *Observer) { o.bus = b } }
-
-// WithSpanCap bounds the observer's root-span retention for long-running
-// processes: once more than n root spans exist, starting a new one evicts
-// the oldest root (and its whole subtree), incrementing the registry
-// counter obs_spans_dropped by the number of spans discarded. n <= 0
-// keeps the default unbounded accumulation.
-func WithSpanCap(n int) Option { return func(o *Observer) { o.spanCap = n } }
 
 // New builds an Observer with a fresh metrics registry.
 func New(opts ...Option) *Observer {
@@ -172,35 +163,14 @@ func (o *Observer) StartSpan(name string, attrs ...Attr) *Span {
 		return nil
 	}
 	s := &Span{o: o, name: name, attrs: attrs, start: o.now()}
-	evicted := 0
 	o.mu.Lock()
 	o.roots = append(o.roots, s)
-	if o.spanCap > 0 {
-		for len(o.roots) > o.spanCap {
-			evicted += countSpansLocked(o.roots[0])
-			o.roots[0] = nil
-			o.roots = o.roots[1:]
-		}
-	}
 	o.mu.Unlock()
-	if evicted > 0 {
-		o.reg.Counter("obs_spans_dropped",
-			"Spans evicted by the observer's root-span cap.").Add(int64(evicted))
-	}
 	o.logSpan("span start", name)
 	if o.bus != nil {
 		o.bus.publish("span_start", "", name, attrs)
 	}
 	return s
-}
-
-// countSpansLocked sizes a span subtree. Caller holds o.mu.
-func countSpansLocked(s *Span) int {
-	n := 1
-	for _, c := range s.children {
-		n += countSpansLocked(c)
-	}
-	return n
 }
 
 // Roots returns the top-level spans recorded so far.

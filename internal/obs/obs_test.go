@@ -210,3 +210,71 @@ func TestConcurrentSpanUse(t *testing.T) {
 		t.Errorf("children = %d", got)
 	}
 }
+
+// TestObserverKeepsEveryRoot pins the observer's retention: every root
+// span stays in Roots for the life of the observer.
+func TestObserverKeepsEveryRoot(t *testing.T) {
+	o := New()
+	for i := 0; i < 50; i++ {
+		o.StartSpan("r").End()
+	}
+	if got := len(o.Roots()); got != 50 {
+		t.Errorf("observer retained %d roots, want 50", got)
+	}
+}
+
+func TestObserverBusMirrorsSpans(t *testing.T) {
+	bus := NewBus(64)
+	sub := bus.Subscribe(0, 64)
+	o := New(WithBus(bus))
+	root := o.StartSpan("integrate", String("system", "demo"))
+	child := root.StartChild("condense")
+	child.Event("merge", String("a", "p1"), Float("mutual", 0.7))
+	child.End()
+	root.End()
+
+	evs := drain(sub)
+	if len(evs) != 5 {
+		t.Fatalf("got %d mirrored events, want 5: %+v", len(evs), evs)
+	}
+	type want struct{ kind, name, span string }
+	wants := []want{
+		{"span_start", "integrate", ""},
+		{"span_start", "condense", "integrate"},
+		{"event", "merge", "condense"},
+		{"span_end", "condense", ""},
+		{"span_end", "integrate", ""},
+	}
+	for i, w := range wants {
+		ev := evs[i]
+		if ev.Kind != w.kind || ev.Name != w.name || ev.Span != w.span {
+			t.Errorf("event %d = {%s %s span=%q}, want {%s %s span=%q}",
+				i, ev.Kind, ev.Name, ev.Span, w.kind, w.name, w.span)
+		}
+	}
+	if evs[0].Attrs["system"] != "demo" {
+		t.Errorf("span_start attrs = %v", evs[0].Attrs)
+	}
+	if d, ok := evs[3].Attrs["duration_ms"].(float64); !ok || d < 0 {
+		t.Errorf("span_end duration_ms = %v", evs[3].Attrs["duration_ms"])
+	}
+}
+
+func TestObserverBusMirrorDoubleEndOnce(t *testing.T) {
+	bus := NewBus(64)
+	sub := bus.Subscribe(0, 64)
+	o := New(WithBus(bus))
+	s := o.StartSpan("once")
+	s.End()
+	s.End()
+	evs := drain(sub)
+	ends := 0
+	for _, ev := range evs {
+		if ev.Kind == "span_end" {
+			ends++
+		}
+	}
+	if ends != 1 {
+		t.Errorf("double End published %d span_end events, want 1", ends)
+	}
+}

@@ -31,7 +31,7 @@ type CampaignProgress struct {
 	TrialsDone  int     `json:"trials_done"`
 	TrialsTotal int     `json:"trials_total"`
 	EscapeRate  float64 `json:"escape_rate"`
-	// HalfWidth is the latest Wald CI half-width of the escape-rate
+	// HalfWidth is the latest Wilson CI half-width of the escape-rate
 	// estimate; the trails record its trajectory for convergence plots.
 	HalfWidth       float64   `json:"half_width,omitempty"`
 	TrailTrials     []int     `json:"trail_trials,omitempty"`
@@ -134,7 +134,7 @@ type ProgressSnapshot struct {
 const halfWidthTrailCap = 240
 
 // Tracker folds the bus's event stream into live progress state — the
-// trials/sec throughput, completed-trial frontier, Wald CI half-width
+// trials/sec throughput, completed-trial frontier, Wilson CI half-width
 // trajectory and ETA of every campaign, plus per-stage Integrate
 // progress. It attaches to the bus as a synchronous sink; Apply is O(1)
 // and never blocks, so publishing stays non-blocking end to end.
@@ -486,8 +486,8 @@ func (t *Tracker) Snapshot() ProgressSnapshot {
 		for i := range f.Workers {
 			w := &f.Workers[i]
 			if len(w.lat) > 0 {
-				w.LatencyP50MS = latQuantile(w.lat, 50)
-				w.LatencyP95MS = latQuantile(w.lat, 95)
+				w.LatencyP50MS = Percentile(w.lat, 50)
+				w.LatencyP95MS = Percentile(w.lat, 95)
 			}
 			w.lat, w.latPos = nil, 0 // quantiles rendered; drop the window
 		}
@@ -502,18 +502,17 @@ func (t *Tracker) Snapshot() ProgressSnapshot {
 	return snap
 }
 
-// latQuantile is the nearest-rank q-th percentile of a latency window.
-func latQuantile(lat []float64, q int) float64 {
-	s := append([]float64(nil), lat...)
+// Percentile is the nearest-rank q-th percentile (0 ≤ q ≤ 100) of a
+// sample window, the smallest sample with at least q% of the window at or
+// below it; 0 on an empty window. The window is not modified.
+func Percentile(window []float64, q int) float64 {
+	if len(window) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), window...)
 	sort.Float64s(s)
 	idx := (len(s)*q+99)/100 - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	return s[max(0, min(idx, len(s)-1))]
 }
 
 // toInt coerces the numeric types Attr values carry in practice.

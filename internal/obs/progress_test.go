@@ -227,3 +227,21 @@ func TestTrackerFabricBoard(t *testing.T) {
 		t.Error("snapshot shares worker slice with live tracker")
 	}
 }
+
+func TestPercentileNearestRank(t *testing.T) {
+	if got := Percentile(nil, 95); got != 0 {
+		t.Errorf("empty window p95 = %g, want 0", got)
+	}
+	window := []float64{7, 1, 9, 3, 5, 2, 8, 4, 10, 6}
+	for _, tc := range []struct {
+		q    int
+		want float64
+	}{{0, 1}, {10, 1}, {11, 2}, {50, 5}, {95, 10}, {100, 10}} {
+		if got := Percentile(window, tc.q); got != tc.want {
+			t.Errorf("p%d = %g, want %g", tc.q, got, tc.want)
+		}
+	}
+	if window[0] != 7 {
+		t.Error("Percentile sorted the caller's window")
+	}
+}

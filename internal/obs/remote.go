@@ -65,13 +65,13 @@ func EstimateOffset(sentUS, holdUS, remoteUS, recvUS int64) (offsetUS, rttUS int
 }
 
 // DefaultRemoteSpanCap bounds the observer's remote-span store: one
-// entry per relayed span, three per chunk, so the default covers runs in
+// entry per relayed span, three per chunk, so the store covers runs in
 // the hundreds of thousands of trials before dropping.
 const DefaultRemoteSpanCap = 16384
 
 // AddRemoteSpans appends relayed (already clock-rebased) span records to
-// the observer's remote store. The store is bounded by WithRemoteSpanCap
-// (default DefaultRemoteSpanCap); overflow is counted on the registry
+// the observer's remote store. The store is bounded by
+// DefaultRemoteSpanCap; overflow is counted on the registry
 // counter obs_remote_spans_dropped and dropped — federation telemetry
 // never grows without bound and never blocks. Nil-safe.
 func (o *Observer) AddRemoteSpans(spans ...RemoteSpan) {
@@ -80,12 +80,8 @@ func (o *Observer) AddRemoteSpans(spans ...RemoteSpan) {
 	}
 	dropped := 0
 	o.mu.Lock()
-	cap := o.remoteCap
-	if cap <= 0 {
-		cap = DefaultRemoteSpanCap
-	}
 	for _, rs := range spans {
-		if len(o.remote) >= cap {
+		if len(o.remote) >= DefaultRemoteSpanCap {
 			dropped++
 			continue
 		}
@@ -107,10 +103,6 @@ func (o *Observer) RemoteSpans() []RemoteSpan {
 	defer o.mu.Unlock()
 	return append([]RemoteSpan(nil), o.remote...)
 }
-
-// WithRemoteSpanCap overrides the remote-span store bound (n <= 0 keeps
-// the default).
-func WithRemoteSpanCap(n int) Option { return func(o *Observer) { o.remoteCap = n } }
 
 // remotePhaseTID maps the per-chunk phases onto fixed thread lanes so
 // each worker's process track renders decode / evaluate / encode as

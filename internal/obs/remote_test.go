@@ -28,14 +28,15 @@ func TestEstimateOffset(t *testing.T) {
 }
 
 func TestAddRemoteSpansBounded(t *testing.T) {
-	o := New(WithRemoteSpanCap(4))
-	spans := make([]RemoteSpan, 6)
+	o := New()
+	spans := make([]RemoteSpan, DefaultRemoteSpanCap+2)
 	for i := range spans {
 		spans[i] = RemoteSpan{ID: uint64(i + 1), Name: "evaluate"}
 	}
-	o.AddRemoteSpans(spans...)
-	if got := o.RemoteSpans(); len(got) != 4 {
-		t.Fatalf("kept %d spans, want the cap of 4", len(got))
+	o.AddRemoteSpans(spans[:3]...)
+	o.AddRemoteSpans(spans[3:]...)
+	if got := o.RemoteSpans(); len(got) != DefaultRemoteSpanCap || got[len(got)-1].ID != DefaultRemoteSpanCap {
+		t.Fatalf("kept %d spans, want the first %d", len(got), DefaultRemoteSpanCap)
 	}
 	if v := o.Metrics().Counter("obs_remote_spans_dropped", "").Value(); v != 2 {
 		t.Fatalf("obs_remote_spans_dropped = %d, want 2", v)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/influence"
 	"repro/internal/obs"
 	"repro/internal/scengen"
-	"repro/internal/sched"
 )
 
 func BenchmarkTable1Attributes(b *testing.B) {
@@ -285,8 +284,6 @@ func BenchmarkIntegrateWithObserver(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	sched.Observe(nil)
 }
 
 // BenchmarkIntegrateSynthetic48 measures the pipeline on a 48-process

@@ -338,8 +338,6 @@ func run(args []string, stdout io.Writer) (err error) {
 				MaxEvals:          *search,
 				CriticalThreshold: 10,
 				Span:              sspan,
-				Metrics:           observer.Metrics(),
-				Bus:               obsFlags.Bus(),
 				Ledger:            led,
 				Ctx:               ctx,
 			})
@@ -367,8 +365,6 @@ func run(args []string, stdout io.Writer) (err error) {
 			Model:             model,
 			Workers:           *workers,
 			Span:              span,
-			Metrics:           observer.Metrics(),
-			Bus:               obsFlags.Bus(),
 			Label:             s.String(),
 			Ledger:            led,
 			Ctx:               ctx,
@@ -427,8 +423,6 @@ func run(args []string, stdout io.Writer) (err error) {
 				MaxEvals:          *search,
 				CriticalThreshold: 10,
 				Span:              span,
-				Metrics:           observer.Metrics(),
-				Bus:               obsFlags.Bus(),
 				Ledger:            led,
 				Ctx:               ctx,
 			})

@@ -87,18 +87,21 @@ func run(args []string, stdout io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		if _, err := faultsim.Run(faultsim.Campaign{
+		span := observer.StartSpan("campaign")
+		_, err = faultsim.Run(faultsim.Campaign{
 			Graph:             res.Expanded,
 			HWOf:              res.HWOf(),
 			Trials:            2000,
 			Seed:              *seed,
 			CriticalThreshold: 10,
 			Workers:           *workers,
-			Bus:               obsFlags.Bus(),
+			Span:              span,
 			Label:             "ledger-campaign",
 			Ledger:            led,
 			Ctx:               ctx,
-		}); err != nil {
+		})
+		span.End()
+		if err != nil {
 			return err
 		}
 	}

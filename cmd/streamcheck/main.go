@@ -167,15 +167,18 @@ func produce(trials int) ([]obs.BusEvent, *obs.Bus, error) {
 		return nil, nil, fmt.Errorf("integrate: %w", err)
 	}
 
-	if _, err := faultsim.Run(faultsim.Campaign{
+	span := observer.StartSpan("campaign")
+	_, err = faultsim.Run(faultsim.Campaign{
 		Graph:   res.Expanded,
 		HWOf:    res.HWOf(),
 		Trials:  trials,
 		Seed:    7,
 		Workers: 2,
-		Bus:     bus,
+		Span:    span,
 		Label:   "stream-check",
-	}); err != nil {
+	})
+	span.End()
+	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: %w", err)
 	}
 
@@ -293,10 +296,13 @@ func produce(trials int) ([]obs.BusEvent, *obs.Bus, error) {
 		return nil, nil, fmt.Errorf("telemetry fabric relayed no remote spans")
 	}
 
-	if _, err := faultsim.Search(faultsim.SearchConfig{
+	span = observer.StartSpan("adversarial_search")
+	_, err = faultsim.Search(faultsim.SearchConfig{
 		Graph: res.Expanded, HWOf: res.HWOf(),
-		Trials: 200, Seed: 5, MaxEvals: 4, Bus: bus,
-	}); err != nil {
+		Trials: 200, Seed: 5, MaxEvals: 4, Span: span,
+	})
+	span.End()
+	if err != nil {
 		return nil, nil, fmt.Errorf("search: %w", err)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,7 +23,6 @@ var deadAllowed = map[string]string{
 	"sched.Simulate":                  "EDF simulation oracle for sched.Check in the sched, core and fuzz tests",
 	"sched.Schedule.AllMet":           "part of the sched.Simulate oracle",
 	"obs.WithClock":                   "tests fix the tracer clock to get deterministic span times",
-	"ftsw.NewNVersion":                "N-version programming, the voting mechanism beside recovery blocks; its tests build TMR from it, and no experiment measures it yet",
 	"faultsim.Campaign.StopHalfWidth": "early stopping; bench/verify.go reads Result.EarlyStopped and the campaign goldens record early_stopped",
 }
 
@@ -60,6 +60,10 @@ type moduleScan struct {
 	// unkeyed holds dir.Type for each struct type built by an unkeyed
 	// composite literal, which writes all of its fields.
 	unkeyed map[string]bool
+	// published maps each string literal passed as the first argument of
+	// a Publish call (obs.Bus.Publish, obs.Span.Publish) to the position
+	// of one such call.
+	published map[string]string
 }
 
 // modulePrefix begins the import path of every package of the module.
@@ -130,6 +134,7 @@ func doScan() (*moduleScan, error) {
 	s := &moduleScan{
 		uses: map[string]bool{}, selected: map[string]bool{},
 		written: map[string]bool{}, unkeyed: map[string]bool{},
+		published: map[string]string{},
 	}
 	for _, pf := range files {
 		s.scanFile(fset, pf.dir, pf.f, pkgName)
@@ -138,7 +143,7 @@ func doScan() (*moduleScan, error) {
 }
 
 // scanFile records the declarations of f (when it lies under internal/)
-// and its uses, selectors and field writes.
+// and its uses, selectors, field writes and published kinds.
 func (s *moduleScan) scanFile(fset *token.FileSet, dir string, f *ast.File, pkgName map[string]string) {
 	pkg := f.Name.Name
 	imports := map[string]string{} // local name -> package dir
@@ -265,6 +270,16 @@ func (s *moduleScan) scanFile(fset *token.FileSet, dir string, f *ast.File, pkgN
 			}
 		case *ast.IncDecStmt:
 			writtenField(n.X)
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Publish" || len(n.Args) == 0 {
+				break
+			}
+			if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if kind, err := strconv.Unquote(lit.Value); err == nil {
+					s.published[kind] = fset.Position(lit.Pos()).String()
+				}
+			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				writtenField(n.X)

@@ -233,8 +233,10 @@ func WithRefinement(maxMoves int) Option { return func(o *options) { o.refineMov
 // one span per pipeline stage (partition, influence, replicate, condense,
 // map, evaluate), the condenser logs every merge decision with its mutual
 // influence, and the feasibility oracle counts calls and latencies into
-// the observer's metrics registry (a process-global installation — see
-// sched.Observe). An observer built with obs.WithBus additionally streams
+// the observer's metrics registry. The oracle's instruments are
+// process-global (see sched.Observe): the run installs them and removes
+// them when it returns, unless a concurrent observed run has installed
+// its own since. An observer built with obs.WithBus additionally streams
 // every span start/end and event live over the observability fabric, where
 // obs.Serve exposes them as /events, /progress and the /dashboard. A nil
 // observer (the default) keeps the pipeline on its uninstrumented fast
@@ -460,7 +462,7 @@ func IntegrateContext(ctx context.Context, sys *System, opts ...Option) (*Result
 	// is installed, keeping the default path uninstrumented.
 	var root *obs.Span
 	if o.observer != nil {
-		sched.Observe(o.observer.Metrics())
+		defer sched.Observe(o.observer.Metrics())()
 		root = o.observer.StartSpan("integrate",
 			obs.String("system", sys.Name),
 			obs.String("strategy", o.strategy.String()),
@@ -862,7 +864,7 @@ func integrateAttempt(ctx context.Context, o *options, root *obs.Span, res *Resu
 			if budget < 0 {
 				budget = 0 // refiner default
 			}
-			asg, moves, err = mapping.RefineCtx(ctx, asg, exp.Graph, platform, req, budget)
+			asg, moves, err = mapping.Refine(ctx, asg, exp.Graph, platform, req, budget)
 			if err != nil {
 				return stage.Wrap("map", "refine", "", err)
 			}

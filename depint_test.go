@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/spec"
 )
 
@@ -340,8 +339,6 @@ func TestSeparationOfEdgeCases(t *testing.T) {
 }
 
 func TestIntegrateWithObserverRecordsStages(t *testing.T) {
-	defer sched.Observe(nil) // uninstall the process-global instruments
-
 	o := obs.New()
 	if _, err := Integrate(PaperExample(), WithObserver(o)); err != nil {
 		t.Fatal(err)
@@ -397,6 +394,34 @@ func TestIntegrateWithObserverRecordsStages(t *testing.T) {
 	}
 }
 
+// TestObservedIntegrateUninstallsSchedInstruments: an observed run
+// removes the feasibility oracle's process-global instruments when it
+// returns, so a later un-observed run books nothing into its registry.
+func TestObservedIntegrateUninstallsSchedInstruments(t *testing.T) {
+	o := obs.New()
+	calls := func() int64 {
+		for _, c := range o.Metrics().Snapshot().Counters {
+			if c.Name == "sched_feasible_calls_total" {
+				return c.Value
+			}
+		}
+		return -1
+	}
+	if _, err := Integrate(PaperExample(), WithObserver(o)); err != nil {
+		t.Fatal(err)
+	}
+	before := calls()
+	if before <= 0 {
+		t.Fatalf("observed run booked sched_feasible_calls_total = %d, want > 0", before)
+	}
+	if _, err := Integrate(PaperExample()); err != nil {
+		t.Fatal(err)
+	}
+	if after := calls(); after != before {
+		t.Errorf("un-observed run moved the observer's sched_feasible_calls_total from %d to %d", before, after)
+	}
+}
+
 // TestCondenserCountersPinned pins the condenser's candidate-pair counters
 // on the worked example for every strategy, at the values the full-rescan
 // H1 and the witness-building oracle produced: the pair table and the
@@ -404,7 +429,6 @@ func TestIntegrateWithObserverRecordsStages(t *testing.T) {
 // pairs are asked about or what the answer is. The oracle may be asked
 // fewer times than before, never more.
 func TestCondenserCountersPinned(t *testing.T) {
-	defer sched.Observe(nil)
 	type counts struct{ candidate, feasible, replica, timing, maxSched int64 }
 	want := map[Strategy]counts{
 		H1:               {27, 24, 3, 0, 24},

@@ -101,7 +101,6 @@ func observed(sys *depint.System, trials int) {
 		Seed:              7,
 		CriticalThreshold: 10,
 		Span:              span,
-		Metrics:           o.Metrics(),
 	})
 	span.End()
 	if err != nil {
@@ -109,7 +108,7 @@ func observed(sys *depint.System, trials int) {
 	}
 	fmt.Println("  trials  escape-rate  mean-affected   (running estimates)")
 	for _, ev := range span.Events() {
-		if ev.Name != "checkpoint" {
+		if ev.Name != "campaign_checkpoint" {
 			continue
 		}
 		attrs := map[string]any{}

@@ -222,19 +222,13 @@ func (s Set) Kinds() []Kind {
 // A kind present in only one operand is carried through unchanged: combining
 // with "no constraint" leaves the constraint in force.
 func Combine(a, b Set) Set {
-	return CombineWith(a, b, PolicyFor)
-}
-
-// CombineWith merges two attribute sets using policyOf to select the policy
-// for each kind.
-func CombineWith(a, b Set, policyOf func(Kind) Policy) Set {
 	out := a
 	for k := Criticality; int(k) <= numKinds; k++ {
 		if !b.Has(k) {
 			continue
 		}
 		if a.Has(k) {
-			out.vals[k] = policyOf(k).Combine(a.vals[k], b.vals[k])
+			out.vals[k] = PolicyFor(k).Combine(a.vals[k], b.vals[k])
 		} else {
 			out.put(k, b.vals[k])
 		}

@@ -88,9 +88,9 @@ func (f *ObsFlags) Enabled() bool {
 }
 
 // Bus returns the streaming event bus, non-nil once Observer has run with
-// -watch or -metrics-addr set. Tools pass it into bus-aware components
-// (faultsim.Campaign, faultsim.SearchConfig) for richer progress events;
-// span-level activity reaches it automatically via the observer.
+// -watch or -metrics-addr set. Tools pass it to the campaign fabric
+// (fabric.Config, fabric.WorkerConfig); spans, and the progress events of
+// campaigns, searches and certifications, reach it through the observer.
 func (f *ObsFlags) Bus() *obs.Bus {
 	if f == nil {
 		return nil

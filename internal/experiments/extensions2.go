@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -148,12 +149,12 @@ func E11() (E11Result, error) {
 		if err != nil {
 			return res, err
 		}
-		asg, err := mapping.AssignLexicographic(c.G, p, []attrs.Kind{attrs.Criticality}, nil)
+		asg, _, err := mapping.AssignLexicographicDetailed(c.G, p, []attrs.Kind{attrs.Criticality}, nil)
 		if err != nil {
 			return res, err
 		}
 		before := clusterDilation(asg, full, p)
-		refined, moves, err := mapping.Refine(asg, full, p, nil, 0)
+		refined, moves, err := mapping.Refine(context.TODO(), asg, full, p, nil, 0)
 		if err != nil {
 			return res, err
 		}

@@ -43,8 +43,8 @@ type Config struct {
 	// Bus receives the fabric's own progress events — "fabric_worker"
 	// (join/lost/drain), "fabric_lease" (grant/result/expire/duplicate),
 	// "fabric_quarantine" (a worker failed a spot-check) and a final
-	// "fabric_done" — alongside whatever Campaign.Bus streams.
-	// Typically the same bus.
+	// "fabric_done" — alongside the campaign events Campaign.Span
+	// publishes. Typically the bus of that span's observer.
 	Bus *obs.Bus
 	// Label names the fabric in streamed events (default Campaign.Label,
 	// then "campaign").

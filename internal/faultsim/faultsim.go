@@ -90,26 +90,22 @@ type Campaign struct {
 	// worker counts and checkpoint/resume; the model identity is part of
 	// the checkpoint fingerprint.
 	Model FaultModel
-	// Span, when set, receives a "checkpoint" event at every 10% of the
-	// campaign with the running containment estimates — the convergence
-	// trail of the paper's measurement loop — plus one child span per
-	// worker when the pool is parallel. Metrics, when set, counts trials,
-	// transmissions and escapes as the campaign runs and tracks the number
-	// of active workers in a gauge.
-	Span    *obs.Span
-	Metrics *obs.Registry
+	// Span, when set, is the campaign's telemetry: it receives a
+	// "campaign_start" event, a "campaign_checkpoint" event at every 10%
+	// of the campaign with the running containment estimates and their
+	// Wilson CI half-width — the convergence trail of the paper's
+	// measurement loop — and a final "campaign_done" event, each also
+	// streamed on the observer's bus (Span.Publish), plus one child span
+	// per worker when the pool is parallel. The observer's registry counts
+	// trials, transmissions and escapes as the campaign runs and tracks
+	// the number of active workers in a gauge. Telemetry only ever reads
+	// merged state, so the Result stays bit-identical to an unwatched run;
+	// slow bus subscribers drop events, never stall trials.
+	Span *obs.Span
 	// Ledger, when set, receives one "campaign" provenance record with
 	// the final containment estimates (trials, escape rate, criticality
 	// loss) after a successful run. Nil records nothing.
 	Ledger *ledger.Ledger
-	// Bus, when set, streams live progress over the observability fabric:
-	// one "campaign_start" event, a "campaign_checkpoint" event (with the
-	// running escape rate and its Wilson CI half-width) at every telemetry
-	// checkpoint, and a final "campaign_done" event. Publishing is
-	// non-blocking and only ever reads merged state, so the Result stays
-	// bit-identical to an unwatched run — slow subscribers drop events,
-	// never stall trials.
-	Bus *obs.Bus
 	// Label names this campaign in streamed events and progress surfaces
 	// (default "campaign"); give concurrent campaigns distinct labels.
 	Label string
@@ -639,22 +635,14 @@ type campaignRun struct {
 func (r *campaignRun) checkpointEvent(done int) {
 	rate := float64(r.res.TrialsWithEscape) / float64(done)
 	r.escapeGauge.Set(rate)
-	if r.c.Span != nil {
-		r.c.Span.Event("checkpoint",
-			obs.Int("trials_done", done),
-			obs.Int("trials_total", r.c.Trials),
-			obs.Float("escape_rate", rate),
-			obs.Float("mean_affected", float64(r.res.TotalAffected)/float64(done)),
-			obs.Int("cross_transmissions", r.res.CrossNodeTransmissions),
-			obs.Float("mean_crit_loss", r.res.CriticalityLoss/float64(done)))
-	}
-	if r.c.Bus != nil {
-		r.c.Bus.Publish("campaign_checkpoint", r.label,
-			obs.Int("trials_done", done),
-			obs.Int("trials_total", r.c.Trials),
-			obs.Float("escape_rate", rate),
-			obs.Float("half_width", wilsonHalfWidth(rate, done)))
-	}
+	r.c.Span.Publish("campaign_checkpoint", r.label,
+		obs.Int("trials_done", done),
+		obs.Int("trials_total", r.c.Trials),
+		obs.Float("escape_rate", rate),
+		obs.Float("half_width", wilsonHalfWidth(rate, done)),
+		obs.Float("mean_affected", float64(r.res.TotalAffected)/float64(done)),
+		obs.Int("cross_transmissions", r.res.CrossNodeTransmissions),
+		obs.Float("mean_crit_loss", r.res.CriticalityLoss/float64(done)))
 }
 
 // ended reports whether the campaign is complete: the frontier reached
@@ -766,8 +754,7 @@ func (r *campaignRun) merge(ch *ChunkOutput) (stop bool, err error) {
 		r.escapesCtr.Add(int64(ch.TrialsWithEscape))
 		r.crossCtr.Add(int64(ch.CrossTransmissions))
 	}
-	if (r.c.Span != nil || r.c.Metrics != nil || r.c.Bus != nil) &&
-		(b/r.eventEvery != e/r.eventEvery || e == r.c.Trials) {
+	if r.c.Span != nil && (b/r.eventEvery != e/r.eventEvery || e == r.c.Trials) {
 		r.checkpointEvent(e)
 	}
 	crossedPersist := b/r.persistEvery != e/r.persistEvery || e == r.c.Trials
@@ -1163,12 +1150,12 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 
 	// Campaign telemetry: per-10% checkpoint events carrying the running
 	// estimators, plus live counters and gauges.
-	if c.Metrics != nil {
-		run.trialsCtr = c.Metrics.Counter("faultsim_trials_total", "injection trials executed")
-		run.escapesCtr = c.Metrics.Counter("faultsim_escape_trials_total", "trials whose fault crossed a HW boundary")
-		run.crossCtr = c.Metrics.Counter("faultsim_cross_transmissions_total", "fault transmissions across HW boundaries")
-		run.escapeGauge = c.Metrics.Gauge("faultsim_escape_rate", "running escape-rate estimate")
-		run.workersGauge = c.Metrics.Gauge("faultsim_active_workers", "campaign worker goroutines currently running")
+	if reg := c.Span.Metrics(); reg != nil {
+		run.trialsCtr = reg.Counter("faultsim_trials_total", "injection trials executed")
+		run.escapesCtr = reg.Counter("faultsim_escape_trials_total", "trials whose fault crossed a HW boundary")
+		run.crossCtr = reg.Counter("faultsim_cross_transmissions_total", "fault transmissions across HW boundaries")
+		run.escapeGauge = reg.Gauge("faultsim_escape_rate", "running escape-rate estimate")
+		run.workersGauge = reg.Gauge("faultsim_active_workers", "campaign worker goroutines currently running")
 	}
 	run.eventEvery = c.Trials / 10
 	if run.eventEvery == 0 {
@@ -1178,8 +1165,8 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 	if run.label == "" {
 		run.label = "campaign"
 	}
-	if c.Bus != nil {
-		c.Bus.Publish("campaign_start", run.label,
+	if c.Span != nil {
+		c.Span.Publish("campaign_start", run.label,
 			obs.Int("trials_total", c.Trials),
 			obs.Int("trials_done", start),
 			obs.String("model", c.model().Name()),
@@ -1193,8 +1180,8 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 func (r *campaignRun) finish() Result {
 	c := r.c
 	res := r.result()
-	if c.Bus != nil {
-		c.Bus.Publish("campaign_done", r.label,
+	if c.Span != nil {
+		c.Span.Publish("campaign_done", r.label,
 			obs.Int("trials_done", res.Trials),
 			obs.Int("trials_total", c.Trials),
 			obs.Float("escape_rate", res.EscapeRate()),

@@ -94,13 +94,10 @@ type SearchConfig struct {
 	CriticalThreshold float64
 	MaxHops           int
 	// Span receives one "search_eval" event per evaluation and a final
-	// "search_done" event; Metrics tracks evaluations and the best score.
-	Span    *obs.Span
-	Metrics *obs.Registry
-	// Bus, when set, streams the same evaluation trail live
-	// ("search_eval" per scenario, "search_done" at the end) over the
-	// observability fabric; publishing never blocks the climb.
-	Bus *obs.Bus
+	// "search_done" event, each also streamed on the observer's bus
+	// (Span.Publish), which never blocks the climb; the observer's
+	// registry tracks evaluations and the best score.
+	Span *obs.Span
 	// Ledger, when set, receives one "search_eval" provenance record per
 	// evaluation (in evaluation order) and a final "search_best" record
 	// after the climb ends. Nil records nothing.
@@ -207,9 +204,9 @@ func Search(cfg SearchConfig) (SearchResult, error) {
 		memo:   make(map[string]Evaluation),
 		replay: make(map[string]Evaluation),
 	}
-	if cfg.Metrics != nil {
-		s.evalsCtr = cfg.Metrics.Counter("faultsim_search_evals_total", "adversarial scenario evaluations")
-		s.bestGauge = cfg.Metrics.Gauge("faultsim_search_best_score", "best criticality-weighted escape rate found")
+	if reg := cfg.Span.Metrics(); reg != nil {
+		s.evalsCtr = reg.Counter("faultsim_search_evals_total", "adversarial scenario evaluations")
+		s.bestGauge = reg.Gauge("faultsim_search_best_score", "best criticality-weighted escape rate found")
 	}
 	if cfg.Resume && cfg.CheckpointPath != "" {
 		if err := s.loadCheckpoint(); err != nil {
@@ -256,14 +253,7 @@ climb:
 	}
 
 	if cfg.Span != nil {
-		cfg.Span.Event("search_done",
-			obs.String("best", best.Scenario.String()),
-			obs.Float("score", best.Score),
-			obs.Int("evaluations", len(s.log)),
-			obs.Bool("exhausted", exhausted))
-	}
-	if cfg.Bus != nil {
-		cfg.Bus.Publish("search_done", "search",
+		cfg.Span.Publish("search_done", "search",
 			obs.String("scenario", best.Scenario.String()),
 			obs.Float("score", best.Score),
 			obs.Int("evaluations", len(s.log)),
@@ -368,14 +358,7 @@ func (s *searcher) evaluate(sc Scenario) (Evaluation, error) {
 		s.bestGauge.Set(ev.Score)
 	}
 	if s.cfg.Span != nil {
-		s.cfg.Span.Event("search_eval",
-			obs.String("scenario", sc.String()),
-			obs.Float("score", ev.Score),
-			obs.Float("escape_rate", ev.EscapeRate),
-			obs.Bool("replayed", replayed))
-	}
-	if s.cfg.Bus != nil {
-		s.cfg.Bus.Publish("search_eval", "search",
+		s.cfg.Span.Publish("search_eval", "search",
 			obs.String("scenario", sc.String()),
 			obs.Float("score", ev.Score),
 			obs.Float("escape_rate", ev.EscapeRate),

@@ -30,7 +30,7 @@ func TestCampaignBusDeterminism(t *testing.T) {
 		sub := bus.Subscribe(0, 4)
 		watched := campaign(g, hw, "")
 		watched.Workers = workers
-		watched.Bus = bus
+		watched.Span = obs.New(obs.WithBus(bus)).StartSpan("campaign")
 		watched.Label = "watched"
 		got, err := Run(watched)
 		if err != nil {
@@ -71,14 +71,14 @@ func TestCampaignBusDeterminism(t *testing.T) {
 
 // TestCampaignBusEvents checks the progress-event skeleton: one
 // campaign_start, checkpoints carrying a shrinking-capable half_width,
-// one campaign_done, all labelled.
+// one campaign_done, all labelled and all in the campaign's span.
 func TestCampaignBusEvents(t *testing.T) {
 	g, hw := web(t)
 	bus := obs.NewBus(256)
 	sub := bus.Subscribe(0, 256)
 	c := campaign(g, hw, "")
 	c.Workers = 2
-	c.Bus = bus
+	c.Span = obs.New(obs.WithBus(bus)).StartSpan("campaign")
 	c.Label = "lbl"
 	res, err := Run(c)
 	if err != nil {
@@ -92,8 +92,11 @@ func TestCampaignBusEvents(t *testing.T) {
 		if !ok {
 			break
 		}
-		if ev.Name != "lbl" {
-			t.Fatalf("event %q has label %q, want lbl", ev.Kind, ev.Name)
+		if ev.Kind == "span_start" || ev.Kind == "span_end" {
+			continue // the campaign and worker spans
+		}
+		if ev.Name != "lbl" || ev.Span != "campaign" {
+			t.Fatalf("event %q has label %q in span %q, want lbl in campaign", ev.Kind, ev.Name, ev.Span)
 		}
 		switch ev.Kind {
 		case "campaign_start":
@@ -129,7 +132,8 @@ func TestSearchBusEvents(t *testing.T) {
 	bus := obs.NewBus(1024)
 	sub := bus.Subscribe(0, 1024)
 	sr, err := Search(SearchConfig{
-		Graph: g, HWOf: hw, Trials: 200, Seed: 5, MaxEvals: 6, Bus: bus,
+		Graph: g, HWOf: hw, Trials: 200, Seed: 5, MaxEvals: 6,
+		Span: obs.New(obs.WithBus(bus)).StartSpan("search"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,13 @@
-// Package ftsw provides executable software fault-tolerance mechanisms —
-// the task-level containment techniques the framework names in §3.2:
-// "Well-known SW techniques such as N-version programming, or Recovery
-// Blocks to contain faults, can be used at this level."
+// Package ftsw provides an executable software fault-tolerance mechanism,
+// the recovery block — one of the task-level containment techniques the
+// framework names in §3.2: "Well-known SW techniques such as N-version
+// programming, or Recovery Blocks to contain faults, can be used at this
+// level." Experiment E8 measures the recovery block; N-version voting is
+// not implemented.
 //
-// These mechanisms reduce the transmission probability p_i2 of Eq. (1):
-// a fault occurring inside a variant is caught by an acceptance test or
-// outvoted before it can propagate to another FCM.
+// A recovery block reduces the transmission probability p_i2 of Eq. (1):
+// a fault occurring inside a variant is caught by the acceptance test
+// before it can propagate to another FCM.
 package ftsw
 
 import (
@@ -13,13 +15,11 @@ import (
 	"fmt"
 )
 
-// Errors returned by the mechanisms.
+// Errors returned by the recovery block.
 var (
 	// ErrAllVariantsFailed means every alternate/variant produced an
 	// unacceptable result.
 	ErrAllVariantsFailed = errors.New("ftsw: all variants failed")
-	// ErrNoMajority means voting found no value agreed by a majority.
-	ErrNoMajority = errors.New("ftsw: no majority among versions")
 	// ErrNoVariants marks construction without any variant.
 	ErrNoVariants = errors.New("ftsw: at least one variant is required")
 )
@@ -76,56 +76,6 @@ func (rb *RecoveryBlock[I, O]) Execute(input I) (O, error) {
 		}
 	}
 	return zero, ErrAllVariantsFailed
-}
-
-// NVersion executes all versions and votes on the result (N-version
-// programming). The key function projects outputs to a comparable value
-// for voting; use the identity for comparable outputs.
-type NVersion[I any, O any, K comparable] struct {
-	versions []Variant[I, O]
-	key      func(O) K
-	// Outvoted counts minority results discarded by voting.
-	Outvoted int
-}
-
-// NewNVersion builds an N-version executor. A strict majority
-// (> len(versions)/2) is required to accept a result.
-func NewNVersion[I any, O any, K comparable](key func(O) K, versions ...Variant[I, O]) (*NVersion[I, O, K], error) {
-	if len(versions) == 0 {
-		return nil, ErrNoVariants
-	}
-	if key == nil {
-		return nil, fmt.Errorf("ftsw: nil key function")
-	}
-	return &NVersion[I, O, K]{versions: versions, key: key}, nil
-}
-
-// Execute runs every version and returns the majority result.
-func (nv *NVersion[I, O, K]) Execute(input I) (O, error) {
-	var zero O
-	type res struct {
-		out O
-		ok  bool
-	}
-	results := make([]res, 0, len(nv.versions))
-	counts := map[K]int{}
-	for _, v := range nv.versions {
-		out, err := v(input)
-		if err != nil {
-			results = append(results, res{ok: false})
-			continue
-		}
-		results = append(results, res{out: out, ok: true})
-		counts[nv.key(out)]++
-	}
-	need := len(nv.versions)/2 + 1
-	for _, r := range results {
-		if r.ok && counts[nv.key(r.out)] >= need {
-			nv.Outvoted += len(nv.versions) - counts[nv.key(r.out)]
-			return r.out, nil
-		}
-	}
-	return zero, ErrNoMajority
 }
 
 // Stats summarises mechanism effectiveness for the containment

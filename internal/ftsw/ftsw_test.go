@@ -70,79 +70,6 @@ func TestRecoveryBlockConstructionErrors(t *testing.T) {
 	}
 }
 
-func TestNVersionMajority(t *testing.T) {
-	nv, err := NewNVersion(func(o int) int { return o }, good, good, bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := nv.Execute(7)
-	if err != nil || out != 14 {
-		t.Errorf("Execute = %d, %v", out, err)
-	}
-	if nv.Outvoted != 1 {
-		t.Errorf("outvoted = %d, want 1", nv.Outvoted)
-	}
-}
-
-func TestNVersionNoMajority(t *testing.T) {
-	third := func(in int) (int, error) { return in * 3, nil }
-	nv, err := NewNVersion(func(o int) int { return o }, good, bad, third)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nv.Execute(7); !errors.Is(err, ErrNoMajority) {
-		t.Errorf("err = %v, want ErrNoMajority", err)
-	}
-}
-
-func TestNVersionMajorityDespiteErrors(t *testing.T) {
-	nv, err := NewNVersion(func(o int) int { return o }, good, fails, good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := nv.Execute(4)
-	if err != nil || out != 8 {
-		t.Errorf("Execute = %d, %v", out, err)
-	}
-}
-
-func TestNVersionConstructionErrors(t *testing.T) {
-	if _, err := NewNVersion[int, int, int](func(o int) int { return o }); !errors.Is(err, ErrNoVariants) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := NewNVersion[int, int, int](nil, good); err == nil {
-		t.Error("nil key accepted")
-	}
-}
-
-func TestTMROutvotesSingleFault(t *testing.T) {
-	tmr, err := NewNVersion(func(o int) int { return o }, good, bad, good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := tmr.Execute(50)
-	if err != nil || out != 100 {
-		t.Errorf("TMR = %d, %v", out, err)
-	}
-}
-
-func TestTMRDoubleFaultDetected(t *testing.T) {
-	// Two matching faulty versions outvote the good one: TMR masks single
-	// faults only. The mechanism still yields the (wrong) majority — the
-	// classic 2-of-3 limitation.
-	tmr, err := NewNVersion(func(o int) int { return o }, good, bad, bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := tmr.Execute(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != 11 {
-		t.Errorf("TMR double fault = %d, want the faulty majority 11", out)
-	}
-}
-
 func TestStatsContainmentRate(t *testing.T) {
 	s := Stats{Contained: 3, Escaped: 1}
 	if got := s.ContainmentRate(); got != 0.75 {

@@ -278,17 +278,11 @@ func AssignByImportanceDetailed(g *graph.Graph, p *hw.Platform, w attrs.Weights,
 	return place(order, g, p, req, rule{})
 }
 
-// AssignLexicographic implements Approach B of §5.4: "List attributes in
-// decreasing importance, and proceed lexicographically. The most important
-// attribute is considered first (say criticality) … the next most important
-// attribute is considered (breaking ties) and so on."
-func AssignLexicographic(g *graph.Graph, p *hw.Platform, kinds []attrs.Kind, req Requirements) (Assignment, error) {
-	asg, _, err := AssignLexicographicDetailed(g, p, kinds, req)
-	return asg, err
-}
-
-// AssignLexicographicDetailed is AssignLexicographic plus the per-cluster
-// decision trail.
+// AssignLexicographicDetailed implements Approach B of §5.4: "List
+// attributes in decreasing importance, and proceed lexicographically. The
+// most important attribute is considered first (say criticality) … the
+// next most important attribute is considered (breaking ties) and so on."
+// It returns the assignment and the per-cluster decision trail.
 func AssignLexicographicDetailed(g *graph.Graph, p *hw.Platform, kinds []attrs.Kind, req Requirements) (Assignment, []Decision, error) {
 	if len(kinds) == 0 {
 		kinds = []attrs.Kind{attrs.Criticality, attrs.FaultTolerance}

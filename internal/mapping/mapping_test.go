@@ -169,7 +169,7 @@ func TestPlacementMinimisesDilation(t *testing.T) {
 func TestAssignLexicographicCriticalityFirst(t *testing.T) {
 	full, condensed := reducedPaper(t)
 	p := completePlatform(t, 6)
-	asg, err := AssignLexicographic(condensed, p, nil, nil)
+	asg, _, err := AssignLexicographicDetailed(condensed, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

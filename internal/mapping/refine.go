@@ -24,16 +24,10 @@ import (
 // Σ influence(u→v)·distance(hw(u),hw(v)), until no move helps or maxMoves
 // moves have been applied. Resource requirements are respected. The input
 // assignment is not modified; the refined copy is returned with the number
-// of moves applied.
-func Refine(asg Assignment, g *graph.Graph, p *hw.Platform, req Requirements, maxMoves int) (Assignment, int, error) {
-	return RefineCtx(nil, asg, g, p, req, maxMoves)
-}
-
-// RefineCtx is Refine with cooperative cancellation: the local search polls
-// ctx before every move evaluation round (each round is an O(clusters² +
-// clusters·free) sweep of candidate moves) and returns ctx.Err() when it
-// fires. A nil ctx disables the checks.
-func RefineCtx(ctx context.Context, asg Assignment, g *graph.Graph, p *hw.Platform, req Requirements, maxMoves int) (Assignment, int, error) {
+// of moves applied. The search polls ctx before every move evaluation
+// round (each round is an O(clusters² + clusters·free) sweep of candidate
+// moves) and returns ctx.Err() when it fires.
+func Refine(ctx context.Context, asg Assignment, g *graph.Graph, p *hw.Platform, req Requirements, maxMoves int) (Assignment, int, error) {
 	if maxMoves <= 0 {
 		maxMoves = 64
 	}
@@ -121,10 +115,8 @@ func RefineCtx(ctx context.Context, asg Assignment, g *graph.Graph, p *hw.Platfo
 	moves := 0
 	curCost := cost(cur)
 	for moves < maxMoves {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, fmt.Errorf("mapping: refine cancelled after %d moves: %w", moves, err)
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, 0, fmt.Errorf("mapping: refine cancelled after %d moves: %w", moves, err)
 		}
 		bestDelta := -1e-12 // strict improvement required
 		var apply func()

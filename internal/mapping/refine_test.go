@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -69,7 +70,7 @@ func TestRefineImprovesBadPlacement(t *testing.T) {
 	// Adversarial start: strongly coupled pairs placed maximally apart.
 	bad := Assignment{"a": "hw1", "b": "hw4", "c": "hw2", "d": "hw5"}
 	before := Dilation(bad, g, ring)
-	refined, moves, err := Refine(bad, g, ring, nil, 0)
+	refined, moves, err := Refine(context.Background(), bad, g, ring, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestRefineAlreadyOptimalNoMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := Assignment{"a": "hw1", "b": "hw2", "c": "hw3", "d": "hw4"}
-	refined, moves, err := Refine(good, g, ring, nil, 0)
+	refined, moves, err := Refine(context.Background(), good, g, ring, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestRefineRespectsResources(t *testing.T) {
 	req := Requirements{"x": {"adc"}}
 	// x is pinned to n3 by its requirement; y starts far away on n1.
 	asg := Assignment{"x": "n3", "y": "n1"}
-	refined, moves, err := Refine(asg, g, p, req, 0)
+	refined, moves, err := Refine(context.Background(), asg, g, p, req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestRefineMaxMovesBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := Assignment{"a": "hw1", "b": "hw5", "c": "hw3", "d": "hw7"}
-	_, moves, err := Refine(bad, g, ring, nil, 1)
+	_, moves, err := Refine(context.Background(), bad, g, ring, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +221,12 @@ func TestRefineDeterministic(t *testing.T) {
 		for i, hwi := range pr.Perm(len(nodes))[:len(clusters)] {
 			start[clusters[i]] = nodes[hwi]
 		}
-		first, firstMoves, err := Refine(start, g, ring, nil, 0)
+		first, firstMoves, err := Refine(context.Background(), start, g, ring, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for call := 1; call < 16; call++ {
-			got, moves, err := Refine(start, g, ring, nil, 0)
+			got, moves, err := Refine(context.Background(), start, g, ring, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,12 +10,16 @@ import (
 // BusEvent is one record of the streaming telemetry fabric. Seq is a
 // strictly increasing, gapless publication number (the first event of a
 // bus is 1); TMS is milliseconds since the bus epoch. Kind classifies the
-// source ("span_start", "span_end", "event" for mirrored span events, and
-// the direct progress kinds "campaign_start", "campaign_checkpoint",
-// "campaign_done", "search_eval", "search_done", "certify_member",
-// "certify_level"); Name is the span, campaign label or event name; Span
-// names the owning span for mirrored events. The committed JSON Schema
-// for the serialised form lives at docs/streaming/events.schema.json.
+// source: "span_start" and "span_end"; "event" for a span event
+// (Span.Event); a progress kind published through Span.Publish
+// ("campaign_start", "campaign_checkpoint", "campaign_done",
+// "search_eval", "search_done", "certify_member", "certify_level",
+// "certify_done"), which is also a span event named by the kind; or a
+// "fabric_*" kind published on the bus directly. Name is the span or
+// event name, the campaign label, "search", "certify", or the worker or
+// campaign a fabric kind is about; Span names the owning span of an
+// "event" or a progress kind. The committed JSON Schema for the
+// serialised form lives at docs/streaming/events.schema.json.
 type BusEvent struct {
 	Seq   uint64         `json:"seq"`
 	TMS   float64        `json:"t_ms"`

@@ -108,9 +108,9 @@ func WithProfiler(p *Profiler) Option { return func(o *Observer) { o.profiler = 
 
 // WithBus mirrors every span start/end and span event onto the streaming
 // bus, turning the post-mortem trace tree into a live feed: condenser
-// merges, race outcomes, search evaluations and campaign checkpoints all
-// reach subscribers the moment they happen, with no changes at the
-// instrumentation sites.
+// merges and race outcomes reach subscribers as kind "event", and the
+// progress facts of campaigns, searches and certifications (Span.Publish)
+// as their own typed kinds, the moment they happen.
 func WithBus(b *Bus) Option { return func(o *Observer) { o.bus = b } }
 
 // New builds an Observer with a fresh metrics registry.
@@ -248,18 +248,36 @@ func (s *Span) SetAttr(attrs ...Attr) {
 }
 
 // Event appends a timestamped structured event to the span and mirrors it
-// to the observer's logger.
+// to the observer's logger and, as kind "event", to its bus.
 func (s *Span) Event(name string, attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	e := Event{Time: s.o.now(), Name: name, Attrs: attrs}
+	s.emit("event", name, name, attrs)
+}
+
+// Publish records one typed progress fact: it appends an event named kind
+// to the span, logs it, and publishes it on the observer's bus (if any) as
+// kind, with name (a campaign label, "search" or "certify") and the span's
+// name. The span event and the bus event carry the same attributes, so the
+// trace and the live stream cannot disagree.
+func (s *Span) Publish(kind, name string, attrs ...Attr) {
+	if s == nil {
+		return
+	}
+	s.emit(kind, kind, name, attrs)
+}
+
+// emit appends event to the span, logs it and puts it on the bus as kind
+// under name.
+func (s *Span) emit(kind, event, name string, attrs []Attr) {
+	e := Event{Time: s.o.now(), Name: event, Attrs: attrs}
 	s.o.mu.Lock()
 	s.events = append(s.events, e)
 	s.o.mu.Unlock()
-	s.o.logEvent(s.name, name, attrs)
+	s.o.logEvent(s.name, event, attrs)
 	if s.o.bus != nil {
-		s.o.bus.publish("event", s.name, name, attrs)
+		s.o.bus.publish(kind, s.name, name, attrs)
 	}
 }
 
@@ -269,6 +287,14 @@ func (s *Span) Profiler() *Profiler {
 		return nil
 	}
 	return s.o.Profiler()
+}
+
+// Metrics returns the owning observer's registry (nil on a nil span).
+func (s *Span) Metrics() *Registry {
+	if s == nil {
+		return nil
+	}
+	return s.o.reg
 }
 
 // Name returns the span's name ("" on nil).

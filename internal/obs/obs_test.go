@@ -32,10 +32,11 @@ func TestNilObserverIsInert(t *testing.T) {
 	s.End()
 	s.SetAttr(Int("n", 1))
 	s.Event("e", Float("w", 0.5))
+	s.Publish("campaign_done", "lbl", Int("n", 1))
 	if s.StartChild("c") != nil {
 		t.Error("nil span handed out a child")
 	}
-	if s.Name() != "" || s.Duration() != 0 || s.Children() != nil || s.Events() != nil {
+	if s.Name() != "" || s.Duration() != 0 || s.Children() != nil || s.Events() != nil || s.Metrics() != nil {
 		t.Error("nil span leaked state")
 	}
 	if o.Metrics() != nil || o.Roots() != nil || o.Logger() != nil {
@@ -230,18 +231,26 @@ func TestObserverBusMirrorsSpans(t *testing.T) {
 	root := o.StartSpan("integrate", String("system", "demo"))
 	child := root.StartChild("condense")
 	child.Event("merge", String("a", "p1"), Float("mutual", 0.7))
+	child.Publish("campaign_done", "H1", Int("trials_done", 10))
 	child.End()
 	root.End()
+	if child.Metrics() != o.Metrics() {
+		t.Error("span does not hand out its observer's registry")
+	}
+	if spanEvs := child.Events(); len(spanEvs) != 2 || spanEvs[1].Name != "campaign_done" {
+		t.Errorf("span events = %+v, want merge then campaign_done", spanEvs)
+	}
 
 	evs := drain(sub)
-	if len(evs) != 5 {
-		t.Fatalf("got %d mirrored events, want 5: %+v", len(evs), evs)
+	if len(evs) != 6 {
+		t.Fatalf("got %d mirrored events, want 6: %+v", len(evs), evs)
 	}
 	type want struct{ kind, name, span string }
 	wants := []want{
 		{"span_start", "integrate", ""},
 		{"span_start", "condense", "integrate"},
 		{"event", "merge", "condense"},
+		{"campaign_done", "H1", "condense"},
 		{"span_end", "condense", ""},
 		{"span_end", "integrate", ""},
 	}
@@ -255,8 +264,11 @@ func TestObserverBusMirrorsSpans(t *testing.T) {
 	if evs[0].Attrs["system"] != "demo" {
 		t.Errorf("span_start attrs = %v", evs[0].Attrs)
 	}
-	if d, ok := evs[3].Attrs["duration_ms"].(float64); !ok || d < 0 {
-		t.Errorf("span_end duration_ms = %v", evs[3].Attrs["duration_ms"])
+	if evs[3].Attrs["trials_done"] != 10 {
+		t.Errorf("campaign_done attrs = %v, want the span event's", evs[3].Attrs)
+	}
+	if d, ok := evs[4].Attrs["duration_ms"].(float64); !ok || d < 0 {
+		t.Errorf("span_end duration_ms = %v", evs[4].Attrs["duration_ms"])
 	}
 }
 

@@ -80,15 +80,12 @@ type Config struct {
 	// SkipSensitivity disables the one-at-a-time parameter probes (which
 	// cost two evaluations per spec parameter).
 	SkipSensitivity bool
-	// Span receives one "robust_level" event per ladder level and one
-	// "robust_sensitivity" event per flipped parameter; Metrics tracks
-	// evaluations and the stable fraction at the widest ε.
-	Span    *obs.Span
-	Metrics *obs.Registry
-	// Bus, when set, streams live certification progress: one
-	// "certify_member" event per ensemble evaluation, one "certify_level"
-	// event per ladder ε, and a final "certify_done" event.
-	Bus *obs.Bus
+	// Span receives one "certify_member" event per ensemble evaluation,
+	// one "certify_level" event per ladder ε and a final "certify_done"
+	// event, each also streamed on the observer's bus (Span.Publish), and
+	// one "robust_sensitivity" event per flipped parameter; the observer's
+	// registry tracks evaluations and the stable fraction at the widest ε.
+	Span *obs.Span
 	// Ledger, when set, receives one "certify_level" provenance record
 	// per ladder ε and a final "certify" summary record. Nil records
 	// nothing.
@@ -252,9 +249,9 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 
 	var evalsCtr *obs.Counter
 	var stableGauge *obs.Gauge
-	if cfg.Metrics != nil {
-		evalsCtr = cfg.Metrics.Counter("robust_evals_total", "perturbed integration evaluations")
-		stableGauge = cfg.Metrics.Gauge("robust_stable_fraction", "placement-stability fraction at the widest epsilon")
+	if reg := cfg.Span.Metrics(); reg != nil {
+		evalsCtr = reg.Counter("robust_evals_total", "perturbed integration evaluations")
+		stableGauge = reg.Gauge("robust_stable_fraction", "placement-stability fraction at the widest epsilon")
 	}
 	evals := 0
 	measure := func(s *spec.System, node string) (Outcome, error) {
@@ -317,8 +314,8 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 				}
 				lvl.Errors++
 				stable[i] = false
-				if cfg.Bus != nil {
-					cfg.Bus.Publish("certify_member", "certify",
+				if cfg.Span != nil {
+					cfg.Span.Publish("certify_member", "certify",
 						obs.Float("epsilon", e),
 						obs.Int("sample", i),
 						obs.Bool("error", true))
@@ -335,8 +332,8 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 			if out.Placement != base.Placement {
 				stable[i] = false
 			}
-			if cfg.Bus != nil {
-				cfg.Bus.Publish("certify_member", "certify",
+			if cfg.Span != nil {
+				cfg.Span.Publish("certify_member", "certify",
 					obs.Float("epsilon", e),
 					obs.Int("sample", i),
 					obs.Bool("stable", stable[i]),
@@ -370,14 +367,7 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 			},
 		})
 		if cfg.Span != nil {
-			cfg.Span.Event("robust_level",
-				obs.Float("epsilon", e),
-				obs.Float("stable_fraction", lvl.StableFraction),
-				obs.Float("worst_escape_delta", lvl.WorstEscapeDelta),
-				obs.Int("errors", lvl.Errors))
-		}
-		if cfg.Bus != nil {
-			cfg.Bus.Publish("certify_level", "certify",
+			cfg.Span.Publish("certify_level", "certify",
 				obs.Float("epsilon", e),
 				obs.Float("stable_frac", lvl.StableFraction),
 				obs.Float("worst_escape_delta", lvl.WorstEscapeDelta),
@@ -387,8 +377,8 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 	if stableGauge != nil {
 		stableGauge.Set(cert.StableAt())
 	}
-	if cfg.Bus != nil {
-		cfg.Bus.Publish("certify_done", "certify",
+	if cfg.Span != nil {
+		cfg.Span.Publish("certify_done", "certify",
 			obs.Int("levels", len(cert.Levels)),
 			obs.Float("stable_frac_widest", cert.StableAt()))
 	}

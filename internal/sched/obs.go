@@ -25,17 +25,21 @@ var instr atomic.Pointer[instruments]
 // function called from deep inside the condensation loops, so the registry
 // travels via this side channel rather than through every call site. Pass
 // nil to uninstall. Concurrent Observe calls are safe; the last one wins.
-func Observe(reg *obs.Registry) {
+// The returned undo uninstalls this installation unless another has
+// replaced it since.
+func Observe(reg *obs.Registry) (undo func()) {
 	if reg == nil {
 		instr.Store(nil)
-		return
+		return func() {}
 	}
-	instr.Store(&instruments{
+	in := &instruments{
 		calls:      reg.Counter("sched_feasible_calls_total", "feasibility-oracle invocations"),
 		feasible:   reg.Counter("sched_feasible_verdicts_total", "feasible verdicts returned"),
 		infeasible: reg.Counter("sched_infeasible_verdicts_total", "infeasible verdicts returned"),
 		duration:   reg.Histogram("sched_feasible_seconds", "feasibility-oracle latency", obs.DurationBuckets),
-	})
+	}
+	instr.Store(in)
+	return func() { instr.CompareAndSwap(in, nil) }
 }
 
 // record books one oracle call. No-op when uninstrumented.

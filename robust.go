@@ -70,23 +70,15 @@ func CertifyRobustness(sys *System, cfg RobustnessConfig) (*Certificate, error) 
 		trials = 2000
 	}
 
-	var observer *obs.Observer
 	var o options
 	for _, opt := range cfg.Options {
 		opt(&o)
 	}
-	observer = o.observer
-
-	var span *obs.Span
-	var reg *obs.Registry
-	if observer != nil {
-		span = observer.StartSpan("certify_robustness",
-			obs.String("system", sys.Name),
-			obs.Int("samples", cfg.Samples),
-			obs.Int("trials", trials))
-		defer span.End()
-		reg = observer.Metrics()
-	}
+	span := o.observer.StartSpan("certify_robustness",
+		obs.String("system", sys.Name),
+		obs.Int("samples", cfg.Samples),
+		obs.Int("trials", trials))
+	defer span.End()
 
 	// The ensemble members must not write onto the caller's ledger — only
 	// the certification verdict belongs there, recorded by robust.Certify
@@ -117,8 +109,6 @@ func CertifyRobustness(sys *System, cfg RobustnessConfig) (*Certificate, error) 
 		Seed:            cfg.Seed,
 		SkipSensitivity: cfg.SkipSensitivity,
 		Span:            span,
-		Metrics:         reg,
-		Bus:             observer.Bus(),
 		Ledger:          o.ledger,
 		Ctx:             cfg.Ctx,
 	})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // certCfg keeps the paper-example certification cheap: a small ensemble
@@ -76,9 +75,8 @@ func TestCertifyRobustnessSensitivities(t *testing.T) {
 }
 
 // TestCertifyRobustnessObserver: WithObserver in the options must hang a
-// certify_robustness span with one robust_level event per ε.
+// certify_robustness span with one certify_level event per ε.
 func TestCertifyRobustnessObserver(t *testing.T) {
-	defer sched.Observe(nil)
 	o := obs.New()
 	cfg := certCfg(7, 0, 0.05)
 	cfg.Options = []Option{WithObserver(o)}
@@ -96,12 +94,12 @@ func TestCertifyRobustnessObserver(t *testing.T) {
 	}
 	levels := 0
 	for _, ev := range cspan.Events() {
-		if ev.Name == "robust_level" {
+		if ev.Name == "certify_level" {
 			levels++
 		}
 	}
 	if levels != 2 {
-		t.Errorf("robust_level events = %d, want 2", levels)
+		t.Errorf("certify_level events = %d, want 2", levels)
 	}
 }
 

@@ -30,12 +30,14 @@ race:
 	$(GO) test -race ./...
 
 # bench is a smoke run (fixed iteration count) of the end-to-end pipeline
-# benchmarks, including the nil-observer telemetry fast path, and of the
-# fault-injection trial loop (a 50,000-trial campaign on one worker); use
-# `go test -bench=. -benchmem` for real measurements.
+# benchmarks, including the nil-observer telemetry fast path, of the
+# fault-injection trial loop (a 50,000-trial campaign on one worker) and
+# of the fabric frame codec (result, lease and campaign frames, against
+# encoding/json); use `go test -bench=. -benchmem` for real measurements.
 bench:
 	$(GO) test -run NONE -bench 'Integrate(Pipeline|NilObserver|WithObserver)$$' -benchtime 50x .
 	$(GO) test -run NONE -bench 'CampaignParallel/1$$' -benchtime 3x .
+	$(GO) test -run NONE -bench 'FrameCodec$$' -benchtime 200x -benchmem ./internal/fabric
 
 # bench-module vets the end-to-end benchmark harness (its own module in
 # bench/, outside ./...) and runs its self-tests: the output checks and
@@ -127,10 +129,12 @@ vuln:
 # rows), the sparse Eq. 3 sweep (against the dense per-pair recurrence),
 # the int-indexed placement kernel (against the string-keyed Approach A/B
 # and FCR-aware loops), the
-# slot walk of mapping.Evaluate (against the string walk), and the
+# slot walk of mapping.Evaluate (against the string walk), the
 # hand-written ledger encoder and run fingerprint (against json.Encoder
-# and json.Marshal, byte for byte) without turning the gate into a
-# fuzzing session.
+# and json.Marshal, byte for byte) and the hand-written fabric frame
+# codec (its encoder against json.Marshal byte for byte, its decoder
+# against json.Unmarshal on arbitrary bytes) without turning the gate
+# into a fuzzing session.
 # The graph target's inputs are long operation scripts, so its new inputs
 # get a short minimisation budget; the default 60s would eat the run.
 fuzz-smoke:
@@ -138,6 +142,8 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzIntegrate$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run NONE -fuzz 'FuzzRunFingerprintMatchesJSON$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run NONE -fuzz 'FuzzLedgerEncodeMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/ledger
+	$(GO) test -run NONE -fuzz 'FuzzFrameEncodeMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/fabric
+	$(GO) test -run NONE -fuzz 'FuzzFrameDecodeMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/fabric
 	$(GO) test -run NONE -fuzz 'FuzzFaultModel$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzMergerOrder$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzTrialLoopMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/faultsim

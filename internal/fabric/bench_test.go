@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -143,4 +144,66 @@ func BenchmarkFabricTelemetry(b *testing.B) {
 		}()
 		run(b, bus, obs.New(obs.WithBus(bus)))
 	})
+}
+
+// BenchmarkFrameCodec measures the TCP codec alone — the pipe transport
+// the benchmarks above use never serialises a frame — on the three frames
+// a campaign sends most or largest: a result frame over a real chunk of a
+// generated 36-process scenario, a lease grant, and the campaign frame a
+// flagless worker configures from. The json variants run encoding/json on
+// the same frames, the reference the codec is byte-identical to.
+func BenchmarkFrameCodec(b *testing.B) {
+	frames := map[string]*Frame{}
+	for _, f := range codecFrames(b, scenarioCampaign(b, 640)) {
+		if frames[f.Type] == nil {
+			frames[f.Type] = f
+		}
+	}
+	for _, typ := range []string{TypeResult, TypeLease, TypeCampaign} {
+		f := frames[typ]
+		payload, err := appendFrame(nil, f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(typ+"/encode", func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			buf := make([]byte, 0, len(payload))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if buf, err = appendFrame(buf[:0], f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(typ+"/encode-json", func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := json.Marshal(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(typ+"/decode", func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var g Frame
+				if err := decodeFrame(payload, &g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(typ+"/decode-json", func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var g Frame
+				if err := json.Unmarshal(payload, &g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -3,7 +3,6 @@ package fabric
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -864,10 +863,10 @@ func (co *Coordinator) quarantine(w *workerConn, begin, end int) {
 }
 
 // chunkEqual compares two chunk outputs byte-for-byte via their
-// canonical JSON encoding — the same bytes the merge consumes.
+// canonical JSON encoding — the bytes a result frame carries.
 func chunkEqual(a, b *faultsim.ChunkOutput) bool {
-	ab, aerr := json.Marshal(a)
-	bb, berr := json.Marshal(b)
+	ab, aerr := appendChunk(nil, a)
+	bb, berr := appendChunk(nil, b)
 	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
 }
 

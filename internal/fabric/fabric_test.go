@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -559,22 +560,54 @@ func TestFabricRejectsProtoMismatch(t *testing.T) {
 	}
 }
 
+// TestFabricOverTCP runs whole campaigns over loopback TCP, the transport
+// whose frames go through the codec, on a generated 36-process scenario:
+// with flag-configured and flagless workers (the latter configure from
+// the shipped spec), each with the telemetry relay off and on (phase
+// times ride every result frame; a 1 ms heartbeat makes meter snapshots
+// cross too). Every merged result must equal Workers=1.
 func TestFabricOverTCP(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	c := testCampaign(t, 1280)
+	c := scenarioCampaign(t, 3200)
 	want := localReference(t, c)
-
-	ln, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &fabricHarness{ln: ln, dial: DialTCP(ln.Addr()), workers: 2, allJoin: true}
-	got, stats := h.run(t, c)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("TCP result differs from Workers=1")
-	}
-	if stats.WorkersSeen != 2 {
-		t.Errorf("WorkersSeen = %d, want 2", stats.WorkersSeen)
+	for _, flagless := range []bool{false, true} {
+		for _, relay := range []bool{false, true} {
+			t.Run(fmt.Sprintf("flagless=%t/relay=%t", flagless, relay), func(t *testing.T) {
+				ln, err := ListenTCP("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				dial := DialTCP(ln.Addr())
+				h := &fabricHarness{ln: ln, dial: dial, workers: 2, allJoin: true}
+				h.wcfg = func(i int) WorkerConfig {
+					wc := flaglessWorker(dial, i)
+					if !flagless {
+						wc.Campaign = c
+					}
+					if relay {
+						wc.HeartbeatEvery = time.Millisecond
+					}
+					return wc
+				}
+				var observer *obs.Observer
+				if relay {
+					bus := obs.NewBus(1 << 12)
+					defer bus.Close()
+					observer = obs.New(obs.WithBus(bus))
+					h.cfg = Config{Bus: bus, Observer: observer}
+				}
+				got, stats := h.run(t, c)
+				if !reflect.DeepEqual(got, want) {
+					t.Error("TCP result differs from Workers=1")
+				}
+				if stats.WorkersSeen != 2 {
+					t.Errorf("WorkersSeen = %d, want 2", stats.WorkersSeen)
+				}
+				if relay {
+					checkPhaseSpans(t, observer.RemoteSpans(), faultsim.NumChunks(c.Trials)-stats.LocalChunks)
+				}
+			})
+		}
 	}
 }
 
@@ -737,6 +770,30 @@ func TestCodecRoundTripAndLimits(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, in) {
 		t.Errorf("round-trip mismatch: %+v != %+v", got, in)
+	}
+
+	// Frames of every type and size in a row over one connection, whose
+	// send and receive buffers are reused from frame to frame: each
+	// arrives as json.Unmarshal reads json.Marshal's bytes.
+	for _, in := range codecFrames(t, scenarioCampaign(t, 640)) {
+		if err := conn.Send(in); err != nil {
+			t.Fatal(err)
+		}
+		got, err := srv.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Frame
+		if err := json.Unmarshal(b, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Errorf("%s frame round-trip mismatch: %+v != %+v", in.Type, got, &want)
+		}
 	}
 
 	// A hostile length prefix is refused before any allocation happens.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -761,6 +762,48 @@ func TestPhaseSpansFromResultFrame(t *testing.T) {
 	}
 	if n := len(observer.RemoteSpans()); n != len(want) {
 		t.Fatalf("out-of-order phase times produced %d extra spans", n-len(want))
+	}
+}
+
+// TestRelayEventsKeepSortedFirstKeys: a relayed event with more than
+// maxMeterKeys attributes crosses with the sorted first maxMeterKeys of
+// them, every time — not with whichever subset map iteration visits
+// first.
+func TestRelayEventsKeepSortedFirstKeys(t *testing.T) {
+	bus := obs.NewBus(64)
+	defer bus.Close()
+	var got [][]string
+	bus.Attach(func(ev obs.BusEvent) {
+		keys := make([]string, 0, len(ev.Attrs))
+		for k := range ev.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		got = append(got, keys)
+	})
+	attrs := map[string]any{}
+	var want []string
+	for i := 0; i < 20; i++ {
+		k := fmt.Sprintf("k%02d", i)
+		attrs[k] = i
+		if i < maxMeterKeys {
+			want = append(want, k)
+		}
+	}
+	want = append(want, "relay")
+	co := &Coordinator{cfg: Config{Bus: bus}, label: "c"}
+	w := &workerConn{name: "w1"}
+	const reps = 64
+	for i := 0; i < reps; i++ {
+		co.relayEvents(w, []obs.BusEvent{{Kind: "fabric_worker", Name: "w1", Attrs: attrs}})
+	}
+	if len(got) != reps {
+		t.Fatalf("%d events published, want %d", len(got), reps)
+	}
+	for i, keys := range got {
+		if !reflect.DeepEqual(keys, want) {
+			t.Fatalf("event %d relayed attributes %v, want %v", i, keys, want)
+		}
 	}
 }
 

@@ -28,7 +28,6 @@ package fabric
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -198,16 +197,27 @@ type recvLimiter interface {
 }
 
 // codecConn frames JSON documents with a 4-byte big-endian length prefix
-// over any io.ReadWriteCloser — the TCP wire format. Sends are serialised
-// by a mutex (delayed chaos frames and heartbeats may send concurrently);
-// Recv is single-consumer.
+// over any io.ReadWriteCloser — the TCP wire format — encoded and decoded
+// by the hand-written frame codec (codec.go). Sends are serialised by a
+// mutex (delayed chaos frames and heartbeats may send concurrently) and
+// share one buffer; Recv is single-consumer and reuses one buffer, which
+// no decoded frame references.
 type codecConn struct {
 	rw io.ReadWriteCloser
 
 	recvLimit atomic.Int64
-	sendMu    sync.Mutex
-	closed    sync.Once
+	recvBuf   []byte
+
+	sendMu  sync.Mutex
+	sendBuf []byte // guarded by sendMu
+
+	closed sync.Once
 }
+
+// retainedBufSize is the largest send or receive buffer a connection
+// keeps between frames; a larger one (a campaign frame over a big graph)
+// is dropped after use.
+const retainedBufSize = 1 << 20
 
 // NewCodecConn wraps rw in the length-prefixed JSON frame codec.
 func NewCodecConn(rw io.ReadWriteCloser) Conn {
@@ -221,40 +231,54 @@ func NewCodecConn(rw io.ReadWriteCloser) Conn {
 func (c *codecConn) SetRecvLimit(n int) { c.recvLimit.Store(int64(n)) }
 
 func (c *codecConn) Send(f *Frame) error {
-	payload, err := json.Marshal(f)
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	// The length prefix is reserved at the head of the buffer, so the
+	// frame goes out in one write.
+	buf, err := appendFrame(append(c.sendBuf[:0], 0, 0, 0, 0), f)
 	if err != nil {
 		return fmt.Errorf("fabric: encode %s frame: %w", f.Type, err)
 	}
-	if len(payload) > maxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+	if cap(buf) <= retainedBufSize {
+		c.sendBuf = buf
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
+	n := len(buf) - 4
+	if n > maxFrameSize {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(buf, uint32(n))
 	_, err = c.rw.Write(buf)
 	return err
 }
 
 func (c *codecConn) Recv() (*Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.rw, hdr[:]); err != nil {
+	if c.recvBuf == nil {
+		c.recvBuf = make([]byte, 512)
+	}
+	hdr := c.recvBuf[:4]
+	if _, err := io.ReadFull(c.rw, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if int64(n) > c.recvLimit.Load() {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
+	payload := c.recvBuf
+	if int(n) > cap(payload) {
+		payload = make([]byte, n)
+		if n <= retainedBufSize {
+			c.recvBuf = payload
+		}
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(c.rw, payload); err != nil {
 		return nil, err
 	}
-	var f Frame
-	if err := json.Unmarshal(payload, &f); err != nil {
+	f := new(Frame)
+	if err := decodeFrame(payload, f); err != nil {
 		return nil, fmt.Errorf("fabric: decode frame: %w", err)
 	}
-	return &f, nil
+	return f, nil
 }
 
 func (c *codecConn) Close() error {

@@ -119,12 +119,10 @@ func (co *Coordinator) relayEvents(w *workerConn, evs []obs.BusEvent) {
 		if len(name) > maxWorkerName {
 			name = name[:maxWorkerName]
 		}
-		attrs := make([]obs.Attr, 0, len(ev.Attrs)+1)
-		for k, v := range ev.Attrs {
-			if len(attrs) == maxMeterKeys {
-				break
-			}
-			attrs = append(attrs, obs.Attr{Key: k, Value: v})
+		keys := firstKeys(ev.Attrs)
+		attrs := make([]obs.Attr, 0, len(keys)+1)
+		for _, k := range keys {
+			attrs = append(attrs, obs.Attr{Key: k, Value: ev.Attrs[k]})
 		}
 		attrs = append(attrs, obs.String("relay", w.name))
 		co.cfg.Bus.Publish("fabric_worker", name, attrs...)
@@ -142,20 +140,22 @@ func (co *Coordinator) publishClock(w *workerConn, meter map[string]float64) {
 		obs.Int64("offset_us", w.clockOff),
 		obs.Int64("rtt_us", w.rttBest),
 	}
-	if len(meter) > 0 {
-		keys := make([]string, 0, len(meter))
-		for k := range meter {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		if len(keys) > maxMeterKeys {
-			keys = keys[:maxMeterKeys]
-		}
-		for _, k := range keys {
-			attrs = append(attrs, obs.Float(k, meter[k]))
-		}
+	for _, k := range firstKeys(meter) {
+		attrs = append(attrs, obs.Float(k, meter[k]))
 	}
 	co.cfg.Bus.Publish("fabric_clock", w.name, attrs...)
+}
+
+// firstKeys returns the first maxMeterKeys keys of a relayed map in
+// sorted order: which entries of an oversized map cross is then a
+// function of the map, not of its iteration order.
+func firstKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys[:min(len(keys), maxMeterKeys)]
 }
 
 // observeLatency folds one leased→resulted chunk latency (coordinator

@@ -53,9 +53,10 @@ func (c Campaign) Fingerprint() string { return c.fingerprint() }
 // result frame. All integer counters merge exactly regardless of order;
 // the order-sensitive float64 losses are kept per trial, so a merged sum's
 // addition order is always the trial order, independent of chunk
-// boundaries and worker count. encoding/json round-trips float64 exactly
-// (shortest-form rendering), so a Result merged from remote chunks is
-// bit-identical to a local run.
+// boundaries and worker count. The fabric's frame codec writes each
+// float64 in its shortest round-tripping form, as encoding/json does, and
+// reads it back with strconv.ParseFloat, so a Result merged from remote
+// chunks is bit-identical to a local run.
 //
 // The per-node and per-edge counters are dense: Affected is indexed by
 // node id (position in the sorted Graph.Nodes()), EdgeTrials and

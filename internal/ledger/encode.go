@@ -84,7 +84,7 @@ func AppendJSONString(dst []byte, s string) []byte {
 // two-digit negative exponent cut to one (1e-07 → 1e-7). JSON has no
 // NaN or infinity; those are appended as the fixed tokens NaN, +Inf and
 // -Inf, which no finite value produces. Callers that must emit valid
-// JSON check for them first (see appendFinite).
+// JSON check for them first (see AppendJSONFinite).
 func AppendJSONFloat(dst []byte, f float64) []byte {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return strconv.AppendFloat(dst, f, 'g', -1, 64)
@@ -103,9 +103,9 @@ func AppendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// appendFinite appends f as JSON, or fails the way encoding/json does on
+// AppendJSONFinite appends f as JSON, or fails the way encoding/json does on
 // a NaN or infinity.
-func appendFinite(dst []byte, f float64) ([]byte, error) {
+func AppendJSONFinite(dst []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return dst, &json.UnsupportedValueError{
 			Value: reflect.ValueOf(f),
@@ -159,14 +159,14 @@ func appendRecord(dst []byte, r *Record, keys []string) ([]byte, []string, error
 	dst = appendStringField(dst, "a", r.A)
 	dst = appendStringField(dst, "b", r.B)
 	if r.Score != 0 {
-		if dst, err = appendFinite(appendKey(dst, "score"), r.Score); err != nil {
+		if dst, err = AppendJSONFinite(appendKey(dst, "score"), r.Score); err != nil {
 			return dst, keys, err
 		}
 	}
 	dst = appendStringField(dst, "result", r.Result)
 	dst = appendStringField(dst, "node", r.Node)
 	if r.Cost != 0 {
-		if dst, err = appendFinite(appendKey(dst, "cost"), r.Cost); err != nil {
+		if dst, err = AppendJSONFinite(appendKey(dst, "cost"), r.Cost); err != nil {
 			return dst, keys, err
 		}
 	}
@@ -177,7 +177,7 @@ func appendRecord(dst []byte, r *Record, keys []string) ([]byte, []string, error
 				dst = append(dst, ',')
 			}
 			dst = AppendJSONString(append(dst, `{"node":`...), a.Node)
-			if dst, err = appendFinite(append(dst, `,"cost":`...), a.Cost); err != nil {
+			if dst, err = AppendJSONFinite(append(dst, `,"cost":`...), a.Cost); err != nil {
 				return dst, keys, err
 			}
 			dst = append(dst, '}')
@@ -213,7 +213,7 @@ func appendRecord(dst []byte, r *Record, keys []string) ([]byte, []string, error
 				dst = append(dst, ',')
 			}
 			dst = append(AppendJSONString(dst, k), ':')
-			if dst, err = appendFinite(dst, r.Values[k]); err != nil {
+			if dst, err = AppendJSONFinite(dst, r.Values[k]); err != nil {
 				return dst, keys, err
 			}
 		}

@@ -31,13 +31,16 @@ race:
 
 # bench is a smoke run (fixed iteration count) of the end-to-end pipeline
 # benchmarks, including the nil-observer telemetry fast path, of the
-# fault-injection trial loop (a 50,000-trial campaign on one worker) and
-# of the fabric frame codec (result, lease and campaign frames, against
-# encoding/json); use `go test -bench=. -benchmem` for real measurements.
+# fault-injection trial loop (a 50,000-trial campaign on one worker), of
+# the fabric frame codec (result, lease and campaign frames, against
+# encoding/json) and of a campaign's set-up (its chunk runner and
+# fingerprint, from the shipped spec and from the Campaign); use
+# `go test -bench=. -benchmem` for real measurements.
 bench:
 	$(GO) test -run NONE -bench 'Integrate(Pipeline|NilObserver|WithObserver)$$' -benchtime 50x .
 	$(GO) test -run NONE -bench 'CampaignParallel/1$$' -benchtime 3x .
 	$(GO) test -run NONE -bench 'FrameCodec$$' -benchtime 200x -benchmem ./internal/fabric
+	$(GO) test -run NONE -bench 'CampaignSetup$$' -benchtime 200x -benchmem ./internal/fabric
 
 # bench-module vets the end-to-end benchmark harness (its own module in
 # bench/, outside ./...) and runs its self-tests: the output checks and
@@ -133,8 +136,10 @@ vuln:
 # hand-written ledger encoder and run fingerprint (against json.Encoder
 # and json.Marshal, byte for byte) and the hand-written fabric frame
 # codec (its encoder against json.Marshal byte for byte, its decoder
-# against json.Unmarshal on arbitrary bytes) without turning the gate
-# into a fuzzing session.
+# against json.Unmarshal on arbitrary bytes) and the spec path of a
+# flagless worker (a runner built straight from a shipped spec, against
+# a rebuild through a graph) without turning the gate into a fuzzing
+# session.
 # The graph target's inputs are long operation scripts, so its new inputs
 # get a short minimisation budget; the default 60s would eat the run.
 fuzz-smoke:
@@ -147,6 +152,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzFaultModel$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzMergerOrder$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzTrialLoopMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/faultsim
+	$(GO) test -run NONE -fuzz 'FuzzSpecRunnerMatchesCampaign$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzGraphMatchesReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/graph
 	$(GO) test -run NONE -fuzz 'FuzzMinCutMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run NONE -fuzz 'FuzzGlobalMinCutMatrixMatchesParent$$' -fuzztime $(FUZZTIME) ./internal/graph

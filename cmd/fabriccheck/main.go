@@ -10,7 +10,8 @@
 //   - a chaos transport dropping, duplicating and delaying frames in
 //     both directions, with a short lease TTL forcing real expiries;
 //   - the federated-telemetry relay on (bus + observer), with a worker
-//     killed mid-campaign: the merge must stay bit-identical, and every
+//     killed mid-campaign once all four have joined: the merge must stay
+//     bit-identical, and every
 //     chunk must appear exactly once among the relayed evaluate spans,
 //     each parented by a lease the coordinator actually granted over
 //     that chunk;
@@ -267,6 +268,11 @@ func telemetryTrace(c faultsim.Campaign, want faultsim.Result) {
 	defer sub.Close()
 	observer := obs.New(obs.WithBus(bus))
 
+	// The victim dies holding a lease, but only once all 4 workers have
+	// joined: were it the only worker so far, the coordinator would fall
+	// back to computing a chunk itself, and a local chunk has no phase
+	// spans to trace.
+	const workers = 4
 	victimCtx, kill := context.WithCancel(context.Background())
 	defer kill()
 	var once sync.Once
@@ -274,12 +280,20 @@ func telemetryTrace(c faultsim.Campaign, want faultsim.Result) {
 	watcherDone := make(chan struct{})
 	go func() {
 		defer close(watcherDone)
+		joined := map[string]bool{}
+		granted := false
 		for {
 			ev, ok := watch.Next(nil)
 			if !ok {
 				return
 			}
-			if ev.Kind == "fabric_lease" && ev.Attrs["worker"] == "victim" && ev.Attrs["state"] == "grant" {
+			switch {
+			case ev.Kind == "fabric_worker" && ev.Attrs["state"] == "join":
+				joined[ev.Name] = true
+			case ev.Kind == "fabric_lease" && ev.Attrs["worker"] == "victim" && ev.Attrs["state"] == "grant":
+				granted = true
+			}
+			if granted && len(joined) == workers {
 				once.Do(kill)
 			}
 		}
@@ -287,7 +301,7 @@ func telemetryTrace(c faultsim.Campaign, want faultsim.Result) {
 
 	pl := fabric.NewPipeListener()
 	got, stats, err := runFabric(context.Background(),
-		fabric.Config{Campaign: c, Listener: pl, Bus: bus, Observer: observer, LeaseTTL: 2 * time.Second}, 4,
+		fabric.Config{Campaign: c, Listener: pl, Bus: bus, Observer: observer, LeaseTTL: 2 * time.Second}, workers,
 		func(i int) fabric.WorkerConfig {
 			name := fmt.Sprintf("w%d", i)
 			if i == 0 {

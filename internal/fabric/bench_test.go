@@ -207,3 +207,45 @@ func BenchmarkFrameCodec(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCampaignSetup measures what it costs to turn the 36-process
+// scenario's campaign into a chunk runner and its fingerprint, per
+// campaign: from the decoded spec, as a flagless worker does (spec), and
+// from the Campaign and its graph, as a flag-configured worker does
+// (campaign). A coordinator's Run pays the campaign path once more for
+// its Merger, which shares the runner's environment. Run with -benchmem.
+func BenchmarkCampaignSetup(b *testing.B) {
+	c := scenarioCampaign(b, 3200)
+	r, err := faultsim.NewChunkRunner(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := appendCampaign(nil, r.Spec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := new(faultsim.WireCampaign)
+	if err := json.Unmarshal(data, spec); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("spec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r, err := spec.Runner()
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = r.Fingerprint()
+		}
+	})
+	b.Run("campaign", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r, err := faultsim.NewChunkRunner(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = r.Fingerprint()
+		}
+	})
+}

@@ -42,14 +42,11 @@ func scenarioCampaign(tb testing.TB, trials int) faultsim.Campaign {
 // over a real chunk and the campaign spec of c (at least 256 trials).
 func codecFrames(tb testing.TB, c faultsim.Campaign) []*Frame {
 	tb.Helper()
-	spec, err := faultsim.NewWireCampaign(c)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	runner, err := faultsim.NewChunkRunner(c)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	spec := runner.Spec()
 	chunk, err := runner.Run(context.Background(), 128, 192)
 	if err != nil {
 		tb.Fatal(err)

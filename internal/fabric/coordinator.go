@@ -115,6 +115,9 @@ type workerConn struct {
 	joined  time.Time
 	helloed bool
 	closed  bool
+	// fp is the campaign fingerprint the worker announced in its hello or
+	// auth frame; "" for a flagless worker.
+	fp string
 	// Challenge-response state while authentication is in flight.
 	authPending bool
 	authNonce   string
@@ -307,21 +310,17 @@ func Serve(ctx context.Context, cfg Config) (faultsim.Result, Stats, error) {
 // are left connected and idle, ready for the next Run (ServeSearch's
 // loop); the caller broadcasts the final done/drain verdict.
 func (co *Coordinator) Run(ctx context.Context, c faultsim.Campaign) (faultsim.Result, error) {
+	// The merger flattens the campaign once; the local and spot-check
+	// runner shares its trial environment, and the spec shipped to
+	// workers is that same flat form.
 	merger, err := faultsim.NewMerger(c, 0)
 	if err != nil {
 		return faultsim.Result{}, err
 	}
-	runner, err := faultsim.NewChunkRunner(c)
-	if err != nil {
-		return faultsim.Result{}, err
-	}
-	spec, err := faultsim.NewWireCampaign(c)
-	if err != nil {
-		return faultsim.Result{}, err
-	}
+	runner := merger.Runner()
 	co.epoch++
-	co.merger, co.runner, co.spec = merger, runner, spec
-	co.fp = c.Fingerprint()
+	co.merger, co.runner, co.spec = merger, runner, runner.Spec()
+	co.fp = runner.Fingerprint()
 	co.trials = c.Trials
 	co.spotSeed = c.Seed
 	co.traceID = ""
@@ -353,7 +352,7 @@ func (co *Coordinator) Run(ctx context.Context, c faultsim.Campaign) (faultsim.R
 	// Ship the new epoch to everyone already connected.
 	for w := range co.workers {
 		if w.helloed {
-			co.sendCampaign(w)
+			co.sendCampaign(w, false)
 			co.grant(w)
 		}
 	}
@@ -558,6 +557,7 @@ func (co *Coordinator) handle(w *workerConn, f *Frame) error {
 			co.reject(w, reason)
 			return nil
 		}
+		w.fp = f.Fingerprint
 		co.welcome(w, name)
 	case TypeAuth:
 		if !w.authPending || w.helloed {
@@ -572,10 +572,11 @@ func (co *Coordinator) handle(w *workerConn, f *Frame) error {
 			co.reject(w, reason)
 			return nil
 		}
+		w.fp = f.Fingerprint
 		co.welcome(w, w.name)
 	case TypeNeedCampaign:
 		if w.helloed && co.merger != nil {
-			co.sendCampaign(w)
+			co.sendCampaign(w, true)
 		}
 	case TypeHeartbeat:
 		co.renew(w, f.Leases)
@@ -622,22 +623,29 @@ func (co *Coordinator) welcome(w *workerConn, name string) {
 	co.send(w, &Frame{Type: TypeWelcome, Trials: co.trials, Worker: w.name})
 	co.publishWorker(w, "join")
 	if co.merger != nil {
-		co.sendCampaign(w)
+		co.sendCampaign(w, false)
 		co.grant(w)
 	}
 }
 
-// sendCampaign ships the current epoch's encoded campaign spec (plus the
-// trace id and a clock stamp when telemetry federation is on).
-func (co *Coordinator) sendCampaign(w *workerConn) {
-	co.send(w, co.stampTS(&Frame{
+// sendCampaign ships the current epoch's campaign frame (plus the trace
+// id and a clock stamp when telemetry federation is on). The frame
+// carries the encoded campaign spec unless the worker announced this
+// campaign's fingerprint: such a worker was configured with the campaign
+// and never reads the spec. withSpec ships it anyway, for a worker that
+// asked for it.
+func (co *Coordinator) sendCampaign(w *workerConn, withSpec bool) {
+	f := &Frame{
 		Type:        TypeCampaign,
 		Epoch:       co.epoch,
 		Fingerprint: co.fp,
 		Trials:      co.trials,
-		Spec:        co.spec,
 		Trace:       co.traceID,
-	}))
+	}
+	if withSpec || w.fp != co.fp {
+		f.Spec = co.spec
+	}
+	co.send(w, co.stampTS(f))
 }
 
 // reject refuses a handshake and discards the connection.

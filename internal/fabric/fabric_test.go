@@ -590,9 +590,18 @@ func TestFabricOverTCP(t *testing.T) {
 					return wc
 				}
 				var observer *obs.Observer
+				var mu sync.Mutex
+				connected := map[string]int{} // relayed "connected" events by worker
 				if relay {
 					bus := obs.NewBus(1 << 12)
 					defer bus.Close()
+					bus.Attach(func(ev obs.BusEvent) {
+						if ev.Kind == "fabric_worker" && ev.Attrs["state"] == "connected" && ev.Attrs["relay"] != nil {
+							mu.Lock()
+							connected[ev.Name]++
+							mu.Unlock()
+						}
+					})
 					observer = obs.New(obs.WithBus(bus))
 					h.cfg = Config{Bus: bus, Observer: observer}
 				}
@@ -605,9 +614,80 @@ func TestFabricOverTCP(t *testing.T) {
 				}
 				if relay {
 					checkPhaseSpans(t, observer.RemoteSpans(), faultsim.NumChunks(c.Trials)-stats.LocalChunks)
+					mu.Lock()
+					for i := 0; i < h.workers; i++ {
+						if name := fmt.Sprintf("w%d", i); connected[name] == 0 {
+							t.Errorf("worker %s's connected event never reached the coordinator bus (relayed: %v)", name, connected)
+						}
+					}
+					mu.Unlock()
 				}
 			})
 		}
+	}
+}
+
+// countingListener is a TCP fabric listener that counts the bytes the
+// coordinator writes to its workers.
+type countingListener struct {
+	net.Listener
+	sent *atomic.Int64
+}
+
+func (l *countingListener) Accept() (Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, ErrListenerClosed
+	}
+	return NewCodecConn(&countingConn{Conn: c, sent: l.sent}), nil
+}
+
+func (l *countingListener) Addr() string { return l.Listener.Addr().String() }
+
+type countingConn struct {
+	net.Conn
+	sent *atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.sent.Add(int64(n))
+	return n, err
+}
+
+// TestFlagConfiguredWorkersGetNoSpec counts what a coordinator writes to
+// two flag-configured workers over TCP. They announce the campaign's
+// fingerprint and never read a spec, so their campaign frames carry none:
+// everything the coordinator sends them over the whole 3,200-trial
+// campaign — welcomes, campaign frames, 50 leases, the done verdict —
+// takes fewer bytes than the one encoded spec each would otherwise get.
+func TestFlagConfiguredWorkersGetNoSpec(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	c := scenarioCampaign(t, 3200)
+	want := localReference(t, c)
+	r, err := faultsim.NewChunkRunner(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := appendCampaign(nil, r.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent atomic.Int64
+	h := &fabricHarness{ln: &countingListener{Listener: nl, sent: &sent},
+		dial: DialTCP(nl.Addr().String()), workers: 2, allJoin: true}
+	got, stats := h.run(t, c)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("TCP result differs from Workers=1")
+	}
+	t.Logf("coordinator sent %d bytes to %d flag-configured workers; one spec is %d bytes",
+		sent.Load(), stats.WorkersSeen, len(spec))
+	if n := sent.Load(); n >= int64(len(spec)) {
+		t.Errorf("coordinator sent %d bytes to flag-configured workers, not less than the %d-byte spec", n, len(spec))
 	}
 }
 

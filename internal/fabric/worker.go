@@ -81,15 +81,13 @@ type WorkerConfig struct {
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	var runner *faultsim.ChunkRunner
 	cfgFP := ""
-	trials := 0
 	if cfg.Campaign.Graph != nil {
 		var err error
 		runner, err = faultsim.NewChunkRunner(cfg.Campaign)
 		if err != nil {
 			return err
 		}
-		cfgFP = cfg.Campaign.Fingerprint()
-		trials = cfg.Campaign.Trials
+		cfgFP = runner.Fingerprint()
 	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = time.Second
@@ -111,7 +109,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		runner: runner,
 		fp:     cfgFP,
 		cfgFP:  cfgFP,
-		trials: trials,
 		rng:    rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x6a09e667f3bcc909)),
 	}
 	attempts := 0
@@ -143,14 +140,13 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 }
 
 // worker is the per-RunWorker state shared across reconnects. runner,
-// fp, trials and epoch are dynamic: a flagless worker fills them from
-// the shipped campaign spec and replaces them on every epoch switch.
+// fp and epoch are dynamic: a flagless worker fills them from the
+// shipped campaign spec and replaces them on every epoch switch.
 type worker struct {
 	cfg    WorkerConfig
 	cfgFP  string // flag-configured fingerprint; "" for a flagless worker
 	runner *faultsim.ChunkRunner
 	fp     string
-	trials int
 	epoch  uint64
 	rng    *rand.Rand
 	chunks int
@@ -263,19 +259,30 @@ func (w *worker) session(ctx context.Context, conn Conn) (handshaked, terminal b
 		return ids
 	}
 
-	// applyCampaign adopts a shipped campaign spec: verify it against its
-	// claimed fingerprint, build the chunk runner, switch to its epoch and
-	// drop lease state from other epochs. A non-nil return is terminal.
+	// welcomed turns true once the handshake is through and the
+	// "connected" liveness event has been published.
+	welcomed := false
+
+	// applyCampaign adopts a campaign frame: verify a shipped spec against
+	// its claimed fingerprint, build the chunk runner straight from it,
+	// switch to the frame's epoch and drop lease state from other epochs.
+	// A worker configured with the campaign keeps its own runner and needs
+	// no spec; any other worker asks again when a frame comes without one.
+	// A non-nil return is terminal.
 	applyCampaign := func(f *Frame) error {
-		if f.Spec == nil || f.Epoch == 0 {
+		if f.Epoch == 0 {
 			return nil // malformed campaign frame: ignore
 		}
 		if f.Trace != "" {
 			// The coordinator runs with telemetry on: switch the relay on
-			// for this and every later epoch of the connection.
+			// for this and every later epoch of the connection. The
+			// "connected" event published before it was on is relayed now.
 			if w.rel == nil {
 				w.rel = &relay{}
 				w.rel.reset()
+				if welcomed {
+					w.relayEvent(w.liveness("connected"))
+				}
 			}
 			w.rel.trace = f.Trace
 			w.rel.noteTS(f.TS)
@@ -283,22 +290,22 @@ func (w *worker) session(ctx context.Context, conn Conn) (handshaked, terminal b
 		if w.cfgFP != "" && f.Fingerprint != w.cfgFP {
 			return fmt.Errorf("%w: coordinator runs campaign %s, this worker is configured for %s", ErrRejected, f.Fingerprint, w.cfgFP)
 		}
+		if f.Spec == nil && w.cfgFP == "" {
+			_ = conn.Send(&Frame{Type: TypeNeedCampaign}) // best-effort; heartbeat retries
+			return nil
+		}
 		if w.runner != nil && f.Epoch == w.epoch && f.Fingerprint == w.fp {
 			return nil // duplicate (chaos or re-request)
 		}
 		if w.runner == nil || w.fp != f.Fingerprint {
-			c, err := f.Spec.Campaign()
+			runner, err := f.Spec.Runner()
 			if err != nil {
 				return fmt.Errorf("%w: shipped campaign spec: %v", ErrRejected, err)
 			}
-			if got := c.Fingerprint(); got != f.Fingerprint {
+			if got := runner.Fingerprint(); got != f.Fingerprint {
 				return fmt.Errorf("%w: shipped campaign fingerprints %s but claims %s", ErrRejected, got, f.Fingerprint)
 			}
-			runner, err := faultsim.NewChunkRunner(c)
-			if err != nil {
-				return fmt.Errorf("%w: shipped campaign invalid: %v", ErrRejected, err)
-			}
-			w.runner, w.fp, w.trials = runner, f.Fingerprint, c.Trials
+			w.runner, w.fp = runner, f.Fingerprint
 		}
 		w.epoch = f.Epoch
 		var kept []*Frame
@@ -407,6 +414,7 @@ handshake:
 			return false, true, ctx.Err()
 		}
 	}
+	welcomed = true
 	w.publish("connected")
 
 	// terminalFrame maps a done/drain frame onto the session's exit.
@@ -572,22 +580,34 @@ func (w *worker) publish(state string, extra ...obs.Attr) {
 	if w.cfg.Bus == nil && w.rel == nil {
 		return
 	}
+	name, attrs := w.liveness(state, extra...)
+	if w.cfg.Bus != nil {
+		w.cfg.Bus.Publish("fabric_worker", name, attrs...)
+	}
+	w.relayEvent(name, attrs)
+}
+
+// liveness returns the worker's name and the attributes of a liveness
+// event in state.
+func (w *worker) liveness(state string, extra ...obs.Attr) (string, []obs.Attr) {
 	name := w.cfg.Name
 	if name == "" {
 		name = "worker"
 	}
-	attrs := append([]obs.Attr{
+	return name, append([]obs.Attr{
 		obs.String("state", state),
 		obs.Int("chunks_done", w.chunks),
 	}, extra...)
-	if w.cfg.Bus != nil {
-		w.cfg.Bus.Publish("fabric_worker", name, attrs...)
+}
+
+// relayEvent buffers a liveness event for the relay, when it is on.
+func (w *worker) relayEvent(name string, attrs []obs.Attr) {
+	if w.rel == nil {
+		return
 	}
-	if w.rel != nil {
-		m := make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			m[a.Key] = a.Value
-		}
-		w.rel.event("fabric_worker", name, m)
+	m := make(map[string]any, len(attrs))
+	for _, a := range attrs {
+		m[a.Key] = a.Value
 	}
+	w.rel.event("fabric_worker", name, m)
 }

@@ -109,3 +109,58 @@ func TestParallelRunBytesNearSerial(t *testing.T) {
 		t.Errorf("Workers=2 allocates %.0f bytes per campaign, more than twice the %.0f of Workers=1", parallel, serial)
 	}
 }
+
+// TestSpecRunnerAllocsFlatInEdges pins the spec path of a flagless
+// worker: building a ChunkRunner from a shipped spec makes a small fixed
+// number of allocations — the environment's arrays, the name index and
+// the host classes — and none per edge or edge name; its fingerprint
+// allocates only the string it returns. The graphs have 36 nodes on 6
+// hosts, as many as the processes of the fabric benchmark's scenarios,
+// with 2 or 12 weighted out-edges per node and a replica pair per host.
+func TestSpecRunnerAllocsFlatInEdges(t *testing.T) {
+	allocs := func(degree int) float64 {
+		g := graph.New()
+		hw := map[string]string{}
+		const nodes = 36
+		name := func(i int) string { return fmt.Sprintf("p%02d", i%nodes) }
+		for i := 0; i < nodes; i++ {
+			if err := g.AddNode(name(i), attrs.New(map[attrs.Kind]float64{attrs.Criticality: float64(i % 16)})); err != nil {
+				t.Fatal(err)
+			}
+			hw[name(i)] = fmt.Sprintf("h%d", i%6)
+		}
+		for i := 0; i < nodes; i++ {
+			for d := 1; d <= degree; d++ {
+				if err := g.SetEdge(name(i), name(i+d), 0.05*float64(d)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 6; i++ {
+			if err := g.AddReplicaEdge(name(i), name(i+nodes-6)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := Campaign{Graph: g, HWOf: hw, Trials: 3200, Seed: 1998, CommFaultFraction: 0.3,
+			CriticalThreshold: 10, Model: Correlated()}
+		spec := flatten(&c)
+		r, err := spec.Runner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { _ = r.Fingerprint() }); n > 1 {
+			t.Errorf("Fingerprint allocates %.0f times at %d edges, want only its result", n, nodes*degree)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := spec.Runner(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const limit = 16
+	sparse, dense := allocs(2), allocs(12)
+	t.Logf("spec runner allocations: %.0f at 72 edges, %.0f at 432", sparse, dense)
+	if dense != sparse || dense > limit {
+		t.Errorf("spec runner allocates %.0f at 72 edges and %.0f at 432, want the same, at most %d", sparse, dense, limit)
+	}
+}

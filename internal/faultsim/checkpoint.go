@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strconv"
 
-	"repro/internal/attrs"
 	"repro/internal/stage"
 )
 
@@ -68,35 +67,76 @@ type checkpointFile struct {
 // fingerprint hashes the campaign identity: everything that influences the
 // deterministic trial sequence except the trial count. Graph node and edge
 // enumerations are sorted, so equal campaigns hash equally.
-func (c Campaign) fingerprint() string {
-	h := fnv.New64a()
-	ws := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	wf := func(f float64) { ws(strconv.FormatUint(math.Float64bits(f), 16)) }
-	ws("faultsim-campaign-v2")
-	ws(strconv.FormatUint(c.Seed, 16))
-	ws(strconv.Itoa(c.MaxHops))
-	wf(c.CriticalThreshold)
-	wf(c.CommFaultFraction)
+func (c Campaign) fingerprint() string { return fingerprint(flatten(&c), c.model()) }
+
+// fingerprint returns the env's campaign fingerprint.
+func (env *campaignEnv) fingerprint() string { return fingerprint(env.spec, env.model) }
+
+// fingerprint hashes the flat campaign w under model: the seed, the
+// propagation parameters, the model identity, then every node (name,
+// host, occurrence weight, criticality) and every edge (endpoints,
+// weight, replica flag) in w's order.
+func fingerprint(w *WireCampaign, model FaultModel) string {
+	h := newIDHash().str("faultsim-campaign-v2").hex(w.Seed).int(w.MaxHops).
+		float(w.CriticalThreshold).float(w.CommFaultFraction)
 	// The fault model is part of the campaign identity: a resume under a
 	// different model (or different model parameters) must be rejected.
-	c.model().fingerprint(ws, wf)
-	for _, n := range c.Graph.Nodes() {
-		ws(n)
-		ws(c.HWOf[n])
-		wf(c.OccurrenceWeights[n])
-		wf(c.Graph.Attrs(n).Value(attrs.Criticality))
+	h = model.fingerprint(h)
+	for _, n := range w.Nodes {
+		h = h.str(n.Name).str(n.HW).float(w.OccurrenceWeights[n.Name]).float(n.Criticality)
 	}
-	for _, e := range c.Graph.Edges() {
-		ws(e.From)
-		ws(e.To)
-		wf(e.Weight)
-		ws(strconv.FormatBool(e.Replica))
+	for _, e := range w.Edges {
+		h = h.str(e.From).str(e.To).float(e.Weight).str(strconv.FormatBool(e.Replica))
 	}
-	return strconv.FormatUint(h.Sum64(), 16)
+	return strconv.FormatUint(uint64(h), 16)
 }
+
+// idHash is a running 64-bit FNV-1a hash of a campaign identity. Every
+// field is hashed as its text followed by a NUL byte — numbers in the
+// strconv forms below — so the hash of a campaign never changes with the
+// way it is computed. A value type passed and returned by value, it
+// stays on the stack: hashing a campaign allocates nothing per field.
+type idHash uint64
+
+// fnvPrime is the 64-bit FNV prime. A field's closing NUL is hashed as a
+// bare multiplication: XOR with 0 changes nothing.
+const fnvPrime = 1099511628211
+
+func newIDHash() idHash { return 14695981039346656037 }
+
+// bytes hashes b and the NUL that ends a field.
+func (h idHash) bytes(b []byte) idHash {
+	for _, c := range b {
+		h = (h ^ idHash(c)) * fnvPrime
+	}
+	return h * fnvPrime
+}
+
+// str hashes a string field.
+func (h idHash) str(s string) idHash {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ idHash(s[i])) * fnvPrime
+	}
+	return h * fnvPrime
+}
+
+// hex hashes u in lower-case hexadecimal without leading zeros, as
+// strconv.FormatUint(u, 16) writes it.
+func (h idHash) hex(u uint64) idHash {
+	for shift := (63 - bits.LeadingZeros64(u|1)) &^ 3; shift >= 0; shift -= 4 {
+		h = (h ^ idHash("0123456789abcdef"[u>>shift&0xf])) * fnvPrime
+	}
+	return h * fnvPrime
+}
+
+// int hashes i in decimal.
+func (h idHash) int(i int) idHash {
+	var buf [20]byte
+	return h.bytes(strconv.AppendInt(buf[:0], int64(i), 10))
+}
+
+// float hashes the bits of f in hexadecimal.
+func (h idHash) float(f float64) idHash { return h.hex(math.Float64bits(f)) }
 
 // saveCheckpoint atomically persists the campaign state after done trials.
 func saveCheckpoint(path, fp string, done int, res Result) error {

@@ -82,35 +82,45 @@ type ChunkOutput struct {
 }
 
 // ChunkRunner computes grid chunks of one campaign — the worker side of a
-// distributed run. It validates the campaign once and precomputes the
-// immutable trial environment; Run then executes any chunk on its own
-// substreams. A ChunkRunner is safe for concurrent Run calls.
+// distributed run. It holds the campaign's flat form and the immutable
+// trial environment built from it, validated once; Run then executes any
+// chunk on its own substreams. A ChunkRunner is safe for concurrent Run
+// calls.
 type ChunkRunner struct {
-	env    *campaignEnv
-	trials int
+	env *campaignEnv
 }
 
-// NewChunkRunner validates c and builds the runner. Only the fields that
-// determine the trial sequence matter; telemetry, checkpointing and
-// worker-pool fields are ignored.
+// NewChunkRunner flattens and validates c and builds the runner. Only the
+// fields that determine the trial sequence matter; telemetry,
+// checkpointing and worker-pool fields are ignored.
 func NewChunkRunner(c Campaign) (*ChunkRunner, error) {
-	if err := c.validate(); err != nil {
+	env, err := newCampaignEnv(flatten(&c), c.model())
+	if err != nil {
 		return nil, err
 	}
-	return &ChunkRunner{env: newCampaignEnv(&c), trials: c.Trials}, nil
+	return &ChunkRunner{env: env}, nil
 }
 
 // Trials returns the campaign's configured trial count.
-func (r *ChunkRunner) Trials() int { return r.trials }
+func (r *ChunkRunner) Trials() int { return r.env.spec.Trials }
+
+// Fingerprint returns the campaign fingerprint, as Campaign.Fingerprint
+// gives it for the campaign the runner was built from.
+func (r *ChunkRunner) Fingerprint() string { return r.env.fingerprint() }
+
+// Spec returns the campaign's flat form, the spec a coordinator ships to
+// workers. It is shared with the runner and must not be modified.
+func (r *ChunkRunner) Spec() *WireCampaign { return r.env.spec }
 
 // Run executes trials [begin, end), which must be exactly one grid chunk.
 // The context is polled at every trial boundary; a cancelled chunk is
 // all-or-nothing.
 func (r *ChunkRunner) Run(ctx context.Context, begin, end int) (*ChunkOutput, error) {
-	if begin < 0 || begin%ChunkSize != 0 || end != chunkEnd(begin, r.trials) || begin >= r.trials {
+	trials := r.Trials()
+	if begin < 0 || begin%ChunkSize != 0 || end != chunkEnd(begin, trials) || begin >= trials {
 		return nil, stage.Wrap("inject", "chunk", "", fmt.Errorf(
 			"faultsim: chunk [%d,%d) is not on the %d-trial grid of %d trials",
-			begin, end, ChunkSize, r.trials))
+			begin, end, ChunkSize, trials))
 	}
 	ch := r.env.newChunk(begin, end)
 	if err := r.env.newWorker().runChunk(ctx, ch); err != nil {
@@ -140,6 +150,11 @@ func NewMerger(c Campaign, workersHint int) (*Merger, error) {
 	}
 	return &Merger{run: run}, nil
 }
+
+// Runner returns a ChunkRunner that shares the merger's trial
+// environment, so a coordinator that also computes chunks itself — the
+// local fallback, spot checks — builds the campaign once.
+func (m *Merger) Runner() *ChunkRunner { return &ChunkRunner{env: m.run.env} }
 
 // Frontier returns the completed-trial frontier: every trial below it has
 // been merged. A fresh merger starts at 0; a resumed one at the

@@ -31,10 +31,10 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
-	"repro/internal/attrs"
 	"repro/internal/graph"
 	"repro/internal/ledger"
 	"repro/internal/obs"
@@ -53,8 +53,13 @@ type Campaign struct {
 	// Graph is the influence graph faults propagate over (typically the
 	// full replicated graph, pre-condensation).
 	Graph *graph.Graph
-	// HWOf maps base node names to HW node names; empty means no HW
-	// boundary accounting.
+	// HWOf maps base node names to HW node names. A node it leaves out,
+	// or maps to "", shares the one unnamed host. When no node of the
+	// graph has a non-empty host — HWOf nil, empty, or naming only other
+	// nodes — the campaign has no HW boundary: no transmission crosses
+	// one and Correlated degenerates to SingleFault. A campaign shipped
+	// to fabric workers, which carries only each node's host, therefore
+	// runs as it does locally.
 	HWOf map[string]string
 	// Trials is the number of injection trials.
 	Trials int
@@ -267,8 +272,8 @@ func (env *campaignEnv) resetChunk(ch *ChunkOutput, begin, end int) {
 		CritPerTrial:  ch.CritPerTrial[:0],
 		EscPerTrial:   ch.EscPerTrial[:0],
 		Affected:      zeroed(ch.Affected, len(env.nodes)),
-		EdgeTrials:    zeroed(ch.EdgeTrials, len(env.edgeKey)),
-		Transmissions: zeroed(ch.Transmissions, len(env.edgeKey)),
+		EdgeTrials:    zeroed(ch.EdgeTrials, len(env.edges)),
+		Transmissions: zeroed(ch.Transmissions, len(env.edges)),
 	}
 }
 
@@ -326,20 +331,22 @@ func transmitThreshold(w float64) uint64 {
 func (e liveEdge) transmits(x uint64) int { return b2i(x < e.thr) }
 
 // campaignEnv is the immutable, precomputed view of a campaign shared by
-// all workers. Trials run on int ids: node ids index the sorted
-// Graph.Nodes(), live-edge ids follow Graph.Edges() order. Names appear
-// only where a Result is built. It is built once so concurrent trials
-// never touch the graph's mutable accessors.
+// all workers, built by newCampaignEnv from the campaign's flat form.
+// Trials run on int ids: node ids index spec.Nodes, live-edge ids follow
+// spec.Edges order. Names appear only where a Result is built. Nothing in
+// it changes after it is built, so concurrent trials, a Merger and any
+// number of ChunkRunners may share one.
 type campaignEnv struct {
+	spec  *WireCampaign
+	model FaultModel
 	nodes []string
-	// out[n] lists n's live out-edges in target order; edges lists every
-	// live edge by id, and edgeKey names it from+">"+to.
-	out     [][]liveEdge
-	edges   []liveEdge
-	edgeKey []string
-	crit    []float64
-	// hw is the HW class of each node; a node missing from HWOf has the
-	// class of "". hasHW is false when the campaign has no HWOf at all.
+	// edges lists every live edge by id, sorted by (from, to); out[n] is
+	// the run of edges leaving n, a sub-slice of edges in target order.
+	out   [][]liveEdge
+	edges []liveEdge
+	crit  []float64
+	// hw is the HW class of each node; a node without a host has the
+	// class of "". hasHW is false, and hw nil, when no node has a host.
 	hw            []int32
 	hasHW         bool
 	weights       []float64
@@ -348,61 +355,140 @@ type campaignEnv struct {
 	maxHops       int
 	commFrac      float64
 	critThreshold float64
-	model         FaultModel
 	persist       float64
 }
 
-func newCampaignEnv(c *Campaign) *campaignEnv {
+// errSpec classifies a flat campaign that no graph flattens to: a node
+// name empty, repeated or out of order, edges out of order, or a replica
+// marker with a weight or without its reverse edge.
+var errSpec = errors.New("faultsim: campaign spec is not in canonical form")
+
+// newCampaignEnv validates the flat campaign w under model and builds its
+// trial environment in one pass over its nodes and one over its edges.
+// It checks the trial count, every injected probability (edge weights,
+// occurrence weights, the comm-fault fraction) and the fault-model
+// parameters, and — since w may come off the wire rather than from a
+// graph — that w is in the form flatten gives: node names non-empty and
+// strictly ascending, edges strictly ascending by (From, To) between
+// known, distinct nodes, every replica marker of weight 0 with its
+// reverse edge present. Failures come back classified under the
+// taxonomy's "inject" stage, so callers route them like any other
+// pipeline error.
+func newCampaignEnv(w *WireCampaign, model FaultModel) (*campaignEnv, error) {
+	wrap := func(node string, err error) error {
+		return stage.Wrap("inject", model.Name(), node, err)
+	}
+	if w.Trials <= 0 {
+		return nil, wrap("", fmt.Errorf("%w: %d", ErrNoTrials, w.Trials))
+	}
+	n := len(w.Nodes)
+	if n == 0 {
+		return nil, wrap("", ErrNoNodes)
+	}
+	if !validProb(w.CommFaultFraction) {
+		return nil, wrap("", fmt.Errorf("%w: comm fault fraction %g out of range",
+			ErrBadProbability, w.CommFaultFraction))
+	}
 	env := &campaignEnv{
-		nodes:         c.Graph.Nodes(),
-		hasHW:         c.HWOf != nil,
-		seedBase:      rng.Mix(c.Seed),
-		maxHops:       c.MaxHops,
-		commFrac:      c.CommFaultFraction,
-		critThreshold: c.CriticalThreshold,
-		model:         c.model(),
+		spec:          w,
+		model:         model,
+		nodes:         make([]string, n),
+		out:           make([][]liveEdge, n),
+		edges:         make([]liveEdge, 0, len(w.Edges)),
+		crit:          make([]float64, n),
+		weights:       make([]float64, n),
+		seedBase:      rng.Mix(w.Seed),
+		maxHops:       w.MaxHops,
+		commFrac:      w.CommFaultFraction,
+		critThreshold: w.CriticalThreshold,
+		persist:       model.persist(),
 	}
-	env.persist = env.model.persist()
-	n := len(env.nodes)
-	id := make(map[string]int, n)
-	hwClass := map[string]int32{}
-	env.out = make([][]liveEdge, n)
-	env.crit = make([]float64, n)
-	env.hw = make([]int32, n)
-	for i, name := range env.nodes {
-		id[name] = i
-		env.crit[i] = c.Graph.Attrs(name).Value(attrs.Criticality)
-		host := c.HWOf[name]
-		class, ok := hwClass[host]
-		if !ok {
-			class = int32(len(hwClass))
-			hwClass[host] = class
+	id := make(map[string]int32, n)
+	for i, nd := range w.Nodes {
+		if nd.Name == "" {
+			return nil, wrap("", fmt.Errorf("%w: node %d has an empty name", errSpec, i))
 		}
-		env.hw[i] = class
+		if i > 0 && nd.Name <= env.nodes[i-1] {
+			return nil, wrap(nd.Name, fmt.Errorf("%w: node %q follows %q", errSpec, nd.Name, env.nodes[i-1]))
+		}
+		env.nodes[i] = nd.Name
+		env.crit[i] = nd.Criticality
+		env.hasHW = env.hasHW || nd.HW != ""
+		id[nd.Name] = int32(i)
 	}
-	// Graph.Edges() is sorted by (From, To), so appending in its order
-	// leaves every out list in target order, as Graph.OutEdges has it.
-	for _, e := range c.Graph.Edges() {
-		if e.Replica || e.Weight <= 0 {
-			continue
+	// Every edge, replica markers included, in compressed rows by source:
+	// the targets of node f's edges are to[start[f]:start[f+1]], ascending.
+	rows := make([]int32, len(w.Edges)+n+1)
+	to, start := rows[:len(w.Edges)], rows[len(w.Edges):]
+	for i, e := range w.Edges {
+		if i > 0 {
+			if p := w.Edges[i-1]; e.From < p.From || e.From == p.From && e.To <= p.To {
+				return nil, wrap(e.From, fmt.Errorf("%w: edge %s>%s follows %s>%s",
+					errSpec, e.From, e.To, p.From, p.To))
+			}
 		}
-		le := liveEdge{id: len(env.edges), from: id[e.From], to: id[e.To], thr: transmitThreshold(e.Weight)}
-		env.edges = append(env.edges, le)
-		env.edgeKey = append(env.edgeKey, e.From+">"+e.To)
-		env.out[le.from] = append(env.out[le.from], le)
+		f, okf := id[e.From]
+		t, okt := id[e.To]
+		switch {
+		case !okf || !okt:
+			return nil, wrap(e.From, fmt.Errorf("%w: edge %s>%s has an unknown endpoint",
+				graph.ErrNoSuchNode, e.From, e.To))
+		case f == t:
+			return nil, wrap(e.From, fmt.Errorf("%w: %q", graph.ErrSelfEdge, e.From))
+		case e.Replica:
+			if math.Float64bits(e.Weight) != 0 {
+				return nil, wrap(e.From, fmt.Errorf("%w: replica edge %s>%s has weight %g",
+					errSpec, e.From, e.To, e.Weight))
+			}
+		case !validProb(e.Weight):
+			return nil, wrap(e.From, fmt.Errorf("%w: influence %s>%s has weight %g",
+				ErrBadProbability, e.From, e.To, e.Weight))
+		case e.Weight > 0:
+			env.edges = append(env.edges, liveEdge{id: len(env.edges), from: int(f), to: int(t), thr: transmitThreshold(e.Weight)})
+		}
+		to[i] = t
+		start[f+1]++
+	}
+	for f := 0; f < n; f++ {
+		start[f+1] += start[f]
+	}
+	// A replica marker is one half of a symmetric pair, as AddReplicaEdge
+	// makes it; the other half may since have been replaced by a weighted
+	// edge, but it is there.
+	for f := 0; f < n; f++ {
+		for i := start[f]; i < start[f+1]; i++ {
+			if !w.Edges[i].Replica {
+				continue
+			}
+			t := to[i]
+			if _, ok := slices.BinarySearch(to[start[t]:start[t+1]], int32(f)); !ok {
+				return nil, wrap(env.nodes[f], fmt.Errorf("%w: replica edge %s>%s has no reverse edge",
+					errSpec, env.nodes[f], env.nodes[t]))
+			}
+		}
+	}
+	// Compressed rows: live edges ascend by source, so the edges leaving a
+	// node are one contiguous run of edges, already in target order.
+	for b := 0; b < len(env.edges); {
+		e := b
+		for e < len(env.edges) && env.edges[e].from == env.edges[b].from {
+			e++
+		}
+		env.out[env.edges[b].from] = env.edges[b:e:e]
+		b = e
 	}
 	// Injection-site sampler weights.
-	env.weights = make([]float64, n)
 	for i, name := range env.nodes {
-		w := 1.0
-		if c.OccurrenceWeights != nil {
-			w = c.OccurrenceWeights[name]
+		wt := 1.0
+		if w.OccurrenceWeights != nil {
+			wt = w.OccurrenceWeights[name]
+			if wt < 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
+				return nil, wrap(name, fmt.Errorf("%w: occurrence weight %g for %q",
+					ErrBadProbability, wt, name))
+			}
 		}
-		if w < 0 {
-			w = 0
-		}
-		env.weights[i] = w
-		env.weightTotal += w
+		env.weights[i] = wt
+		env.weightTotal += wt
 	}
 	if env.weightTotal == 0 {
 		for i := range env.weights {
@@ -410,7 +496,22 @@ func newCampaignEnv(c *Campaign) *campaignEnv {
 		}
 		env.weightTotal = float64(n)
 	}
-	return env
+	if err := model.validate(); err != nil {
+		return nil, wrap("", err)
+	}
+	if env.hasHW {
+		env.hw = make([]int32, n)
+		class := make(map[string]int32, n)
+		for i, nd := range w.Nodes {
+			c, ok := class[nd.HW]
+			if !ok {
+				c = int32(len(class))
+				class[nd.HW] = c
+			}
+			env.hw[i] = c
+		}
+	}
+	return env, nil
 }
 
 // pick draws an injection site from the occurrence-weight sampler and
@@ -619,6 +720,8 @@ type campaignRun struct {
 	// counters, by node id and live-edge id.
 	affected, edgeTrials, transmissions []int
 
+	edgeKey []string // live-edge names, built by keys on first use
+
 	done         int                  // completed-trial frontier (all trials < done merged)
 	held         map[int]*ChunkOutput // absorbed ahead of the frontier, by grid index
 	release      func(*ChunkOutput)   // when set, takes each chunk once merged or dropped
@@ -802,9 +905,22 @@ func (r *campaignRun) save(done int) error {
 func (r *campaignRun) result() Result {
 	res := r.res
 	res.AffectedCount = named(r.env.nodes, r.affected)
-	res.TransmissionCount = named(r.env.edgeKey, r.transmissions)
-	res.EdgeTrials = named(r.env.edgeKey, r.edgeTrials)
+	res.TransmissionCount = named(r.keys(), r.transmissions)
+	res.EdgeTrials = named(r.keys(), r.edgeTrials)
 	return res
+}
+
+// keys returns the live-edge names from+">"+to, by id, building them on
+// first use: only a merge side that names its Result, or restores one,
+// needs them.
+func (r *campaignRun) keys() []string {
+	if r.edgeKey == nil {
+		r.edgeKey = make([]string, len(r.env.edges))
+		for i, e := range r.env.edges {
+			r.edgeKey[i] = r.env.nodes[e.from] + ">" + r.env.nodes[e.to]
+		}
+	}
+	return r.edgeKey
 }
 
 // named keys the nonzero dense counts by name. Counts add up, so edges
@@ -998,50 +1114,6 @@ func (c Campaign) model() FaultModel {
 // validProb reports whether p is a finite probability.
 func validProb(p float64) bool { return p >= 0 && p <= 1 && !math.IsNaN(p) }
 
-// validate checks the campaign configuration — trial count, graph, every
-// injected probability (edge weights, occurrence weights, the comm-fault
-// fraction) and the fault-model parameters — once at campaign start.
-// Failures come back classified under the taxonomy's "inject" stage, so
-// callers route them like any other pipeline error. This closes the old
-// asymmetry where RunHW range-checked FailureProb but Run silently
-// accepted out-of-band per-factor probabilities.
-func (c Campaign) validate() error {
-	wrap := func(node string, err error) error {
-		return stage.Wrap("inject", c.model().Name(), node, err)
-	}
-	if c.Trials <= 0 {
-		return wrap("", fmt.Errorf("%w: %d", ErrNoTrials, c.Trials))
-	}
-	if c.Graph == nil || c.Graph.NumNodes() == 0 {
-		return wrap("", ErrNoNodes)
-	}
-	if !validProb(c.CommFaultFraction) {
-		return wrap("", fmt.Errorf("%w: comm fault fraction %g out of range",
-			ErrBadProbability, c.CommFaultFraction))
-	}
-	for _, e := range c.Graph.Edges() {
-		if e.Replica {
-			continue
-		}
-		if !validProb(e.Weight) {
-			return wrap(e.From, fmt.Errorf("%w: influence %s>%s has weight %g",
-				ErrBadProbability, e.From, e.To, e.Weight))
-		}
-	}
-	if c.OccurrenceWeights != nil {
-		for _, n := range c.Graph.Nodes() {
-			if w := c.OccurrenceWeights[n]; w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-				return wrap(n, fmt.Errorf("%w: occurrence weight %g for %q",
-					ErrBadProbability, w, n))
-			}
-		}
-	}
-	if err := c.model().validate(); err != nil {
-		return wrap("", err)
-	}
-	return nil
-}
-
 // Run executes the campaign.
 func Run(c Campaign) (Result, error) {
 	workers := c.Workers
@@ -1076,25 +1148,26 @@ func Run(c Campaign) (Result, error) {
 	return run.finish(), nil
 }
 
-// newCampaignRun validates the campaign and builds its merge-side state:
-// the precomputed environment, the (possibly resumed) partial Result, the
-// telemetry instruments and every evaluation-point interval. It publishes
-// the "campaign_start" event and returns the completed-trial frontier the
-// execution should start from. Both Run and the distributed Merger build
-// on it, which is what keeps the two bit-identical.
+// newCampaignRun flattens and validates the campaign and builds its
+// merge-side state: the precomputed environment, the (possibly resumed)
+// partial Result, the telemetry instruments and every evaluation-point
+// interval. It publishes the "campaign_start" event and returns the
+// completed-trial frontier the execution should start from. Both Run and
+// the distributed Merger build on it, which is what keeps the two
+// bit-identical.
 func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
-	if err := c.validate(); err != nil {
+	env, err := newCampaignEnv(flatten(c), c.model())
+	if err != nil {
 		return nil, 0, err
 	}
-	env := newCampaignEnv(c)
 	run := &campaignRun{
 		c:             c,
 		env:           env,
 		held:          map[int]*ChunkOutput{},
 		res:           Result{Trials: c.Trials},
 		affected:      make([]int, len(env.nodes)),
-		edgeTrials:    make([]int, len(env.edgeKey)),
-		transmissions: make([]int, len(env.edgeKey)),
+		edgeTrials:    make([]int, len(env.edges)),
+		transmissions: make([]int, len(env.edges)),
 	}
 
 	// Crash-safe checkpointing: resolve the campaign fingerprint once,
@@ -1108,7 +1181,7 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 		run.persistEvery = 1
 	}
 	if c.CheckpointPath != "" {
-		run.fp = c.fingerprint()
+		run.fp = env.fingerprint()
 	}
 	start := 0
 	if c.Resume && c.CheckpointPath != "" {
@@ -1134,8 +1207,8 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 			}
 			if err := errors.Join(
 				unname(cf.Result.AffectedCount, env.nodes, run.affected),
-				unname(cf.Result.TransmissionCount, env.edgeKey, run.transmissions),
-				unname(cf.Result.EdgeTrials, env.edgeKey, run.edgeTrials),
+				unname(cf.Result.TransmissionCount, run.keys(), run.transmissions),
+				unname(cf.Result.EdgeTrials, run.keys(), run.edgeTrials),
 			); err != nil {
 				return nil, 0, err
 			}

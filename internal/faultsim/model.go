@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"strconv"
 )
 
 // ErrBadProbability marks a campaign whose injected probabilities — edge
@@ -40,9 +39,9 @@ type FaultModel interface {
 	// validate checks the model parameters at campaign start.
 	validate() error
 
-	// fingerprint appends the model identity (name + parameters) to the
+	// fingerprint adds the model identity (name + parameters) to the
 	// campaign fingerprint.
-	fingerprint(ws func(string), wf func(float64))
+	fingerprint(h idHash) idHash
 
 	// persist is the probability a fault is permanent rather than
 	// transient (1 = every fault permanent; only Transient lowers it).
@@ -107,10 +106,10 @@ type singleModel struct{}
 // with probability CommFaultFraction — into a communication edge.
 func SingleFault() FaultModel { return singleModel{} }
 
-func (singleModel) Name() string                                 { return "single" }
-func (singleModel) validate() error                              { return nil }
-func (singleModel) fingerprint(ws func(string), _ func(float64)) { ws("single") }
-func (singleModel) persist() float64                             { return 1 }
+func (singleModel) Name() string                { return "single" }
+func (singleModel) validate() error             { return nil }
+func (singleModel) fingerprint(h idHash) idHash { return h.str("single") }
+func (singleModel) persist() float64            { return 1 }
 func (singleModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
 	injectSingle(env, rng, t)
 }
@@ -126,10 +125,10 @@ type correlatedModel struct{}
 // the model degenerates to SingleFault (there is no colocation to share).
 func Correlated() FaultModel { return correlatedModel{} }
 
-func (correlatedModel) Name() string                                 { return "correlated" }
-func (correlatedModel) validate() error                              { return nil }
-func (correlatedModel) fingerprint(ws func(string), _ func(float64)) { ws("correlated") }
-func (correlatedModel) persist() float64                             { return 1 }
+func (correlatedModel) Name() string                { return "correlated" }
+func (correlatedModel) validate() error             { return nil }
+func (correlatedModel) fingerprint(h idHash) idHash { return h.str("correlated") }
+func (correlatedModel) persist() float64            { return 1 }
 func (correlatedModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
 	seed := env.pick(rng)
 	if !env.hasHW {
@@ -165,11 +164,8 @@ func (m burstModel) validate() error {
 	}
 	return nil
 }
-func (m burstModel) fingerprint(ws func(string), _ func(float64)) {
-	ws("burst")
-	ws(strconv.Itoa(m.k))
-}
-func (m burstModel) persist() float64 { return 1 }
+func (m burstModel) fingerprint(h idHash) idHash { return h.str("burst").int(m.k) }
+func (m burstModel) persist() float64            { return 1 }
 func (m burstModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
 	k := m.k
 	if k > len(env.nodes) {
@@ -251,9 +247,8 @@ func (m transientModel) validate() error {
 	}
 	return nil
 }
-func (m transientModel) fingerprint(ws func(string), wf func(float64)) {
-	ws("transient")
-	wf(m.persistProb)
+func (m transientModel) fingerprint(h idHash) idHash {
+	return h.str("transient").float(m.persistProb)
 }
 func (m transientModel) persist() float64 { return m.persistProb }
 func (m transientModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {

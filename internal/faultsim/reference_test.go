@@ -39,7 +39,7 @@ func newRefEnv(c *Campaign) *refEnv {
 		nodes:         c.Graph.Nodes(),
 		out:           map[string][]graph.Edge{},
 		crit:          map[string]float64{},
-		hwOf:          c.HWOf,
+		hwOf:          hostsOrNil(c),
 		seedBase:      rng.Mix(c.Seed),
 		maxHops:       c.MaxHops,
 		commFrac:      c.CommFaultFraction,
@@ -83,6 +83,17 @@ func newRefEnv(c *Campaign) *refEnv {
 		env.weightTotal = float64(len(env.weights))
 	}
 	return env
+}
+
+// hostsOrNil returns c.HWOf, or nil when no node of the graph has a
+// non-empty host: such a campaign has no HW boundary (see Campaign.HWOf).
+func hostsOrNil(c *Campaign) map[string]string {
+	for _, n := range c.Graph.Nodes() {
+		if c.HWOf[n] != "" {
+			return c.HWOf
+		}
+	}
+	return nil
 }
 
 func (env *refEnv) pick(rng *rand.Rand) string {
@@ -265,7 +276,7 @@ func (env *refEnv) runTrial(rng *rand.Rand, ch *refChunk) {
 // early stopping or checkpointing.
 func refRun(t testing.TB, c Campaign) Result {
 	t.Helper()
-	if err := c.validate(); err != nil {
+	if _, err := NewChunkRunner(c); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	env := newRefEnv(&c)

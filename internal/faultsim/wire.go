@@ -1,10 +1,9 @@
 package faultsim
 
 import (
-	"fmt"
+	"maps"
 
 	"repro/internal/attrs"
-	"repro/internal/graph"
 )
 
 // This file is the campaign wire codec: a self-contained, JSON-friendly
@@ -14,7 +13,8 @@ import (
 // flags. The encoding is deliberately minimal — exactly the fields
 // Campaign.Fingerprint() hashes, no more — so a decoded campaign
 // fingerprints identically to the original and produces bit-identical
-// chunks through ChunkRunner.
+// chunks through ChunkRunner. It is also the campaign's one in-memory flat
+// form: every trial environment is built from it (see flatten).
 
 // WireNode is one influence-graph node on the wire: its name, criticality
 // attribute and HW placement.
@@ -54,13 +54,14 @@ type WireCampaign struct {
 	Label   string  `json:"label,omitempty"`
 }
 
-// NewWireCampaign encodes c for the wire. The graph is flattened into
-// sorted node and edge lists (Graph.Nodes/Edges are already sorted), so
-// two equal campaigns encode byte-identically.
-func NewWireCampaign(c Campaign) (*WireCampaign, error) {
-	if c.Graph == nil {
-		return nil, ErrNoNodes
-	}
+// flatten reads c into its flat form in one pass over the graph's nodes
+// and one over its edges, both in sorted order: nodes by name, edges by
+// (From, To), as Graph.Nodes and Graph.Edges list them. The flat form is
+// what every consumer builds a campaign from — Run, NewMerger,
+// NewChunkRunner and the fabric worker — so a campaign is read from its
+// graph once however it runs, and two equal campaigns flatten (and
+// encode) byte-identically. A nil graph flattens to no nodes.
+func flatten(c *Campaign) *WireCampaign {
 	w := &WireCampaign{
 		Trials:            c.Trials,
 		Seed:              c.Seed,
@@ -68,22 +69,6 @@ func NewWireCampaign(c Campaign) (*WireCampaign, error) {
 		MaxHops:           c.MaxHops,
 		CommFaultFraction: c.CommFaultFraction,
 		Label:             c.Label,
-	}
-	for _, n := range c.Graph.Nodes() {
-		w.Nodes = append(w.Nodes, WireNode{
-			Name:        n,
-			Criticality: c.Graph.Attrs(n).Value(attrs.Criticality),
-			HW:          c.HWOf[n],
-		})
-	}
-	for _, e := range c.Graph.Edges() {
-		w.Edges = append(w.Edges, WireEdge{From: e.From, To: e.To, Weight: e.Weight, Replica: e.Replica})
-	}
-	if len(c.OccurrenceWeights) > 0 {
-		w.OccurrenceWeights = make(map[string]float64, len(c.OccurrenceWeights))
-		for k, v := range c.OccurrenceWeights {
-			w.OccurrenceWeights[k] = v
-		}
 	}
 	switch m := c.model().(type) {
 	case singleModel:
@@ -96,66 +81,44 @@ func NewWireCampaign(c Campaign) (*WireCampaign, error) {
 	case transientModel:
 		w.Model = "transient"
 		w.Persist = m.persistProb
-	default:
-		return nil, fmt.Errorf("%w: model %q is not wire-encodable", ErrBadModel, c.model().Name())
 	}
-	return w, nil
+	if len(c.OccurrenceWeights) > 0 {
+		w.OccurrenceWeights = maps.Clone(c.OccurrenceWeights)
+	}
+	g := c.Graph
+	if g == nil || g.NumNodes() == 0 {
+		return w
+	}
+	slots := g.SlotsByName()
+	w.Nodes = make([]WireNode, len(slots))
+	for i, s := range slots {
+		name := g.Name(s)
+		w.Nodes[i] = WireNode{Name: name, Criticality: g.Attrs(name).Value(attrs.Criticality), HW: c.HWOf[name]}
+	}
+	if g.NumEdges() > 0 {
+		w.Edges = make([]WireEdge, 0, g.NumEdges())
+		g.EachEdge(func(from, to int, weight float64, replica bool) {
+			w.Edges = append(w.Edges, WireEdge{From: g.Name(from), To: g.Name(to), Weight: weight, Replica: replica})
+		})
+	}
+	return w
 }
 
-// Campaign reconstructs the campaign a WireCampaign describes. The rebuilt
-// graph enumerates nodes and edges in the same sorted order as the
-// original, so the reconstruction fingerprints identically and its
-// ChunkRunner produces bit-identical chunk outputs. Validation of the
-// probability fields happens where it always does — NewChunkRunner /
-// NewMerger — not here.
-func (w *WireCampaign) Campaign() (Campaign, error) {
-	g := graph.New()
-	hwOf := map[string]string{}
-	for _, n := range w.Nodes {
-		if err := g.AddNode(n.Name, attrs.New(map[attrs.Kind]float64{attrs.Criticality: n.Criticality})); err != nil {
-			return Campaign{}, fmt.Errorf("faultsim: wire campaign node %q: %w", n.Name, err)
-		}
-		if n.HW != "" {
-			hwOf[n.Name] = n.HW
-		}
-	}
-	for _, e := range w.Edges {
-		if e.Replica {
-			// AddReplicaEdge installs both directions; the wire carries
-			// both, so the reverse insert is an idempotent re-add.
-			if err := g.AddReplicaEdge(e.From, e.To); err != nil {
-				return Campaign{}, fmt.Errorf("faultsim: wire campaign replica edge %s->%s: %w", e.From, e.To, err)
-			}
-			continue
-		}
-		if err := g.SetEdge(e.From, e.To, e.Weight); err != nil {
-			return Campaign{}, fmt.Errorf("faultsim: wire campaign edge %s->%s: %w", e.From, e.To, err)
-		}
-	}
+// Runner validates w and builds its ChunkRunner straight from the flat
+// form, with no graph: the path of a worker that configures itself from
+// a shipped spec. It rejects every spec a graph could not have produced
+// (see newCampaignEnv) and an unknown model, so an accepted spec runs
+// exactly the campaign it fingerprints as; the caller still compares that
+// fingerprint with the one the coordinator claims. The runner keeps w,
+// which must not change afterwards.
+func (w *WireCampaign) Runner() (*ChunkRunner, error) {
 	model, err := ModelByName(w.Model, w.Burst, w.Persist)
 	if err != nil {
-		return Campaign{}, err
+		return nil, err
 	}
-	if len(hwOf) == 0 {
-		hwOf = nil
+	env, err := newCampaignEnv(w, model)
+	if err != nil {
+		return nil, err
 	}
-	var occ map[string]float64
-	if len(w.OccurrenceWeights) > 0 {
-		occ = make(map[string]float64, len(w.OccurrenceWeights))
-		for k, v := range w.OccurrenceWeights {
-			occ[k] = v
-		}
-	}
-	return Campaign{
-		Graph:             g,
-		HWOf:              hwOf,
-		Trials:            w.Trials,
-		Seed:              w.Seed,
-		OccurrenceWeights: occ,
-		CriticalThreshold: w.CriticalThreshold,
-		MaxHops:           w.MaxHops,
-		CommFaultFraction: w.CommFaultFraction,
-		Model:             model,
-		Label:             w.Label,
-	}, nil
+	return &ChunkRunner{env: env}, nil
 }

@@ -33,14 +33,17 @@ race:
 # benchmarks, including the nil-observer telemetry fast path, of the
 # fault-injection trial loop (a 50,000-trial campaign on one worker), of
 # the fabric frame codec (result, lease and campaign frames, against
-# encoding/json) and of a campaign's set-up (its chunk runner and
-# fingerprint, from the shipped spec and from the Campaign); use
-# `go test -bench=. -benchmem` for real measurements.
+# encoding/json), of a campaign's set-up (its chunk runner and
+# fingerprint, from the shipped spec and from the Campaign) and of the
+# Eq. 3 separation sweep (12–240-row scenario matrices at widths 1 and 2,
+# the figures behind its row rule); use `go test -bench=. -benchmem` for
+# real measurements.
 bench:
 	$(GO) test -run NONE -bench 'Integrate(Pipeline|NilObserver|WithObserver)$$' -benchtime 50x .
 	$(GO) test -run NONE -bench 'CampaignParallel/1$$' -benchtime 3x .
 	$(GO) test -run NONE -bench 'FrameCodec$$' -benchtime 200x -benchmem ./internal/fabric
 	$(GO) test -run NONE -bench 'CampaignSetup$$' -benchtime 200x -benchmem ./internal/fabric
+	$(GO) test -run NONE -bench 'SeparationSweep$$' -benchtime 20x -benchmem ./internal/influence
 
 # bench-module vets the end-to-end benchmark harness (its own module in
 # bench/, outside ./...) and runs its self-tests: the output checks and

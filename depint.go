@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -269,11 +270,15 @@ func WithFallback(next ...Strategy) Option {
 	return func(o *options) { o.fallback = append(o.fallback, next...) }
 }
 
-// WithWorkers sizes the worker pools of the pipeline's parallel stages:
-// the Eq. (3) separation sweeps (the influence stage and the
-// SeparationGuided condensation heuristic) shard their row kernels over
-// this many goroutines. 0 (the default) means GOMAXPROCS; 1 forces fully
-// serial execution. Results are bit-identical for every value.
+// WithWorkers sets the goroutine budget of the pipeline's parallel work,
+// the Eq. (3) separation sweeps. Above one, the influence stage's sweep
+// runs on a background goroutine beside replication, condensation and
+// mapping, its rows shared over the budget less the pipeline's own
+// goroutine; the SeparationGuided condensation heuristic shares the rows
+// of each of its sweeps over the whole budget. A sweep takes at most one
+// goroutine per 64 rows. 0 (the default) means GOMAXPROCS; 1 forces fully
+// serial execution, in stage order. Results are bit-identical for every
+// value.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithRaceStrategies switches the WithFallback chain from serial retry to
@@ -384,23 +389,93 @@ func Integrate(sys *System, opts ...Option) (*Result, error) {
 // a recovered panic additionally lands its stack there as a "panic" event.
 func runStage(ctx context.Context, sp *obs.Span, name string, fn func() error) error {
 	defer sp.End()
+	return runStageOpen(ctx, sp, name, fn)
+}
+
+// runStageOpen is runStage without ending sp, for a stage whose work
+// outlives its body (the influence stage's background sweep).
+func runStageOpen(ctx context.Context, sp *obs.Span, name string, fn func() error) error {
 	if p := sp.Profiler(); p != nil {
 		p.StageStart(name)
 		defer p.StageEnd(name)
 	}
-	if err := stage.Check(ctx, name); err != nil {
-		sp.SetAttr(obs.String("error", err.Error()))
-		return err
+	err := stage.Check(ctx, name)
+	if err == nil {
+		err = stage.Run(name, fn)
 	}
-	err := stage.Run(name, fn)
-	if err != nil {
-		sp.SetAttr(obs.String("error", err.Error()))
-		var se *stage.Error
-		if errors.As(err, &se) && len(se.Stack) > 0 {
-			sp.Event("panic", obs.String("stage", se.Stage), obs.String("stack", string(se.Stack)))
-		}
-	}
+	recordFailure(sp, err)
 	return err
+}
+
+// recordFailure records a stage failure on its span: the error, and for
+// a recovered panic its stack as a "panic" event.
+func recordFailure(sp *obs.Span, err error) {
+	if err == nil {
+		return
+	}
+	sp.SetAttr(obs.String("error", err.Error()))
+	var se *stage.Error
+	if errors.As(err, &se) && len(se.Stack) > 0 {
+		sp.Event("panic", obs.String("stage", se.Stage), obs.String("stack", string(se.Stack)))
+	}
+}
+
+// separation is the influence stage's Eq. (3) sweep. Nothing before
+// evaluate reads its matrix, so unless the worker budget is one it runs
+// on one background goroutine beside replicate, condense and map.
+type separation struct {
+	ids []string
+	sep [][]float64
+	// err is the background sweep's failure, classified under the
+	// influence stage.
+	err error
+	// done is closed when a background sweep ends; nil when the sweep ran
+	// inline.
+	done chan struct{}
+}
+
+// start sweeps m. With a budget of one worker (WithWorkers(1), or
+// GOMAXPROCS 1) it sweeps inline and returns the sweep's error, so the
+// run keeps its serial order. Otherwise it returns nil at once and a
+// goroutine sweeps m, with the budget less the main goroutine as its row
+// pool, behind the influence stage's panic firewall; that goroutine
+// records a failure on sp and ends sp when the sweep ends.
+func (s *separation) start(ctx context.Context, sp *obs.Span, m graph.Sparse, order, workers int) error {
+	s.ids = m.IDs
+	sweep := func(width int) error {
+		sep, err := influence.SeparationSparse(ctx, m, order, width)
+		if err != nil {
+			return fmt.Errorf("separation: %w", err)
+		}
+		s.sep = sep
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 {
+		return sweep(1)
+	}
+	s.done = make(chan struct{})
+	go func() {
+		defer close(s.done)
+		defer sp.End()
+		s.err = stage.Run("influence", func() error { return sweep(workers - 1) })
+		recordFailure(sp, s.err)
+	}()
+	return nil
+}
+
+// wait joins the sweep and installs its matrix in res.
+func (s *separation) wait(res *Result) error {
+	if s.done != nil {
+		<-s.done
+	}
+	if s.err != nil {
+		return s.err
+	}
+	res.Separation, res.SeparationIndex = s.sep, s.ids
+	return nil
 }
 
 // stageOf extracts the stage name a classified error escaped from.
@@ -493,28 +568,28 @@ func IntegrateContext(ctx context.Context, sys *System, opts ...Option) (*Result
 	}
 
 	// Stage 2: influence — the directed influence graph plus the Eq. (3)
-	// separation analysis over it.
+	// separation analysis over it. The sweep may go on beside stages 3–5
+	// (see separation); its span then ends when it does.
 	res := &Result{
 		System:       sys,
 		Strategy:     o.strategy,
 		ApproachUsed: o.approach,
 	}
 	sp = root.StartChild("influence")
-	if err := runStage(ctx, sp, "influence", func() error {
+	var sweep separation
+	err := runStageOpen(ctx, sp, "influence", func() error {
 		initial, err := sys.Graph()
 		if err != nil {
 			return err
 		}
 		res.Initial = initial
-		p := initial.SparseMatrix()
-		sep, err := influence.SeparationSparse(ctx, p, o.separationOrder, o.workers)
-		if err != nil {
-			return fmt.Errorf("separation: %w", err)
-		}
-		res.Separation, res.SeparationIndex = sep, p.IDs
 		sp.SetAttr(obs.Int("nodes", initial.NumNodes()), obs.Int("edges", initial.NumEdges()))
-		return nil
-	}); err != nil {
+		return sweep.start(ctx, sp, initial.SparseMatrix(), o.separationOrder, o.workers)
+	})
+	if sweep.done == nil {
+		sp.End() // no background sweep is left to end it
+	}
+	if err != nil {
 		return nil, err
 	}
 	if o.ledger != nil {
@@ -525,100 +600,14 @@ func IntegrateContext(ctx context.Context, sys *System, opts ...Option) (*Result
 		})
 	}
 
-	// Stage 3: replication expansion.
-	var exp *cluster.Expansion
-	sp = root.StartChild("replicate")
-	if err := runStage(ctx, sp, "replicate", func() error {
-		var err error
-		exp, err = cluster.Expand(res.Initial, sys.Jobs())
-		if err != nil {
-			return err
-		}
-		res.Expanded = exp.Graph.Clone()
-		sp.SetAttr(obs.Int("replicas", exp.Graph.NumNodes()))
-		return nil
-	}); err != nil {
+	// Stages 3–5. A failed sweep is the earlier stage's error, so it takes
+	// precedence over theirs, as pipeline order has it.
+	platform, req, err := expandCondenseMap(ctx, &o, root, res, sys)
+	if serr := sweep.wait(res); serr != nil {
+		return nil, serr
+	}
+	if err != nil {
 		return nil, err
-	}
-	if o.ledger != nil {
-		// One replicate record per base process (spec order), then the
-		// weight-0 separation edges (graph order, one per pair).
-		for _, p := range sys.Processes {
-			o.ledger.Append(ledger.Record{
-				Kind: ledger.KindReplicate, Stage: "replicate",
-				A: p.Name, Members: exp.ReplicasOf[p.Name],
-				Detail: fmt.Sprintf("ft %d", p.FT),
-			})
-		}
-		for _, e := range res.Expanded.Edges() {
-			if e.Replica && e.From < e.To {
-				o.ledger.Append(ledger.Record{
-					Kind: ledger.KindReplicaEdge, Stage: "replicate",
-					A: e.From, B: e.To, Detail: "colocation forbidden",
-				})
-			}
-		}
-	}
-
-	// The HW platform and resource requirements are strategy-independent;
-	// build them once, before the condense+map attempts.
-	platform := o.platform
-	if platform == nil {
-		var err error
-		platform, err = hw.Complete(sys.HWNodes)
-		if err != nil {
-			return nil, stage.Wrapf("map", "", "", err, "platform")
-		}
-		// The paper's HW model: homogeneous processors "with access to
-		// equivalent sets of resources" — the default platform offers
-		// every resource the specification mentions, on every node.
-		for _, nodeName := range platform.Nodes() {
-			node, nerr := platform.Node(nodeName)
-			if nerr != nil {
-				return nil, stage.Wrapf("map", "", nodeName, nerr, "platform")
-			}
-			for _, p := range sys.Processes {
-				for _, res := range p.Resources {
-					node.Resources[res] = true
-				}
-			}
-		}
-	}
-	req := o.requirements
-	if req == nil {
-		req = requirementsFromSpec(sys, exp)
-	}
-
-	// Stages 4+5: condensation and mapping, under the heuristic fallback
-	// chain. Each attempt runs on its own copy of the replicated graph
-	// (the sole attempt of a chain-free run uses it directly), under its
-	// own deadline when WithAttemptTimeout is set. A failed attempt is
-	// recorded as a degradation and the next strategy tried; cancellation
-	// of the run's context aborts immediately instead of degrading.
-	chain := append([]Strategy{o.strategy}, o.fallback...)
-	var lastErr error
-	if o.race && len(chain) > 1 {
-		var fatal error
-		lastErr, fatal = raceAttempts(ctx, &o, root, res, sys, exp, platform, req, chain)
-		if fatal != nil {
-			// The run itself is cancelled or out of time: no fallback.
-			return nil, fatal
-		}
-	} else {
-		lastErr = serialAttempts(ctx, &o, root, res, sys, exp, platform, req, chain)
-		if lastErr != nil && ctx.Err() != nil {
-			return nil, lastErr
-		}
-	}
-	if lastErr != nil {
-		if len(chain) > 1 {
-			return nil, &StageError{
-				Stage: stageOf(lastErr, "condense"),
-				Rule:  chain[len(chain)-1].String(),
-				Err:   errors.Join(ErrFallbackExhausted, lastErr),
-			}
-		}
-		return nil, lastErr
 	}
 
 	// Stage 6: evaluation.
@@ -675,6 +664,111 @@ func IntegrateContext(ctx context.Context, sys *System, opts ...Option) (*Result
 		})
 	}
 	return res, nil
+}
+
+// expandCondenseMap runs stages 3–5: replication expansion, then
+// condensation and mapping under the fallback chain. It fills res's
+// Expanded, Condensed, Trace, Assignment, RefinementMoves and
+// Degradations, and returns the platform and the resource requirements
+// evaluation checks against.
+func expandCondenseMap(ctx context.Context, o *options, root *obs.Span, res *Result,
+	sys *System) (*hw.Platform, mapping.Requirements, error) {
+	// Stage 3: replication expansion.
+	var exp *cluster.Expansion
+	sp := root.StartChild("replicate")
+	if err := runStage(ctx, sp, "replicate", func() error {
+		var err error
+		exp, err = cluster.Expand(res.Initial, sys.Jobs())
+		if err != nil {
+			return err
+		}
+		res.Expanded = exp.Graph.Clone()
+		sp.SetAttr(obs.Int("replicas", exp.Graph.NumNodes()))
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+	if o.ledger != nil {
+		// One replicate record per base process (spec order), then the
+		// weight-0 separation edges (graph order, one per pair).
+		for _, p := range sys.Processes {
+			o.ledger.Append(ledger.Record{
+				Kind: ledger.KindReplicate, Stage: "replicate",
+				A: p.Name, Members: exp.ReplicasOf[p.Name],
+				Detail: fmt.Sprintf("ft %d", p.FT),
+			})
+		}
+		for _, e := range res.Expanded.Edges() {
+			if e.Replica && e.From < e.To {
+				o.ledger.Append(ledger.Record{
+					Kind: ledger.KindReplicaEdge, Stage: "replicate",
+					A: e.From, B: e.To, Detail: "colocation forbidden",
+				})
+			}
+		}
+	}
+
+	// The HW platform and resource requirements are strategy-independent;
+	// build them once, before the condense+map attempts.
+	platform := o.platform
+	if platform == nil {
+		var err error
+		platform, err = hw.Complete(sys.HWNodes)
+		if err != nil {
+			return nil, nil, stage.Wrapf("map", "", "", err, "platform")
+		}
+		// The paper's HW model: homogeneous processors "with access to
+		// equivalent sets of resources" — the default platform offers
+		// every resource the specification mentions, on every node.
+		for _, nodeName := range platform.Nodes() {
+			node, nerr := platform.Node(nodeName)
+			if nerr != nil {
+				return nil, nil, stage.Wrapf("map", "", nodeName, nerr, "platform")
+			}
+			for _, p := range sys.Processes {
+				for _, res := range p.Resources {
+					node.Resources[res] = true
+				}
+			}
+		}
+	}
+	req := o.requirements
+	if req == nil {
+		req = requirementsFromSpec(sys, exp)
+	}
+
+	// Stages 4+5: condensation and mapping, under the heuristic fallback
+	// chain. Each attempt runs on its own copy of the replicated graph
+	// (the sole attempt of a chain-free run uses it directly), under its
+	// own deadline when WithAttemptTimeout is set. A failed attempt is
+	// recorded as a degradation and the next strategy tried; cancellation
+	// of the run's context aborts immediately instead of degrading.
+	chain := append([]Strategy{o.strategy}, o.fallback...)
+	var lastErr error
+	if o.race && len(chain) > 1 {
+		var fatal error
+		lastErr, fatal = raceAttempts(ctx, o, root, res, sys, exp, platform, req, chain)
+		if fatal != nil {
+			// The run itself is cancelled or out of time: no fallback.
+			return nil, nil, fatal
+		}
+	} else {
+		lastErr = serialAttempts(ctx, o, root, res, sys, exp, platform, req, chain)
+		if lastErr != nil && ctx.Err() != nil {
+			return nil, nil, lastErr
+		}
+	}
+	if lastErr != nil {
+		if len(chain) > 1 {
+			return nil, nil, &StageError{
+				Stage: stageOf(lastErr, "condense"),
+				Rule:  chain[len(chain)-1].String(),
+				Err:   errors.Join(ErrFallbackExhausted, lastErr),
+			}
+		}
+		return nil, nil, lastErr
+	}
+	return platform, req, nil
 }
 
 // runFingerprint hashes everything that determines the run's decisions:

@@ -361,6 +361,15 @@ func TestIntegrateWithObserverRecordsStages(t *testing.T) {
 			condense = c
 		}
 	}
+	// The influence span ends with its sweep, which may run beside the
+	// later stages, and keeps the graph's size.
+	influence := children[1].Export()
+	if influence.End == nil {
+		t.Error("influence span has not ended")
+	}
+	if influence.Attrs["nodes"] != 8 || influence.Attrs["edges"] == nil {
+		t.Errorf("influence span attrs = %v, want nodes 8 and edges", influence.Attrs)
+	}
 	// The worked example condenses via six H1 merges; one has the paper's
 	// 0.76 mutual influence (Fig. 5).
 	merges, saw76 := 0, false

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/attrs"
 	"repro/internal/faultsim"
 	"repro/internal/obs"
 	"repro/internal/testutil"
@@ -371,6 +372,89 @@ func TestFabricFlaglessWorkersSelfConfigure(t *testing.T) {
 	if stats.WorkersSeen != 4 {
 		t.Errorf("WorkersSeen = %d, want 4", stats.WorkersSeen)
 	}
+}
+
+// TestFabricFlaglessNegativeZero: the spec's omitempty drops a −0 float,
+// so a flagless worker decodes +0 where the campaign holds −0. The spec
+// must carry +0 from the start, or the worker fingerprints a different
+// campaign than the coordinator and refuses it. Here an edge weight, a
+// criticality and the comm-fault fraction are −0, every frame crosses the
+// frame codec, and the workers must join and compute the same result as
+// faultsim.Run.
+func TestFabricFlaglessNegativeZero(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	negZero := math.Copysign(0, -1)
+	c := testCampaign(t, 640)
+	c.CommFaultFraction = negZero
+	if err := c.Graph.AddNode("e", attrs.New(map[attrs.Kind]float64{attrs.Criticality: negZero})); err != nil {
+		t.Fatal(err)
+	}
+	c.HWOf["e"] = "h2"
+	for _, e := range [][2]string{{"a", "d"}, {"e", "b"}} {
+		if err := c.Graph.SetEdge(e[0], e[1], negZero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := localReference(t, c)
+
+	pl := NewPipeListener()
+	h := &fabricHarness{
+		ln:      pl,
+		dial:    pl.Dial(),
+		workers: 2,
+		wcfg:    func(i int) WorkerConfig { return flaglessWorker(codecDialer(pl.Dial()), i) },
+	}
+	got, stats := h.run(t, c)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flagless-worker result differs from faultsim.Run (stats %+v)", stats)
+	}
+	if stats.Rejected != 0 || stats.LocalChunks != 0 {
+		t.Errorf("workers refused the campaign: %d rejected handshakes, %d chunks computed locally",
+			stats.Rejected, stats.LocalChunks)
+	}
+}
+
+// codecDialer wraps d so that every frame its connections send or
+// receive is encoded and decoded by the frame codec, as on a socket.
+func codecDialer(d Dialer) Dialer {
+	return func(ctx context.Context) (Conn, error) {
+		c, err := d(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return codecRoundTrip{c}, nil
+	}
+}
+
+type codecRoundTrip struct{ Conn }
+
+func (c codecRoundTrip) Send(f *Frame) error {
+	g, err := roundTripFrame(f)
+	if err != nil {
+		return err
+	}
+	return c.Conn.Send(g)
+}
+
+func (c codecRoundTrip) Recv() (*Frame, error) {
+	f, err := c.Conn.Recv()
+	if err != nil {
+		return nil, err
+	}
+	return roundTripFrame(f)
+}
+
+// roundTripFrame returns f as the far end of a socket decodes it.
+func roundTripFrame(f *Frame) (*Frame, error) {
+	b, err := appendFrame(nil, f)
+	if err != nil {
+		return nil, err
+	}
+	var g Frame
+	if err := decodeFrame(b, &g); err != nil {
+		return nil, err
+	}
+	return &g, nil
 }
 
 // TestFabricFlaglessUnderChaos drops/duplicates/delays frames in both

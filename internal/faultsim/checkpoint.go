@@ -135,8 +135,15 @@ func (h idHash) int(i int) idHash {
 	return h.bytes(strconv.AppendInt(buf[:0], int64(i), 10))
 }
 
-// float hashes the bits of f in hexadecimal.
-func (h idHash) float(f float64) idHash { return h.hex(math.Float64bits(f)) }
+// float hashes the bits of f in hexadecimal, −0 as +0: the shipped spec
+// drops a zero float (omitempty), so a flagless worker reads a −0 as +0,
+// and the two run the same trials.
+func (h idHash) float(f float64) idHash {
+	if f == 0 {
+		f = 0
+	}
+	return h.hex(math.Float64bits(f))
+}
 
 // saveCheckpoint atomically persists the campaign state after done trials.
 func saveCheckpoint(path, fp string, done int, res Result) error {

@@ -82,8 +82,8 @@ func (w *WireCampaign) Campaign() (Campaign, error) {
 
 // refFingerprint is the campaign fingerprint as it was computed before
 // the flat form: hash/fnv over strings built from the graph. Every
-// campaign must still fingerprint the same, or checkpoints and fabric
-// handshakes across versions would stop matching.
+// campaign without a −0 float must still fingerprint the same, or
+// checkpoints and fabric handshakes across versions would stop matching.
 func refFingerprint(c Campaign) string {
 	h := fnv.New64a()
 	ws := func(s string) {
@@ -192,31 +192,53 @@ func TestWireCampaignRoundTrip(t *testing.T) {
 		"transient":  Transient(0.4),
 	}
 	for name, model := range models {
-		t.Run(name, func(t *testing.T) {
-			c := wireTestCampaign(t, model)
-			data, err := json.Marshal(flatten(&c))
-			if err != nil {
-				t.Fatalf("marshal: %v", err)
-			}
-			var back WireCampaign
-			if err := json.Unmarshal(data, &back); err != nil {
-				t.Fatalf("unmarshal: %v", err)
-			}
-			r, err := back.Runner()
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if got, want := r.Fingerprint(), c.Fingerprint(); got != want {
-				t.Fatalf("decoded fingerprint %s != original %s", got, want)
-			}
-			want, err := Run(c)
-			if err != nil {
-				t.Fatalf("Run(original): %v", err)
-			}
-			if got := mergeRunner(t, c, r); !reflect.DeepEqual(got, want) {
-				t.Fatalf("decoded campaign result diverged:\n got %+v\nwant %+v", got, want)
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkWireRoundTrip(t, wireTestCampaign(t, model)) })
+	}
+}
+
+// TestWireCampaignNegativeZero: omitempty drops a −0 float from the
+// shipped spec, so the far side reads +0 for each −0 here (an edge
+// weight, a criticality, the threshold, the comm-fault fraction and the
+// persistence); the round trip must still hold.
+func TestWireCampaignNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	c := wireTestCampaign(t, Transient(negZero))
+	c.CriticalThreshold, c.CommFaultFraction = negZero, negZero
+	if err := c.Graph.AddNode("e", attrs.New(map[attrs.Kind]float64{attrs.Criticality: negZero})); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Graph.SetEdge("a", "d", negZero); err != nil {
+		t.Fatal(err)
+	}
+	checkWireRoundTrip(t, c)
+}
+
+// checkWireRoundTrip serialises c's flat form through JSON and builds a
+// runner from it, as a flagless worker does; the runner must fingerprint
+// as c and its chunks must merge into Run's Result.
+func checkWireRoundTrip(t *testing.T, c Campaign) {
+	t.Helper()
+	data, err := json.Marshal(flatten(&c))
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var back WireCampaign
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	r, err := back.Runner()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got, want := r.Fingerprint(), c.Fingerprint(); got != want {
+		t.Fatalf("decoded fingerprint %s != original %s", got, want)
+	}
+	want, err := Run(c)
+	if err != nil {
+		t.Fatalf("Run(original): %v", err)
+	}
+	if got := mergeRunner(t, c, r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded campaign result diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 

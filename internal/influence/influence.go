@@ -238,8 +238,9 @@ func SeparationMatrixWorkers(ctx context.Context, p [][]float64, maxOrder, worke
 
 // SeparationSparse computes the separation matrix of P given in
 // compressed rows, as Graph.SparseMatrix returns it, with the
-// O(n·nnz·maxOrder) power-series sweep chunked by row over a pool of
-// workers (0 = GOMAXPROCS). Every worker polls ctx once per row and the
+// O(n·nnz·maxOrder) power-series sweep chunked by row over a pool of at
+// most workers goroutines (0 = GOMAXPROCS) and at most one per
+// minRowsPerWorker rows. Every worker polls ctx once per row and the
 // first cancellation aborts the sweep with an error wrapping ctx.Err().
 // Row outputs are disjoint and each row's arithmetic is independent of the
 // pool size, so the matrix is bit-identical for every worker count, and
@@ -258,6 +259,14 @@ func SeparationSparse(ctx context.Context, m graph.Sparse, maxOrder, workers int
 	return sweep(ctx, m, maxOrder, workers)
 }
 
+// minRowsPerWorker is the row rule of the sweep's pool: a sweep gets one
+// worker per minRowsPerWorker rows, at most. A row of a scenario's
+// influence graph costs a few microseconds, so below 2·minRowsPerWorker
+// rows a second worker's start-up and join outweigh the rows it takes
+// (BenchmarkSeparationSweep: on a 2-vCPU Xeon 60 rows swept no faster
+// on 2 workers than on 1, 240 rows took about two thirds of the time).
+const minRowsPerWorker = 64
+
 // sweep runs separationRow over every row of a validated m: the caller
 // is worker 0 and workers−1 goroutines join it.
 func sweep(ctx context.Context, m graph.Sparse, maxOrder, workers int) ([][]float64, error) {
@@ -268,7 +277,7 @@ func sweep(ctx context.Context, m graph.Sparse, maxOrder, workers int) ([][]floa
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = max(min(workers, n), 1)
+	workers = max(min(workers, n/minRowsPerWorker), 1)
 	// One allocation holds the result rows and each worker's 2n scratch
 	// floats.
 	backing := make([]float64, n*n+2*n*workers)

@@ -27,12 +27,31 @@ func testMatrix(n int) [][]float64 {
 	return p
 }
 
+// sparseTestMatrix builds an n-row influence matrix with three nonzeros
+// per row: above 2·minRowsPerWorker rows the row rule shards its sweep,
+// and it stays cheap to sweep.
+func sparseTestMatrix(n int) [][]float64 {
+	p := make([][]float64, n)
+	for i := range p {
+		p[i] = make([]float64, n)
+		for _, d := range []int{1, 7, 31} {
+			p[i][(i+d)%n] = math.Mod(0.13*float64(i+1)+0.29*float64(d), 0.9)
+		}
+	}
+	return p
+}
+
+// shardedRows is a matrix size the row rule sweeps on up to four workers.
+const shardedRows = 4*minRowsPerWorker + 3
+
 // TestSeparationMatrixWorkersBitIdentical: the row-parallel sweep must be
 // DeepEqual-identical for every worker count, and both it and Separation
-// must equal the per-pair reference at every order 1–8.
+// must equal the per-pair reference at every order 1–8. The small
+// matrices run serially at every width under the row rule; the sparse one
+// is sharded, and too large for the per-pair reference.
 func TestSeparationMatrixWorkersBitIdentical(t *testing.T) {
-	for _, n := range []int{1, 3, 17} {
-		p := testMatrix(n)
+	for _, p := range [][][]float64{testMatrix(1), testMatrix(3), testMatrix(17), sparseTestMatrix(shardedRows)} {
+		n := len(p)
 		for order := 1; order <= 8; order++ {
 			want, err := SeparationMatrixWorkers(nil, p, order, 1)
 			if err != nil {
@@ -46,6 +65,9 @@ func TestSeparationMatrixWorkersBitIdentical(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("n=%d order=%d workers=%d matrix differs from serial", n, order, workers)
 				}
+			}
+			if n > 17 {
+				continue
 			}
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
@@ -67,9 +89,10 @@ func TestSeparationMatrixWorkersBitIdentical(t *testing.T) {
 }
 
 // TestSeparationMatrixCtxDefaultsParallel: with a context and workers = 0
-// the sweep shards over GOMAXPROCS but must still match the serial sweep.
+// the sweep shards over GOMAXPROCS (a matrix above the row rule's bound)
+// but must still match the serial sweep.
 func TestSeparationMatrixCtxDefaultsParallel(t *testing.T) {
-	p := testMatrix(9)
+	p := sparseTestMatrix(shardedRows)
 	want, err := SeparationMatrixWorkers(nil, p, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +109,7 @@ func TestSeparationMatrixCtxDefaultsParallel(t *testing.T) {
 // TestSeparationMatrixWorkersCancelled: a dead context aborts the sweep
 // from every worker with the row-tagged error wrapping ctx.Err().
 func TestSeparationMatrixWorkersCancelled(t *testing.T) {
-	p := testMatrix(12)
+	p := sparseTestMatrix(shardedRows)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
@@ -153,8 +176,10 @@ func TestSeparationMatrixAllocsIndependentOfOrder(t *testing.T) {
 // FuzzSeparationMatchesReference holds the sparse sweep to the dense
 // per-pair reference on random sparsity patterns — empty rows, rows with
 // one nonzero, dense rows and rows of mixed density, with tied and
-// random weights — at orders 1–10: SeparationMatrixWorkers (serial and
-// parallel) and Separation must equal refSeparation bit for bit.
+// random weights — at orders 1–10: SeparationMatrixWorkers (at widths 1
+// and 3, both serial at these sizes under the row rule; the sharded sweep
+// is held to the serial one in TestSeparationMatrixWorkersBitIdentical)
+// and Separation must equal refSeparation bit for bit.
 func FuzzSeparationMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(8))
 	f.Add(uint64(2), uint8(1), uint8(1))

@@ -139,10 +139,11 @@ func raceAttempts(ctx context.Context, o *options, root *obs.Span, res *Result,
 	wg.Wait()
 
 	if err := ctx.Err(); err != nil {
-		// The run itself died. Surface a contender's error (they all saw
-		// the cancellation), preferring one that wraps the context error.
+		// The run itself died. Surface a contender's error that wraps the
+		// context error, or that error itself: a loser cancelled by a win
+		// just before the run's deadline only saw context.Canceled.
 		for _, oc := range outcomes {
-			if oc.err != nil {
+			if errors.Is(oc.err, err) {
 				return nil, oc.err
 			}
 		}

@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/ledger"
+	"repro/internal/scengen"
+	"repro/internal/testutil"
 )
 
 // TestRaceStrategiesProperty: the portfolio race must return a result some
@@ -253,5 +255,87 @@ func TestRaceExhaustionDegradeRecordsMatchSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(race, serial) {
 		t.Errorf("race exhaustion degrade records %+v differ from serial %+v", race, serial)
+	}
+}
+
+// separationSystems returns the four built-in systems and a 60-process
+// scenario of each generator family.
+func separationSystems(t *testing.T) []*System {
+	t.Helper()
+	systems := []*System{PaperExample(), FlightControl(), BrakeByWire(), IndustrialControl()}
+	for _, fam := range scengen.Families() {
+		sc, err := scengen.Generate(scengen.Config{Family: fam, Processes: 60, Seed: 1998})
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, sc.System)
+	}
+	return systems
+}
+
+// TestSeparationBackgroundMatchesSerial: at the default width, and at a
+// width that puts the influence stage's sweep on a background goroutine
+// on any machine, Result.Separation must equal the fully serial run's.
+func TestSeparationBackgroundMatchesSerial(t *testing.T) {
+	for _, sys := range separationSystems(t) {
+		want, err := Integrate(sys, WithWorkers(1))
+		if err != nil {
+			t.Fatalf("%s: %v", sys.Name, err)
+		}
+		for _, opts := range [][]Option{nil, {WithWorkers(3)}} {
+			got, err := Integrate(sys, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", sys.Name, err)
+			}
+			if !reflect.DeepEqual(got.Separation, want.Separation) ||
+				!reflect.DeepEqual(got.SeparationIndex, want.SeparationIndex) {
+				t.Errorf("%s (%d options): separation differs from WithWorkers(1)", sys.Name, len(opts))
+			}
+		}
+	}
+}
+
+// TestDeadlinesAcrossCallJoinSweep spreads run deadlines over the whole
+// length of a call, with the influence stage's sweep in the background,
+// under H1, SeparationGuided, a fallback chain and a strategy race. Each
+// run must return a complete result or a *StageError wrapping the
+// deadline, and leave no goroutine behind; under -race this is also the
+// data-race probe of the sweep against stages 3–5.
+func TestDeadlinesAcrossCallJoinSweep(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	sc, err := scengen.Generate(scengen.Config{Family: scengen.Mesh, Processes: 60, Seed: 1998})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := sc.System
+	for name, opts := range map[string][]Option{
+		"H1":               {WithStrategy(H1)},
+		"SeparationGuided": {WithStrategy(SeparationGuided)},
+		"fallback":         {WithStrategy(H2), WithFallback(H1, Criticality)},
+		"race":             {WithStrategy(SeparationGuided), WithFallback(H1, H2), WithRaceStrategies()},
+	} {
+		opts = append(opts, WithWorkers(2))
+		start := time.Now()
+		if _, err := Integrate(sys, opts...); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		call := time.Since(start)
+		const steps = 16
+		for i := 0; i <= steps+1; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), call*time.Duration(i)/steps)
+			res, err := IntegrateContext(ctx, sys, opts...)
+			cancel()
+			var se *StageError
+			switch {
+			case err == nil:
+				if res == nil || res.Separation == nil || res.Condensed == nil || res.Assignment == nil {
+					t.Fatalf("%s, deadline %d/%d: success with an incomplete result", name, i, steps)
+				}
+			case !errors.As(err, &se) || !errors.Is(err, context.DeadlineExceeded):
+				t.Fatalf("%s, deadline %d/%d: err = %v, want a *StageError wrapping the deadline", name, i, steps, err)
+			case res != nil:
+				t.Fatalf("%s, deadline %d/%d: failed run returned a result", name, i, steps)
+			}
+		}
 	}
 }

@@ -139,10 +139,11 @@ vuln:
 # hand-written ledger encoder and run fingerprint (against json.Encoder
 # and json.Marshal, byte for byte) and the hand-written fabric frame
 # codec (its encoder against json.Marshal byte for byte, its decoder
-# against json.Unmarshal on arbitrary bytes) and the spec path of a
+# against json.Unmarshal on arbitrary bytes), the spec path of a
 # flagless worker (a runner built straight from a shipped spec, against
-# a rebuild through a graph) without turning the gate into a fuzzing
-# session.
+# a rebuild through a graph) and campaign estimates on small graphs
+# (against the exact Markov chain of their propagation) without turning
+# the gate into a fuzzing session.
 # The graph target's inputs are long operation scripts, so its new inputs
 # get a short minimisation budget; the default 60s would eat the run.
 fuzz-smoke:
@@ -156,6 +157,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzMergerOrder$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzTrialLoopMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzSpecRunnerMatchesCampaign$$' -fuzztime $(FUZZTIME) ./internal/faultsim
+	$(GO) test -run NONE -fuzz 'FuzzCampaignMatchesExact$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzGraphMatchesReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/graph
 	$(GO) test -run NONE -fuzz 'FuzzMinCutMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run NONE -fuzz 'FuzzGlobalMinCutMatrixMatchesParent$$' -fuzztime $(FUZZTIME) ./internal/graph

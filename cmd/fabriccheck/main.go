@@ -609,6 +609,35 @@ func searchIdentity(g *graph.Graph, hwOf map[string]string, trials int) {
 	}
 }
 
+// drainConn is a worker connection of the drain scenario. A result sent
+// once the first frontier checkpoint is on disk drains the coordinator
+// and is withheld, so the persisted frontier is above 0. The final
+// chunk's result waits for that checkpoint, so the campaign cannot
+// complete first, even while a slow worker holds chunk 0 (which is also
+// why counting result events does not do: the frontier stays at 0).
+type drainConn struct {
+	fabric.Conn
+	path   string
+	trials int
+	drain  func()
+}
+
+func (c drainConn) Send(f *fabric.Frame) error {
+	if f.Type != fabric.TypeResult {
+		return c.Conn.Send(f)
+	}
+	for wait := 0; ; wait++ {
+		if _, err := os.Stat(c.path); err == nil {
+			c.drain()
+			return nil
+		}
+		if f.End != c.trials || wait == 10_000 {
+			return c.Conn.Send(f)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func drainAndResume(c faultsim.Campaign, want faultsim.Result) {
 	dir, err := os.MkdirTemp("", "fabriccheck")
 	if err != nil {
@@ -619,37 +648,20 @@ func drainAndResume(c faultsim.Campaign, want faultsim.Result) {
 	c.CheckpointPath = filepath.Join(dir, "frontier.ckpt")
 	c.Resume = true
 
-	// Phase 1: cancel the coordinator after a few merged chunks; the
-	// frontier checkpoint must survive the drain.
-	bus := obs.NewBus(256)
+	// Phase 1: cancel the coordinator once its first frontier checkpoint
+	// is on disk; the checkpoint must survive the drain.
 	serveCtx, drain := context.WithCancel(context.Background())
-	sub := bus.Subscribe(0, 256)
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		results := 0
-		for {
-			ev, ok := sub.Next(nil)
-			if !ok {
-				return
-			}
-			if ev.Kind == "fabric_lease" && ev.Attrs["state"] == "result" {
-				if results++; results == 5 {
-					drain()
-				}
-			}
-		}
-	}()
 	pl := fabric.NewPipeListener()
+	dial := func(ctx context.Context) (fabric.Conn, error) {
+		conn, err := pl.Dial()(ctx)
+		return drainConn{conn, c.CheckpointPath, c.Trials, drain}, err
+	}
 	_, first, err := runFabric(serveCtx,
-		fabric.Config{Campaign: c, Listener: pl, Bus: bus}, 2,
+		fabric.Config{Campaign: c, Listener: pl}, 2,
 		func(i int) fabric.WorkerConfig {
-			return workerDefaults(c, pl.Dial(), fmt.Sprintf("w%d", i), uint64(i))
+			return workerDefaults(c, dial, fmt.Sprintf("w%d", i), uint64(i))
 		}, nil)
 	drain()
-	sub.Close()
-	bus.Close()
-	<-watcherDone
 	if !errors.Is(err, context.Canceled) {
 		fail("drain/resume: drained Serve returned %v, want context.Canceled", err)
 		return

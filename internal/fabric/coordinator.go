@@ -16,8 +16,9 @@ type Config struct {
 	// Campaign is the campaign to shard. All merge-side features ride
 	// along unchanged: CheckpointPath/Resume give crash-safe coordinator
 	// restart on the v2 frontier format, StopHalfWidth gives Wilson-interval
-	// early stopping, Bus/Span/Metrics/Ledger stream and record as in Run.
-	// Used by Serve; ServeSearch runs one campaign per evaluation instead.
+	// early stopping, and Span and Ledger stream and record as in
+	// faultsim.Run. Used by Serve; ServeSearch runs one campaign per
+	// evaluation instead.
 	Campaign faultsim.Campaign
 	// Listener accepts worker connections; the coordinator owns it and
 	// closes it on exit.
@@ -506,14 +507,21 @@ func (co *Coordinator) dropWorker(w *workerConn, state string) {
 		co.publishWorker(w, state)
 	}
 	for _, l := range w.leases {
-		delete(co.leased, l.seq)
-		if !co.merger.Has(l.seq) {
-			co.requeue = append(co.requeue, l.seq)
-			co.stats.Reassigned++
-			co.publishLease(l, "reassign")
-		}
+		co.reassign(l)
 	}
 	co.closeWorker(w)
+}
+
+// reassign revokes lease l and requeues its chunk, unless the merger
+// already has it.
+func (co *Coordinator) reassign(l *lease) {
+	delete(co.leased, l.seq)
+	delete(l.worker.leases, l.id)
+	if !co.merger.Has(l.seq) {
+		co.requeue = append(co.requeue, l.seq)
+		co.stats.Reassigned++
+		co.publishLease(l, "reassign")
+	}
 }
 
 // handle processes one frame; a non-nil return is a fatal merge error.
@@ -553,12 +561,7 @@ func (co *Coordinator) handle(w *workerConn, f *Frame) error {
 			co.send(w, &Frame{Type: TypeChallenge, Nonce: nonce, MAC: signNonce(co.cfg.AuthToken, f.Nonce)})
 			return nil
 		}
-		if bad, reason := co.fingerprintMismatch(f.Fingerprint); bad {
-			co.reject(w, reason)
-			return nil
-		}
-		w.fp = f.Fingerprint
-		co.welcome(w, name)
+		co.welcome(w, name, f.Fingerprint)
 	case TypeAuth:
 		if !w.authPending || w.helloed {
 			return nil // stray or duplicated auth frame
@@ -568,12 +571,7 @@ func (co *Coordinator) handle(w *workerConn, f *Frame) error {
 			return nil
 		}
 		w.authPending = false
-		if bad, reason := co.fingerprintMismatch(f.Fingerprint); bad {
-			co.reject(w, reason)
-			return nil
-		}
-		w.fp = f.Fingerprint
-		co.welcome(w, w.name)
+		co.welcome(w, w.name, f.Fingerprint)
 	case TypeNeedCampaign:
 		if w.helloed && co.merger != nil {
 			co.sendCampaign(w, true)
@@ -601,19 +599,17 @@ func (co *Coordinator) handle(w *workerConn, f *Frame) error {
 	return nil
 }
 
-// fingerprintMismatch checks a worker-announced campaign fingerprint
-// against the current epoch's. An empty announcement is a flagless
-// worker — it configures from the shipped spec, nothing to compare.
-func (co *Coordinator) fingerprintMismatch(fp string) (bool, string) {
-	if fp == "" || co.merger == nil || fp == co.fp {
-		return false, ""
+// welcome completes a handshake unless the worker announced a campaign
+// fingerprint other than the current epoch's (an empty announcement is a
+// flagless worker: it configures from the shipped spec, nothing to
+// compare). The worker becomes eligible for leases and, in the same
+// breath, receives the current campaign spec.
+func (co *Coordinator) welcome(w *workerConn, name, fp string) {
+	if fp != "" && co.merger != nil && fp != co.fp {
+		co.reject(w, fmt.Sprintf("campaign fingerprint %s, want %s", fp, co.fp))
+		return
 	}
-	return true, fmt.Sprintf("campaign fingerprint %s, want %s", fp, co.fp)
-}
-
-// welcome completes a handshake: the worker becomes eligible for leases
-// and, in the same breath, receives the current campaign spec.
-func (co *Coordinator) welcome(w *workerConn, name string) {
+	w.fp = fp
 	w.helloed = true
 	w.name = name
 	co.stats.WorkersSeen++
@@ -770,19 +766,13 @@ func (co *Coordinator) maybeLocal() {
 // reassigned copy it is suppressed as a duplicate.
 func (co *Coordinator) expireLeases() {
 	now := time.Now()
-	for seq, l := range co.leased {
+	for _, l := range co.leased {
 		if now.Before(l.deadline) {
 			continue
 		}
-		delete(co.leased, seq)
-		delete(l.worker.leases, l.id)
 		co.stats.LeasesExpired++
 		co.publishLease(l, "expire")
-		if !co.merger.Has(seq) {
-			co.requeue = append(co.requeue, seq)
-			co.stats.Reassigned++
-			co.publishLease(l, "reassign")
-		}
+		co.reassign(l)
 		co.grant(l.worker)
 	}
 }

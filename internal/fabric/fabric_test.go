@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -203,7 +204,11 @@ func (h *fabricHarness) run(t *testing.T, c faultsim.Campaign) (faultsim.Result,
 		}
 		ctx := wctx
 		if h.wctx != nil {
-			ctx = h.wctx(i)
+			// A worker on its own context is released with the others
+			// once the campaign is over.
+			var release context.CancelFunc
+			ctx, release = context.WithCancel(h.wctx(i))
+			context.AfterFunc(wctx, release)
 		}
 		wwg.Add(1)
 		go func() {
@@ -716,29 +721,10 @@ func TestFabricDrainPersistsAndResumes(t *testing.T) {
 	ck.CheckpointPath = path
 	ck.CheckpointEvery = 64
 
-	// Phase 1: drain the coordinator once a few chunks have merged.
-	bus := obs.NewBus(256)
-	defer bus.Close()
+	// Phase 1: two workers, as in the fabric-check gate, and a drain once
+	// the merged frontier is on disk (see drainConn).
 	sctx, drain := context.WithCancel(context.Background())
 	defer drain()
-	sub := bus.Subscribe(0, 256)
-	var once sync.Once
-	go func() {
-		defer sub.Close()
-		n := 0
-		for {
-			ev, ok := sub.Next(nil)
-			if !ok {
-				return
-			}
-			if ev.Kind == "fabric_lease" && ev.Attrs["state"] == "result" {
-				if n++; n >= 5 {
-					once.Do(drain)
-				}
-			}
-		}
-	}()
-
 	pl := NewPipeListener()
 	type serveOut struct {
 		stats Stats
@@ -746,22 +732,35 @@ func TestFabricDrainPersistsAndResumes(t *testing.T) {
 	}
 	ch := make(chan serveOut, 1)
 	go func() {
-		_, stats, err := Serve(sctx, Config{Campaign: ck, Listener: pl, Bus: bus})
+		_, stats, err := Serve(sctx, Config{Campaign: ck, Listener: pl})
 		ch <- serveOut{stats, err}
 	}()
-	werr := make(chan error, 1)
-	go func() {
-		werr <- RunWorker(context.Background(), WorkerConfig{
-			Campaign: base, Dial: pl.Dial(), Name: "w0",
-			HeartbeatEvery: 25 * time.Millisecond, BackoffBase: time.Millisecond, MaxReconnects: 5,
-		})
-	}()
+	dial := func(ctx context.Context) (Conn, error) {
+		conn, err := pl.Dial()(ctx)
+		return drainConn{conn, path, ck.Trials, drain}, err
+	}
+	// Both workers are welcomed before either delivers a result, so both
+	// are connected when the drain comes.
+	const workers = 2
+	gate := newJoinGate(workers)
+	werr := make(chan error, workers)
+	for i := 0; i < workers; i++ {
+		go func(i int) {
+			werr <- RunWorker(context.Background(), WorkerConfig{
+				Campaign: base, Dial: gate.dialer(i, dial),
+				Name: fmt.Sprintf("w%d", i), HeartbeatEvery: 25 * time.Millisecond,
+				BackoffBase: time.Millisecond, MaxReconnects: 5,
+			})
+		}(i)
+	}
 	out := <-ch
 	if !errors.Is(out.err, context.Canceled) {
 		t.Fatalf("drained Serve err = %v, want context.Canceled", out.err)
 	}
-	if err := <-werr; !errors.Is(err, ErrDrained) {
-		t.Fatalf("worker err = %v, want ErrDrained", err)
+	for i := 0; i < workers; i++ {
+		if err := <-werr; !errors.Is(err, ErrDrained) {
+			t.Fatalf("worker err = %v, want ErrDrained", err)
+		}
 	}
 
 	// Phase 2: a restarted coordinator resumes from the checkpoint and
@@ -776,6 +775,35 @@ func TestFabricDrainPersistsAndResumes(t *testing.T) {
 	}
 	if total := faultsim.NumChunks(base.Trials); stats.LeasesGranted >= total {
 		t.Errorf("resumed run granted %d leases, want < %d (frontier was persisted)", stats.LeasesGranted, total)
+	}
+}
+
+// drainConn is a worker connection of the drain scenario. A result sent
+// once the first frontier checkpoint is on disk drains the coordinator
+// and is withheld, so the persisted frontier is above 0. The final
+// chunk's result waits for that checkpoint, so the campaign cannot
+// complete first, even while a slow worker holds chunk 0 (which is also
+// why counting result events does not do: the frontier stays at 0).
+type drainConn struct {
+	Conn
+	path   string
+	trials int
+	drain  func()
+}
+
+func (c drainConn) Send(f *Frame) error {
+	if f.Type != TypeResult {
+		return c.Conn.Send(f)
+	}
+	for wait := 0; ; wait++ {
+		if _, err := os.Stat(c.path); err == nil {
+			c.drain()
+			return nil
+		}
+		if f.End != c.trials || wait == 10_000 {
+			return c.Conn.Send(f)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -811,6 +839,64 @@ func TestWorkerBackoffGivesUpAndHonoursContext(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker did not honour context cancellation during backoff")
+	}
+}
+
+// TestWorkerTerminalFrames scripts a coordinator that sends one verdict
+// frame — before or after the welcome — and closes the connection at
+// once. The worker's reader hands over the frame and then the read error,
+// in either order relative to the session's select, so every round must
+// end on the verdict: RunWorker returns it and never redials.
+func TestWorkerTerminalFrames(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	verdicts := []struct {
+		frame string
+		want  error
+	}{
+		{TypeDone, nil},
+		{TypeDrain, ErrDrained},
+		{TypeReject, ErrRejected},
+	}
+	for _, welcomed := range []bool{false, true} {
+		for _, v := range verdicts {
+			t.Run(fmt.Sprintf("%s/welcomed=%v", v.frame, welcomed), func(t *testing.T) {
+				for round := 0; round < 25; round++ {
+					pl := NewPipeListener()
+					script := make(chan error, 1)
+					go func() {
+						c, err := pl.Accept()
+						if err != nil {
+							script <- err
+							return
+						}
+						defer c.Close()
+						if f, err := c.Recv(); err != nil || f.Type != TypeHello {
+							script <- fmt.Errorf("first frame %v, %v; want hello", f, err)
+							return
+						}
+						if welcomed {
+							_ = c.Send(&Frame{Type: TypeWelcome})
+						}
+						script <- c.Send(&Frame{Type: v.frame, Reason: "scripted"})
+					}()
+					err := RunWorker(context.Background(), WorkerConfig{
+						Dial: pl.Dial(), HandshakeTimeout: time.Second,
+						BackoffBase: time.Millisecond, MaxReconnects: 1,
+					})
+					if serr := <-script; serr != nil {
+						t.Fatalf("round %d: script: %v", round, serr)
+					}
+					if (v.want == nil && err != nil) || !errors.Is(err, v.want) {
+						t.Fatalf("round %d: RunWorker = %v, want %v", round, err, v.want)
+					}
+					pl.Close()
+					if c, err := pl.Accept(); err == nil {
+						c.Close()
+						t.Fatalf("round %d: worker redialled after %s", round, v.frame)
+					}
+				}
+			})
+		}
 	}
 }
 

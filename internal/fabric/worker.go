@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -188,24 +189,65 @@ type computeOut struct {
 	endUS   int64
 }
 
-// session runs one connection's lifetime: handshake (with optional
-// challenge-response authentication and campaign self-configuration),
-// then the lease/compute/heartbeat loop. handshaked reports whether a
-// welcome was received (resets the reconnect budget); terminal reports
-// that RunWorker should return err instead of redialling.
+// session is one connection's lifetime: one select loop, one frame
+// handler, one terminal rule and one failover, over two phases. Until the
+// welcome the handshake timer is armed; from it on, the worker computes
+// queued leases one at a time and heartbeats.
+type session struct {
+	w    *worker
+	ctx  context.Context // cancelled when the session ends
+	conn Conn
+	// The reader's frames, in order, then the error that ended it.
+	incoming chan *Frame
+	rerr     chan error
+
+	nonce      string // the hello nonce the coordinator MACs back
+	challenged bool
+	welcomed   bool
+	handshake  *time.Timer  // armed until the welcome
+	heartbeat  *time.Ticker // started by the welcome
+
+	// leaseQ holds grants not yet computed, possibly of a future epoch;
+	// seen suppresses duplicated grants. held, the leases accepted but not
+	// yet answered, rides heartbeats and results so the coordinator renews
+	// exactly these and lets lost-in-transit grants expire.
+	leaseQ     []*Frame
+	seen, held map[uint64]bool
+
+	computing bool
+	results   chan computeOut
+}
+
+// session runs one connection: it sends the hello and serves the
+// connection until it ends. handshaked reports whether a welcome was
+// received (resets the reconnect budget); terminal reports that RunWorker
+// should return err instead of redialling.
 func (w *worker) session(ctx context.Context, conn Conn) (handshaked, terminal bool, err error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	w.rel.reset()
+	// The goroutines below capture s's channels, not s, so s stays local.
+	s := session{
+		w: w, ctx: sctx, conn: conn,
+		incoming:  make(chan *Frame, 16),
+		rerr:      make(chan error, 1),
+		handshake: time.NewTimer(w.cfg.HandshakeTimeout),
+		seen:      map[uint64]bool{},
+		held:      map[uint64]bool{},
+		results:   make(chan computeOut, 1),
+	}
 
 	// Reader goroutine: pumps frames until the conn dies. sessDone stops
-	// it if the session exits while frames are still arriving; the
-	// deferred conn.Close in RunWorker unblocks a pending Recv.
-	incoming := make(chan *Frame, 16)
-	rerr := make(chan error, 1)
+	// it if the session exits while frames are still arriving; closing
+	// the conn unblocks a pending Recv.
+	incoming, rerr := s.incoming, s.rerr
 	sessDone := make(chan struct{})
 	var rwg sync.WaitGroup
 	defer func() {
+		s.handshake.Stop()
+		if s.heartbeat != nil {
+			s.heartbeat.Stop()
+		}
 		close(sessDone)
 		conn.Close()
 		rwg.Wait()
@@ -227,284 +269,34 @@ func (w *worker) session(ctx context.Context, conn Conn) (handshaked, terminal b
 		}
 	}()
 
-	// The hello nonce is what the coordinator MACs back when a token is
-	// configured (mutual authentication). With a token, the campaign
-	// fingerprint is withheld until the coordinator proves itself.
-	nonce, err := newNonce()
-	if err != nil {
+	if s.nonce, err = newNonce(); err != nil {
 		return false, false, err
 	}
+	// With a token, the campaign fingerprint is withheld until the
+	// coordinator proves itself.
 	helloFP := w.cfgFP
 	if w.cfg.AuthToken != "" {
 		helloFP = ""
 	}
-	if err := conn.Send(&Frame{Type: TypeHello, Proto: Proto, Fingerprint: helloFP, Worker: w.cfg.Name, Nonce: nonce}); err != nil {
-		return false, false, err
+	if err := s.conn.Send(&Frame{Type: TypeHello, Proto: Proto, Fingerprint: helloFP, Worker: w.cfg.Name, Nonce: s.nonce}); err != nil {
+		return s.failover(err, false)
 	}
-
-	// Await the welcome. Chaos can reorder a lease (or the campaign
-	// frame) ahead of the welcome; stash leases rather than dropping
-	// them, and apply the campaign whenever it shows up.
-	var leaseQ []*Frame
-	seen := map[uint64]bool{}
-	// held is the set of leases accepted but not yet answered; heartbeats
-	// and results carry it so the coordinator renews exactly these and
-	// lets lost-in-transit grants expire.
-	held := map[uint64]bool{}
-	heldIDs := func() []uint64 {
-		ids := make([]uint64, 0, len(held))
-		for id := range held {
-			ids = append(ids, id)
-		}
-		return ids
-	}
-
-	// welcomed turns true once the handshake is through and the
-	// "connected" liveness event has been published.
-	welcomed := false
-
-	// applyCampaign adopts a campaign frame: verify a shipped spec against
-	// its claimed fingerprint, build the chunk runner straight from it,
-	// switch to the frame's epoch and drop lease state from other epochs.
-	// A worker configured with the campaign keeps its own runner and needs
-	// no spec; any other worker asks again when a frame comes without one.
-	// A non-nil return is terminal.
-	applyCampaign := func(f *Frame) error {
-		if f.Epoch == 0 {
-			return nil // malformed campaign frame: ignore
-		}
-		if f.Trace != "" {
-			// The coordinator runs with telemetry on: switch the relay on
-			// for this and every later epoch of the connection. The
-			// "connected" event published before it was on is relayed now.
-			if w.rel == nil {
-				w.rel = &relay{}
-				w.rel.reset()
-				if welcomed {
-					w.relayEvent(w.liveness("connected"))
-				}
-			}
-			w.rel.trace = f.Trace
-			w.rel.noteTS(f.TS)
-		}
-		if w.cfgFP != "" && f.Fingerprint != w.cfgFP {
-			return fmt.Errorf("%w: coordinator runs campaign %s, this worker is configured for %s", ErrRejected, f.Fingerprint, w.cfgFP)
-		}
-		if f.Spec == nil && w.cfgFP == "" {
-			_ = conn.Send(&Frame{Type: TypeNeedCampaign}) // best-effort; heartbeat retries
-			return nil
-		}
-		if w.runner != nil && f.Epoch == w.epoch && f.Fingerprint == w.fp {
-			return nil // duplicate (chaos or re-request)
-		}
-		if w.runner == nil || w.fp != f.Fingerprint {
-			runner, err := f.Spec.Runner()
-			if err != nil {
-				return fmt.Errorf("%w: shipped campaign spec: %v", ErrRejected, err)
-			}
-			if got := runner.Fingerprint(); got != f.Fingerprint {
-				return fmt.Errorf("%w: shipped campaign fingerprints %s but claims %s", ErrRejected, got, f.Fingerprint)
-			}
-			w.runner, w.fp = runner, f.Fingerprint
-		}
-		w.epoch = f.Epoch
-		var kept []*Frame
-		newHeld := map[uint64]bool{}
-		for _, lf := range leaseQ {
-			if lf.Epoch == w.epoch {
-				kept = append(kept, lf)
-				newHeld[lf.Lease] = true
-			}
-		}
-		leaseQ = kept
-		held = newHeld
-		return nil
-	}
-
-	// stashLease queues a grant, asking for the campaign spec when the
-	// grant's epoch is ahead of what this worker is configured for (the
-	// campaign frame was lost in transit; heartbeats retry the request).
-	stashLease := func(f *Frame) {
-		if seen[f.Lease] || f.Epoch < w.epoch {
-			return
-		}
-		seen[f.Lease] = true
-		held[f.Lease] = true
-		w.rel.leaseSeen(f.Lease) // decode-phase start: grant receipt
-		leaseQ = append(leaseQ, f)
-		if f.Epoch > w.epoch {
-			_ = conn.Send(&Frame{Type: TypeNeedCampaign}) // best-effort; heartbeat retries
-		}
-	}
-	// needSpec reports whether a queued lease is waiting on a campaign
-	// spec this worker does not have yet.
-	needSpec := func() bool {
-		for _, lf := range leaseQ {
-			if lf.Epoch > w.epoch {
-				return true
-			}
-		}
-		return false
-	}
-
-	challenged := false
-	hsTimer := time.NewTimer(w.cfg.HandshakeTimeout)
-	defer hsTimer.Stop()
-handshake:
 	for {
-		select {
-		case f := <-incoming:
-			w.rel.noteTS(f.TS)
-			switch f.Type {
-			case TypeWelcome:
-				if w.cfg.AuthToken != "" && !challenged {
-					return false, true, fmt.Errorf("%w: coordinator did not authenticate", ErrRejected)
-				}
-				break handshake
-			case TypeChallenge:
-				if w.cfg.AuthToken == "" {
-					return false, true, fmt.Errorf("%w: coordinator requires an auth token", ErrRejected)
-				}
-				if !verifyMAC(w.cfg.AuthToken, nonce, f.MAC) {
-					return false, true, fmt.Errorf("%w: coordinator failed mutual authentication", ErrRejected)
-				}
-				challenged = true
-				if err := conn.Send(&Frame{Type: TypeAuth, MAC: signNonce(w.cfg.AuthToken, f.Nonce), Fingerprint: w.cfgFP}); err != nil {
-					return false, false, err
-				}
-			case TypeCampaign:
-				if err := applyCampaign(f); err != nil {
-					return false, true, err
-				}
-			case TypeReject:
-				return false, true, fmt.Errorf("%w: %s", ErrRejected, f.Reason)
-			case TypeDrain:
-				w.publish("drained")
-				return false, true, ErrDrained
-			case TypeDone:
-				w.publish("done")
-				return false, true, nil
-			case TypeLease:
-				stashLease(f)
-			}
-		case e := <-rerr:
-			// The conn died, but the reader delivers in order before its
-			// error, so a terminal verdict that beat the close is already
-			// buffered — honour it over the redial loop.
-			for {
-				select {
-				case f := <-incoming:
-					switch f.Type {
-					case TypeReject:
-						return false, true, fmt.Errorf("%w: %s", ErrRejected, f.Reason)
-					case TypeDrain:
-						w.publish("drained")
-						return false, true, ErrDrained
-					case TypeDone:
-						w.publish("done")
-						return false, true, nil
-					}
-				default:
-					return false, false, e
-				}
-			}
-		case <-hsTimer.C:
-			return false, false, fmt.Errorf("fabric: handshake timeout after %s", w.cfg.HandshakeTimeout)
-		case <-ctx.Done():
-			return false, true, ctx.Err()
+		// The phase arms either the handshake timeout or the heartbeat.
+		var timeout, heartbeat <-chan time.Time
+		if s.welcomed {
+			heartbeat = s.heartbeat.C
+		} else {
+			timeout = s.handshake.C
 		}
-	}
-	welcomed = true
-	w.publish("connected")
-
-	// terminalFrame maps a done/drain frame onto the session's exit.
-	terminalFrame := func(f *Frame) (error, bool) {
-		switch f.Type {
-		case TypeDone:
-			w.publish("done")
-			return nil, true
-		case TypeDrain:
-			w.publish("drained")
-			return ErrDrained, true
-		}
-		return nil, false
-	}
-
-	// failover handles a dead connection. A failure is often the far side
-	// of a clean shutdown — the coordinator queues done/drain, flushes,
-	// and closes, so the worker's next send (or the select's random pick
-	// of the read-error arm) can race a verdict that was already
-	// delivered. Before redialling, wait for the reader to hand over
-	// everything the coordinator managed to send and honour any terminal
-	// frame in it; HandshakeTimeout bounds the wait on a genuinely dead
-	// transport.
-	failover := func(cause error, readerExited bool) (bool, bool, error) {
-		deadline := time.NewTimer(w.cfg.HandshakeTimeout)
-		defer deadline.Stop()
-		for {
-			if readerExited {
-				// The reader is gone: every delivered frame is buffered.
-				select {
-				case f := <-incoming:
-					if err, ok := terminalFrame(f); ok {
-						return true, true, err
-					}
-					continue
-				default:
-					return true, false, cause
-				}
-			}
-			select {
-			case f := <-incoming:
-				if err, ok := terminalFrame(f); ok {
-					return true, true, err
-				}
-			case <-rerr:
-				readerExited = true
-			case <-deadline.C:
-				return true, false, cause
-			case <-ctx.Done():
-				return true, true, ctx.Err()
-			}
-		}
-	}
-
-	// pickLease returns the next computable lease: the first queued grant
-	// of the current epoch. Grants from older epochs are dropped (their
-	// campaign is gone); grants from future epochs stay queued until the
-	// campaign spec arrives.
-	pickLease := func() *Frame {
-		var rest []*Frame
-		var pick *Frame
-		for _, lf := range leaseQ {
-			switch {
-			case pick == nil && lf.Epoch == w.epoch:
-				pick = lf
-			case lf.Epoch < w.epoch:
-				delete(held, lf.Lease)
-			default:
-				rest = append(rest, lf)
-			}
-		}
-		leaseQ = rest
-		return pick
-	}
-
-	// Main loop: compute one chunk at a time off the lease queue, send
-	// results, heartbeat, and obey done/drain and epoch switches.
-	computing := false
-	results := make(chan computeOut, 1)
-	hb := time.NewTicker(w.cfg.HeartbeatEvery)
-	defer hb.Stop()
-	for {
-		if !computing && w.runner != nil {
-			if lf := pickLease(); lf != nil {
-				computing = true
-				// rel is captured by value: the compute goroutine only nil-tests
-				// it, never mutates it, so there is no race with the session
-				// goroutine switching the relay on for a later epoch.
-				rel := w.rel
-				go func(lf *Frame, runner *faultsim.ChunkRunner, epoch uint64) {
+		if s.welcomed && !s.computing && w.runner != nil {
+			if lf := s.pickLease(); lf != nil {
+				s.computing = true
+				// rel is captured by value: the compute goroutine only
+				// nil-tests it, never mutates it, so there is no race with
+				// the session switching the relay on for a later epoch.
+				rel, results := w.rel, s.results
+				go func(runner *faultsim.ChunkRunner, epoch uint64) {
 					var start, end int64
 					if rel != nil {
 						start = nowUS()
@@ -514,63 +306,260 @@ handshake:
 						end = nowUS()
 					}
 					results <- computeOut{lease: lf.Lease, epoch: epoch, out: out, err: err, startUS: start, endUS: end}
-				}(lf, w.runner, w.epoch)
+				}(w.runner, w.epoch)
 			}
 		}
+		var sendErr error
 		select {
-		case f := <-incoming:
+		case f := <-s.incoming:
 			w.rel.noteTS(f.TS)
-			if err, ok := terminalFrame(f); ok {
-				return true, true, err
+			var end bool
+			if end, sendErr = s.handle(f); end {
+				return s.welcomed, true, sendErr
 			}
-			switch f.Type {
-			case TypeLease: // chaos-duplicated or next-epoch grants
-				stashLease(f)
-			case TypeCampaign:
-				if err := applyCampaign(f); err != nil {
-					return true, true, err
-				}
-			}
-		case r := <-results:
-			computing = false
+		case r := <-s.results:
+			s.computing = false
 			if r.err != nil {
-				if ctx.Err() != nil {
-					return true, true, ctx.Err()
-				}
-				return true, true, r.err
+				return true, true, cmp.Or(s.ctx.Err(), r.err)
 			}
 			if r.epoch != w.epoch {
 				continue // epoch switched mid-compute: the result is stale
 			}
 			w.chunks++
-			delete(held, r.lease)
+			delete(s.held, r.lease)
 			f := &Frame{
 				Type: TypeResult, Lease: r.lease, Epoch: r.epoch,
 				Begin: r.out.Begin, End: r.out.End, Chunk: r.out,
-				Leases: heldIDs(),
+				Leases: s.heldIDs(),
 			}
 			w.rel.phases(f, r.startUS, r.endUS)
 			w.rel.stamp(f, w.chunks, false)
-			if err := conn.Send(f); err != nil {
-				return failover(err, false)
-			}
-		case <-hb.C:
-			f := &Frame{Type: TypeHeartbeat, Leases: heldIDs()}
+			sendErr = s.conn.Send(f)
+		case <-heartbeat:
+			f := &Frame{Type: TypeHeartbeat, Leases: s.heldIDs()}
 			w.rel.stamp(f, w.chunks, true)
-			if err := conn.Send(f); err != nil {
-				return failover(err, false)
+			if sendErr = s.conn.Send(f); sendErr == nil && s.needSpec() {
+				sendErr = s.conn.Send(&Frame{Type: TypeNeedCampaign})
 			}
-			if needSpec() {
-				if err := conn.Send(&Frame{Type: TypeNeedCampaign}); err != nil {
-					return failover(err, false)
-				}
-			}
-		case e := <-rerr:
-			return failover(e, true)
-		case <-ctx.Done():
-			return true, true, ctx.Err()
+		case <-timeout:
+			return false, false, fmt.Errorf("fabric: handshake timeout after %s", w.cfg.HandshakeTimeout)
+		case e := <-s.rerr:
+			return s.failover(e, true)
+		case <-s.ctx.Done():
+			return s.welcomed, true, s.ctx.Err()
+		}
+		if sendErr != nil {
+			return s.failover(sendErr, false)
 		}
 	}
+}
+
+// handle takes one frame in either phase. end reports that the session
+// is over, with err as its result; otherwise a non-nil err is a failed
+// send.
+func (s *session) handle(f *Frame) (end bool, err error) {
+	w := s.w
+	if end, err := s.verdict(f); end {
+		return true, err
+	}
+	// A welcome or challenge after the welcome is a duplicate (chaos).
+	switch {
+	case f.Type == TypeWelcome && !s.welcomed:
+		if w.cfg.AuthToken != "" && !s.challenged {
+			return true, fmt.Errorf("%w: coordinator did not authenticate", ErrRejected)
+		}
+		s.welcomed = true
+		s.handshake.Stop()
+		s.heartbeat = time.NewTicker(w.cfg.HeartbeatEvery)
+		w.publish("connected")
+	case f.Type == TypeChallenge && !s.welcomed:
+		if w.cfg.AuthToken == "" {
+			return true, fmt.Errorf("%w: coordinator requires an auth token", ErrRejected)
+		}
+		if !verifyMAC(w.cfg.AuthToken, s.nonce, f.MAC) {
+			return true, fmt.Errorf("%w: coordinator failed mutual authentication", ErrRejected)
+		}
+		s.challenged = true
+		return false, s.conn.Send(&Frame{Type: TypeAuth, MAC: signNonce(w.cfg.AuthToken, f.Nonce), Fingerprint: w.cfgFP})
+	case f.Type == TypeCampaign:
+		if err := s.applyCampaign(f); err != nil {
+			return true, err
+		}
+	case f.Type == TypeLease:
+		s.stashLease(f)
+	}
+	return false, nil
+}
+
+// verdict is the one terminal rule: done ends the campaign (nil), drain
+// ends it early (ErrDrained) and reject refuses the worker (ErrRejected).
+// The coordinator sends reject only before the welcome, and closes the
+// connection after each of them.
+func (s *session) verdict(f *Frame) (end bool, err error) {
+	switch f.Type {
+	case TypeDone:
+		s.w.publish("done")
+		return true, nil
+	case TypeDrain:
+		s.w.publish("drained")
+		return true, ErrDrained
+	case TypeReject:
+		return true, fmt.Errorf("%w: %s", ErrRejected, f.Reason)
+	}
+	return false, nil
+}
+
+// failover handles a dead connection, in either phase. A failure is often
+// the far side of a clean shutdown — the coordinator queues a verdict,
+// flushes and closes, so a failed send, or the select's random pick of
+// the read-error arm, can race a verdict that was already delivered.
+// Before redialling, wait for the reader to hand over everything the
+// coordinator managed to send and honour any verdict in it;
+// HandshakeTimeout bounds the wait on a genuinely dead transport.
+func (s *session) failover(cause error, readerExited bool) (handshaked, terminal bool, err error) {
+	var deadline <-chan time.Time
+	if !readerExited {
+		t := time.NewTimer(s.w.cfg.HandshakeTimeout)
+		defer t.Stop()
+		deadline = t.C
+	}
+	rerr := s.rerr
+	for {
+		if readerExited {
+			// The reader is gone: every frame it delivered is buffered.
+			if len(s.incoming) == 0 {
+				return s.welcomed, false, cause
+			}
+			rerr = nil
+		}
+		select {
+		case f := <-s.incoming:
+			if end, err := s.verdict(f); end {
+				return s.welcomed, true, err
+			}
+		case <-rerr:
+			readerExited = true
+		case <-deadline:
+			return s.welcomed, false, cause
+		case <-s.ctx.Done():
+			return s.welcomed, true, s.ctx.Err()
+		}
+	}
+}
+
+// applyCampaign adopts a campaign frame: verify a shipped spec against
+// its claimed fingerprint, build the chunk runner straight from it,
+// switch to the frame's epoch and drop lease state from other epochs. A
+// worker configured with the campaign keeps its own runner and needs no
+// spec; any other worker asks again when a frame comes without one. A
+// non-nil return is terminal.
+func (s *session) applyCampaign(f *Frame) error {
+	w := s.w
+	if f.Epoch == 0 {
+		return nil // malformed campaign frame: ignore
+	}
+	if f.Trace != "" {
+		// The coordinator runs with telemetry on: switch the relay on for
+		// this and every later epoch of the connection. The "connected"
+		// event published before it was on is relayed now.
+		if w.rel == nil {
+			w.rel = &relay{}
+			w.rel.reset()
+			if s.welcomed {
+				w.relayEvent(w.liveness("connected"))
+			}
+		}
+		w.rel.trace = f.Trace
+		w.rel.noteTS(f.TS)
+	}
+	if w.cfgFP != "" && f.Fingerprint != w.cfgFP {
+		return fmt.Errorf("%w: coordinator runs campaign %s, this worker is configured for %s", ErrRejected, f.Fingerprint, w.cfgFP)
+	}
+	if f.Spec == nil && w.cfgFP == "" {
+		_ = s.conn.Send(&Frame{Type: TypeNeedCampaign}) // best-effort; heartbeat retries
+		return nil
+	}
+	if w.runner != nil && f.Epoch == w.epoch && f.Fingerprint == w.fp {
+		return nil // duplicate (chaos or re-request)
+	}
+	if w.runner == nil || w.fp != f.Fingerprint {
+		runner, err := f.Spec.Runner()
+		if err != nil {
+			return fmt.Errorf("%w: shipped campaign spec: %v", ErrRejected, err)
+		}
+		if got := runner.Fingerprint(); got != f.Fingerprint {
+			return fmt.Errorf("%w: shipped campaign fingerprints %s but claims %s", ErrRejected, got, f.Fingerprint)
+		}
+		w.runner, w.fp = runner, f.Fingerprint
+	}
+	w.epoch = f.Epoch
+	var kept []*Frame
+	held := map[uint64]bool{}
+	for _, lf := range s.leaseQ {
+		if lf.Epoch == w.epoch {
+			kept = append(kept, lf)
+			held[lf.Lease] = true
+		}
+	}
+	s.leaseQ, s.held = kept, held
+	return nil
+}
+
+// stashLease queues a grant, asking for the campaign spec when the
+// grant's epoch is ahead of what this worker is configured for (the
+// campaign frame was lost in transit; heartbeats retry the request).
+func (s *session) stashLease(f *Frame) {
+	if s.seen[f.Lease] || f.Epoch < s.w.epoch {
+		return
+	}
+	s.seen[f.Lease] = true
+	s.held[f.Lease] = true
+	s.w.rel.leaseSeen(f.Lease) // decode-phase start: grant receipt
+	s.leaseQ = append(s.leaseQ, f)
+	if f.Epoch > s.w.epoch {
+		_ = s.conn.Send(&Frame{Type: TypeNeedCampaign}) // best-effort; heartbeat retries
+	}
+}
+
+// needSpec reports whether a queued lease is waiting on a campaign spec
+// this worker does not have yet.
+func (s *session) needSpec() bool {
+	for _, lf := range s.leaseQ {
+		if lf.Epoch > s.w.epoch {
+			return true
+		}
+	}
+	return false
+}
+
+// pickLease returns the next computable lease: the first queued grant of
+// the current epoch. Grants from older epochs are dropped (their campaign
+// is gone); grants from future epochs stay queued until the campaign spec
+// arrives.
+func (s *session) pickLease() *Frame {
+	var rest []*Frame
+	var pick *Frame
+	for _, lf := range s.leaseQ {
+		switch {
+		case pick == nil && lf.Epoch == s.w.epoch:
+			pick = lf
+		case lf.Epoch < s.w.epoch:
+			delete(s.held, lf.Lease)
+		default:
+			rest = append(rest, lf)
+		}
+	}
+	s.leaseQ = rest
+	return pick
+}
+
+// heldIDs lists the leases accepted but not yet answered.
+func (s *session) heldIDs() []uint64 {
+	ids := make([]uint64, 0, len(s.held))
+	for id := range s.held {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // publish emits a worker-side liveness event when a bus is configured,

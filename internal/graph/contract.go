@@ -393,14 +393,30 @@ func (errReplicaConflict) Error() string {
 // Members parses a cluster id produced by ClusterID back into its member
 // ids. A plain (non-cluster) id yields itself.
 func Members(id string) []string {
+	if id == "{}" {
+		return nil
+	}
+	return AppendMembers(make([]string, 0, strings.Count(id, ",")+1), id)
+}
+
+// AppendMembers appends the member ids of id to dst as Members lists
+// them, and returns the extended slice.
+func AppendMembers(dst []string, id string) []string {
 	if !strings.HasPrefix(id, "{") || !strings.HasSuffix(id, "}") {
-		return []string{id}
+		return append(dst, id)
 	}
 	inner := id[1 : len(id)-1]
 	if inner == "" {
-		return nil
+		return dst
 	}
-	return strings.Split(inner, ",")
+	for {
+		m, rest, more := strings.Cut(inner, ",")
+		dst = append(dst, m)
+		if !more {
+			return dst
+		}
+		inner = rest
+	}
 }
 
 // Replicate builds the replication expansion of g (§5.4) straight into a

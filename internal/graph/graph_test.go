@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -433,6 +434,14 @@ func TestMembersRoundTrip(t *testing.T) {
 			if got[i] != tt.want[i] {
 				t.Errorf("Members(%q) = %v, want %v", tt.id, got, tt.want)
 			}
+		}
+		if app := AppendMembers([]string{"x"}, tt.id); !slices.Equal(app, append([]string{"x"}, tt.want...)) {
+			t.Errorf("AppendMembers(x, %q) = %v, want x then %v", tt.id, app, tt.want)
+		}
+		// The result is presized: one allocation, however many members.
+		allocs := testing.AllocsPerRun(20, func() { Members(tt.id) })
+		if want := float64(min(len(tt.want), 1)); allocs != want {
+			t.Errorf("Members(%q) allocates %v times, want %v", tt.id, allocs, want)
 		}
 	}
 }

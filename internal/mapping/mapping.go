@@ -400,7 +400,7 @@ func Evaluate(full *graph.Graph, asg Assignment, p *hw.Platform, cfg EvalConfig)
 	var extraOwner map[string]int
 	var members []string
 	for i, cluster := range clusters {
-		members = appendMembers(members[:0], cluster)
+		members = graph.AppendMembers(members[:0], cluster)
 		for _, m := range members {
 			prev := i
 			if s, ok := full.Slot(m); !ok {
@@ -521,24 +521,4 @@ type host struct {
 	last     string
 	crit     float64
 	critical int
-}
-
-// appendMembers appends the member ids of cluster id to dst as
-// graph.Members lists them, without allocating the list itself.
-func appendMembers(dst []string, id string) []string {
-	if !strings.HasPrefix(id, "{") || !strings.HasSuffix(id, "}") {
-		return append(dst, id)
-	}
-	inner := id[1 : len(id)-1]
-	if inner == "" {
-		return dst
-	}
-	for {
-		m, rest, more := strings.Cut(inner, ",")
-		dst = append(dst, m)
-		if !more {
-			return dst
-		}
-		inner = rest
-	}
 }

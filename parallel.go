@@ -42,8 +42,13 @@ func serialAttempts(ctx context.Context, o *options, root *obs.Span, res *Result
 			return nil
 		}
 		lastErr = err
-		if ctx.Err() != nil {
-			// The run itself is cancelled or out of time: no fallback.
+		if cerr := ctx.Err(); cerr != nil {
+			// The run itself is cancelled or out of time: no fallback. An
+			// attempt that failed on its own just before the deadline did
+			// not see it; the run still ended on the deadline.
+			if !errors.Is(err, cerr) {
+				err = stageOfErr("condense", cerr)
+			}
 			return err
 		}
 		if i+1 < len(chain) {

@@ -578,7 +578,8 @@ func IntegrateContext(ctx context.Context, sys *System, opts ...Option) (*Result
 	sp = root.StartChild("influence")
 	var sweep separation
 	err := runStageOpen(ctx, sp, "influence", func() error {
-		initial, err := sys.Graph()
+		// The partition stage has validated sys.
+		initial, err := sys.ValidGraph()
 		if err != nil {
 			return err
 		}

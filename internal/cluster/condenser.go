@@ -13,6 +13,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 
 	"repro/internal/attrs"
 	"repro/internal/graph"
@@ -59,8 +62,8 @@ func (s Step) String() string {
 type Condenser struct {
 	// G is the working graph, mutated by reductions.
 	G *graph.Graph
-	// jobs maps each base node id to its scheduling job.
-	jobs map[string]sched.Job
+	// jobs are the scheduling jobs of the base nodes, sorted by name.
+	jobs []sched.Job
 	// baseJobs caches jobs by the graph's base-node ids (jobsGraph's), and
 	// hasJob marks the ids with a job.
 	jobsGraph *graph.Graph
@@ -155,11 +158,36 @@ func (c *Condenser) Observe(span *obs.Span, reg *obs.Registry) {
 // of its base nodes. The graph is used directly, not copied: clone before
 // constructing if the original must survive.
 func NewCondenser(g *graph.Graph, jobs []sched.Job) *Condenser {
-	jm := make(map[string]sched.Job, len(jobs))
-	for _, j := range jobs {
-		jm[j.Name] = j
+	n := len(jobs)
+	return &Condenser{
+		G:        g,
+		jobs:     sortedJobs(jobs),
+		baseJobs: make([]sched.Job, 0, n),
+		hasJob:   make([]bool, 0, n),
+		union:    make([]sched.Job, 0, n),
 	}
-	return &Condenser{G: g, jobs: jm}
+}
+
+// sortedJobs returns jobs sorted by name, stably, copying them only when
+// they are not sorted already.
+func sortedJobs(jobs []sched.Job) []sched.Job {
+	byName := func(a, b sched.Job) int { return strings.Compare(a.Name, b.Name) }
+	if slices.IsSortedFunc(jobs, byName) {
+		return jobs
+	}
+	jobs = slices.Clone(jobs)
+	slices.SortStableFunc(jobs, byName)
+	return jobs
+}
+
+// findJob returns the job named name in jobs, which are sorted by name;
+// of several, the last, as a map filled from jobs in order would hold.
+func findJob(jobs []sched.Job, name string) (sched.Job, bool) {
+	i := sort.Search(len(jobs), func(i int) bool { return jobs[i].Name > name })
+	if i > 0 && jobs[i-1].Name == name {
+		return jobs[i-1], true
+	}
+	return sched.Job{}, false
 }
 
 // appendJobs appends the scheduling jobs of the base members of slot s to
@@ -171,7 +199,7 @@ func (c *Condenser) appendJobs(dst []sched.Job, s int) []sched.Job {
 	c.bases = c.G.AppendMembers(c.bases[:0], s)
 	for _, b := range c.bases {
 		for int(b) >= len(c.baseJobs) {
-			j, ok := c.jobs[c.G.BaseName(int32(len(c.baseJobs)))]
+			j, ok := findJob(c.jobs, c.G.BaseName(int32(len(c.baseJobs))))
 			c.baseJobs, c.hasJob = append(c.baseJobs, j), append(c.hasJob, ok)
 		}
 		if c.hasJob[b] {
@@ -377,12 +405,14 @@ func (c *Condenser) Partition() [][]string {
 	return out
 }
 
-// checkTarget validates a reduction target against the current graph.
+// checkTarget validates a reduction target against the current graph and
+// makes room in the trace for the merges that reach it.
 func (c *Condenser) checkTarget(target int) error {
 	n := c.G.NumNodes()
 	if target < 1 || target > n {
 		return fmt.Errorf("%w: target %d with %d nodes", ErrBadTarget, target, n)
 	}
+	c.Trace = slices.Grow(c.Trace, n-target)
 	return nil
 }
 

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/attrs"
 	"repro/internal/graph"
@@ -16,7 +18,7 @@ type Expansion struct {
 	// ReplicasOf maps each original node id to its replica ids (a node
 	// with FT=1 maps to itself).
 	ReplicasOf map[string][]string
-	// Jobs are the scheduling jobs of all replica nodes.
+	// Jobs are the scheduling jobs of all replica nodes, sorted by name.
 	Jobs []sched.Job
 }
 
@@ -40,35 +42,43 @@ func replicaName(base string, i, ft int) string {
 //
 // The input graph is not modified.
 func Expand(g *graph.Graph, jobs []sched.Job) (*Expansion, error) {
-	jm := make(map[string]sched.Job, len(jobs))
-	for _, j := range jobs {
-		jm[j.Name] = j
+	jobs = sortedJobs(jobs)
+	ids := g.Nodes()
+	total := 0
+	for _, id := range ids {
+		total += faultTolerance(g, id)
 	}
 	out := &Expansion{
-		ReplicasOf: make(map[string][]string, g.NumNodes()),
+		ReplicasOf: make(map[string][]string, len(ids)),
+		Jobs:       make([]sched.Job, 0, total),
 	}
-	for _, id := range g.Nodes() {
-		ft := int(g.Attrs(id).Value(attrs.FaultTolerance))
-		if ft < 1 {
-			ft = 1
-		}
-		names := make([]string, 0, ft)
+	names := make([]string, 0, total) // every node's replica ids, in turn
+	for _, id := range ids {
+		ft := faultTolerance(g, id)
+		j, hasJob := findJob(jobs, id)
+		start := len(names)
 		for i := 0; i < ft; i++ {
 			name := replicaName(id, i, ft)
 			names = append(names, name)
-			if j, ok := jm[id]; ok {
+			if hasJob {
 				j.Name = name
 				out.Jobs = append(out.Jobs, j)
 			}
 		}
-		out.ReplicasOf[id] = names
+		out.ReplicasOf[id] = names[start:len(names):len(names)]
 	}
+	slices.SortFunc(out.Jobs, func(a, b sched.Job) int { return strings.Compare(a.Name, b.Name) })
 	eg, err := g.Replicate(out.ReplicasOf)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: expand: %w", err)
 	}
 	out.Graph = eg
 	return out, nil
+}
+
+// faultTolerance returns node id's FT degree, at least 1.
+func faultTolerance(g *graph.Graph, id string) int {
+	return max(int(g.Attrs(id).Value(attrs.FaultTolerance)), 1)
 }
 
 // Condenser builds a Condenser over the expanded graph and its jobs.

@@ -16,16 +16,16 @@ import (
 
 // refBestFeasiblePair is H1's selection as it ran before rows could be
 // skipped: every pair of live slots in id order, checking each pair that
-// beats the best so far. It is the reference
-// TestH1BoundedScanMatchesFullScan holds the bounded scan to.
+// beats the best so far. Each pair's mutual influence is read from the
+// graph afresh. It is the reference TestH1BoundedScanMatchesFullScan holds
+// the bounded scan to.
 func refBestFeasiblePair(t *pairTable, c *Condenser) (int, int, bool) {
 	bestA, bestB := -1, -1
 	bestMutual := -1.0
 	bestSize := 0
 	for i, sa := range t.order {
-		row := t.mutual[sa*t.stride : (sa+1)*t.stride]
 		for _, sb := range t.order[i+1:] {
-			m := row[sb]
+			m := c.G.MutualSlots(sa, sb)
 			size := t.size[sa] + t.size[sb]
 			better := false
 			switch {
@@ -64,13 +64,13 @@ func h1Systems(t *testing.T) map[string]*spec.System {
 }
 
 // requireBoundsCover fails unless every live slot's bound is at least its
-// mutual influence with every other live slot.
-func requireBoundsCover(t *testing.T, pt *pairTable, merge int) {
+// mutual influence with every other live slot, as g reads it.
+func requireBoundsCover(t *testing.T, g *graph.Graph, pt *pairTable, merge int) {
 	t.Helper()
 	for _, s := range pt.order {
 		for _, x := range pt.order {
-			if m := pt.mutual[s*pt.stride+x]; x != s && !(pt.bound[s] >= m) {
-				t.Fatalf("after merge %d: bound[%d] = %v below its entry %v for slot %d", merge, s, pt.bound[s], m, x)
+			if m := g.MutualSlots(s, x); x != s && !(pt.bound[s] >= m) {
+				t.Fatalf("after merge %d: bound[%d] = %v below its mutual influence %v with slot %d", merge, s, pt.bound[s], m, x)
 			}
 		}
 	}
@@ -159,7 +159,7 @@ func h1Lockstep(t *testing.T, c, ref *Condenser, target int) lockstepStats {
 	c.Observe(nil, reg)
 	ref.Observe(nil, refReg)
 	pt, refPT := newPairTable(c.G), newPairTable(ref.G)
-	requireBoundsCover(t, pt, 0)
+	requireBoundsCover(t, c.G, pt, 0)
 	var st lockstepStats
 	for c.G.NumNodes() > target {
 		sched.Observe(reg)
@@ -186,7 +186,7 @@ func h1Lockstep(t *testing.T, c, ref *Condenser, target int) lockstepStats {
 		refPT.merge(ref.G, ra, rb, rs)
 		sched.Observe(nil)
 		st.merges++
-		requireBoundsCover(t, pt, st.merges)
+		requireBoundsCover(t, c.G, pt, st.merges)
 		requireVerdictsFresh(t, c, pt, st.merges, &st)
 	}
 	requireCountersMatch(t, "at the end", counters(reg), counters(refReg))
@@ -237,9 +237,9 @@ func requireCountersMatch(t *testing.T, label string, got, want map[string]int64
 // checked to st.
 func requireVerdictsFresh(t *testing.T, c *Condenser, pt *pairTable, merge int, st *lockstepStats) {
 	t.Helper()
-	for _, x := range pt.order {
-		for _, y := range pt.order {
-			v := pt.verdict[x*pt.stride+y]
+	for i, x := range pt.order {
+		for _, y := range pt.order[i+1:] {
+			v := pt.verdict[pairIndex(x, y)]
 			if v == unchecked {
 				continue
 			}

@@ -46,17 +46,17 @@ func (c *Condenser) ReduceByInfluence(target int) error {
 }
 
 // pairTable is H1's incremental view of the working graph: its live slots
-// in node-id order, a symmetric matrix of mutual influence indexed by
-// graph slot, each slot's member count and the oracle's verdicts. Contract
-// changes no edge between two other nodes and no other node's members, so
-// after a merge only the merged slots' rows and columns need refreshing,
-// from the new slot's adjacency rows alone. A table lives for one
+// in node-id order, each slot's member count, bound and the oracle's
+// verdicts. Mutual influence is read from the graph a row at a time;
+// MutualRow(s)[x] and MutualRow(x)[s] add the same two arc weights, so
+// either row gives a pair's value bit for bit. Contract changes no edge
+// between two other nodes and no other node's members, so a merge only
+// refreshes the merged slots' bounds and verdicts. A table lives for one
 // ReduceByInfluence call, during which only its loop mutates the graph.
 type pairTable struct {
-	order  []int     // live slots, by node id
-	stride int       // row length of mutual: the graph's slot count
-	mutual []float64 // mutual[s*stride+t]: mutual influence of slots s, t
-	size   []int     // member count per slot
+	order []int     // live slots, by node id
+	row   []float64 // one slot's mutual influence, by slot
+	size  []int     // member count per slot
 	// bound[s] is at least slot s's mutual influence with every other
 	// live slot, or NaN, which never lets a row be skipped. Merges only
 	// raise it; a scan of the row tightens it to the exact maximum.
@@ -64,35 +64,44 @@ type pairTable struct {
 	// minLater[i] is the smallest member count among order[i+1:] (MaxInt
 	// past the end), rebuilt by each bestFeasiblePair.
 	minLater []int
-	// verdict[s*stride+t] is the oracle's verdict on slots s and t, s the
-	// earlier in id order, or unchecked; merge clears the merged slots'.
+	// verdict[pairIndex(s, t)] is the oracle's verdict on slots s and t,
+	// s the earlier in id order, or unchecked; merge clears the merged
+	// slots'.
 	verdict []verdict
 }
 
-// newPairTable reads every pair's mutual influence from g once.
+// pairIndex is the place of the pair of distinct slots s and t in a
+// triangular table of all such pairs.
+func pairIndex(s, t int) int {
+	if s < t {
+		s, t = t, s
+	}
+	return s*(s-1)/2 + t
+}
+
+// newPairTable reads every slot's mutual influence row from g once, to
+// bound it.
 func newPairTable(g *graph.Graph) *pairTable {
 	n := g.NumSlots()
 	t := &pairTable{
 		order:   g.SlotsByName(),
-		stride:  n,
-		mutual:  make([]float64, n*n),
+		row:     make([]float64, n),
 		size:    make([]int, n),
 		bound:   make([]float64, n),
-		verdict: make([]verdict, n*n),
+		verdict: make([]verdict, n*(n-1)/2),
 	}
 	for _, s := range t.order {
 		t.size[s] = g.NumMembers(s)
-		g.MutualRow(s, t.mutual[s*n:(s+1)*n])
-		t.bound[s] = t.rowMax(s, t.order)
+		g.MutualRow(s, t.row)
+		t.bound[s] = rowMax(t.row, s, t.order)
 	}
 	return t
 }
 
-// rowMax returns the largest mutual influence of slot s with the slots in
-// others other than s itself: -Inf when there are none, NaN when any entry
-// is NaN.
-func (t *pairTable) rowMax(s int, others []int) float64 {
-	row := t.mutual[s*t.stride : (s+1)*t.stride]
+// rowMax returns the largest entry of row, slot s's mutual influence row,
+// at the slots in others other than s itself: -Inf when there are none,
+// NaN when any entry is NaN.
+func rowMax(row []float64, s int, others []int) float64 {
 	hi := math.Inf(-1)
 	for _, x := range others {
 		if m := row[x]; x != s && (m > hi || m != m) {
@@ -110,7 +119,7 @@ func (t *pairTable) feasible(c *Condenser, a, b int) bool {
 	if c.precheck(a, b) != "" {
 		return false
 	}
-	v := &t.verdict[a*t.stride+b]
+	v := &t.verdict[pairIndex(a, b)]
 	if *v == unchecked {
 		*v, _ = c.schedule(a, b)
 	} else if m := c.metrics; m != nil {
@@ -134,27 +143,26 @@ func (t *pairTable) combine(c *Condenser, a, b int) error {
 }
 
 // merge replaces slots a and b by their contraction, which took slot s,
-// forgets the verdicts of all three, and refreshes s's row, column and
-// bound from g. Every other live bound is raised to cover its entry for
-// s.
+// forgets the verdicts of all three with the live slots, and refreshes
+// s's size and bound from g. Every other live bound is raised to cover
+// its pair with s.
 func (t *pairTable) merge(g *graph.Graph, a, b, s int) {
 	t.order = replaceMerged(g, t.order, a, b, s)
 	for _, x := range [...]int{a, b, s} {
-		clear(t.verdict[x*t.stride : (x+1)*t.stride])
 		for _, y := range t.order {
-			t.verdict[y*t.stride+x] = unchecked
+			if y != x {
+				t.verdict[pairIndex(x, y)] = unchecked
+			}
 		}
 	}
 	t.size[s] = g.NumMembers(s)
-	row := t.mutual[s*t.stride : (s+1)*t.stride]
-	g.MutualRow(s, row)
+	g.MutualRow(s, t.row)
 	for _, x := range t.order {
-		t.mutual[x*t.stride+s] = row[x]
-		if m := row[x]; x != s && (m > t.bound[x] || m != m) {
+		if m := t.row[x]; x != s && (m > t.bound[x] || m != m) {
 			t.bound[x] = m
 		}
 	}
-	t.bound[s] = t.rowMax(s, t.order)
+	t.bound[s] = rowMax(t.row, s, t.order)
 }
 
 // replaceMerged removes slots a and b from order, which lists live slots
@@ -204,8 +212,9 @@ func (t *pairTable) bestFeasiblePair(c *Condenser) (int, int, bool) {
 		if c.ctx != nil && c.ctx.Err() != nil {
 			return 0, 0, false // caller re-checks and reports the cancellation
 		}
-		row := t.mutual[sa*t.stride : (sa+1)*t.stride]
-		hi := t.rowMax(sa, t.order[:i])
+		row := t.row
+		c.G.MutualRow(sa, row)
+		hi := rowMax(row, sa, t.order[:i])
 		for _, sb := range t.order[i+1:] {
 			m := row[sb]
 			if m > hi || m != m {

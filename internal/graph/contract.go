@@ -433,7 +433,7 @@ func (g *Graph) Replicate(replicas map[string][]string) (*Graph, error) {
 	}
 	r := New()
 	r.fac = g.fac.clone()
-	r.reserve(n)
+	r.Grow(n)
 	first := make([]int, len(g.names)) // slot of the first replica in r
 	for _, s := range g.SlotsByName() {
 		names := replicas[g.names[s]]

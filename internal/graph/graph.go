@@ -141,8 +141,9 @@ func (g *Graph) AddNode(id string, a attrs.Set) error {
 	return nil
 }
 
-// reserve makes room for n more nodes without growing the slot arrays.
-func (g *Graph) reserve(n int) {
+// Grow makes room for n more nodes, so that adding them grows none of the
+// graph's per-node arrays.
+func (g *Graph) Grow(n int) {
 	g.names = slices.Grow(g.names, n)
 	g.attrs = slices.Grow(g.attrs, n)
 	g.out = slices.Grow(g.out, n)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
@@ -731,4 +732,79 @@ func TestMinCutAllocsConstant(t *testing.T) {
 			t.Errorf("%s: GlobalMinCut made %.0f and MinCutST %.0f allocations, want at most %d each", tc.name, global, st, bound)
 		}
 	}
+}
+
+// TestMutualRowSymmetricBits checks the fact H1's pair table relies on to
+// read each pair's mutual influence from either slot's row: for every
+// two live slots s and x, MutualRow(s)[x] and MutualRow(x)[s] are the same
+// float64 bit for bit. Random graphs carry −0, subnormal, 1.0 and other
+// weights and replica edges, and are checked before and after each of a
+// series of random ContractSlots calls, which combine weights by Eq. (4)
+// or keep the last member's weight, so −0 and subnormals survive merges.
+func TestMutualRowSymmetricBits(t *testing.T) {
+	weights := []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-1030, 1, 0.5, 0.1, 0.3}
+	keepLast := func(ws []float64) float64 { return ws[len(ws)-1] }
+	rng := rand.New(rand.NewPCG(1998, 7))
+	pairs := 0
+	check := func(g *Graph, label string) {
+		t.Helper()
+		rs, rx := make([]float64, g.NumSlots()), make([]float64, g.NumSlots())
+		order := g.SlotsByName()
+		for i, s := range order {
+			g.MutualRow(s, rs)
+			for _, x := range order[i+1:] {
+				g.MutualRow(x, rx)
+				if math.Float64bits(rs[x]) != math.Float64bits(rx[s]) {
+					t.Fatalf("%s: MutualRow(%s)[%s] = %v (%#x), MutualRow(%s)[%s] = %v (%#x)", label,
+						g.Name(s), g.Name(x), rs[x], math.Float64bits(rs[x]),
+						g.Name(x), g.Name(s), rx[s], math.Float64bits(rx[s]))
+				}
+				pairs++
+			}
+		}
+	}
+	for round := 0; round < 60; round++ {
+		g := New()
+		n := 2 + rng.IntN(14)
+		name := func(i int) string { return fmt.Sprintf("n%02d", i) }
+		for i := 0; i < n; i++ {
+			mustAdd(t, g, name(i))
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				switch k := rng.IntN(10); {
+				case i == j || k > 4:
+				case k == 0:
+					if err := g.AddReplicaEdge(name(i), name(j)); err != nil {
+						t.Fatal(err)
+					}
+				case k == 1:
+					mustEdge(t, g, name(i), name(j), rng.Float64())
+				default:
+					mustEdge(t, g, name(i), name(j), weights[rng.IntN(len(weights))])
+				}
+			}
+		}
+		check(g, fmt.Sprintf("round %d", round))
+		for step := 0; g.NumNodes() > 1; step++ {
+			live := g.SlotsByName()
+			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+			members := live[:min(len(live), 2+rng.IntN(2))]
+			combine := CombineWeights(eq4)
+			if rng.IntN(2) == 0 {
+				combine = keepLast
+			}
+			if _, err := g.ContractSlots(members, combine); err != nil {
+				if !errors.Is(err, ErrReplicaConflict) {
+					t.Fatal(err)
+				}
+				if step > 4*n {
+					break // only replica pairs are left to try
+				}
+				continue
+			}
+			check(g, fmt.Sprintf("round %d, step %d", round, step))
+		}
+	}
+	t.Logf("%d pairs checked", pairs)
 }

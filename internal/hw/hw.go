@@ -45,7 +45,11 @@ func (n Node) HasResource(r string) bool { return n.Resources[r] }
 // with per-link costs.
 type Platform struct {
 	nodes map[string]*Node
-	// links[a][b] = communication cost between a and b (0 = no link).
+	// links[a][b] = communication cost between a and b (0 = no link); a
+	// node without links may have no map. The nodes of Complete share one
+	// map, which lists every node at unit cost, the node itself too: a
+	// self link never shortens a path, and it marks the map as shared, so
+	// Link copies it before a change.
 	links map[string]map[string]float64
 	// dist caches every Distance answer. The first Distance call builds
 	// it; AddNode and Link clear it. Concurrent readers may each build an
@@ -86,7 +90,6 @@ func (p *Platform) AddNode(n Node) error {
 	}
 	cp := n
 	p.nodes[n.Name] = &cp
-	p.links[n.Name] = make(map[string]float64)
 	p.dist.Store(nil)
 	return nil
 }
@@ -105,8 +108,20 @@ func (p *Platform) Link(a, b string, cost float64) error {
 	if cost <= 0 {
 		return fmt.Errorf("%w: cost %g", ErrBadTopology, cost)
 	}
-	p.links[a][b] = cost
-	p.links[b][a] = cost
+	for _, e := range [...][2]string{{a, b}, {b, a}} {
+		from, to := e[0], e[1]
+		own := p.links[from]
+		if _, shared := own[from]; shared || own == nil {
+			own = make(map[string]float64, len(own))
+			for nbr, c := range p.links[from] {
+				if nbr != from {
+					own[nbr] = c
+				}
+			}
+			p.links[from] = own
+		}
+		own[to] = cost
+	}
 	p.dist.Store(nil)
 	return nil
 }
@@ -209,7 +224,7 @@ func (p *Platform) distances() *distTable {
 
 // Complete builds the paper's "strongly connected network with n HW
 // nodes": every pair linked at unit cost, each node its own FCR, names
-// hw1..hwN. Every distance is known without a search (0 from a node to
+// hw1..hwN, sharing one link map. Every distance is known without a search (0 from a node to
 // itself, 1 to any other), so the table Distance reads is stored at once;
 // it equals the one Dijkstra would build, and AddNode and Link still
 // clear it.
@@ -217,13 +232,18 @@ func Complete(n int) (*Platform, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: n=%d", ErrBadTopology, n)
 	}
-	p := NewPlatform()
+	p := &Platform{
+		nodes: make(map[string]*Node, n),
+		links: make(map[string]map[string]float64, n),
+	}
+	all := make(map[string]float64, n)
 	for i := 1; i <= n; i++ {
 		name := "hw" + strconv.Itoa(i)
 		if err := p.AddNode(Node{Name: name, FCR: name}); err != nil {
 			return nil, err
 		}
-		p.links[name] = make(map[string]float64, n-1)
+		all[name] = 1
+		p.links[name] = all
 	}
 	names := p.Nodes()
 	t := &distTable{
@@ -234,9 +254,8 @@ func Complete(n int) (*Platform, error) {
 	}
 	for i, a := range names {
 		t.index[a] = i
-		for j, b := range names {
+		for j := range names {
 			if i != j {
-				p.links[a][b] = 1
 				t.cost[i*n+j] = 1
 			}
 			t.reach[i*n+j] = true

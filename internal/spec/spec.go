@@ -173,7 +173,14 @@ func (s *System) Graph() (*graph.Graph, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return s.ValidGraph()
+}
+
+// ValidGraph is Graph for a system that has passed Validate, which it
+// does not run again.
+func (s *System) ValidGraph() (*graph.Graph, error) {
 	g := graph.New()
+	g.Grow(len(s.Processes))
 	for _, p := range s.Processes {
 		if err := g.AddNode(p.Name, p.Attrs()); err != nil {
 			return nil, err

@@ -35,7 +35,9 @@ race:
 # and allocations per call), of the fault-injection trial loop (a 50,000-trial campaign on one worker), of
 # the fabric frame codec (result, lease and campaign frames, against
 # encoding/json), of a campaign's set-up (its chunk runner and
-# fingerprint, from the shipped spec and from the Campaign) and of the
+# fingerprint, from the shipped spec and from the Campaign), of a whole
+# 6,400-trial fabric run over the in-process pipe with the telemetry
+# relay off and on (with its bytes and allocations per run) and of the
 # Eq. 3 separation sweep (12–240-row scenario matrices at widths 1 and 2,
 # the figures behind its row rule); use `go test -bench=. -benchmem` for
 # real measurements.
@@ -45,6 +47,7 @@ bench:
 	$(GO) test -run NONE -bench 'CampaignParallel/1$$' -benchtime 3x .
 	$(GO) test -run NONE -bench 'FrameCodec$$' -benchtime 200x -benchmem ./internal/fabric
 	$(GO) test -run NONE -bench 'CampaignSetup$$' -benchtime 200x -benchmem ./internal/fabric
+	$(GO) test -run NONE -bench 'FabricTelemetry$$' -benchtime 20x -benchmem ./internal/fabric
 	$(GO) test -run NONE -bench 'SeparationSweep$$' -benchtime 20x -benchmem ./internal/influence
 
 # bench-module vets the end-to-end benchmark harness (its own module in
@@ -141,7 +144,8 @@ vuln:
 # hand-written ledger encoder and run fingerprint (against json.Encoder
 # and json.Marshal, byte for byte) and the hand-written fabric frame
 # codec (its encoder against json.Marshal byte for byte, its decoder
-# against json.Unmarshal on arbitrary bytes), the spec path of a
+# against json.Unmarshal on arbitrary bytes, and a result decoded into a
+# released chunk against one decoded into a fresh chunk), the spec path of a
 # flagless worker (a runner built straight from a shipped spec, against
 # a rebuild through a graph) and campaign estimates on small graphs
 # (against the exact Markov chain of their propagation) without turning
@@ -155,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzLedgerEncodeMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/ledger
 	$(GO) test -run NONE -fuzz 'FuzzFrameEncodeMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/fabric
 	$(GO) test -run NONE -fuzz 'FuzzFrameDecodeMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/fabric
+	$(GO) test -run NONE -fuzz 'FuzzRecycledChunkDecode$$' -fuzztime $(FUZZTIME) ./internal/fabric
 	$(GO) test -run NONE -fuzz 'FuzzFaultModel$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzMergerOrder$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzTrialLoopMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/faultsim

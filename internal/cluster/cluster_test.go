@@ -488,3 +488,55 @@ func defaultWeights(t *testing.T) attrs.Weights {
 	}
 	return w
 }
+
+// TestCondenserInvalidJobKeepsCheckError: the condenser validates its
+// jobs once, when it is built, and then asks the oracle without
+// validating again. A pair or group whose job set holds an invalid job
+// must still be refused with the ErrBadJob error sched.Check gives for
+// that set, and pairs of valid jobs keep their verdicts.
+func TestCondenserInvalidJobKeepsCheckError(t *testing.T) {
+	g := graph.New()
+	for _, n := range []string{"a", "b", "c", "d"} {
+		if err := g.AddNode(n, attrs.New(map[attrs.Kind]float64{attrs.Criticality: 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs := []sched.Job{
+		{Name: "a", EST: 0, TCD: 10, CT: 2},
+		{Name: "b", EST: 0, TCD: 10, CT: 20}, // needs more than its window
+		{Name: "c", EST: 0, TCD: 10, CT: 3},
+		{Name: "d", EST: 0, TCD: 10, CT: 8},
+	}
+	c := NewCondenser(g, jobs)
+	for _, p := range []struct{ a, b int }{{0, 1}, {1, 2}, {0, 2}, {2, 3}} {
+		ja, jb := jobs[p.a], jobs[p.b]
+		wantOK, wantErr := sched.Check([]sched.Job{ja, jb})
+		want := ""
+		switch {
+		case wantErr != nil:
+			if !errors.Is(wantErr, sched.ErrBadJob) {
+				t.Fatalf("sched.Check(%s, %s) = %v, want ErrBadJob", ja.Name, jb.Name, wantErr)
+			}
+			want = wantErr.Error()
+		case !wantOK:
+			want = "timing infeasible: " + sched.Witness([]sched.Job{ja, jb})
+		}
+		ok, why := c.CanCombine(ja.Name, jb.Name)
+		if ok != (want == "") || why != want {
+			t.Errorf("CanCombine(%s, %s) = %v, %q; want %q", ja.Name, jb.Name, ok, why, want)
+		}
+	}
+	slot := func(name string) int {
+		s, ok := c.G.Slot(name)
+		if !ok {
+			t.Fatalf("no slot %s", name)
+		}
+		return s
+	}
+	if c.groupFeasible([]int{slot("a"), slot("b")}) {
+		t.Error("a group holding the invalid job is feasible")
+	}
+	if !c.groupFeasible([]int{slot("a"), slot("c")}) {
+		t.Error("a group of valid jobs that fit is infeasible")
+	}
+}

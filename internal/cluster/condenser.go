@@ -63,7 +63,10 @@ type Condenser struct {
 	// G is the working graph, mutated by reductions.
 	G *graph.Graph
 	// jobs are the scheduling jobs of the base nodes, sorted by name.
-	jobs []sched.Job
+	// jobsValid records that each passed sched.Job.Validate when the
+	// condenser was built, so the oracle need not validate them again.
+	jobs      []sched.Job
+	jobsValid bool
 	// baseJobs caches jobs by the graph's base-node ids (jobsGraph's), and
 	// hasJob marks the ids with a job.
 	jobsGraph *graph.Graph
@@ -156,16 +159,35 @@ func (c *Condenser) Observe(span *obs.Span, reg *obs.Registry) {
 
 // NewCondenser wraps a graph (typically the output of Expand) and the jobs
 // of its base nodes. The graph is used directly, not copied: clone before
-// constructing if the original must survive.
+// constructing if the original must survive. Jobs already sorted by name
+// are used directly too and must not change afterwards.
 func NewCondenser(g *graph.Graph, jobs []sched.Job) *Condenser {
 	n := len(jobs)
-	return &Condenser{
-		G:        g,
-		jobs:     sortedJobs(jobs),
-		baseJobs: make([]sched.Job, 0, n),
-		hasJob:   make([]bool, 0, n),
-		union:    make([]sched.Job, 0, n),
+	c := &Condenser{
+		G:         g,
+		jobs:      sortedJobs(jobs),
+		jobsValid: true,
+		baseJobs:  make([]sched.Job, 0, n),
+		hasJob:    make([]bool, 0, n),
+		union:     make([]sched.Job, 0, n),
 	}
+	for _, j := range jobs {
+		if j.Validate() != nil {
+			c.jobsValid = false
+			break
+		}
+	}
+	return c
+}
+
+// fits asks the feasibility oracle whether jobs, drawn from c.jobs, fit
+// on one processor. When c.jobs hold an invalid job every set goes to
+// sched.Check, so a set holding it gets Check's ErrBadJob error.
+func (c *Condenser) fits(jobs []sched.Job) (bool, error) {
+	if c.jobsValid {
+		return sched.CheckValid(jobs), nil
+	}
+	return sched.Check(jobs)
 }
 
 // sortedJobs returns jobs sorted by name, stably, copying them only when
@@ -290,7 +312,7 @@ func (c *Condenser) precheck(a, b int) string {
 // c.union holds the jobs.
 func (c *Condenser) schedule(a, b int) (verdict, error) {
 	c.union = c.appendJobs(c.appendJobs(c.union[:0], a), b)
-	ok, err := sched.Check(c.union)
+	ok, err := c.fits(c.union)
 	switch {
 	case err != nil:
 		return oracleError, err

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/attrs"
 	"repro/internal/graph"
-	"repro/internal/sched"
 )
 
 // ReduceByInfluence implements heuristic H1 (§5.4): "Combine the two nodes
@@ -593,7 +592,7 @@ func (c *Condenser) groupFeasible(group []int) bool {
 	for _, s := range group {
 		c.union = c.appendJobs(c.union, s)
 	}
-	ok, err := sched.Check(c.union)
+	ok, err := c.fits(c.union)
 	return err == nil && ok
 }
 

@@ -190,7 +190,7 @@ func BenchmarkFrameCodec(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var g Frame
-				if err := decodeFrame(payload, &g); err != nil {
+				if err := decodeFrame(payload, &g, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

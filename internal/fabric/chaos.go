@@ -74,6 +74,9 @@ func (c *chaosConn) Send(f *Frame) error {
 		return nil
 	}
 	if delay {
+		// The sender may reuse f's chunk once Send returns; the timer
+		// sends a copy.
+		f = f.detached()
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()

@@ -254,9 +254,11 @@ func appendMarshal(dst []byte, v any) ([]byte, error) {
 
 // decodeFrame decodes one frame payload into the zero Frame f: through
 // the canonical-form parser when it recognises the whole payload, else
-// through json.Unmarshal. f holds no reference into data afterwards.
-func decodeFrame(data []byte, f *Frame) error {
-	if parseFrame(data, f) {
+// through json.Unmarshal. The parser fills a result chunk taken from
+// spare when one is waiting there (nil: never). f holds no reference into
+// data afterwards.
+func decodeFrame(data []byte, f *Frame, spare <-chan *faultsim.ChunkOutput) error {
+	if parseFrame(data, f, spare) {
 		return nil
 	}
 	*f = Frame{}
@@ -266,9 +268,10 @@ func decodeFrame(data []byte, f *Frame) error {
 // parseFrame parses the canonical frame form into the zero Frame f. It
 // reports false, leaving f partly filled, on anything else. It never
 // converts a key to a string, and it sizes every array by counting the
-// array's elements in data before allocating.
-func parseFrame(data []byte, f *Frame) bool {
-	d := frameDecoder{b: data}
+// array's elements in data before allocating, unless the array fits the
+// storage of a chunk taken from spare.
+func parseFrame(data []byte, f *Frame, spare <-chan *faultsim.ChunkOutput) bool {
+	d := frameDecoder{b: data, spare: spare}
 	return d.frame(f) && d.i == len(d.b)
 }
 
@@ -281,6 +284,18 @@ type frameDecoder struct {
 	// names interns the strings of a campaign spec: every edge endpoint
 	// repeats a node name, and HW names repeat across nodes.
 	names map[string]string
+	// spare holds released chunks a result may be decoded into.
+	spare <-chan *faultsim.ChunkOutput
+}
+
+// newChunk returns a released chunk when one is waiting, else a fresh one.
+func (d *frameDecoder) newChunk() *faultsim.ChunkOutput {
+	select {
+	case ch := <-d.spare:
+		return ch
+	default:
+		return new(faultsim.ChunkOutput)
+	}
 }
 
 // lit consumes c if it is the next byte.
@@ -540,7 +555,17 @@ func (d *frameDecoder) uints() ([]uint64, bool) {
 	return vs, d.lit(']')
 }
 
-func (d *frameDecoder) ints() ([]int, bool) {
+// resized returns buf at length n, reusing its storage when it fits. The
+// result is never nil, as json.Unmarshal decodes "[]" to an empty slice.
+func resized[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// ints consumes an int array, into buf's storage when it fits.
+func (d *frameDecoder) ints(buf []int) ([]int, bool) {
 	if !d.lit('[') {
 		return nil, false
 	}
@@ -548,7 +573,7 @@ func (d *frameDecoder) ints() ([]int, bool) {
 	if !ok {
 		return nil, false
 	}
-	vs := make([]int, n)
+	vs := resized(buf, n)
 	for i := range vs {
 		if i > 0 && !d.lit(',') {
 			return nil, false
@@ -560,8 +585,9 @@ func (d *frameDecoder) ints() ([]int, bool) {
 	return vs, d.lit(']')
 }
 
-// floats consumes a float array or null (nil).
-func (d *frameDecoder) floats() ([]float64, bool) {
+// floats consumes a float array, into buf's storage when it fits, or
+// null (nil).
+func (d *frameDecoder) floats(buf []float64) ([]float64, bool) {
 	if d.word("null") {
 		return nil, true
 	}
@@ -572,7 +598,7 @@ func (d *frameDecoder) floats() ([]float64, bool) {
 	if !ok {
 		return nil, false
 	}
-	vs := make([]float64, n)
+	vs := resized(buf, n)
 	for i := range vs {
 		if i > 0 && !d.lit(',') {
 			return nil, false
@@ -642,7 +668,7 @@ func (d *frameDecoder) frame(f *Frame) bool {
 			f.End, ok = d.int()
 		case "chunk":
 			bit = 1 << 13
-			f.Chunk = new(faultsim.ChunkOutput)
+			f.Chunk = d.newChunk()
 			ok = d.chunk(f.Chunk)
 		case "leases":
 			bit = 1 << 14
@@ -687,7 +713,12 @@ func (d *frameDecoder) frame(f *Frame) bool {
 	}
 }
 
+// chunk parses a result chunk into ch, which may be a released chunk: its
+// slices lend their storage, and every member the payload leaves out
+// decodes to its zero value, as into a fresh chunk.
 func (d *frameDecoder) chunk(ch *faultsim.ChunkOutput) bool {
+	old := *ch
+	*ch = faultsim.ChunkOutput{}
 	if ok, empty := d.object(); !ok || empty {
 		return ok
 	}
@@ -728,19 +759,19 @@ func (d *frameDecoder) chunk(ch *faultsim.ChunkOutput) bool {
 			ch.TransientFaults, ok = d.int()
 		case "crit_per_trial":
 			bit = 1 << 9
-			ch.CritPerTrial, ok = d.floats()
+			ch.CritPerTrial, ok = d.floats(old.CritPerTrial)
 		case "esc_per_trial":
 			bit = 1 << 10
-			ch.EscPerTrial, ok = d.floats()
+			ch.EscPerTrial, ok = d.floats(old.EscPerTrial)
 		case "affected":
 			bit = 1 << 11
-			ch.Affected, ok = d.ints()
+			ch.Affected, ok = d.ints(old.Affected)
 		case "edge_trials":
 			bit = 1 << 12
-			ch.EdgeTrials, ok = d.ints()
+			ch.EdgeTrials, ok = d.ints(old.EdgeTrials)
 		case "transmissions":
 			bit = 1 << 13
-			ch.Transmissions, ok = d.ints()
+			ch.Transmissions, ok = d.ints(old.Transmissions)
 		default:
 			return false
 		}

@@ -100,11 +100,11 @@ func TestFrameCodecMatchesJSON(t *testing.T) {
 		if err := json.Unmarshal(want, &viaJSON); err != nil {
 			t.Fatal(err)
 		}
-		if err := decodeFrame(want, &decoded); err != nil || !reflect.DeepEqual(decoded, viaJSON) {
+		if err := decodeFrame(want, &decoded, nil); err != nil || !reflect.DeepEqual(decoded, viaJSON) {
 			t.Fatalf("%s frame: decoded %+v (%v), json.Unmarshal %+v", f.Type, decoded, err, viaJSON)
 		}
 		relayed := len(f.Events) > 0 || len(f.Meter) > 0
-		if parseFrame(want, &Frame{}) == relayed {
+		if parseFrame(want, &Frame{}, nil) == relayed {
 			t.Fatalf("%s frame with relayed payload %t: canonical parser accepted %t", f.Type, relayed, !relayed)
 		}
 	}
@@ -146,10 +146,10 @@ func FuzzFrameDecodeMatchesJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want, got, parsed Frame
 		werr := json.Unmarshal(data, &want)
-		if parseFrame(data, &parsed) && (werr != nil || !reflect.DeepEqual(parsed, want)) {
+		if parseFrame(data, &parsed, nil) && (werr != nil || !reflect.DeepEqual(parsed, want)) {
 			t.Fatalf("canonical parser: %+v; json.Unmarshal: %+v (%v)", parsed, want, werr)
 		}
-		gerr := decodeFrame(data, &got)
+		gerr := decodeFrame(data, &got, nil)
 		if (werr == nil) != (gerr == nil) || (werr == nil && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("decodeFrame: %+v (%v); json.Unmarshal: %+v (%v)", got, gerr, want, werr)
 		}
@@ -184,7 +184,7 @@ func FuzzFrameEncodeMatchesJSON(f *testing.F) {
 		if err := json.Unmarshal(got, &viaJSON); err != nil {
 			t.Fatal(err)
 		}
-		if err := decodeFrame(got, &decoded); err != nil || !reflect.DeepEqual(decoded, viaJSON) {
+		if err := decodeFrame(got, &decoded, nil); err != nil || !reflect.DeepEqual(decoded, viaJSON) {
 			t.Fatalf("decodeFrame: %+v (%v); json.Unmarshal: %+v", decoded, err, viaJSON)
 		}
 	})

@@ -127,12 +127,16 @@ type workerConn struct {
 
 	// Telemetry federation state, loop-owned like everything else here
 	// (see telemetry.go). clockOff/rttBest hold the smallest-RTT clock
-	// sample; lat is the chunk-latency ring feeding straggler detection.
+	// sample; lat is the chunk-latency ring feeding straggler detection,
+	// latSorted the same samples in ascending order and p95 their 95th
+	// percentile.
 	clockSet  bool
 	clockSeen bool // first fabric_clock event published
 	clockOff  int64
 	rttBest   int64
 	lat       []float64
+	latSorted []float64
+	p95       float64
 	latPos    int
 	latN      int
 	straggler bool
@@ -163,6 +167,13 @@ const leasesPerWorker = 2
 // maxRenewIDs bounds how many lease ids one heartbeat may renew; a
 // legitimate worker holds leasesPerWorker.
 const maxRenewIDs = 1024
+
+// spareChunks bounds the finished chunks kept for decoding. Between a
+// result's decode and its merge a chunk waits in the inbox or among the
+// merger's held chunks, which a few workers' leasesPerWorker grants keep
+// small; 16 covers that, and chunks finished beyond it are left to the
+// collector.
+const spareChunks = 16
 
 // Coordinator is a long-lived fabric coordinator: it owns the listener
 // and the connected worker set, and runs campaigns over them one at a
@@ -199,6 +210,11 @@ type Coordinator struct {
 	writers     sync.WaitGroup // per-conn writer goroutines; Close waits for their flush
 	stats       Stats
 
+	// spare holds the chunks the coordinator has finished with — merged,
+	// dropped, duplicate or rejected — for the codec connections to decode
+	// later results into.
+	spare chan *faultsim.ChunkOutput
+
 	inbox      chan inbound
 	accepted   chan Conn
 	localCh    chan localResult
@@ -226,6 +242,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		leased:      map[int]*lease{},
 		workers:     map[*workerConn]struct{}{},
 		quarantined: map[string]bool{},
+		spare:       make(chan *faultsim.ChunkOutput, spareChunks),
 		inbox:       make(chan inbound, 64),
 		accepted:    make(chan Conn),
 		done:        make(chan struct{}),
@@ -318,6 +335,7 @@ func (co *Coordinator) Run(ctx context.Context, c faultsim.Campaign) (faultsim.R
 	if err != nil {
 		return faultsim.Result{}, err
 	}
+	merger.OnRelease(co.recycle)
 	runner := merger.Runner()
 	co.epoch++
 	co.merger, co.runner, co.spec = merger, runner, runner.Spec()
@@ -440,6 +458,9 @@ func (co *Coordinator) handshakeWindow() time.Duration {
 func (co *Coordinator) admit(c Conn) {
 	if rl, ok := c.(recvLimiter); ok {
 		rl.SetRecvLimit(preAuthFrameSize)
+	}
+	if cr, ok := c.(chunkRecycler); ok {
+		cr.recycleChunks(co.spare)
 	}
 	w := &workerConn{conn: c, out: make(chan *Frame, 64), joined: time.Now(), leases: map[uint64]*lease{}}
 	co.workers[w] = struct{}{}
@@ -581,6 +602,7 @@ func (co *Coordinator) handle(w *workerConn, f *Frame) error {
 		co.telemetryIn(w, f)
 	case TypeResult:
 		if !w.helloed {
+			co.recycle(f.Chunk)
 			return nil
 		}
 		co.renew(w, f.Leases)
@@ -589,6 +611,7 @@ func (co *Coordinator) handle(w *workerConn, f *Frame) error {
 		// offset (see phaseSpans).
 		co.telemetryIn(w, f)
 		if f.Epoch != co.epoch {
+			co.recycle(f.Chunk)
 			return nil // stale epoch: result of a previous Run
 		}
 		if err := co.result(w, f); err != nil {
@@ -779,22 +802,25 @@ func (co *Coordinator) expireLeases() {
 
 // result accepts one chunk result: validates its bounds and counter
 // shape, suppresses duplicates, audits it when spot-check selection says
-// so, then hands it to the merger.
+// so, then hands it to the merger. A chunk it does not merge is recycled.
 func (co *Coordinator) result(w *workerConn, f *Frame) error {
 	if f.Chunk == nil {
 		return nil
 	}
 	wantB, wantE := faultsim.ChunkBounds(faultsim.ChunkIndex(f.Begin), co.trials)
 	if f.Begin != wantB || f.End != wantE || f.Chunk.Begin != f.Begin || f.Chunk.End != f.End {
+		co.recycle(f.Chunk)
 		return nil // malformed bounds: ignore; the lease will expire
 	}
 	if co.merger.CheckShape(f.Chunk) != nil {
+		co.recycle(f.Chunk)
 		return nil // malformed counters: ignore likewise
 	}
 	seq := faultsim.ChunkIndex(f.Begin)
 	if co.merger.Has(seq) {
 		co.stats.Duplicates++
 		co.publishLease(&lease{seq: seq, worker: w}, "duplicate")
+		co.recycle(f.Chunk)
 		return nil
 	}
 	if co.cfg.SpotCheck > 0 && (w.chunks == 0 || SpotChecked(co.spotSeed, co.epoch, seq, co.cfg.SpotCheck)) {
@@ -811,8 +837,10 @@ func (co *Coordinator) result(w *workerConn, f *Frame) error {
 			// locally-computed bytes instead — the audit already paid for
 			// them.
 			co.quarantine(w, wantB, wantE)
+			co.recycle(f.Chunk)
 			return co.acceptChunk(nil, 0, seq, local)
 		}
+		co.runner.Release(local)
 	}
 	w.chunks++
 	co.phaseSpans(w, f, seq)
@@ -843,6 +871,20 @@ func (co *Coordinator) acceptChunk(w *workerConn, leaseID uint64, seq int, out *
 	}
 	_, err := co.merger.Absorb(out)
 	return err
+}
+
+// recycle keeps a chunk nothing references any more for the decoders,
+// unless enough are kept already. The merger hands merged and dropped
+// chunks here (faultsim.Merger.OnRelease); result hands those it does not
+// merge. nil is ignored.
+func (co *Coordinator) recycle(ch *faultsim.ChunkOutput) {
+	if ch == nil {
+		return
+	}
+	select {
+	case co.spare <- ch:
+	default:
+	}
 }
 
 // quarantine drops a worker whose chunk bytes diverged from the local

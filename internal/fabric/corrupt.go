@@ -70,12 +70,7 @@ func (c *corruptConn) Send(f *Frame) error {
 // mutations that keep the chunk well-formed so only byte comparison
 // against a local re-evaluation can expose them.
 func corruptChunk(ch *faultsim.ChunkOutput, pick int) *faultsim.ChunkOutput {
-	out := *ch
-	out.CritPerTrial = append([]float64(nil), ch.CritPerTrial...)
-	out.EscPerTrial = append([]float64(nil), ch.EscPerTrial...)
-	out.Affected = append([]int(nil), ch.Affected...)
-	out.EdgeTrials = append([]int(nil), ch.EdgeTrials...)
-	out.Transmissions = append([]int(nil), ch.Transmissions...)
+	out := cloneChunk(ch)
 	switch pick {
 	case 0:
 		out.TotalAffected++
@@ -88,5 +83,5 @@ func corruptChunk(ch *faultsim.ChunkOutput, pick int) *faultsim.ChunkOutput {
 			out.CriticalAffected++
 		}
 	}
-	return &out
+	return out
 }

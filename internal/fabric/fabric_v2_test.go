@@ -451,7 +451,7 @@ func roundTripFrame(f *Frame) (*Frame, error) {
 		return nil, err
 	}
 	var g Frame
-	if err := decodeFrame(b, &g); err != nil {
+	if err := decodeFrame(b, &g, nil); err != nil {
 		return nil, err
 	}
 	return &g, nil

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -188,6 +189,29 @@ const preAuthFrameSize = 1 << 20
 // maxFrameSize in either direction.
 var ErrFrameTooLarge = errors.New("fabric: frame exceeds size limit")
 
+// detached returns a copy of f, its chunk copied too, for a transport
+// that hands frames on in memory or holds them past Send: the sender may
+// reuse the chunk once Send returns (see Conn).
+func (f *Frame) detached() *Frame {
+	g := *f
+	if f.Chunk != nil {
+		g.Chunk = cloneChunk(f.Chunk)
+	}
+	return &g
+}
+
+// cloneChunk returns a copy of ch that shares no storage with it; nil and
+// empty slices stay nil and empty.
+func cloneChunk(ch *faultsim.ChunkOutput) *faultsim.ChunkOutput {
+	out := *ch
+	out.CritPerTrial = slices.Clone(ch.CritPerTrial)
+	out.EscPerTrial = slices.Clone(ch.EscPerTrial)
+	out.Affected = slices.Clone(ch.Affected)
+	out.EdgeTrials = slices.Clone(ch.EdgeTrials)
+	out.Transmissions = slices.Clone(ch.Transmissions)
+	return &out
+}
+
 // recvLimiter is implemented by codec connections whose inbound frame
 // size bound can be tightened (pre-handshake) and restored (post-welcome).
 // The in-process pipe transport does not implement it — its frames never
@@ -196,17 +220,30 @@ type recvLimiter interface {
 	SetRecvLimit(n int)
 }
 
+// chunkRecycler is implemented by codec connections. Given the chunks a
+// coordinator has finished with, Recv decodes each result into one of
+// them instead of allocating. Call it before the first Recv. The
+// in-process pipe does not implement it: it decodes nothing, and the
+// chunks it delivers are the copies it made.
+type chunkRecycler interface {
+	recycleChunks(spare <-chan *faultsim.ChunkOutput)
+}
+
 // codecConn frames JSON documents with a 4-byte big-endian length prefix
 // over any io.ReadWriteCloser — the TCP wire format — encoded and decoded
 // by the hand-written frame codec (codec.go). Sends are serialised by a
 // mutex (delayed chaos frames and heartbeats may send concurrently) and
-// share one buffer; Recv is single-consumer and reuses one buffer, which
-// no decoded frame references.
+// share one buffer, so Send keeps nothing of the frame once it returns;
+// Recv is single-consumer and reuses one buffer, which no decoded frame
+// references.
 type codecConn struct {
 	rw io.ReadWriteCloser
 
 	recvLimit atomic.Int64
 	recvBuf   []byte
+	// spare feeds the decoder released result chunks; nil decodes each
+	// result into a fresh chunk.
+	spare <-chan *faultsim.ChunkOutput
 
 	sendMu  sync.Mutex
 	sendBuf []byte // guarded by sendMu
@@ -229,6 +266,8 @@ func NewCodecConn(rw io.ReadWriteCloser) Conn {
 // SetRecvLimit bounds the next inbound frames to n bytes. Safe to call
 // concurrently with Recv; the new bound applies from the next frame.
 func (c *codecConn) SetRecvLimit(n int) { c.recvLimit.Store(int64(n)) }
+
+func (c *codecConn) recycleChunks(spare <-chan *faultsim.ChunkOutput) { c.spare = spare }
 
 func (c *codecConn) Send(f *Frame) error {
 	c.sendMu.Lock()
@@ -275,7 +314,7 @@ func (c *codecConn) Recv() (*Frame, error) {
 		return nil, err
 	}
 	f := new(Frame)
-	if err := decodeFrame(payload, f); err != nil {
+	if err := decodeFrame(payload, f, c.spare); err != nil {
 		return nil, fmt.Errorf("fabric: decode frame: %w", err)
 	}
 	return f, nil

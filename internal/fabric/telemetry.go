@@ -9,6 +9,7 @@ package fabric
 // by any of it.
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -159,14 +160,20 @@ func firstKeys[V any](m map[string]V) []string {
 }
 
 // observeLatency folds one leased→resulted chunk latency (coordinator
-// clock, ms) into the worker's ring and re-evaluates the straggler
-// predicate.
+// clock, ms) into the worker's ring and its sorted copy, refreshes the
+// worker's p95 and re-evaluates the straggler predicate.
 func (co *Coordinator) observeLatency(w *workerConn, ms float64) {
 	if len(w.lat) < latRingCap {
 		w.lat = append(w.lat, ms)
 	} else {
-		w.lat[w.latPos%latRingCap] = ms
+		evict := &w.lat[w.latPos%latRingCap]
+		i, _ := slices.BinarySearch(w.latSorted, *evict)
+		w.latSorted = slices.Delete(w.latSorted, i, i+1)
+		*evict = ms
 	}
+	i, _ := slices.BinarySearch(w.latSorted, ms)
+	w.latSorted = slices.Insert(w.latSorted, i, ms)
+	w.p95 = obs.SortedPercentile(w.latSorted, 95)
 	w.latPos++
 	w.latN++
 	co.checkStraggler(w)
@@ -196,7 +203,7 @@ func (co *Coordinator) checkStraggler(w *workerConn) {
 	p95s := make([]float64, 0, len(co.workers))
 	for peer := range co.workers {
 		if peer.helloed && peer.latN >= minN {
-			p95s = append(p95s, obs.Percentile(peer.lat, 95))
+			p95s = append(p95s, peer.p95)
 		}
 	}
 	if len(p95s) < 2 {
@@ -204,7 +211,7 @@ func (co *Coordinator) checkStraggler(w *workerConn) {
 	}
 	sort.Float64s(p95s)
 	median := p95s[len(p95s)/2]
-	mine := obs.Percentile(w.lat, 95)
+	mine := w.p95
 	if mine <= factor*median || mine <= median+5 {
 		return
 	}

@@ -14,6 +14,15 @@ import (
 // best-effort delivery: frames may be lost, delayed or duplicated by a
 // chaos wrapper and the protocol must still converge. Close unblocks a
 // pending Recv on either side.
+//
+// Send keeps no reference to the frame's chunk once it returns, so the
+// caller may reuse it: a worker hands each result chunk back to its
+// runner right after sending it. The codec transport encodes before Send
+// returns; a transport that hands frames on in memory, or holds them to
+// send later, passes on a copy of a frame with a chunk (Frame.detached).
+// Nothing else of a frame (the frame itself, a shipped spec, lease ids,
+// relayed events, a meter) is changed once sent, so transports may share
+// it.
 type Conn interface {
 	Send(*Frame) error
 	Recv() (*Frame, error)
@@ -169,7 +178,12 @@ func newPipePair() (Conn, Conn) {
 	return a, b
 }
 
+// Send passes on a copy of a frame with a chunk: the receiving end keeps
+// what it gets, while the sender may reuse the chunk once Send returns.
 func (c *pipeConn) Send(f *Frame) error {
+	if f.Chunk != nil {
+		f = f.detached()
+	}
 	select {
 	case <-c.self.done:
 		return io.ErrClosedPipe

@@ -178,11 +178,13 @@ func (w *worker) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// computeOut is one finished chunk computation. startUS/endUS bracket
-// the evaluate phase on the worker clock (0 when the relay is off).
+// computeOut is one finished chunk computation by runner, which takes
+// out back once it is sent. startUS/endUS bracket the evaluate phase on
+// the worker clock (0 when the relay is off).
 type computeOut struct {
 	lease   uint64
 	epoch   uint64
+	runner  *faultsim.ChunkRunner
 	out     *faultsim.ChunkOutput
 	err     error
 	startUS int64
@@ -305,7 +307,7 @@ func (w *worker) session(ctx context.Context, conn Conn) (handshaked, terminal b
 					if rel != nil {
 						end = nowUS()
 					}
-					results <- computeOut{lease: lf.Lease, epoch: epoch, out: out, err: err, startUS: start, endUS: end}
+					results <- computeOut{lease: lf.Lease, epoch: epoch, runner: runner, out: out, err: err, startUS: start, endUS: end}
 				}(w.runner, w.epoch)
 			}
 		}
@@ -323,6 +325,7 @@ func (w *worker) session(ctx context.Context, conn Conn) (handshaked, terminal b
 				return true, true, cmp.Or(s.ctx.Err(), r.err)
 			}
 			if r.epoch != w.epoch {
+				r.runner.Release(r.out)
 				continue // epoch switched mid-compute: the result is stale
 			}
 			w.chunks++
@@ -335,6 +338,9 @@ func (w *worker) session(ctx context.Context, conn Conn) (handshaked, terminal b
 			w.rel.phases(f, r.startUS, r.endUS)
 			w.rel.stamp(f, w.chunks, false)
 			sendErr = s.conn.Send(f)
+			// Send keeps no reference to the chunk (see Conn), so the
+			// runner may fill it again.
+			r.runner.Release(r.out)
 		case <-heartbeat:
 			f := &Frame{Type: TypeHeartbeat, Leases: s.heldIDs()}
 			w.rel.stamp(f, w.chunks, true)

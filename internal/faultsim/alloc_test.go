@@ -34,8 +34,8 @@ func TestSerialRunAllocsFlatInTrials(t *testing.T) {
 }
 
 // TestChunkRunnerAllocsFlatInEdges pins the dense chunk: ChunkRunner.Run
-// allocates a fixed number of objects per chunk (the chunk, its slices
-// and the worker scratch) whatever the graph's size.
+// with no output handed back allocates a fixed number of objects per
+// chunk (the chunk and its slices) whatever the graph's size.
 func TestChunkRunnerAllocsFlatInEdges(t *testing.T) {
 	allocs := func(nodes int) float64 {
 		g := graph.New()
@@ -162,5 +162,36 @@ func TestSpecRunnerAllocsFlatInEdges(t *testing.T) {
 	t.Logf("spec runner allocations: %.0f at 72 edges, %.0f at 432", sparse, dense)
 	if dense != sparse || dense > limit {
 		t.Errorf("spec runner allocates %.0f at 72 edges and %.0f at 432, want the same, at most %d", sparse, dense, limit)
+	}
+}
+
+// TestChunkRunnerSteadyStateAllocFree pins the reuse of trial workers and
+// outputs: once a runner has run each chunk and had its output handed
+// back, Run plus Release allocates nothing, under every fault model.
+func TestChunkRunnerSteadyStateAllocFree(t *testing.T) {
+	g, hw := web(t)
+	for _, model := range []FaultModel{SingleFault(), Correlated(), Burst(3), Transient(0.5)} {
+		c := Campaign{Graph: g, HWOf: hw, Trials: 10*ChunkSize + 5, Seed: 5,
+			CommFaultFraction: 0.3, CriticalThreshold: 10, Model: model}
+		r, err := NewChunkRunner(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		chunk := func() {
+			b, e := ChunkBounds(k%NumChunks(c.Trials), c.Trials)
+			k++
+			out, err := r.Run(context.Background(), b, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Release(out)
+		}
+		for i := 0; i < NumChunks(c.Trials); i++ {
+			chunk() // warm: every chunk's largest trial has sized the scratch
+		}
+		if n := testing.AllocsPerRun(50, chunk); n != 0 {
+			t.Errorf("%s: a warmed runner allocates %.1f per chunk, want 0", model.Name(), n)
+		}
 	}
 }

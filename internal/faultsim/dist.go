@@ -3,6 +3,7 @@ package faultsim
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/stage"
 )
@@ -84,11 +85,25 @@ type ChunkOutput struct {
 // ChunkRunner computes grid chunks of one campaign — the worker side of a
 // distributed run. It holds the campaign's flat form and the immutable
 // trial environment built from it, validated once; Run then executes any
-// chunk on its own substreams. A ChunkRunner is safe for concurrent Run
-// calls.
+// chunk on its own substreams. Between calls it keeps its trial workers
+// and the outputs handed back by Release, so a chunk in steady state
+// allocates nothing. A ChunkRunner is safe for concurrent Run calls.
 type ChunkRunner struct {
 	env *campaignEnv
+
+	mu sync.Mutex
+	// idle holds the trial workers no Run is using; there are never more
+	// than the most Run calls that overlapped. spare holds released
+	// outputs, at most maxSpareChunks.
+	idle  []*trialWorker
+	spare []*ChunkOutput
 }
+
+// maxSpareChunks bounds the released outputs a runner keeps. A fabric
+// worker computes one chunk at a time and hands each back once it is
+// sent, so a few cover it; outputs released beyond that are left to the
+// collector.
+const maxSpareChunks = 4
 
 // NewChunkRunner flattens and validates c and builds the runner. Only the
 // fields that determine the trial sequence matter; telemetry,
@@ -114,7 +129,8 @@ func (r *ChunkRunner) Spec() *WireCampaign { return r.env.spec }
 
 // Run executes trials [begin, end), which must be exactly one grid chunk.
 // The context is polled at every trial boundary; a cancelled chunk is
-// all-or-nothing.
+// all-or-nothing. The output belongs to the caller, who may hand it back
+// with Release once nothing references it.
 func (r *ChunkRunner) Run(ctx context.Context, begin, end int) (*ChunkOutput, error) {
 	trials := r.Trials()
 	if begin < 0 || begin%ChunkSize != 0 || end != chunkEnd(begin, trials) || begin >= trials {
@@ -122,11 +138,53 @@ func (r *ChunkRunner) Run(ctx context.Context, begin, end int) (*ChunkOutput, er
 			"faultsim: chunk [%d,%d) is not on the %d-trial grid of %d trials",
 			begin, end, ChunkSize, trials))
 	}
-	ch := r.env.newChunk(begin, end)
-	if err := r.env.newWorker().runChunk(ctx, ch); err != nil {
+	w, ch := r.take()
+	r.env.resetChunk(ch, begin, end)
+	err := w.runChunk(ctx, ch)
+	r.mu.Lock()
+	r.idle = append(r.idle, w)
+	r.mu.Unlock()
+	if err != nil {
+		r.Release(ch)
 		return nil, err
 	}
 	return ch, nil
+}
+
+// take returns an idle trial worker and a spare output, building
+// whichever the runner has none of.
+func (r *ChunkRunner) take() (*trialWorker, *ChunkOutput) {
+	var w *trialWorker
+	var ch *ChunkOutput
+	r.mu.Lock()
+	if n := len(r.idle); n > 0 {
+		w, r.idle = r.idle[n-1], r.idle[:n-1]
+	}
+	if n := len(r.spare); n > 0 {
+		ch, r.spare = r.spare[n-1], r.spare[:n-1]
+	}
+	r.mu.Unlock()
+	if w == nil {
+		w = r.env.newWorker()
+	}
+	if ch == nil {
+		ch = new(ChunkOutput)
+	}
+	return w, ch
+}
+
+// Release hands back an output the caller no longer references, neither
+// it nor its slices, so that a later Run fills its storage instead of
+// allocating. Handing outputs back is optional, and nil is ignored.
+func (r *ChunkRunner) Release(ch *ChunkOutput) {
+	if ch == nil {
+		return
+	}
+	r.mu.Lock()
+	if len(r.spare) < maxSpareChunks {
+		r.spare = append(r.spare, ch)
+	}
+	r.mu.Unlock()
 }
 
 // Merger folds chunk outputs into a campaign Result, strictly in grid
@@ -155,6 +213,12 @@ func NewMerger(c Campaign, workersHint int) (*Merger, error) {
 // environment, so a coordinator that also computes chunks itself — the
 // local fallback, spot checks — builds the campaign once.
 func (m *Merger) Runner() *ChunkRunner { return &ChunkRunner{env: m.run.env} }
+
+// OnRelease has the merger hand each chunk to release once it is merged,
+// or dropped by an early stop; release then owns the chunk. A coordinator
+// decodes later results into these chunks. Without a release, absorbed
+// chunks stay the caller's.
+func (m *Merger) OnRelease(release func(*ChunkOutput)) { m.run.release = release }
 
 // Frontier returns the completed-trial frontier: every trial below it has
 // been merged. A fresh merger starts at 0; a resumed one at the

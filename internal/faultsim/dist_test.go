@@ -6,6 +6,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/stage"
@@ -295,5 +296,136 @@ func TestChunkRunnerHonoursContext(t *testing.T) {
 	cancel()
 	if _, err := runner.Run(ctx, 0, 64); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled chunk err = %v, want context.Canceled", err)
+	}
+}
+
+// scribble overwrites every field of ch and reshapes its slices, as a
+// caller reusing a chunk's storage for something else would.
+func scribble(ch *ChunkOutput, k int) {
+	*ch = ChunkOutput{
+		Begin: -k, End: -k, TotalAffected: -1, CrossTransmissions: -1, TrialsWithEscape: -1,
+		CommFaultTrials: -1, CriticalAffected: -1, InitialFaults: -1, TransientFaults: -1,
+		CritPerTrial:  append(ch.CritPerTrial[:0], -1, -2, -3),
+		EscPerTrial:   ch.EscPerTrial[:0],
+		Affected:      append(ch.Affected, 99),
+		EdgeTrials:    nil,
+		Transmissions: ch.Transmissions[:min(k, len(ch.Transmissions))],
+	}
+	for i := range ch.Affected {
+		ch.Affected[i] = 99
+	}
+}
+
+// TestChunkRunnerReleasedOutputsMatchFresh runs every chunk of a campaign
+// under each fault model from four goroutines sharing one runner. Each
+// goroutine compares its output with a fresh runner's, then scribbles
+// over it and hands it back, and also hands back foreign chunks whose
+// slices are nil, too short or too long. Outputs filled from released
+// storage must equal fresh ones; under -race the test also probes the
+// runner's idle lists.
+func TestChunkRunnerReleasedOutputsMatchFresh(t *testing.T) {
+	g, hw := web(t)
+	for _, model := range []FaultModel{SingleFault(), Correlated(), Burst(3), Transient(0.5)} {
+		c := Campaign{Graph: g, HWOf: hw, Trials: 24*ChunkSize + 17, Seed: 11,
+			CriticalThreshold: 10, CommFaultFraction: 0.3, Model: model}
+		want := make([]*ChunkOutput, NumChunks(c.Trials))
+		for k := range want {
+			fresh, err := NewChunkRunner(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, e := ChunkBounds(k, c.Trials)
+			if want[k], err = fresh.Run(context.Background(), b, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runner, err := NewChunkRunner(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for gr := 0; gr < 4; gr++ {
+			wg.Add(1)
+			go func(gr int) {
+				defer wg.Done()
+				for round := 0; round < 3; round++ {
+					for k := gr; k < len(want); k += 4 {
+						b, e := ChunkBounds(k, c.Trials)
+						out, err := runner.Run(context.Background(), b, e)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !reflect.DeepEqual(out, want[k]) {
+							t.Errorf("%s: chunk %d from released storage differs from a fresh runner's", model.Name(), k)
+						}
+						scribble(out, k)
+						runner.Release(out)
+						runner.Release(&ChunkOutput{Affected: make([]int, 1, 200), CritPerTrial: make([]float64, 3)})
+					}
+				}
+			}(gr)
+		}
+		wg.Wait()
+	}
+}
+
+// TestMergerReleasesEachChunkOnce absorbs a campaign's chunks in a
+// scrambled order with a release hook that scribbles over each chunk it
+// is handed: the merged Result must still equal Run's, so the merger
+// keeps nothing of a released chunk, and every absorbed chunk comes back
+// exactly once, merged or dropped by the early stop.
+func TestMergerReleasesEachChunkOnce(t *testing.T) {
+	g, hw := web(t)
+	for _, stopHalfWidth := range []float64{0, 0.05} {
+		c := Campaign{Graph: g, HWOf: hw, Trials: 8000, Seed: 42,
+			CriticalThreshold: 10, CommFaultFraction: 0.3, StopHalfWidth: stopHalfWidth}
+		ref := c
+		ref.Workers = 1
+		want, err := Run(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner, err := NewChunkRunner(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMerger(c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		released := map[*ChunkOutput]int{}
+		m.OnRelease(func(ch *ChunkOutput) {
+			released[ch]++
+			scribble(ch, 3)
+		})
+		absorbed := 0
+		// Chunks arrive in pairs swapped: 1, 0, 3, 2, …
+		for k := 0; !m.Done(); k++ {
+			seq := k ^ 1
+			if seq >= NumChunks(c.Trials) {
+				seq = k
+			}
+			b, e := ChunkBounds(seq, c.Trials)
+			out, err := runner.Run(context.Background(), b, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Absorb(out); err != nil {
+				t.Fatal(err)
+			}
+			absorbed++
+		}
+		if got := m.Finish(); !reflect.DeepEqual(got, want) {
+			t.Errorf("StopHalfWidth %g: merge with scribbling release differs from Run", stopHalfWidth)
+		}
+		if len(released) != absorbed {
+			t.Errorf("StopHalfWidth %g: %d chunks absorbed, %d released", stopHalfWidth, absorbed, len(released))
+		}
+		for _, n := range released {
+			if n != 1 {
+				t.Fatalf("StopHalfWidth %g: a chunk was released %d times", stopHalfWidth, n)
+			}
+		}
 	}
 }

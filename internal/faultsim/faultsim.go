@@ -252,29 +252,34 @@ func (r Result) EstimatedInfluence(from, to string) (p float64, trials int) {
 // the same no matter how many workers run or where a resume started.
 const trialChunkSize = 64
 
-// newChunk returns an empty chunk for trials [begin, end), its per-trial
-// slices sized for the chunk.
+// newChunk returns an empty chunk for trials [begin, end).
 func (env *campaignEnv) newChunk(begin, end int) *ChunkOutput {
-	ch := &ChunkOutput{
-		CritPerTrial: make([]float64, 0, end-begin),
-		EscPerTrial:  make([]float64, 0, end-begin),
-	}
+	ch := new(ChunkOutput)
 	env.resetChunk(ch, begin, end)
 	return ch
 }
 
-// resetChunk empties ch for trials [begin, end), keeping the storage of
-// its per-trial and dense counter slices.
+// resetChunk empties ch for trials [begin, end), its per-trial slices
+// sized for the chunk, keeping the storage of every slice that fits.
 func (env *campaignEnv) resetChunk(ch *ChunkOutput, begin, end int) {
 	*ch = ChunkOutput{
 		Begin:         begin,
 		End:           end,
-		CritPerTrial:  ch.CritPerTrial[:0],
-		EscPerTrial:   ch.EscPerTrial[:0],
+		CritPerTrial:  emptied(ch.CritPerTrial, end-begin),
+		EscPerTrial:   emptied(ch.EscPerTrial, end-begin),
 		Affected:      zeroed(ch.Affected, len(env.nodes)),
 		EdgeTrials:    zeroed(ch.EdgeTrials, len(env.edges)),
 		Transmissions: zeroed(ch.Transmissions, len(env.edges)),
 	}
+}
+
+// emptied returns s emptied with room for n elements, reusing its
+// storage when it fits.
+func emptied(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, 0, n)
+	}
+	return s[:0]
 }
 
 // zeroed returns s resized to n zeros, reusing its storage when it fits.

@@ -506,13 +506,20 @@ func (t *Tracker) Snapshot() ProgressSnapshot {
 // sample window, the smallest sample with at least q% of the window at or
 // below it; 0 on an empty window. The window is not modified.
 func Percentile(window []float64, q int) float64 {
-	if len(window) == 0 {
-		return 0
-	}
 	s := append([]float64(nil), window...)
 	sort.Float64s(s)
-	idx := (len(s)*q+99)/100 - 1
-	return s[max(0, min(idx, len(s)-1))]
+	return SortedPercentile(s, q)
+}
+
+// SortedPercentile is Percentile of a window already sorted ascending,
+// for a caller that keeps its window sorted instead of copying and
+// sorting it for every percentile.
+func SortedPercentile(sorted []float64, q int) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := (len(sorted)*q+99)/100 - 1
+	return sorted[max(0, min(idx, len(sorted)-1))]
 }
 
 // toInt coerces the numeric types Attr values carry in practice.

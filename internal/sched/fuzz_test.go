@@ -153,11 +153,12 @@ func encodeJobs(triples ...[3]uint16) []byte {
 	return out
 }
 
-// FuzzCheckMatchesScan checks Check's verdict, and Witness on an infeasible
-// set, against the full window scan on 1–12 jobs with 3-decimal
-// timing. The seeds include sets whose total CT equals the shortest window
-// exactly (the O(k) proof's boundary) and 0.1+0.2-style sums that round
-// above a window they fill in exact arithmetic.
+// FuzzCheckMatchesScan checks Check's verdict, CheckValid's on a valid
+// set and Witness on an infeasible set against the full window scan on
+// 1–12 jobs with 3-decimal timing. The seeds include sets whose total CT
+// equals the shortest window exactly (the O(k) proof's boundary) and
+// 0.1+0.2-style sums that round above a window they fill in exact
+// arithmetic.
 func FuzzCheckMatchesScan(f *testing.F) {
 	f.Add(encodeJobs([3]uint16{0, 4000, 1000}, [3]uint16{0, 4000, 3000}))
 	f.Add(encodeJobs([3]uint16{1000, 4000, 2000}, [3]uint16{0, 6000, 2000}))
@@ -181,6 +182,9 @@ func FuzzCheckMatchesScan(f *testing.F) {
 		got, err := Check(jobs)
 		if (err != nil) != (wantErr != nil) || got != want {
 			t.Fatalf("Check = %v, %v; scan = %v, %v for %v", got, err, want, wantErr, jobs)
+		}
+		if err == nil && CheckValid(jobs) != got {
+			t.Fatalf("CheckValid = %v, Check = %v for %v", !got, got, jobs)
 		}
 		if !got && err == nil {
 			if w := Witness(jobs); w != wantWitness {

@@ -125,14 +125,30 @@ func Check(jobs []Job) (bool, error) {
 	return ok, err
 }
 
+// CheckValid is Check for jobs that have each passed Job.Validate: it
+// gives Check's verdict without validating them again, for a caller that
+// asks about many sets drawn from jobs it validated once. On an invalid
+// job its verdict means nothing.
+func CheckValid(jobs []Job) bool {
+	start, observed := observedNow()
+	ok := feasible(jobs)
+	record(start, ok, observed)
+	return ok
+}
+
 func check(jobs []Job) (bool, error) {
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
 			return false, err
 		}
 	}
+	return feasible(jobs), nil
+}
+
+// feasible is the processor-demand verdict on valid jobs.
+func feasible(jobs []Job) bool {
 	if len(jobs) <= 1 {
-		return true, nil
+		return true
 	}
 	total, shortest := 0.0, math.Inf(1)
 	for _, j := range jobs {
@@ -142,18 +158,18 @@ func check(jobs []Job) (bool, error) {
 		}
 	}
 	if total <= shortest {
-		return true, nil
+		return true
 	}
 	var sbuf, ebuf [maxStackJobs]float64
 	starts, ends := bounds(jobs, sbuf[:0], ebuf[:0])
 	for _, s := range starts {
 		for _, d := range ends {
 			if d > s && (d-s)-demand(jobs, s, d) < 0 {
-				return false, nil
+				return false
 			}
 		}
 	}
-	return true, nil
+	return true
 }
 
 // Witness describes the tightest processor-demand window of valid jobs,

@@ -32,9 +32,10 @@ race:
 # bench is a smoke run (fixed iteration count) of the end-to-end pipeline
 # benchmarks, including the nil-observer telemetry fast path, of
 # Integrate on a 36-process generated scenario per family (with its bytes
-# and allocations per call), of the fault-injection trial loop (a 50,000-trial campaign on one worker), of
-# the fabric frame codec (result, lease and campaign frames, against
-# encoding/json), of a campaign's set-up (its chunk runner and
+# and allocations per call), of the fault-injection trial loop (a
+# 50,000-trial campaign on one worker, computed inline, and on two, from
+# the worker pool), of the fabric frame codec (result, lease and campaign
+# frames, against encoding/json), of a campaign's set-up (its chunk runner and
 # fingerprint, from the shipped spec and from the Campaign), of a whole
 # 6,400-trial fabric run over the in-process pipe with the telemetry
 # relay off and on (with its bytes and allocations per run) and of the
@@ -44,7 +45,7 @@ race:
 bench:
 	$(GO) test -run NONE -bench 'Integrate(Pipeline|NilObserver|WithObserver)$$' -benchtime 50x .
 	$(GO) test -run NONE -bench 'IntegrateGenerated$$' -benchtime 50x -benchmem .
-	$(GO) test -run NONE -bench 'CampaignParallel/1$$' -benchtime 3x .
+	$(GO) test -run NONE -bench 'CampaignParallel/(1|2)$$' -benchtime 3x .
 	$(GO) test -run NONE -bench 'FrameCodec$$' -benchtime 200x -benchmem ./internal/fabric
 	$(GO) test -run NONE -bench 'CampaignSetup$$' -benchtime 200x -benchmem ./internal/fabric
 	$(GO) test -run NONE -bench 'FabricTelemetry$$' -benchtime 20x -benchmem ./internal/fabric

@@ -200,6 +200,7 @@ type Coordinator struct {
 	traceID string // run-scoped trace id ("" with telemetry off)
 
 	totalChunks int
+	resumed     int // the frontier the epoch started from
 	nextSeq     int // next never-granted chunk index
 	requeue     []int
 	leased      map[int]*lease // the live lease of each leased chunk
@@ -352,7 +353,8 @@ func (co *Coordinator) Run(ctx context.Context, c faultsim.Campaign) (faultsim.R
 		co.traceID = fmt.Sprintf("%s-e%d", fp, co.epoch)
 	}
 	co.totalChunks = faultsim.NumChunks(co.trials)
-	co.nextSeq = faultsim.ChunkIndex(merger.Frontier())
+	co.resumed = merger.Frontier()
+	co.nextSeq = faultsim.ChunkIndex(co.resumed)
 	co.requeue = nil
 	co.leased = map[int]*lease{}
 	co.localCh = make(chan localResult, 1)
@@ -707,11 +709,19 @@ func (co *Coordinator) grant(w *workerConn) {
 		l := &lease{id: co.leaseID, seq: seq, worker: w, deadline: now.Add(co.ttl), granted: now}
 		co.leased[seq] = l
 		w.leases[l.id] = l
-		begin, end := faultsim.ChunkBounds(seq, co.trials)
+		begin, end := co.bounds(seq)
 		co.stats.LeasesGranted++
 		co.send(w, co.stampTS(&Frame{Type: TypeLease, Lease: l.id, Epoch: co.epoch, Begin: begin, End: end}))
 		co.publishLease(l, "grant")
 	}
+}
+
+// bounds returns the trial bounds of grid chunk seq in this epoch. The
+// chunk a resumed frontier lies inside begins at that frontier, as the
+// merger expects: the trials below it are merged already.
+func (co *Coordinator) bounds(seq int) (begin, end int) {
+	begin, end = faultsim.ChunkBounds(seq, co.trials)
+	return max(begin, co.resumed), end
 }
 
 // nextChunk picks the next chunk needing an owner: reassignments first
@@ -774,7 +784,7 @@ func (co *Coordinator) maybeLocal() {
 		return
 	}
 	co.localBusy = true
-	begin, end := faultsim.ChunkBounds(seq, co.trials)
+	begin, end := co.bounds(seq)
 	co.publishLease(&lease{seq: seq}, "local")
 	runner, ctx, ch := co.runner, co.runCtx, co.localCh
 	go func() {
@@ -807,7 +817,8 @@ func (co *Coordinator) result(w *workerConn, f *Frame) error {
 	if f.Chunk == nil {
 		return nil
 	}
-	wantB, wantE := faultsim.ChunkBounds(faultsim.ChunkIndex(f.Begin), co.trials)
+	seq := faultsim.ChunkIndex(f.Begin)
+	wantB, wantE := co.bounds(seq)
 	if f.Begin != wantB || f.End != wantE || f.Chunk.Begin != f.Begin || f.Chunk.End != f.End {
 		co.recycle(f.Chunk)
 		return nil // malformed bounds: ignore; the lease will expire
@@ -816,7 +827,6 @@ func (co *Coordinator) result(w *workerConn, f *Frame) error {
 		co.recycle(f.Chunk)
 		return nil // malformed counters: ignore likewise
 	}
-	seq := faultsim.ChunkIndex(f.Begin)
 	if co.merger.Has(seq) {
 		co.stats.Duplicates++
 		co.publishLease(&lease{seq: seq, worker: w}, "duplicate")
@@ -928,7 +938,7 @@ func (co *Coordinator) publishLease(l *lease, state string, extra ...obs.Attr) {
 	if co.cfg.Bus == nil {
 		return
 	}
-	begin, end := faultsim.ChunkBounds(l.seq, co.trials)
+	begin, end := co.bounds(l.seq)
 	name := ""
 	if l.worker != nil {
 		name = l.worker.name

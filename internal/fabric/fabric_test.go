@@ -255,29 +255,16 @@ func TestFabricKilledWorkerReassigns(t *testing.T) {
 	want := localReference(t, c)
 
 	// The victim dies the moment it holds a lease; the chunk must be
-	// reassigned and the result must not change.
-	bus := obs.NewBus(256)
-	defer bus.Close()
+	// reassigned and the result must not change. Its connection kills it
+	// as the lease frame arrives, before it can compute the chunk: a kill
+	// driven by the bus's lease events lands only once the subscriber runs,
+	// and by then the victim may have finished the whole campaign alone.
 	victimCtx, killVictim := context.WithCancel(context.Background())
 	defer killVictim()
-	sub := bus.Subscribe(0, 256)
-	var once sync.Once
-	go func() {
-		defer sub.Close()
-		for {
-			ev, ok := sub.Next(nil)
-			if !ok {
-				return
-			}
-			if ev.Kind == "fabric_lease" && ev.Attrs["worker"] == "victim" && ev.Attrs["state"] == "grant" {
-				once.Do(killVictim)
-			}
-		}
-	}()
 
 	h := &fabricHarness{
 		workers: 4,
-		cfg:     Config{Bus: bus, LeaseTTL: 2 * time.Second},
+		cfg:     Config{LeaseTTL: 2 * time.Second},
 		wcfg: func(i int) WorkerConfig {
 			name := fmt.Sprintf("w%d", i)
 			if i == 0 {
@@ -305,19 +292,23 @@ func TestFabricKilledWorkerReassigns(t *testing.T) {
 	base := h.wcfg
 	h.wcfg = func(i int) WorkerConfig {
 		wc := base(i)
-		wc.Dial = pl.Dial()
-		if i != 0 {
-			// The others dial only once the victim is dead, so they
-			// cannot finish the campaign before it holds a lease.
-			dial := wc.Dial
+		dial := pl.Dial()
+		if i == 0 {
 			wc.Dial = func(ctx context.Context) (Conn, error) {
-				select {
-				case <-victimCtx.Done():
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-				return dial(ctx)
+				conn, err := dial(ctx)
+				return killOnLease{conn, killVictim}, err
 			}
+			return wc
+		}
+		// The others dial only once the victim is dead, so they cannot
+		// finish the campaign before it holds a lease.
+		wc.Dial = func(ctx context.Context) (Conn, error) {
+			select {
+			case <-victimCtx.Done():
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return dial(ctx)
 		}
 		return wc
 	}
@@ -332,6 +323,21 @@ func TestFabricKilledWorkerReassigns(t *testing.T) {
 	if stats.Reassigned == 0 {
 		t.Errorf("expected reassigned chunks after the kill: %+v", stats)
 	}
+}
+
+// killOnLease is a worker connection that calls kill as the first lease
+// frame arrives, before the worker sees the frame.
+type killOnLease struct {
+	Conn
+	kill context.CancelFunc
+}
+
+func (c killOnLease) Recv() (*Frame, error) {
+	f, err := c.Conn.Recv()
+	if err == nil && f.Type == TypeLease {
+		c.kill()
+	}
+	return f, err
 }
 
 func TestFabricChaosBitIdentical(t *testing.T) {
@@ -775,6 +781,33 @@ func TestFabricDrainPersistsAndResumes(t *testing.T) {
 	}
 	if total := faultsim.NumChunks(base.Trials); stats.LeasesGranted >= total {
 		t.Errorf("resumed run granted %d leases, want < %d (frontier was persisted)", stats.LeasesGranted, total)
+	}
+}
+
+// TestFabricResumesExtendedCampaign resumes a 600-trial checkpoint as a
+// 1,500-trial campaign. Its frontier, 600, lies inside grid chunk 9, so
+// the coordinator must lease, audit and merge that chunk as [600,640), the
+// trials not yet merged, and the result must equal a fresh run's.
+func TestFabricResumesExtendedCampaign(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	path := filepath.Join(t.TempDir(), "fabric.ckpt")
+	short := testCampaign(t, 600)
+	short.CheckpointPath = path
+	if _, err := faultsim.Run(short); err != nil {
+		t.Fatal(err)
+	}
+
+	long := testCampaign(t, 1500)
+	want := localReference(t, long)
+	long.CheckpointPath = path
+	long.Resume = true
+	h := &fabricHarness{workers: 2, cfg: Config{SpotCheck: 1}}
+	got, stats := h.run(t, long)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("extended fabric resume differs from a fresh run of the full length")
+	}
+	if total := faultsim.NumChunks(long.Trials); stats.LeasesGranted >= total {
+		t.Errorf("resumed run granted %d leases, want < %d (the frontier was resumed)", stats.LeasesGranted, total)
 	}
 }
 

@@ -20,8 +20,10 @@ import (
 // accumulated Result (including every float addition, telemetry
 // checkpoint, persistence point and early-stopping decision) is the same
 // no matter how chunk computation was scheduled. A ChunkRunner computes
-// chunks anywhere; a Merger folds their outputs in grid order; together
-// they reproduce Run exactly.
+// chunks anywhere; a Merger folds their outputs in grid order. Run itself
+// is built from the two — a Merger fed by its own ChunkRunner — so a
+// campaign sharded across processes goes through the same code as a local
+// one.
 
 // ChunkSize is the grain of the absolute trial grid: chunk i covers trials
 // [i*ChunkSize, min((i+1)*ChunkSize, Trials)).
@@ -83,27 +85,23 @@ type ChunkOutput struct {
 }
 
 // ChunkRunner computes grid chunks of one campaign — the worker side of a
-// distributed run. It holds the campaign's flat form and the immutable
-// trial environment built from it, validated once; Run then executes any
-// chunk on its own substreams. Between calls it keeps its trial workers
-// and the outputs handed back by Release, so a chunk in steady state
-// allocates nothing. A ChunkRunner is safe for concurrent Run calls.
+// distributed run, and the chunk source of a local one. It holds the
+// campaign's flat form and the immutable trial environment built from
+// it, validated once; Run then executes any chunk on its own substreams.
+// Between calls it keeps its trial workers and the outputs handed back by
+// Release, so a chunk in steady state allocates nothing. A ChunkRunner is
+// safe for concurrent Run calls.
 type ChunkRunner struct {
 	env *campaignEnv
 
 	mu sync.Mutex
 	// idle holds the trial workers no Run is using; there are never more
 	// than the most Run calls that overlapped. spare holds released
-	// outputs, at most maxSpareChunks.
+	// outputs, never more than made, the outputs the runner allocated.
 	idle  []*trialWorker
 	spare []*ChunkOutput
+	made  int
 }
-
-// maxSpareChunks bounds the released outputs a runner keeps. A fabric
-// worker computes one chunk at a time and hands each back once it is
-// sent, so a few cover it; outputs released beyond that are left to the
-// collector.
-const maxSpareChunks = 4
 
 // NewChunkRunner flattens and validates c and builds the runner. Only the
 // fields that determine the trial sequence matter; telemetry,
@@ -127,15 +125,18 @@ func (r *ChunkRunner) Fingerprint() string { return r.env.fingerprint() }
 // workers. It is shared with the runner and must not be modified.
 func (r *ChunkRunner) Spec() *WireCampaign { return r.env.spec }
 
-// Run executes trials [begin, end), which must be exactly one grid chunk.
-// The context is polled at every trial boundary; a cancelled chunk is
-// all-or-nothing. The output belongs to the caller, who may hand it back
-// with Release once nothing references it.
+// Run executes trials [begin, end), where end must be the next grid
+// boundary after begin, capped at the trial count: one grid chunk, or the
+// tail of one that a resumed frontier lies inside. Where a chunk may
+// begin is the Merger's to check. The context is polled at every trial
+// boundary; a cancelled chunk is all-or-nothing. The output belongs to
+// the caller, who may hand it back with Release once nothing references
+// it.
 func (r *ChunkRunner) Run(ctx context.Context, begin, end int) (*ChunkOutput, error) {
 	trials := r.Trials()
-	if begin < 0 || begin%ChunkSize != 0 || end != chunkEnd(begin, trials) || begin >= trials {
+	if begin < 0 || begin >= trials || end != chunkEnd(begin, trials) {
 		return nil, stage.Wrap("inject", "chunk", "", fmt.Errorf(
-			"faultsim: chunk [%d,%d) is not on the %d-trial grid of %d trials",
+			"faultsim: chunk [%d,%d) does not end at the next boundary of the %d-trial grid of %d trials",
 			begin, end, ChunkSize, trials))
 	}
 	w, ch := r.take()
@@ -153,15 +154,15 @@ func (r *ChunkRunner) Run(ctx context.Context, begin, end int) (*ChunkOutput, er
 
 // take returns an idle trial worker and a spare output, building
 // whichever the runner has none of.
-func (r *ChunkRunner) take() (*trialWorker, *ChunkOutput) {
-	var w *trialWorker
-	var ch *ChunkOutput
+func (r *ChunkRunner) take() (w *trialWorker, ch *ChunkOutput) {
 	r.mu.Lock()
 	if n := len(r.idle); n > 0 {
 		w, r.idle = r.idle[n-1], r.idle[:n-1]
 	}
 	if n := len(r.spare); n > 0 {
 		ch, r.spare = r.spare[n-1], r.spare[:n-1]
+	} else {
+		r.made++
 	}
 	r.mu.Unlock()
 	if w == nil {
@@ -175,90 +176,16 @@ func (r *ChunkRunner) take() (*trialWorker, *ChunkOutput) {
 
 // Release hands back an output the caller no longer references, neither
 // it nor its slices, so that a later Run fills its storage instead of
-// allocating. Handing outputs back is optional, and nil is ignored.
+// allocating. Handing outputs back is optional, and nil is ignored. The
+// runner keeps no more outputs than it has allocated; any beyond that are
+// left to the collector.
 func (r *ChunkRunner) Release(ch *ChunkOutput) {
 	if ch == nil {
 		return
 	}
 	r.mu.Lock()
-	if len(r.spare) < maxSpareChunks {
+	if len(r.spare) < r.made {
 		r.spare = append(r.spare, ch)
 	}
 	r.mu.Unlock()
 }
-
-// Merger folds chunk outputs into a campaign Result, strictly in grid
-// order — the coordinator side of a distributed run, built on the same
-// ordered merge as Run's worker pool. It owns the partial Result, the
-// completed-trial frontier, the chunks held ahead of it, telemetry
-// checkpoints, crash-safe persistence (Campaign.CheckpointPath, resumable
-// across coordinator restarts via the v2 checkpoint format) and
-// Wilson-interval early stopping. Callers may absorb chunks in any order.
-type Merger struct {
-	run *campaignRun
-}
-
-// NewMerger validates c, restores a checkpoint when c.Resume is set, and
-// publishes the "campaign_start" event. workersHint is recorded in that
-// event (a distributed fabric may pass 0 for "unknown/dynamic").
-func NewMerger(c Campaign, workersHint int) (*Merger, error) {
-	run, _, err := newCampaignRun(&c, workersHint)
-	if err != nil {
-		return nil, err
-	}
-	return &Merger{run: run}, nil
-}
-
-// Runner returns a ChunkRunner that shares the merger's trial
-// environment, so a coordinator that also computes chunks itself — the
-// local fallback, spot checks — builds the campaign once.
-func (m *Merger) Runner() *ChunkRunner { return &ChunkRunner{env: m.run.env} }
-
-// OnRelease has the merger hand each chunk to release once it is merged,
-// or dropped by an early stop; release then owns the chunk. A coordinator
-// decodes later results into these chunks. Without a release, absorbed
-// chunks stay the caller's.
-func (m *Merger) OnRelease(release func(*ChunkOutput)) { m.run.release = release }
-
-// Frontier returns the completed-trial frontier: every trial below it has
-// been merged. A fresh merger starts at 0; a resumed one at the
-// checkpoint's frontier.
-func (m *Merger) Frontier() int { return m.run.done }
-
-// Trials returns the campaign's configured trial count.
-func (m *Merger) Trials() int { return m.run.c.Trials }
-
-// Done reports whether the campaign is complete: the frontier reached the
-// trial count, or early stopping ended it.
-func (m *Merger) Done() bool { return m.run.ended() }
-
-// Has reports whether grid chunk seq is already merged or held — the
-// test a coordinator uses to suppress duplicate results and to skip
-// requeued chunks that someone else delivered.
-func (m *Merger) Has(seq int) bool { return m.run.has(seq) }
-
-// CheckShape reports, as a stage-wrapped error, a chunk whose per-trial
-// or counter slices do not have the campaign's lengths — a malformed
-// chunk Absorb would reject. A coordinator uses it to drop such a chunk
-// from the wire without failing the campaign.
-func (m *Merger) CheckShape(co *ChunkOutput) error { return m.run.checkShape(co) }
-
-// Absorb takes one grid chunk at or beyond the frontier. A chunk ahead of
-// the frontier is held; one at the frontier is merged together with every
-// contiguous held chunk, in grid order. A chunk behind the frontier,
-// already held, off the grid, misshapen (see CheckShape) or absorbed after
-// Done is an error. stop reports that early stopping ended the
-// campaign in this call; the held chunks beyond the stopping frontier are
-// dropped, as Run does.
-func (m *Merger) Absorb(co *ChunkOutput) (stop bool, err error) {
-	return m.run.absorb(co)
-}
-
-// Abort persists the frontier checkpoint (when configured) and returns
-// the campaign's cancellation error wrapping cause — the graceful-drain
-// exit of a coordinator.
-func (m *Merger) Abort(cause error) error { return m.run.cancelled(cause) }
-
-// Finish publishes the terminal telemetry and returns the merged Result.
-// Call once, after Done reports true.
-func (m *Merger) Finish() Result { return m.run.finish() }

@@ -185,6 +185,32 @@ func TestChunkRunnerRejectsOffGridBounds(t *testing.T) {
 	if _, err := runner.Run(context.Background(), 960, 1000); err != nil {
 		t.Errorf("final partial chunk rejected: %v", err)
 	}
+	// The tail of a grid chunk, from a resumed frontier inside it.
+	if _, err := runner.Run(context.Background(), 600, 640); err != nil {
+		t.Errorf("chunk tail from a frontier inside it rejected: %v", err)
+	}
+}
+
+// TestChunkRunnerKeepsNoMoreThanItMade pins the bound on released
+// outputs: a runner keeps at most as many as it has allocated, however
+// many foreign outputs are handed to it.
+func TestChunkRunnerKeepsNoMoreThanItMade(t *testing.T) {
+	g, hw := web(t)
+	runner, err := NewChunkRunner(Campaign{Graph: g, HWOf: hw, Trials: 1000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := runner.Run(context.Background(), 0, ChunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.Release(out)
+	for i := 0; i < 10; i++ {
+		runner.Release(new(ChunkOutput))
+	}
+	if n := len(runner.spare); n > 1 {
+		t.Errorf("a runner that made 1 output keeps %d released ones", n)
+	}
 }
 
 // TestMergerHoldsEarlyChunks pins the ordered merge: a chunk ahead of the

@@ -252,13 +252,6 @@ func (r Result) EstimatedInfluence(from, to string) (p float64, trials int) {
 // the same no matter how many workers run or where a resume started.
 const trialChunkSize = 64
 
-// newChunk returns an empty chunk for trials [begin, end).
-func (env *campaignEnv) newChunk(begin, end int) *ChunkOutput {
-	ch := new(ChunkOutput)
-	env.resetChunk(ch, begin, end)
-	return ch
-}
-
 // resetChunk empties ch for trials [begin, end), its per-trial slices
 // sized for the chunk, keeping the storage of every slice that fits.
 func (env *campaignEnv) resetChunk(ch *ChunkOutput, begin, end int) {
@@ -293,7 +286,7 @@ func zeroed(s []int, n int) []int {
 }
 
 // absorb folds a chunk's scalar counters into the running Result, trial
-// floats in order. The dense counters are summed by campaignRun.merge.
+// floats in order. The dense counters are summed by Merger.merge.
 func (r *Result) absorb(ch *ChunkOutput) {
 	r.TotalAffected += ch.TotalAffected
 	r.CrossNodeTransmissions += ch.CrossTransmissions
@@ -711,13 +704,16 @@ func chunkEnd(b, trials int) int {
 	return e
 }
 
-// campaignRun holds the merge-side state of a running campaign: the
-// accumulating Result, the completed-trial frontier, and everything the
-// evaluation points (telemetry checkpoints, persistence, early stopping)
-// need. Chunks are merged strictly in grid order by a single goroutine;
-// absorb holds the ones that arrive early. The per-node and per-edge
-// counters accumulate densely, by id; result names them.
-type campaignRun struct {
+// Merger folds chunk outputs into a campaign Result, strictly in grid
+// order: the merge side of every campaign, Run's own and a distributed
+// coordinator's. It owns the partial Result, the completed-trial
+// frontier, the chunks held ahead of it, telemetry checkpoints,
+// crash-safe persistence (Campaign.CheckpointPath, resumable across
+// restarts via the v2 checkpoint format) and Wilson-interval early
+// stopping. Callers may absorb chunks in any order. The per-node and
+// per-edge counters accumulate densely, by id, and are named only when a
+// Result is built.
+type Merger struct {
 	c   *Campaign
 	env *campaignEnv
 	res Result // scalar totals; the named maps are built by result
@@ -740,108 +736,114 @@ type campaignRun struct {
 }
 
 // checkpointEvent emits the running-estimator telemetry at frontier done.
-func (r *campaignRun) checkpointEvent(done int) {
-	rate := float64(r.res.TrialsWithEscape) / float64(done)
-	r.escapeGauge.Set(rate)
-	r.c.Span.Publish("campaign_checkpoint", r.label,
+func (m *Merger) checkpointEvent(done int) {
+	rate := float64(m.res.TrialsWithEscape) / float64(done)
+	m.escapeGauge.Set(rate)
+	m.c.Span.Publish("campaign_checkpoint", m.label,
 		obs.Int("trials_done", done),
-		obs.Int("trials_total", r.c.Trials),
+		obs.Int("trials_total", m.c.Trials),
 		obs.Float("escape_rate", rate),
 		obs.Float("half_width", wilsonHalfWidth(rate, done)),
-		obs.Float("mean_affected", float64(r.res.TotalAffected)/float64(done)),
-		obs.Int("cross_transmissions", r.res.CrossNodeTransmissions),
-		obs.Float("mean_crit_loss", r.res.CriticalityLoss/float64(done)))
+		obs.Float("mean_affected", float64(m.res.TotalAffected)/float64(done)),
+		obs.Int("cross_transmissions", m.res.CrossNodeTransmissions),
+		obs.Float("mean_crit_loss", m.res.CriticalityLoss/float64(done)))
 }
 
-// ended reports whether the campaign is complete: the frontier reached
-// the trial count, or early stopping ended it.
-func (r *campaignRun) ended() bool {
-	return r.done >= r.c.Trials || r.res.EarlyStopped
+// Done reports whether the campaign is complete: the frontier reached the
+// trial count, or early stopping ended it.
+func (m *Merger) Done() bool {
+	return m.done >= m.c.Trials || m.res.EarlyStopped
 }
 
-// has reports whether grid chunk seq is already merged or held.
-func (r *campaignRun) has(seq int) bool {
-	if _, ok := r.held[seq]; ok {
+// Has reports whether grid chunk seq is already merged or held — the
+// test a coordinator uses to suppress duplicate results and to skip
+// requeued chunks that someone else delivered.
+func (m *Merger) Has(seq int) bool {
+	if _, ok := m.held[seq]; ok {
 		return true
 	}
-	_, end := ChunkBounds(seq, r.c.Trials)
-	return end <= r.done
+	_, end := ChunkBounds(seq, m.c.Trials)
+	return end <= m.done
 }
 
-// absorb is the one ordered merge behind both Run's worker pool and the
-// distributed Merger. It accepts any grid chunk at or beyond the
-// frontier, holds the ones that arrive ahead of it, and merges every
-// contiguous held chunk in grid order, so the merge sequence — and every
-// evaluation point — does not depend on arrival order. An early stop
-// drops the held chunks. A chunk behind the frontier, already held, off
-// the grid or past the end of the campaign is an error.
-func (r *campaignRun) absorb(ch *ChunkOutput) (stop bool, err error) {
+// Absorb takes one grid chunk at or beyond the frontier. A chunk ahead of
+// the frontier is held; one at the frontier is merged together with every
+// contiguous held chunk, in grid order, so the merge sequence — and every
+// evaluation point — does not depend on arrival order. A chunk behind the
+// frontier, already held, off the grid, misshapen (see CheckShape) or
+// absorbed after Done is an error; only the chunk at a resumed frontier
+// may begin off the grid. stop reports that early stopping ended the
+// campaign in this call; the held chunks beyond the stopping frontier are
+// dropped.
+func (m *Merger) Absorb(ch *ChunkOutput) (stop bool, err error) {
 	b, e := ch.Begin, ch.End
 	var bad string
 	switch {
-	case r.ended():
+	case m.Done():
 		bad = "after the campaign ended"
-	case b < r.done:
+	case b < m.done:
 		bad = "behind the frontier"
-	case b >= r.c.Trials || e != chunkEnd(b, r.c.Trials) || (b != r.done && b%trialChunkSize != 0):
+	case b >= m.c.Trials || e != chunkEnd(b, m.c.Trials) || (b != m.done && b%trialChunkSize != 0):
 		bad = "off the grid"
-	case r.held[ChunkIndex(b)] != nil:
+	case m.held[ChunkIndex(b)] != nil:
 		bad = "twice"
 	}
 	if bad != "" {
 		return false, stage.Wrap("inject", "merge", "", fmt.Errorf(
-			"faultsim: chunk [%d,%d) absorbed %s, frontier %d", b, e, bad, r.done))
+			"faultsim: chunk [%d,%d) absorbed %s, frontier %d", b, e, bad, m.done))
 	}
-	if err := r.checkShape(ch); err != nil {
+	if err := m.CheckShape(ch); err != nil {
 		return false, err
 	}
-	if b != r.done {
-		r.held[ChunkIndex(b)] = ch
+	if b != m.done {
+		m.held[ChunkIndex(b)] = ch
 		return false, nil
 	}
 	for ch != nil {
-		stop, err := r.merge(ch)
+		stop, err := m.merge(ch)
 		if err != nil {
 			return false, err
 		}
-		r.releaseChunk(ch)
+		m.releaseChunk(ch)
 		if stop {
-			for _, held := range r.held {
-				r.releaseChunk(held)
+			for _, held := range m.held {
+				m.releaseChunk(held)
 			}
-			clear(r.held)
+			clear(m.held)
 			return true, nil
 		}
-		seq := ChunkIndex(r.done)
-		ch = r.held[seq]
-		delete(r.held, seq)
+		seq := ChunkIndex(m.done)
+		ch = m.held[seq]
+		delete(m.held, seq)
 	}
 	return false, nil
 }
 
 // releaseChunk hands a merged or dropped chunk to release, if set.
-func (r *campaignRun) releaseChunk(ch *ChunkOutput) {
-	if r.release != nil {
-		r.release(ch)
+func (m *Merger) releaseChunk(ch *ChunkOutput) {
+	if m.release != nil {
+		m.release(ch)
 	}
 }
 
-// checkShape rejects a chunk whose slices do not fit the campaign: one
-// per-trial loss per trial, one affected counter per node and one
-// edge-trial and transmission counter per live edge. Merging a misshapen
-// chunk would index out of range or silently drop counts.
-func (r *campaignRun) checkShape(ch *ChunkOutput) error {
+// CheckShape reports, as a stage-wrapped error, a chunk whose slices do
+// not fit the campaign: one per-trial loss per trial, one affected
+// counter per node and one edge-trial and transmission counter per live
+// edge. Merging a misshapen chunk would index out of range or silently
+// drop counts, so Absorb rejects it; a coordinator uses CheckShape to drop
+// such a chunk from the wire without failing the campaign.
+func (m *Merger) CheckShape(ch *ChunkOutput) error {
 	trials := ch.End - ch.Begin
 	if len(ch.CritPerTrial) == trials && len(ch.EscPerTrial) == trials &&
-		len(ch.Affected) == len(r.affected) && len(ch.EdgeTrials) == len(r.edgeTrials) &&
-		len(ch.Transmissions) == len(r.transmissions) {
+		len(ch.Affected) == len(m.affected) && len(ch.EdgeTrials) == len(m.edgeTrials) &&
+		len(ch.Transmissions) == len(m.transmissions) {
 		return nil
 	}
 	return stage.Wrap("inject", "merge", "", fmt.Errorf(
 		"faultsim: chunk [%d,%d) has %d/%d per-trial losses and %d/%d/%d affected/edge-trial/transmission counters, campaign wants %d, %d nodes and %d live edges",
 		ch.Begin, ch.End, len(ch.CritPerTrial), len(ch.EscPerTrial),
 		len(ch.Affected), len(ch.EdgeTrials), len(ch.Transmissions),
-		trials, len(r.affected), len(r.edgeTrials)))
+		trials, len(m.affected), len(m.edgeTrials)))
 }
 
 // merge folds chunk ch, which begins at the frontier, into the Result and
@@ -850,40 +852,40 @@ func (r *campaignRun) checkShape(ch *ChunkOutput) error {
 // stop=true when the campaign should end at the chunk's end. Because the
 // chunk sequence is worker-count-independent, so is every decision made
 // here.
-func (r *campaignRun) merge(ch *ChunkOutput) (stop bool, err error) {
+func (m *Merger) merge(ch *ChunkOutput) (stop bool, err error) {
 	b, e := ch.Begin, ch.End
-	r.res.absorb(ch)
-	addInto(r.affected, ch.Affected)
-	addInto(r.edgeTrials, ch.EdgeTrials)
-	addInto(r.transmissions, ch.Transmissions)
-	r.done = e
-	if r.trialsCtr != nil {
-		r.trialsCtr.Add(int64(e - b))
-		r.escapesCtr.Add(int64(ch.TrialsWithEscape))
-		r.crossCtr.Add(int64(ch.CrossTransmissions))
+	m.res.absorb(ch)
+	addInto(m.affected, ch.Affected)
+	addInto(m.edgeTrials, ch.EdgeTrials)
+	addInto(m.transmissions, ch.Transmissions)
+	m.done = e
+	if m.trialsCtr != nil {
+		m.trialsCtr.Add(int64(e - b))
+		m.escapesCtr.Add(int64(ch.TrialsWithEscape))
+		m.crossCtr.Add(int64(ch.CrossTransmissions))
 	}
-	if r.c.Span != nil && (b/r.eventEvery != e/r.eventEvery || e == r.c.Trials) {
-		r.checkpointEvent(e)
+	if m.c.Span != nil && (b/m.eventEvery != e/m.eventEvery || e == m.c.Trials) {
+		m.checkpointEvent(e)
 	}
-	crossedPersist := b/r.persistEvery != e/r.persistEvery || e == r.c.Trials
-	if r.c.CheckpointPath != "" && crossedPersist {
-		if err := r.save(e); err != nil {
+	crossedPersist := b/m.persistEvery != e/m.persistEvery || e == m.c.Trials
+	if m.c.CheckpointPath != "" && crossedPersist {
+		if err := m.save(e); err != nil {
 			return false, err
 		}
 	}
-	if r.c.StopHalfWidth > 0 && e < r.c.Trials && e >= stopMinTrials && crossedPersist {
-		rate := float64(r.res.TrialsWithEscape) / float64(e)
-		if wilsonHalfWidth(rate, e) <= r.c.StopHalfWidth {
-			r.res.Trials = e
-			r.res.EarlyStopped = true
-			if r.c.Span != nil {
-				r.c.Span.Event("early_stop",
+	if m.c.StopHalfWidth > 0 && e < m.c.Trials && e >= stopMinTrials && crossedPersist {
+		rate := float64(m.res.TrialsWithEscape) / float64(e)
+		if wilsonHalfWidth(rate, e) <= m.c.StopHalfWidth {
+			m.res.Trials = e
+			m.res.EarlyStopped = true
+			if m.c.Span != nil {
+				m.c.Span.Event("early_stop",
 					obs.Int("trials_done", e),
 					obs.Float("escape_rate", rate),
 					obs.Float("half_width", wilsonHalfWidth(rate, e)))
 			}
-			if r.c.CheckpointPath != "" {
-				if err := r.save(e); err != nil {
+			if m.c.CheckpointPath != "" {
+				if err := m.save(e); err != nil {
 					return false, err
 				}
 			}
@@ -901,31 +903,31 @@ func addInto(dst, src []int) {
 }
 
 // save persists the campaign state at frontier done.
-func (r *campaignRun) save(done int) error {
-	return saveCheckpoint(r.c.CheckpointPath, r.fp, done, r.result())
+func (m *Merger) save(done int) error {
+	return saveCheckpoint(m.c.CheckpointPath, m.fp, done, m.result())
 }
 
 // result returns the merged Result with its named counters built from the
 // dense totals — the one place ids become names.
-func (r *campaignRun) result() Result {
-	res := r.res
-	res.AffectedCount = named(r.env.nodes, r.affected)
-	res.TransmissionCount = named(r.keys(), r.transmissions)
-	res.EdgeTrials = named(r.keys(), r.edgeTrials)
+func (m *Merger) result() Result {
+	res := m.res
+	res.AffectedCount = named(m.env.nodes, m.affected)
+	res.TransmissionCount = named(m.keys(), m.transmissions)
+	res.EdgeTrials = named(m.keys(), m.edgeTrials)
 	return res
 }
 
 // keys returns the live-edge names from+">"+to, by id, building them on
 // first use: only a merge side that names its Result, or restores one,
 // needs them.
-func (r *campaignRun) keys() []string {
-	if r.edgeKey == nil {
-		r.edgeKey = make([]string, len(r.env.edges))
-		for i, e := range r.env.edges {
-			r.edgeKey[i] = r.env.nodes[e.from] + ">" + r.env.nodes[e.to]
+func (m *Merger) keys() []string {
+	if m.edgeKey == nil {
+		m.edgeKey = make([]string, len(m.env.edges))
+		for i, e := range m.env.edges {
+			m.edgeKey[i] = m.env.nodes[e.from] + ">" + m.env.nodes[e.to]
 		}
 	}
-	return r.edgeKey
+	return m.edgeKey
 }
 
 // named keys the nonzero dense counts by name. Counts add up, so edges
@@ -961,94 +963,76 @@ func unname(counts map[string]int, names []string, dst []int) error {
 	return nil
 }
 
-// cancelled persists the completed-trial frontier and wraps the context
-// error, mirroring the serial cancellation contract.
-func (r *campaignRun) cancelled(cause error) error {
+// Abort persists the frontier checkpoint (when configured) and returns
+// the campaign's cancellation error wrapping cause — the exit of a
+// cancelled Run and the graceful-drain exit of a coordinator.
+func (m *Merger) Abort(cause error) error {
 	err := fmt.Errorf("faultsim: cancelled after %d/%d trials: %w",
-		r.done, r.c.Trials, cause)
-	if r.c.CheckpointPath != "" {
-		if serr := r.save(r.done); serr != nil {
+		m.done, m.c.Trials, cause)
+	if m.c.CheckpointPath != "" {
+		if serr := m.save(m.done); serr != nil {
 			return errors.Join(serr, err)
 		}
 	}
 	return err
 }
 
-// serial runs the chunk sequence inline — the Workers==1 path pays for no
-// goroutines but uses the exact same chunk grid and merge arithmetic as
-// the pool, which is what makes the two bit-identical.
-func (r *campaignRun) serial(start int) error {
-	w := r.env.newWorker()
-	ch := &ChunkOutput{}
-	for b := start; b < r.c.Trials; b = ch.End {
-		r.env.resetChunk(ch, b, chunkEnd(b, r.c.Trials))
-		if err := w.runChunk(r.c.Ctx, ch); err != nil {
-			return r.cancelled(err)
+// serial computes the chunk sequence inline, each chunk beginning at the
+// frontier — the Workers==1 path pays for no goroutines but computes,
+// merges and recycles chunks exactly as the pool does, which is what
+// makes the two bit-identical.
+func (m *Merger) serial(runner *ChunkRunner) error {
+	for !m.Done() {
+		ch, err := runner.Run(m.c.Ctx, m.done, chunkEnd(m.done, m.c.Trials))
+		if err != nil {
+			return m.Abort(err)
 		}
-		// Every chunk begins at the frontier, so merging it directly is
-		// the ordered merge and the chunk is free for reuse.
-		stop, err := r.merge(ch)
-		if err != nil || stop {
+		if _, err := m.Absorb(ch); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// parallel shards the chunk sequence over a worker pool. The dispatcher
-// hands out chunks in grid order and passes every completion to absorb,
-// which holds early arrivals and merges in grid order, so the accumulated
-// Result — and every evaluation point — matches the serial path bit for
-// bit. Cancellation makes chunks fail individually; the contiguous merged
+// parallel shards the chunk sequence over a worker pool, each goroutine
+// computing its chunks through runner. The dispatcher hands out chunks in
+// grid order and passes every completion to Absorb, which holds early
+// arrivals and merges in grid order, so the accumulated Result — and
+// every evaluation point — matches the serial path bit for bit.
+// Cancellation makes chunks fail individually; the contiguous merged
 // prefix is what gets checkpointed. Early stopping stops dispatch, and
-// absorb drops the speculative chunks beyond the stopping frontier.
-func (r *campaignRun) parallel(start, workers int) error {
+// Absorb drops the speculative chunks beyond the stopping frontier.
+func (m *Merger) parallel(runner *ChunkRunner, workers int) error {
 	type job struct{ b, e int }
 	type outcome struct {
 		ch  *ChunkOutput
 		err error
 	}
 	maxInFlight := workers * 2
-	window := 2 * maxInFlight
+	window := maxInFlight + workers
 	jobs := make(chan job)
 	out := make(chan outcome, maxInFlight)
-	// Dispatch stays within window chunks of the merge frontier, so the
-	// chunks in flight or held ahead of it stay bounded even when the
-	// frontier chunk is slow. free returns merged and dropped chunks to the
-	// workers, so a worker allocates a chunk only while it is empty.
-	free := make(chan *ChunkOutput, window)
-	r.release = func(ch *ChunkOutput) {
-		select {
-		case free <- ch:
-		default:
-		}
-	}
-	defer func() { r.release = nil }()
+	// Dispatch stays within window chunks of the merge frontier, those in
+	// flight and one held per worker, so the chunks ahead of it, and with
+	// them the outputs the runner allocates, stay bounded even when the
+	// frontier chunk is slow.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			var span *obs.Span
-			if r.c.Span != nil {
-				span = r.c.Span.StartChild("worker", obs.Int("worker", id))
+			if m.c.Span != nil {
+				span = m.c.Span.StartChild("worker", obs.Int("worker", id))
 				defer span.End()
 			}
-			if r.workersGauge != nil {
-				r.workersGauge.Add(1)
-				defer r.workersGauge.Add(-1)
+			if m.workersGauge != nil {
+				m.workersGauge.Add(1)
+				defer m.workersGauge.Add(-1)
 			}
-			tw := r.env.newWorker()
 			chunks, trials := 0, 0
 			for j := range jobs {
-				var ch *ChunkOutput
-				select {
-				case ch = <-free:
-					r.env.resetChunk(ch, j.b, j.e)
-				default:
-					ch = r.env.newChunk(j.b, j.e)
-				}
-				err := tw.runChunk(r.c.Ctx, ch)
+				ch, err := runner.Run(m.c.Ctx, j.b, j.e)
 				if err == nil {
 					chunks++
 					trials += j.e - j.b
@@ -1063,22 +1047,22 @@ func (r *campaignRun) parallel(start, workers int) error {
 
 	var (
 		inFlight    int
-		b           = start
+		b           = m.done
 		cancelCause error
 		fatal       error
 	)
-	dispatchDone := b >= r.c.Trials
+	dispatchDone := b >= m.c.Trials
 	for !dispatchDone || inFlight > 0 {
 		var send chan job
-		next := job{b, chunkEnd(b, r.c.Trials)}
-		if !dispatchDone && inFlight < maxInFlight && b-r.done < window*trialChunkSize {
+		next := job{b, chunkEnd(b, m.c.Trials)}
+		if !dispatchDone && inFlight < maxInFlight && b-m.done < window*trialChunkSize {
 			send = jobs
 		}
 		select {
 		case send <- next:
 			inFlight++
 			b = next.e
-			dispatchDone = b >= r.c.Trials
+			dispatchDone = b >= m.c.Trials
 		case o := <-out:
 			inFlight--
 			switch {
@@ -1087,13 +1071,12 @@ func (r *campaignRun) parallel(start, workers int) error {
 					cancelCause = o.err
 				}
 				dispatchDone = true
-				r.releaseChunk(o.ch)
-			case cancelCause == nil && fatal == nil && !r.ended():
-				stop, err := r.absorb(o.ch)
+			case cancelCause == nil && fatal == nil && !m.Done():
+				stop, err := m.Absorb(o.ch)
 				fatal = err
 				dispatchDone = dispatchDone || stop || err != nil
 			default:
-				r.releaseChunk(o.ch)
+				runner.Release(o.ch)
 			}
 		}
 	}
@@ -1103,7 +1086,7 @@ func (r *campaignRun) parallel(start, workers int) error {
 	case fatal != nil:
 		return fatal
 	case cancelCause != nil:
-		return r.cancelled(cancelCause)
+		return m.Abort(cancelCause)
 	}
 	return nil
 }
@@ -1119,54 +1102,57 @@ func (c Campaign) model() FaultModel {
 // validProb reports whether p is a finite probability.
 func validProb(p float64) bool { return p >= 0 && p <= 1 && !math.IsNaN(p) }
 
-// Run executes the campaign.
+// Run executes the campaign: a Merger fed by its own ChunkRunner, which
+// computes the chunks inline at one worker and from a worker pool
+// otherwise, and takes each back once it is merged.
 func Run(c Campaign) (Result, error) {
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	run, start, err := newCampaignRun(&c, workers)
+	m, err := NewMerger(c, workers)
 	if err != nil {
 		return Result{}, err
 	}
 
-	if start < c.Trials {
+	if !m.Done() {
 		// Fail fast on a context that is already dead, before spinning up
 		// any pool machinery.
 		if c.Ctx != nil {
 			if err := c.Ctx.Err(); err != nil {
-				return Result{}, run.cancelled(err)
+				return Result{}, m.Abort(err)
 			}
 		}
-		if remaining := (c.Trials - start + trialChunkSize - 1) / trialChunkSize; workers > remaining {
+		if remaining := NumChunks(c.Trials - m.done); workers > remaining {
 			workers = remaining
 		}
+		runner := m.Runner()
+		m.OnRelease(runner.Release)
 		if workers <= 1 {
-			err = run.serial(start)
+			err = m.serial(runner)
 		} else {
-			err = run.parallel(start, workers)
+			err = m.parallel(runner, workers)
 		}
 		if err != nil {
 			return Result{}, err
 		}
 	}
-	return run.finish(), nil
+	return m.Finish(), nil
 }
 
-// newCampaignRun flattens and validates the campaign and builds its
-// merge-side state: the precomputed environment, the (possibly resumed)
-// partial Result, the telemetry instruments and every evaluation-point
-// interval. It publishes the "campaign_start" event and returns the
-// completed-trial frontier the execution should start from. Both Run and
-// the distributed Merger build on it, which is what keeps the two
-// bit-identical.
-func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
-	env, err := newCampaignEnv(flatten(c), c.model())
+// NewMerger flattens and validates c and builds its merge-side state: the
+// precomputed environment, the partial Result (restored from a checkpoint
+// when c.Resume is set), the telemetry instruments and every
+// evaluation-point interval. It publishes the "campaign_start" event,
+// recording workersHint in it (a distributed fabric may pass 0 for
+// "unknown/dynamic").
+func NewMerger(c Campaign, workersHint int) (*Merger, error) {
+	env, err := newCampaignEnv(flatten(&c), c.model())
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	run := &campaignRun{
-		c:             c,
+	m := &Merger{
+		c:             &c,
 		env:           env,
 		held:          map[int]*ChunkOutput{},
 		res:           Result{Trials: c.Trials},
@@ -1178,22 +1164,21 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 	// Crash-safe checkpointing: resolve the campaign fingerprint once,
 	// restore a prior snapshot when resuming, and persist whenever the
 	// completed-trial frontier crosses a persistEvery multiple.
-	run.persistEvery = c.CheckpointEvery
-	if run.persistEvery <= 0 {
-		run.persistEvery = c.Trials / 10
+	m.persistEvery = c.CheckpointEvery
+	if m.persistEvery <= 0 {
+		m.persistEvery = c.Trials / 10
 	}
-	if run.persistEvery == 0 {
-		run.persistEvery = 1
+	if m.persistEvery == 0 {
+		m.persistEvery = 1
 	}
 	if c.CheckpointPath != "" {
-		run.fp = env.fingerprint()
+		m.fp = env.fingerprint()
 	}
-	start := 0
 	if c.Resume && c.CheckpointPath != "" {
-		cf, ok, err := loadCheckpoint(c.CheckpointPath, run.fp)
+		cf, ok, err := loadCheckpoint(c.CheckpointPath, m.fp)
 		if err != nil {
 			if !c.LaxResume || !errors.Is(err, ErrCheckpointCorrupt) {
-				return nil, 0, err
+				return nil, err
 			}
 			// Lax resume: the file is damaged, not foreign. Record the
 			// discard and restart from trial zero; the next checkpoint
@@ -1207,59 +1192,78 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 		}
 		if ok {
 			if cf.TrialsDone > c.Trials {
-				return nil, 0, fmt.Errorf("%w: checkpoint has %d trials done, campaign wants %d",
+				return nil, fmt.Errorf("%w: checkpoint has %d trials done, campaign wants %d",
 					ErrCheckpointMismatch, cf.TrialsDone, c.Trials)
 			}
 			if err := errors.Join(
-				unname(cf.Result.AffectedCount, env.nodes, run.affected),
-				unname(cf.Result.TransmissionCount, run.keys(), run.transmissions),
-				unname(cf.Result.EdgeTrials, run.keys(), run.edgeTrials),
+				unname(cf.Result.AffectedCount, env.nodes, m.affected),
+				unname(cf.Result.TransmissionCount, m.keys(), m.transmissions),
+				unname(cf.Result.EdgeTrials, m.keys(), m.edgeTrials),
 			); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
-			run.res = cf.Result
-			run.res.Trials = c.Trials
-			run.res.EarlyStopped = false
-			run.res.AffectedCount, run.res.TransmissionCount, run.res.EdgeTrials = nil, nil, nil
-			start = cf.TrialsDone
+			m.res = cf.Result
+			m.res.Trials = c.Trials
+			m.res.EarlyStopped = false
+			m.res.AffectedCount, m.res.TransmissionCount, m.res.EdgeTrials = nil, nil, nil
+			m.done = cf.TrialsDone
 		}
 	}
-	run.done = start
 
 	// Campaign telemetry: per-10% checkpoint events carrying the running
 	// estimators, plus live counters and gauges.
 	if reg := c.Span.Metrics(); reg != nil {
-		run.trialsCtr = reg.Counter("faultsim_trials_total", "injection trials executed")
-		run.escapesCtr = reg.Counter("faultsim_escape_trials_total", "trials whose fault crossed a HW boundary")
-		run.crossCtr = reg.Counter("faultsim_cross_transmissions_total", "fault transmissions across HW boundaries")
-		run.escapeGauge = reg.Gauge("faultsim_escape_rate", "running escape-rate estimate")
-		run.workersGauge = reg.Gauge("faultsim_active_workers", "campaign worker goroutines currently running")
+		m.trialsCtr = reg.Counter("faultsim_trials_total", "injection trials executed")
+		m.escapesCtr = reg.Counter("faultsim_escape_trials_total", "trials whose fault crossed a HW boundary")
+		m.crossCtr = reg.Counter("faultsim_cross_transmissions_total", "fault transmissions across HW boundaries")
+		m.escapeGauge = reg.Gauge("faultsim_escape_rate", "running escape-rate estimate")
+		m.workersGauge = reg.Gauge("faultsim_active_workers", "campaign worker goroutines currently running")
 	}
-	run.eventEvery = c.Trials / 10
-	if run.eventEvery == 0 {
-		run.eventEvery = 1
+	m.eventEvery = c.Trials / 10
+	if m.eventEvery == 0 {
+		m.eventEvery = 1
 	}
-	run.label = c.Label
-	if run.label == "" {
-		run.label = "campaign"
+	m.label = c.Label
+	if m.label == "" {
+		m.label = "campaign"
 	}
 	if c.Span != nil {
-		c.Span.Publish("campaign_start", run.label,
+		c.Span.Publish("campaign_start", m.label,
 			obs.Int("trials_total", c.Trials),
-			obs.Int("trials_done", start),
+			obs.Int("trials_done", m.done),
 			obs.String("model", c.model().Name()),
-			obs.Int("workers", workers))
+			obs.Int("workers", workersHint))
 	}
-	return run, start, nil
+	return m, nil
 }
 
-// finish publishes the terminal telemetry (the "campaign_done" event and
-// the ledger's campaign record) and returns the merged Result.
-func (r *campaignRun) finish() Result {
-	c := r.c
-	res := r.result()
+// Runner returns a ChunkRunner that shares the merger's trial
+// environment, so a merge side that also computes chunks — Run itself, a
+// coordinator's local fallback and spot checks — builds the campaign once.
+func (m *Merger) Runner() *ChunkRunner { return &ChunkRunner{env: m.env} }
+
+// OnRelease has the merger hand each chunk to release once it is merged,
+// or dropped by an early stop; release then owns the chunk. Run hands them
+// back to its runner; a coordinator decodes later results into them.
+// Without a release, absorbed chunks stay the caller's.
+func (m *Merger) OnRelease(release func(*ChunkOutput)) { m.release = release }
+
+// Frontier returns the completed-trial frontier: every trial below it has
+// been merged. A fresh merger starts at 0; a resumed one at the
+// checkpoint's frontier.
+func (m *Merger) Frontier() int { return m.done }
+
+// Trials returns the campaign's configured trial count.
+func (m *Merger) Trials() int { return m.c.Trials }
+
+// Finish publishes the terminal telemetry (the "campaign_done" event and
+// the ledger's campaign record) and returns the merged Result. Call once,
+// after Done reports true.
+func (m *Merger) Finish() Result {
+	c := m.c
+	res := m.result()
 	if c.Span != nil {
-		c.Span.Publish("campaign_done", r.label,
+		c.Span.Publish("campaign_done", m.label,
 			obs.Int("trials_done", res.Trials),
 			obs.Int("trials_total", c.Trials),
 			obs.Float("escape_rate", res.EscapeRate()),

@@ -38,7 +38,9 @@ race:
 # frames, against encoding/json), of a campaign's set-up (its chunk runner and
 # fingerprint, from the shipped spec and from the Campaign), of a whole
 # 6,400-trial fabric run over the in-process pipe with the telemetry
-# relay off and on (with its bytes and allocations per run) and of the
+# relay off and on (with its bytes and allocations per run), of a bus
+# publish (nil, live, and one relay-on fabric call's bus from creation to
+# close, where the event rings' on-demand growth shows) and of the
 # Eq. 3 separation sweep (12–240-row scenario matrices at widths 1 and 2,
 # the figures behind its row rule); use `go test -bench=. -benchmem` for
 # real measurements.
@@ -49,6 +51,7 @@ bench:
 	$(GO) test -run NONE -bench 'FrameCodec$$' -benchtime 200x -benchmem ./internal/fabric
 	$(GO) test -run NONE -bench 'CampaignSetup$$' -benchtime 200x -benchmem ./internal/fabric
 	$(GO) test -run NONE -bench 'FabricTelemetry$$' -benchtime 20x -benchmem ./internal/fabric
+	$(GO) test -run NONE -bench 'BusPublish$$' -benchtime 2000x -benchmem ./internal/obs
 	$(GO) test -run NONE -bench 'SeparationSweep$$' -benchtime 20x -benchmem ./internal/influence
 
 # bench-module vets the end-to-end benchmark harness (its own module in
@@ -101,8 +104,9 @@ fabric-check:
 # against the committed wire schema (docs/streaming/events.schema.json),
 # exercises replay-from-sequence-number, and asserts the /dashboard
 # document references no external URLs. The zero-alloc nil-bus publish
-# contract is pinned separately by TestNilBusPublishZeroAlloc (test);
-# measure it with `go test -run NONE -bench BusPublish -benchmem ./internal/obs`.
+# contract is pinned separately by TestNilBusPublishZeroAlloc (test), and
+# `make bench` prints it beside the live and per-call bus costs
+# (BenchmarkBusPublish).
 stream-check:
 	$(GO) run ./cmd/streamcheck
 
@@ -148,11 +152,14 @@ vuln:
 # against json.Unmarshal on arbitrary bytes, and a result decoded into a
 # released chunk against one decoded into a fresh chunk), the spec path of a
 # flagless worker (a runner built straight from a shipped spec, against
-# a rebuild through a graph) and campaign estimates on small graphs
-# (against the exact Markov chain of their propagation) without turning
-# the gate into a fuzzing session.
-# The graph target's inputs are long operation scripts, so its new inputs
-# get a short minimisation budget; the default 60s would eat the run.
+# a rebuild through a graph), campaign estimates on small graphs
+# (against the exact Markov chain of their propagation) and the
+# grow-on-demand event rings of the telemetry bus, its subscribers and
+# the flight recorder (against fixed-capacity rings of the same bounds)
+# without turning the gate into a fuzzing session.
+# The graph and event-ring targets' inputs are long operation scripts, so
+# their new inputs get a short minimisation budget; the default 60s would
+# eat the run.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeSystem$$' -fuzztime $(FUZZTIME) ./internal/spec
 	$(GO) test -run NONE -fuzz 'FuzzIntegrate$$' -fuzztime $(FUZZTIME) .
@@ -167,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzSpecRunnerMatchesCampaign$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzCampaignMatchesExact$$' -fuzztime $(FUZZTIME) ./internal/faultsim
 	$(GO) test -run NONE -fuzz 'FuzzGraphMatchesReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/graph
+	$(GO) test -run NONE -fuzz 'FuzzEventRingMatchesFixed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/obs
 	$(GO) test -run NONE -fuzz 'FuzzMinCutMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run NONE -fuzz 'FuzzGlobalMinCutMatrixMatchesParent$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run NONE -fuzz 'FuzzSeparationMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/influence

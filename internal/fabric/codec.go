@@ -38,7 +38,9 @@ func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 	dst = appendStringField(dst, `,"mac":`, f.MAC)
 	dst = appendUintField(dst, `,"epoch":`, f.Epoch)
 	if f.Spec != nil {
-		if dst, err = appendCampaign(append(dst, `,"spec":`...), f.Spec); err != nil {
+		if dst = append(dst, `,"spec":`...); f.specJSON != nil {
+			dst = append(dst, f.specJSON...)
+		} else if dst, err = appendCampaign(dst, f.Spec); err != nil {
 			return dst, err
 		}
 	}
@@ -81,6 +83,30 @@ func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 		}
 	}
 	return append(dst, '}'), nil
+}
+
+// encodeSpec encodes a campaign spec once for every campaign frame of an
+// epoch, into a buffer presized from the spec: its names plus 40 bytes
+// per node and per edge, which holds the JSON around them and a number
+// of up to six significant digits (a spec with longer numbers grows the
+// buffer once more). A spec that fails to encode yields nil: each frame
+// then encodes Spec itself and fails with the encoder's error.
+func encodeSpec(w *faultsim.WireCampaign) []byte {
+	size := 256 + 40*(len(w.Nodes)+len(w.Edges)+len(w.OccurrenceWeights)) + len(w.Model) + len(w.Label)
+	for _, n := range w.Nodes {
+		size += len(n.Name) + len(n.HW)
+	}
+	for _, e := range w.Edges {
+		size += len(e.From) + len(e.To)
+	}
+	for k := range w.OccurrenceWeights {
+		size += len(k)
+	}
+	buf, err := appendCampaign(make([]byte, 0, size), w)
+	if err != nil {
+		return nil
+	}
+	return buf
 }
 
 // appendChunk appends the JSON encoding of a result chunk. The per-trial

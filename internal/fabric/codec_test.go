@@ -1,10 +1,14 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	depint "repro"
@@ -343,4 +347,50 @@ func fuzzFrame(s *fuzzSource) *Frame {
 		}
 	}
 	return f
+}
+
+// bufferConn is a connection that reads what was written to it.
+type bufferConn struct{ bytes.Buffer }
+
+func (*bufferConn) Close() error { return nil }
+
+// TestRecvBufferGrowsByDoubling reads frames that creep up in size, as a
+// coordinator's result frames do: the receive buffer reallocates only
+// when a frame outgrows it, at least doubling each time, and a frame
+// beyond the retained bound is read into a buffer of its own size.
+func TestRecvBufferGrowsByDoubling(t *testing.T) {
+	rw := &bufferConn{}
+	w, r := NewCodecConn(rw), NewCodecConn(rw).(*codecConn)
+	var caps []int
+	for _, n := range []int{100, 600, 900, 1100, 1500, 2100, 3000, 4000, retainedBufSize + 1} {
+		in := &Frame{Type: TypeReject, Reason: strings.Repeat("x", n)}
+		if err := w.Send(in); err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Reason != in.Reason {
+			t.Fatalf("a %d-byte reason did not round-trip", n)
+		}
+		if k := len(caps); k == 0 || caps[k-1] != cap(r.recvBuf) {
+			caps = append(caps, cap(r.recvBuf))
+		}
+	}
+	if want := []int{512, 1024, 2048, 4096}; !reflect.DeepEqual(caps, want) {
+		t.Errorf("receive buffer capacities %v, want %v", caps, want)
+	}
+
+	// The receive bound is checked before any allocation.
+	r.SetRecvLimit(1 << 10)
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 1<<20)
+	rw.Write(hdr[:])
+	if _, err := r.Recv(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("frame past the receive bound: err = %v, want ErrFrameTooLarge", err)
+	}
+	if cap(r.recvBuf) != 4096 {
+		t.Errorf("a rejected frame reallocated the receive buffer to %d bytes", cap(r.recvBuf))
+	}
 }

@@ -191,6 +191,7 @@ type Coordinator struct {
 	merger   *faultsim.Merger
 	runner   *faultsim.ChunkRunner
 	spec     *faultsim.WireCampaign
+	specJSON []byte // spec encoded at most once per epoch (encodeSpec)
 	fp       string
 	trials   int
 	epoch    uint64
@@ -340,6 +341,7 @@ func (co *Coordinator) Run(ctx context.Context, c faultsim.Campaign) (faultsim.R
 	runner := merger.Runner()
 	co.epoch++
 	co.merger, co.runner, co.spec = merger, runner, runner.Spec()
+	co.specJSON = nil
 	co.fp = runner.Fingerprint()
 	co.trials = c.Trials
 	co.spotSeed = c.Seed
@@ -654,7 +656,8 @@ func (co *Coordinator) welcome(w *workerConn, name, fp string) {
 // carries the encoded campaign spec unless the worker announced this
 // campaign's fingerprint: such a worker was configured with the campaign
 // and never reads the spec. withSpec ships it anyway, for a worker that
-// asked for it.
+// asked for it. The spec is encoded when a frame first needs it, and
+// every later campaign frame of the epoch carries the same bytes.
 func (co *Coordinator) sendCampaign(w *workerConn, withSpec bool) {
 	f := &Frame{
 		Type:        TypeCampaign,
@@ -664,7 +667,10 @@ func (co *Coordinator) sendCampaign(w *workerConn, withSpec bool) {
 		Trace:       co.traceID,
 	}
 	if withSpec || w.fp != co.fp {
-		f.Spec = co.spec
+		if co.specJSON == nil {
+			co.specJSON = encodeSpec(co.spec)
+		}
+		f.Spec, f.specJSON = co.spec, co.specJSON
 	}
 	co.send(w, co.stampTS(f))
 }

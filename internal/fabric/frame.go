@@ -166,6 +166,12 @@ type Frame struct {
 	// by the merge.
 	Events []obs.BusEvent     `json:"events,omitempty"`
 	Meter  map[string]float64 `json:"meter,omitempty"`
+
+	// specJSON is Spec already encoded: the coordinator encodes each
+	// epoch's spec once (encodeSpec) and every campaign frame of the
+	// epoch carries the same bytes, which appendFrame writes in place of
+	// encoding Spec again. Decoding never sets it.
+	specJSON []byte
 }
 
 // maxFrameEvents bounds the relayed events one frame may carry: a hostile
@@ -256,6 +262,11 @@ type codecConn struct {
 // is dropped after use.
 const retainedBufSize = 1 << 20
 
+// frameHeadroom is the room Send leaves beside an encoded spec for the
+// rest of a campaign frame: its type, epoch, fingerprint, trial count,
+// trace id and clock stamp.
+const frameHeadroom = 512
+
 // NewCodecConn wraps rw in the length-prefixed JSON frame codec.
 func NewCodecConn(rw io.ReadWriteCloser) Conn {
 	c := &codecConn{rw: rw}
@@ -273,8 +284,13 @@ func (c *codecConn) Send(f *Frame) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	// The length prefix is reserved at the head of the buffer, so the
-	// frame goes out in one write.
-	buf, err := appendFrame(append(c.sendBuf[:0], 0, 0, 0, 0), f)
+	// frame goes out in one write. A frame carrying an encoded spec grows
+	// the buffer once to fit it.
+	buf := c.sendBuf[:0]
+	if need := 4 + len(f.specJSON) + frameHeadroom; len(f.specJSON) > 0 && cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	buf, err := appendFrame(append(buf, 0, 0, 0, 0), f)
 	if err != nil {
 		return fmt.Errorf("fabric: encode %s frame: %w", f.Type, err)
 	}
@@ -304,8 +320,12 @@ func (c *codecConn) Recv() (*Frame, error) {
 	}
 	payload := c.recvBuf
 	if int(n) > cap(payload) {
-		payload = make([]byte, n)
-		if n <= retainedBufSize {
+		// Grow by at least doubling (up to the retained bound), so a
+		// connection whose frames creep up in size reallocates a few
+		// times rather than at every new maximum.
+		size := max(int(n), min(2*cap(payload), retainedBufSize))
+		payload = make([]byte, size)
+		if size <= retainedBufSize {
 			c.recvBuf = payload
 		}
 	}

@@ -31,11 +31,12 @@ type BusEvent struct {
 
 // Bus is a bounded, non-blocking broadcast bus for telemetry events: the
 // live counterpart of the post-mortem span tree. Publishers never block
-// and never wait on consumers — each subscriber owns a fixed-capacity
-// ring that drops its oldest event (counting the drop) when the consumer
-// falls behind, so a stalled HTTP client can never stall a campaign. A
-// bounded replay ring keeps the most recent events so late subscribers
-// can resume from any sequence number still retained.
+// and never wait on consumers — each subscriber owns a bounded ring that
+// drops its oldest event (counting the drop) when the consumer falls
+// behind, so a stalled HTTP client can never stall a campaign. A bounded
+// replay ring keeps the most recent events so late subscribers can resume
+// from any sequence number still retained. Rings grow on demand up to
+// their bound, so a bus costs what it holds, not what it could hold.
 //
 // A nil *Bus absorbs every call: the uninstrumented publish path is a
 // single pointer comparison, mirroring the nil Observer contract.
@@ -43,13 +44,12 @@ type Bus struct {
 	epoch time.Time
 	now   func() time.Time
 
-	mu         sync.Mutex
-	seq        uint64
-	replay     []BusEvent // ring storage, len == cap once full
-	replayHead int        // index of the oldest retained event
-	subs       map[*Subscriber]struct{}
-	sinks      []func(BusEvent)
-	closed     bool
+	mu     sync.Mutex
+	seq    uint64
+	replay eventRing
+	subs   map[*Subscriber]struct{}
+	sinks  []func(BusEvent)
+	closed bool
 
 	dropped atomic.Uint64 // events dropped across all subscribers
 }
@@ -66,7 +66,7 @@ func NewBus(replayCap int) *Bus {
 	return &Bus{
 		epoch:  time.Now(),
 		now:    time.Now,
-		replay: make([]BusEvent, 0, replayCap),
+		replay: newEventRing(replayCap),
 		subs:   map[*Subscriber]struct{}{},
 	}
 }
@@ -108,13 +108,7 @@ func (b *Bus) publish(kind, span, name string, attrs []Attr) {
 	}
 	b.seq++
 	ev.Seq = b.seq
-	// Replay ring: overwrite the oldest slot once at capacity.
-	if len(b.replay) < cap(b.replay) {
-		b.replay = append(b.replay, ev)
-	} else {
-		b.replay[b.replayHead] = ev
-		b.replayHead = (b.replayHead + 1) % cap(b.replay)
-	}
+	b.replay.push(ev) // replay evictions are not drops
 	for s := range b.subs {
 		if s.push(ev) {
 			b.dropped.Add(1)
@@ -150,10 +144,10 @@ func (b *Bus) Dropped() uint64 {
 // oldestRetained returns the lowest sequence number still in the replay
 // ring (0 when the ring is empty). Caller holds b.mu.
 func (b *Bus) oldestRetained() uint64 {
-	if len(b.replay) == 0 {
+	if b.replay.n == 0 {
 		return 0
 	}
-	return b.replay[b.replayHead%len(b.replay)].Seq
+	return b.replay.at(0).Seq
 }
 
 // Subscribe registers a consumer. Events with Seq >= from still held in
@@ -171,7 +165,7 @@ func (b *Bus) Subscribe(from uint64, bufCap int) *Subscriber {
 	}
 	s := &Subscriber{
 		bus:    b,
-		buf:    make([]BusEvent, bufCap),
+		buf:    newEventRing(bufCap),
 		notify: make(chan struct{}, 1),
 	}
 	b.mu.Lock()
@@ -190,10 +184,8 @@ func (b *Bus) Subscribe(from uint64, bufCap int) *Subscriber {
 			}
 			from = oldest
 		}
-		n := len(b.replay)
-		for i := 0; i < n; i++ {
-			ev := b.replay[(b.replayHead+i)%n]
-			if ev.Seq >= from {
+		for i := 0; i < b.replay.n; i++ {
+			if ev := b.replay.at(i); ev.Seq >= from {
 				if s.pushLocked(ev) {
 					b.dropped.Add(1)
 				}
@@ -230,8 +222,7 @@ type Subscriber struct {
 	bus *Bus
 
 	mu      sync.Mutex
-	buf     []BusEvent // fixed-capacity ring
-	head, n int
+	buf     eventRing
 	dropped uint64
 	closed  bool
 	notify  chan struct{}
@@ -254,15 +245,11 @@ func (s *Subscriber) pushLocked(ev BusEvent) (droppedOne bool) {
 	if s.closed {
 		return false
 	}
-	if s.n == len(s.buf) {
-		s.head = (s.head + 1) % len(s.buf)
-		s.n--
+	if s.buf.push(ev) {
 		s.dropped++
-		droppedOne = true
+		return true
 	}
-	s.buf[(s.head+s.n)%len(s.buf)] = ev
-	s.n++
-	return droppedOne
+	return false
 }
 
 // Next returns the next buffered event, blocking until one arrives, the
@@ -278,11 +265,7 @@ func (s *Subscriber) Next(ctx context.Context) (ev BusEvent, ok bool) {
 	}
 	for {
 		s.mu.Lock()
-		if s.n > 0 {
-			ev = s.buf[s.head]
-			s.buf[s.head] = BusEvent{}
-			s.head = (s.head + 1) % len(s.buf)
-			s.n--
+		if ev, ok = s.buf.pop(); ok {
 			s.mu.Unlock()
 			return ev, true
 		}
@@ -306,14 +289,7 @@ func (s *Subscriber) TryNext() (ev BusEvent, ok bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.n == 0 {
-		return BusEvent{}, false
-	}
-	ev = s.buf[s.head]
-	s.buf[s.head] = BusEvent{}
-	s.head = (s.head + 1) % len(s.buf)
-	s.n--
-	return ev, true
+	return s.buf.pop()
 }
 
 // Dropped returns how many events this subscriber has missed: ring

@@ -229,7 +229,9 @@ func TestNilBusPublishZeroAlloc(t *testing.T) {
 
 // BenchmarkBusPublish compares the nil-bus fast path (must be 0 allocs/op
 // — asserted by TestNilBusPublishZeroAlloc; see it with -benchmem)
-// against a live single-subscriber publish.
+// against a live single-subscriber publish, and prices one relay-on
+// fabric call's bus from creation to close ("call"), where the rings'
+// growth shows (TestBusAllocatesWithUse bounds its bytes).
 func BenchmarkBusPublish(b *testing.B) {
 	b.Run("nil", func(b *testing.B) {
 		var bus *Bus
@@ -248,6 +250,12 @@ func BenchmarkBusPublish(b *testing.B) {
 			if i%128 == 0 {
 				drain(sub)
 			}
+		}
+	})
+	b.Run("call", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			relayCallBus()
 		}
 	})
 }

@@ -17,9 +17,10 @@ import (
 	"sync"
 )
 
-// DefaultFlightTail is the event-tail capacity a FlightRecorder keeps:
-// enough for the closing minutes of a large campaign without
-// letting a long-running process grow the recorder unboundedly.
+// DefaultFlightTail is the bound on the event tail a FlightRecorder
+// keeps: enough for the closing minutes of a large campaign without
+// letting a long-running process grow the recorder unboundedly. The tail
+// grows on demand up to it.
 const DefaultFlightTail = 4096
 
 // FlightRecorder accumulates run state and writes the bundle at exit.
@@ -30,8 +31,7 @@ type FlightRecorder struct {
 	tracker *Tracker
 
 	mu      sync.Mutex
-	tail    []BusEvent // ring storage
-	head, n int
+	tail    eventRing
 	dropped uint64
 	files   map[string]string // bundle name -> source path
 }
@@ -45,7 +45,7 @@ func NewFlightRecorder(o *Observer, bus *Bus, t *Tracker) *FlightRecorder {
 	fr := &FlightRecorder{
 		obs:     o,
 		tracker: t,
-		tail:    make([]BusEvent, DefaultFlightTail),
+		tail:    newEventRing(DefaultFlightTail),
 		files:   map[string]string{},
 	}
 	if bus != nil {
@@ -57,13 +57,9 @@ func NewFlightRecorder(o *Observer, bus *Bus, t *Tracker) *FlightRecorder {
 // record is the bus sink: a drop-oldest ring append.
 func (fr *FlightRecorder) record(ev BusEvent) {
 	fr.mu.Lock()
-	if fr.n == len(fr.tail) {
-		fr.head = (fr.head + 1) % len(fr.tail)
-		fr.n--
+	if fr.tail.push(ev) {
 		fr.dropped++
 	}
-	fr.tail[(fr.head+fr.n)%len(fr.tail)] = ev
-	fr.n++
 	fr.mu.Unlock()
 }
 
@@ -165,10 +161,7 @@ func (fr *FlightRecorder) Write(dir string) (FlightManifest, error) {
 	}
 
 	fr.mu.Lock()
-	tail := make([]BusEvent, 0, fr.n)
-	for i := 0; i < fr.n; i++ {
-		tail = append(tail, fr.tail[(fr.head+i)%len(fr.tail)])
-	}
+	tail := fr.tail.events()
 	man.EventsDropped = fr.dropped
 	files := make(map[string]string, len(fr.files))
 	for k, v := range fr.files {
